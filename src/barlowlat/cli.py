@@ -499,6 +499,20 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 # ------------------------------------------------------------------ entry point
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than low."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="barlowlat",
@@ -536,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("height", help="height of the extended collection")
     add_fixtures(p)
     p.add_argument("--matrix", help="path to an external bound-matrix JSON")
-    p.add_argument("--dim", type=int, default=SURFACE_DIMENSION)
+    p.add_argument("--dim", type=_int_at_least(1), default=SURFACE_DIMENSION)
     p.set_defaults(func=cmd_height)
 
     p = sub.add_parser("formality", help="chain-degree report for the ledger")
@@ -546,13 +560,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("search", help="search root configurations")
     add_fixtures(p)
-    p.add_argument("--limit", type=int, default=1)
+    p.add_argument("--limit", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("decompose", help="nonnegative decompositions of a class")
     add_fixtures(p)
     p.add_argument("--target", required=True, help="class expression, e.g. '5K-E3p-Bp000'")
-    p.add_argument("--caps", type=int, default=8)
+    p.add_argument("--caps", type=_int_at_least(0), default=8)
     p.add_argument("--generators", help="comma-separated generator names")
     p.set_defaults(func=cmd_decompose)
     return parser

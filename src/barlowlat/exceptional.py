@@ -6,12 +6,14 @@ chi(l_i, l_i) = 1 and chi(l_i, l_j) = 0 for i > j.  The ten-root pattern
 length 11; the search below looks for instances of the pattern inside a
 root set by depth-first backtracking.  The effective-decomposition solver
 enumerates all bounded nonnegative integer representations of a class over
-a generator list.
+a generator list; it works on integer coordinate tuples only, pruning by
+degree and by integer annihilators of each generator suffix.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, sub
 from typing import Sequence
 
 from .errors import ConfigurationInvalid, DimensionMismatch
@@ -317,51 +319,53 @@ class DecompositionProblem:
         return DecompositionProblem(target=target, generators=gens, caps=cap_vec)
 
 
+def suffix_annihilators(
+    vectors: Sequence[Sequence[int]],
+) -> list[list[tuple[int, ...]]]:
+    """Integer bases of the annihilators of every suffix of a vector list.
+
+    Entry idx is a basis of the integer vectors w with w . v = 0 (plain dot
+    product of coordinates) for every v in vectors[idx:].  The integer kernel
+    spans the rational one, so a vector lies in the rational span of the
+    suffix iff it has dot product zero with each basis vector; a suffix of
+    full rank has none.
+    """
+    return [linalg.integer_kernel(vectors[idx:]) for idx in range(len(vectors))]
+
+
 def decompose_effective(
     lat: PicardLattice, problem: DecompositionProblem
 ) -> list[tuple[int, ...]]:
     """All vectors c with sum c_g * g = target, 0 <= c <= caps.
 
-    Branch and bound in generator order.  Branches are cut when the degree
-    (pairing with k) of the remainder drops below what the remaining
-    generators can absorb, or when the remainder leaves the rational span of
-    the remaining generators.
+    Branch and bound in generator order on integer coordinate tuples.
+    Branches are cut when the degree (pairing with k) of the remainder drops
+    below what the remaining generators can absorb, or when the remainder
+    leaves the rational span of the remaining generators, i.e. some integer
+    annihilator of that suffix (suffix_annihilators) has a nonzero dot
+    product with it.  Both cuts are exact and use integers only.
     """
-    gens = [g for _, g in problem.generators]
+    gens = [g.coords for _, g in problem.generators]
     caps = problem.caps
     m = len(gens)
-    degrees = [lat.pair(g, lat.k) for g in gens]
+    degrees = [lat.pair(g, lat.k) for _, g in problem.generators]
     if any(d < 0 for d in degrees):
         raise ValueError("generators must have nonnegative degree")
-
-    # echelon bases of the rational span of each generator suffix
-    suffix_spans: list[list[list[Fraction]]] = [[] for _ in range(m + 1)]
-    for idx in range(m - 1, -1, -1):
-        span = [row.copy() for row in suffix_spans[idx + 1]]
-        _reduce_into(span, [Fraction(c) for c in gens[idx].coords])
-        suffix_spans[idx] = span
+    annihilators = suffix_annihilators(gens)
 
     out: list[tuple[int, ...]] = []
     coeffs = [0] * m
 
-    def in_span(vec: DivisorClass, span: list[list[Fraction]]) -> bool:
-        residual = [Fraction(c) for c in vec.coords]
-        for row in span:
-            lead = next(i for i, x in enumerate(row) if x)
-            if residual[lead]:
-                f = residual[lead] / row[lead]
-                residual = [a - f * b for a, b in zip(residual, row)]
-        return not any(residual)
-
-    def rec(idx: int, remainder: DivisorClass, rem_degree: int) -> None:
+    def rec(idx: int, remainder: tuple[int, ...], rem_degree: int) -> None:
         if idx == m:
-            if remainder.is_zero():
+            if not any(remainder):
                 out.append(tuple(coeffs))
             return
         if rem_degree < 0:
             return
-        if not in_span(remainder, suffix_spans[idx]):
-            return
+        for w in annihilators[idx]:
+            if sum(map(mul, w, remainder)):
+                return
         g = gens[idx]
         d = degrees[idx]
         top = caps[idx]
@@ -371,21 +375,8 @@ def decompose_effective(
         for c in range(top + 1):
             coeffs[idx] = c
             rec(idx + 1, current, rem_degree - c * d)
-            current = current - g
+            current = tuple(map(sub, current, g))
         coeffs[idx] = 0
 
-    rec(0, problem.target, lat.pair(problem.target, lat.k))
+    rec(0, problem.target.coords, lat.pair(problem.target, lat.k))
     return sorted(out)
-
-
-def _reduce_into(span: list[list[Fraction]], vec: list[Fraction]) -> None:
-    """Gaussian-reduce vec against span; append if independent."""
-    residual = vec
-    for row in span:
-        lead = next(i for i, x in enumerate(row) if x)
-        if residual[lead]:
-            f = residual[lead] / row[lead]
-            residual = [a - f * b for a, b in zip(residual, row)]
-    if any(residual):
-        span.append(residual)
-        span.sort(key=lambda r: next(i for i, x in enumerate(r) if x))

@@ -121,6 +121,10 @@ class BTable:
     cross_block_b_cells: frozenset[tuple[int, int]]
 
     def validate(self) -> None:
+        for field in ("l_values", "e12_values"):
+            missing = {"plus", "minus"} - set(getattr(self, field))
+            if missing:
+                raise SchemaError(f"{field} lacks {', '.join(sorted(missing))}")
         if set(self.c_table) != set(MINUS_TWO_CURVES):
             raise SchemaError("c_table must cover the four (-2)-curves")
         for name, grid in self.c_table.items():

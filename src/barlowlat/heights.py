@@ -90,15 +90,8 @@ class Arc:
             raise ValueError(f"arc {a} violates the index window for n={self.n}")
 
     @property
-    def length(self) -> int:
-        return self.indices[-1] - self.indices[0]
-
-    @property
     def segments(self) -> int:
         return len(self.indices) - 1
-
-    def is_circle(self) -> bool:
-        return self.length == self.n
 
 
 def arc_height(arc: Arc, m: ExtBoundMatrix) -> int | float:

@@ -85,6 +85,8 @@ class LedgerMatrix:
         raw: Mapping[str, Sequence[int] | str],
         expected_stars: Iterable[tuple[int, int]] | None = None,
     ) -> "LedgerMatrix":
+        if not isinstance(raw, Mapping):
+            raise SchemaError("ledger entries must be a mapping of 'i,j' keys")
         entries: dict[tuple[int, int], CohomDatum | str] = {}
         stars: set[tuple[int, int]] = set()
         for key, val in raw.items():
@@ -114,13 +116,6 @@ class LedgerMatrix:
                 f"star entries at {sorted(stars)}, expected {sorted(expected_stars)}"
             )
         return LedgerMatrix(n=n, entries=dict(entries), star_positions=frozenset(stars))
-
-    def resolve(self, stars: StarChoice) -> dict[tuple[int, int], CohomDatum]:
-        """Entries with every star replaced by the chosen option."""
-        out: dict[tuple[int, int], CohomDatum] = {}
-        for pos, val in self.entries.items():
-            out[pos] = stars.datum if val == STAR else val  # type: ignore[assignment]
-        return out
 
     def datum(self, i: int, j: int, stars: StarChoice) -> CohomDatum:
         """Forward datum for maps j -> i; zero for backward pairs."""

@@ -257,13 +257,6 @@ def ldl_positive(q: Matrix) -> tuple[list[Fraction], list[list[Fraction]]]:
     return d, lo
 
 
-def floor_sqrt_fraction(f: Fraction) -> int:
-    """Largest integer m with m*m <= f (f nonnegative)."""
-    if f < 0:
-        raise ValueError("negative argument")
-    return isqrt(f.numerator // f.denominator)
-
-
 def integer_interval(shift: Fraction, bound: Fraction) -> range:
     """All integers t with (t + shift)^2 <= bound, as a range.
 

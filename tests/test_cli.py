@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import barlowlat
 from barlowlat.cli import main, parse_class_expr
 from barlowlat.errors import SchemaError
 from barlowlat.fixtures import load_fixtures, shipped_fixture_text
@@ -213,6 +218,25 @@ def test_decompose_expression(capsys):
     assert code == 0
     data = json.loads(out)
     assert {"E1": 1, "C1p": 1} in data["solutions"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--limit", "0"],
+        ["decompose", "--target", "0", "--caps", "-1"],
+        ["height", "--dim", "0"],
+    ],
+)
+def test_out_of_range_argument_exits_2(argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(barlowlat.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "barlowlat.cli", *argv],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"argument {argv[-2]}:" in proc.stderr
 
 
 def test_parse_class_expr():

@@ -11,6 +11,7 @@ from barlowlat.exceptional import (
     is_num_exceptional,
     search_configs,
     sequence_from_config,
+    suffix_annihilators,
 )
 from barlowlat.lattice import DivisorClass, make_lattice
 from barlowlat.roots import RootSet, enumerate_roots
@@ -182,12 +183,10 @@ def test_decompose_linked_class(fix, lat):
     )
     problem = DecompositionProblem.create(target, gens, caps=8)
     sols = decompose_effective(lat, problem)
-    assert sols, "the linked genus-3 class must decompose"
-    expected = {"Bp001": 1, "C1m": 1, "C2p": 1}
     as_dicts = [
         {names[i]: c for i, c in enumerate(vec) if c} for vec in sols
     ]
-    assert expected in as_dicts
+    assert as_dicts == [{"Bp001": 1, "C1m": 1, "C2p": 1}]
 
 
 def test_decompose_resubstitution(fix, lat):
@@ -220,3 +219,28 @@ def test_decompose_matches_grid_oracle(fix, lat, seed):
     assert decompose_effective(lat, problem) == grid_decompose(
         lat, target, gens, caps
     )
+
+
+def test_decompose_target_outside_rank_deficient_span(fix, lat):
+    # the four (-2)-curves span a rank-4 sublattice that misses E1
+    gens = [(n, fix.curve_class(n)) for n in ("C1p", "C1m", "C2p", "C2m")]
+    target = fix.curve_class("E1")
+    assert len(suffix_annihilators([g.coords for _, g in gens])[0]) == 9 - 4
+    problem = DecompositionProblem.create(target, gens, caps=3)
+    assert decompose_effective(lat, problem) == []
+    assert grid_decompose(lat, target, gens, [3] * 4) == []
+
+
+def test_suffix_annihilators_kill_their_suffix(fix):
+    names = list(fix.curve_table.names) + sorted(fix.b_classes())
+    vectors = [fix.curve_class(n).coords for n in names]
+    annihilators = suffix_annihilators(vectors)
+    assert len(annihilators) == len(vectors)
+    for idx, basis in enumerate(annihilators):
+        for w in basis:
+            assert any(w)
+            for v in vectors[idx:]:
+                assert sum(a * b for a, b in zip(w, v)) == 0
+    # the whole list spans the rank-9 lattice; a single class leaves 8
+    assert annihilators[0] == []
+    assert len(annihilators[-1]) == 8

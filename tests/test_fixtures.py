@@ -1,6 +1,9 @@
+import json
+
 import pytest
 
 from barlowlat import linalg
+from barlowlat.cli import main
 from barlowlat.errors import (
     ChiMatrixMismatch,
     RankError,
@@ -80,6 +83,40 @@ def test_schema_error_on_garbage():
         load_fixtures({"curve_table": {"names": ["x"]}})
     with pytest.raises(SchemaError):
         load_fixtures("/nonexistent/path/fixture.json")
+
+
+def _ledger_entries_as_list(raw):
+    raw["ledger"]["entries"] = [[k, v] for k, v in raw["ledger"]["entries"].items()]
+
+
+def _drop(*path):
+    def mutate(raw):
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        del node[path[-1]]
+
+    return mutate
+
+
+MALFORMED = {
+    "ledger-entries-list": _ledger_entries_as_list,
+    "e12-without-plus": _drop("b_table", "e12_values", "plus"),
+    "e12-without-minus": _drop("b_table", "e12_values", "minus"),
+    "l-values-without-plus": _drop("b_table", "l_values", "plus"),
+    "l-values-without-minus": _drop("b_table", "l_values", "minus"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_malformed_document_is_schema_error(raw_copy, kind, tmp_path, capsys):
+    MALFORMED[kind](raw_copy)
+    with pytest.raises(SchemaError):
+        load_fixtures(raw_copy)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw_copy))
+    assert main(["verify", "--fixtures", str(path)]) == 2
+    assert "fixture error" in capsys.readouterr().err
 
 
 def test_d8_basis(fix, lat):
