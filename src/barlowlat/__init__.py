@@ -9,17 +9,7 @@ degree bookkeeping, and the anticanonical height of the extended collection.
 __version__ = "0.1.0"
 
 from .errors import ToolkitError
-from .lattice import (
-    CoverCase,
-    CoverCaseData,
-    DivisorClass,
-    PicardLattice,
-    cover_intersection,
-    genus_selfint,
-    hurwitz_pa_down,
-    hurwitz_pa_up,
-    make_lattice,
-)
+from .lattice import DivisorClass, PicardLattice, make_lattice
 from .fixtures import FixtureSet, load_fixtures
 from .roots import (
     RootSet,
@@ -58,8 +48,6 @@ __all__ = [
     "ABConfiguration",
     "Arc",
     "CohomDatum",
-    "CoverCase",
-    "CoverCaseData",
     "DecompositionProblem",
     "DivisorClass",
     "ExtBoundMatrix",
@@ -71,16 +59,12 @@ __all__ = [
     "ToolkitError",
     "arc_height",
     "borel_siebenthal",
-    "cover_intersection",
     "decompose_effective",
     "enumerate_roots",
     "extend_anticanonical",
     "formality_report",
     "fullness_verdict",
-    "genus_selfint",
     "height",
-    "hurwitz_pa_down",
-    "hurwitz_pa_up",
     "is_num_exceptional",
     "load_fixtures",
     "make_lattice",

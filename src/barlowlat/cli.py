@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from . import __version__
-from .errors import SchemaError, ToolkitError, UnknownName
+from .errors import SchemaError, ToolkitError, UndefinedEntry, UnknownName
 from .exceptional import (
     DecompositionProblem,
     decompose_effective,
@@ -34,7 +34,9 @@ from .heights import (
 )
 from .homledger import StarChoice, formality_report
 from .lattice import DivisorClass
-from .roots import (
+# enumerate_roots is not called here (fix.roots enumerates once), but it stays
+# bound in this namespace: bench/ wraps and checks the binding by name
+from .roots import (  # noqa: F401
     enumerate_roots,
     extended_cartan_expected,
     partition_roots,
@@ -48,7 +50,10 @@ _TERM = re.compile(r"([+-]?)\s*(\d*)\s*\*?\s*([A-Za-z][A-Za-z0-9]*)")
 
 
 def parse_class_expr(fix: FixtureSet, expr: str) -> DivisorClass:
-    """Integer combinations of registered class names, e.g. '5K - E3p - Bp000'."""
+    """Integer combinations of named classes, e.g. '5K - E3p - Bp000'.
+
+    Terms are joined by + or -; a coefficient may be written 5K, 5*K or 5 K.
+    """
     text = expr.strip()
     if text == "0":
         return DivisorClass.zero(9)
@@ -56,7 +61,8 @@ def parse_class_expr(fix: FixtureSet, expr: str) -> DivisorClass:
     out = DivisorClass.zero(9)
     while pos < len(text):
         m = _TERM.match(text, pos)
-        if m is None or (m.start() != pos and text[pos:m.start()].strip()):
+        # terms after the first need their sign: "K K" is not "2K"
+        if m is None or (pos and not m.group(1)):
             raise SchemaError(f"cannot parse class expression at {text[pos:]!r}")
         sign = -1 if m.group(1) == "-" else 1
         coeff = int(m.group(2)) if m.group(2) else 1
@@ -106,7 +112,11 @@ EXPECTED_MIN_DEGREES = {
 def verification_checks(
     fix: FixtureSet, stars_flag: str
 ) -> list[tuple[str, str, Callable[[], dict], bool]]:
-    """Ordered (id, claim, runner, needs_lattice) tuples for the pipeline."""
+    """Ordered (id, claim, runner, needs_lattice) tuples for the pipeline.
+
+    A check that needs the lattice is skipped when the canonical stage
+    failed; canonical-basis itself runs and reports that failure.
+    """
 
     def fixture_tables() -> dict:
         return dict(fix.validate_curve_table())
@@ -118,7 +128,6 @@ def verification_checks(
     def canonical_basis() -> dict:
         out = fix.build_canonical()
         lat = fix.lattice
-        assert lat is not None
         basis = fix.canonical_basis()
         gram = [[lat.pair(a, b) for b in basis] for a in basis]
         expected = extended_cartan_expected()
@@ -143,7 +152,7 @@ def verification_checks(
         return dict(fix.validate_relation())
 
     def root_count() -> dict:
-        rs = enumerate_roots(fix.lattice)  # type: ignore[arg-type]
+        rs = fix.roots
         if len(rs) != 240:
             raise ToolkitError(f"found {len(rs)} roots, expected 240")
         negs = all((-r) in rs for r in rs.roots)
@@ -152,9 +161,8 @@ def verification_checks(
         return {"count": len(rs)}
 
     def root_partition() -> dict:
-        rs = enumerate_roots(fix.lattice)  # type: ignore[arg-type]
         part = partition_roots(
-            rs,
+            fix.roots,
             fix.degree1_elliptic_classes(),
             list(fix.b_classes().values()),
             fix.minus_two_classes(),
@@ -164,9 +172,8 @@ def verification_checks(
         return {"sizes": list(part.sizes)}
 
     def vanishing() -> dict:
-        rs = enumerate_roots(fix.lattice)  # type: ignore[arg-type]
         tags = vanishing_classification(
-            rs, fix.minus_two_classes(), fix.irreducible_elliptic_classes()
+            fix.roots, fix.minus_two_classes(), fix.irreducible_elliptic_classes()
         )
         counts = {
             tag.value: sum(1 for t in tags.values() if t is tag)
@@ -180,7 +187,7 @@ def verification_checks(
         return dict(fix.validate_sequence())
 
     def num_exceptional() -> dict:
-        ok, matrix = is_num_exceptional(fix.lattice, fix.sequence_classes())  # type: ignore[arg-type]
+        ok, matrix = is_num_exceptional(fix.lattice, fix.sequence_classes())
         if not ok:
             raise ToolkitError("shipped sequence is not numerically exceptional")
         if [row[:] for row in matrix] != [list(r) for r in fix.chi_matrix]:
@@ -236,7 +243,7 @@ def verification_checks(
          simple_roots, False),
         ("canonical-basis",
          "glue half-sum extends to a unimodular basis of signature (1,8)",
-         canonical_basis, True),
+         canonical_basis, False),
         ("b-reconstruction",
          "all 32 genus-3 classes solve integrally and match the block formulas",
          b_reconstruction, True),
@@ -276,13 +283,12 @@ def run_verification(fix: FixtureSet, stars_flag: str) -> dict:
     results = []
     counts = {"pass": 0, "fail": 0, "skipped": 0}
     build_error: str | None = None
+    try:
+        fix.build_canonical()
+    except (ToolkitError, AssertionError) as exc:
+        build_error = str(exc)
     for check_id, claim, runner, needs_lattice in verification_checks(fix, stars_flag):
-        if needs_lattice and build_error is None and not fix._built:
-            try:
-                fix.build_canonical()
-            except (ToolkitError, AssertionError) as exc:
-                build_error = str(exc)
-        if needs_lattice and build_error is not None and check_id != "canonical-basis":
+        if needs_lattice and build_error is not None:
             counts["skipped"] += 1
             results.append({
                 "id": check_id,
@@ -357,9 +363,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_roots(args: argparse.Namespace) -> int:
-    fix = _load(args, validate=False)
-    fix.build_canonical()
-    rs = enumerate_roots(fix.lattice)  # type: ignore[arg-type]
+    rs = _load(args, validate=False).roots
     if args.count:
         print(len(rs))
         return 0
@@ -379,7 +383,6 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
 def cmd_classes(args: argparse.Namespace) -> int:
     fix = _load(args, validate=False)
-    fix.validate_sequence()
     basis = ["K", "e", "D8", "D7", "D6", "D5", "D4", "D3", "D2"]
     names = list(CURVE_NAMES) + [f"D{i}" for i in range(1, 9)] + ["e"]
     names += sorted(fix.b_classes()) + [f"L{i}" for i in range(1, 12)]
@@ -393,9 +396,7 @@ def cmd_classes(args: argparse.Namespace) -> int:
 
 def cmd_chi(args: argparse.Namespace) -> int:
     fix = _load(args, validate=False)
-    fix.build_canonical()
     lat = fix.lattice
-    assert lat is not None
     if args.cls is not None:
         value = lat.chi(parse_class_expr(fix, args.cls))
     else:
@@ -412,15 +413,15 @@ def cmd_chi(args: argparse.Namespace) -> int:
 def cmd_height(args: argparse.Namespace) -> int:
     if args.matrix:
         try:
-            raw = json.loads(open(args.matrix).read())
-            bounds = ExtBoundMatrix.from_rows(int(raw["n"]), raw["rows"])
-        except (OSError, KeyError, ValueError) as exc:
+            raw = json.loads(Path(args.matrix).read_text())
+            bounds = ExtBoundMatrix.from_rows(raw["n"], raw["rows"])
+            h = height(bounds)
+        except (OSError, KeyError, TypeError, ValueError, SchemaError, UndefinedEntry) as exc:
             print(f"cannot read bound matrix: {exc}", file=sys.stderr)
             return 2
     else:
-        fix = _load(args, validate=False)
-        bounds = fix.ext_bounds
-    h = height(bounds)
+        bounds = _load(args, validate=False).ext_bounds
+        h = height(bounds)
     out = {
         "height": _jsonable(h),
         "single_segment_bound": _jsonable(single_segment_bound(bounds)),
@@ -456,9 +457,7 @@ def cmd_formality(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     fix = _load(args, validate=False)
-    fix.build_canonical()
-    rs = enumerate_roots(fix.lattice)  # type: ignore[arg-type]
-    configs = search_configs(rs, fix.lattice.k, args.limit)  # type: ignore[union-attr]
+    configs = search_configs(fix.roots, fix.lattice.k, args.limit)
     out = {
         "count": len(configs),
         "configurations": [
@@ -475,7 +474,6 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     fix = _load(args, validate=False)
-    fix.validate_b_classes()
     target = parse_class_expr(fix, args.target)
     if args.generators:
         names = [n.strip() for n in args.generators.split(",") if n.strip()]
@@ -483,7 +481,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         names = list(CURVE_NAMES) + sorted(fix.b_classes())
     gens = [(n, fix.curve_class(n)) for n in names]
     problem = DecompositionProblem.create(target, gens, caps=args.caps)
-    solutions = decompose_effective(fix.lattice, problem)  # type: ignore[arg-type]
+    solutions = decompose_effective(fix.lattice, problem)
     out = {
         "target": args.target,
         "generators": names,

@@ -21,7 +21,7 @@ class NonSymmetricGram(ToolkitError):
 
 
 class ParityViolation(ToolkitError):
-    """v.v + v.k is odd, or a genus/covering formula received odd input."""
+    """v.v - v.k is odd: the Gram matrix or k is inconsistent."""
 
 
 class ProbesDoNotSpan(ToolkitError):
@@ -34,10 +34,6 @@ class InconsistentValues(ToolkitError):
 
 class NonIntegralSolution(ToolkitError):
     """A pairing system has a rational solution outside the lattice."""
-
-
-class MissingField(ToolkitError):
-    """A covering-calculus case is missing a required input."""
 
 
 # --- fixtures ----------------------------------------------------------------

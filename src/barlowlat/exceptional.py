@@ -12,12 +12,17 @@ degree and by integer annihilators of each generator suffix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from itertools import accumulate
 from operator import mul, sub
 from typing import Sequence
 
-from .errors import ConfigurationInvalid, DimensionMismatch
-from .lattice import DivisorClass, PicardLattice
+from .errors import (
+    ConfigurationInvalid,
+    DimensionMismatch,
+    NonSymmetricGram,
+    ParityViolation,
+)
+from .lattice import DivisorClass, PicardLattice, make_lattice
 from .roots import RootSet
 from . import linalg
 
@@ -84,23 +89,13 @@ class ABConfiguration:
             raise ConfigurationInvalid("; ".join(bad))
 
 
-def sequence_from_config(
-    lat: PicardLattice, cfg: ABConfiguration
-) -> tuple[DivisorClass, ...]:
-    """The eleven classes built from a valid configuration.
-
-    Partial sums of the chain, with k - B1 in third place, k - B2 after the
-    five-sum, and the zero class last; always numerically exceptional when
-    the configuration is valid.
-    """
-    cfg.validate(lat)
-    a, (b1, b2), k = cfg.a, cfg.b, cfg.k
-    sums = []
-    acc = DivisorClass.zero(lat.rank)
-    for r in a:
-        acc = acc + r
-        sums.append(acc)
-    seq = [
+def _pattern(
+    a: Sequence[DivisorClass], b1: DivisorClass, b2: DivisorClass, k: DivisorClass
+) -> list[DivisorClass]:
+    """The eleven-term pattern: partial sums of the chain, with k - B1 in
+    third place, k - B2 after the five-sum, and the zero class last."""
+    sums = list(accumulate(a))
+    return [
         sums[0],
         sums[1],
         k - b1,
@@ -111,8 +106,19 @@ def sequence_from_config(
         sums[5],
         sums[6],
         sums[7],
-        DivisorClass.zero(lat.rank),
+        DivisorClass.zero(len(k)),
     ]
+
+
+def sequence_from_config(
+    lat: PicardLattice, cfg: ABConfiguration
+) -> tuple[DivisorClass, ...]:
+    """The eleven classes built from a valid configuration.
+
+    Always numerically exceptional when the configuration is valid.
+    """
+    cfg.validate(lat)
+    seq = _pattern(cfg.a, *cfg.b, cfg.k)
     ok, _ = is_num_exceptional(lat, seq)
     if not ok:
         raise ConfigurationInvalid("built sequence is not numerically exceptional")
@@ -127,70 +133,24 @@ def check_formal_pattern(
     """Exceptionality of the pattern from bilinear data alone, no embedding.
 
     gram10 is the 10x10 pairing table of (A1..A8, B1, B2); k_pairings lists
-    k.A_i and k.B_j (zero by default); k_square is k.k.  The formal sequence
-    classes live in the free module on the ten generators plus k.
+    k.A_i and k.B_j (zero by default); k_square is k.k.  The pattern is
+    built in the formal lattice on the eleven generators (A1..A8, B1, B2, k),
+    whose Gram is gram10 bordered by k_pairings and k_square.  An asymmetric
+    gram10, or one giving a class of odd d.d - d.k, is not exceptional.
     """
     if len(gram10) != 10 or any(len(r) != 10 for r in gram10):
         raise DimensionMismatch("gram10 must be 10x10")
-    if not linalg.is_symmetric(gram10):
-        return False
     kp = list(k_pairings) if k_pairings is not None else [0] * 10
     if len(kp) != 10:
         raise DimensionMismatch("k_pairings must have length 10")
-
-    # vectors over the 11 formal generators (A1..A8, B1, B2, k)
-    def pair(u: Sequence[int], v: Sequence[int]) -> int:
-        tot = 0
-        for x in range(10):
-            if not u[x]:
-                continue
-            for y in range(10):
-                if v[y]:
-                    tot += u[x] * v[y] * gram10[x][y]
-            tot += u[x] * v[10] * kp[x]
-        if u[10]:
-            for y in range(10):
-                if v[y]:
-                    tot += u[10] * v[y] * kp[y]
-            tot += u[10] * v[10] * k_square
-        return tot
-
-    def chi(v: Sequence[int]) -> Fraction:
-        return 1 + Fraction(pair(v, v) - pair(v, [0] * 10 + [1]), 2)
-
-    acc = [0] * 11
-    sums = []
-    for i in range(8):
-        acc = acc.copy()
-        acc[i] += 1
-        sums.append(acc)
-    kvec = [0] * 10 + [1]
-    b1 = [0] * 11
-    b1[8] = 1
-    b2 = [0] * 11
-    b2[9] = 1
-    seq = [
-        sums[0],
-        sums[1],
-        [k - b for k, b in zip(kvec, b1)],
-        sums[2],
-        sums[3],
-        sums[4],
-        [k - b for k, b in zip(kvec, b2)],
-        sums[5],
-        sums[6],
-        sums[7],
-        [0] * 11,
-    ]
-    for i in range(11):
-        for j in range(11):
-            v = [a - b for a, b in zip(seq[i], seq[j])]
-            value = chi(v)
-            if i == j and value != 1:
-                return False
-            if j > i and value != 0:
-                return False
-    return True
+    gram = [list(row) + [kp[i]] for i, row in enumerate(gram10)] + [kp + [k_square]]
+    unit = [DivisorClass(tuple(int(i == j) for j in range(11))) for i in range(11)]
+    try:
+        lat = make_lattice(11, gram, unit[10])
+        ok, _ = is_num_exceptional(lat, _pattern(unit[:8], unit[8], unit[9], unit[10]))
+    except (NonSymmetricGram, ParityViolation):
+        return False
+    return ok
 
 
 def search_configs(

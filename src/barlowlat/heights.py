@@ -37,6 +37,8 @@ class ExtBoundMatrix:
     def from_rows(
         n: int, raw_rows: Sequence[Sequence[int | float | str | None]]
     ) -> "ExtBoundMatrix":
+        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+            raise SchemaError(f"n must be a positive integer, got {n!r}")
         size = 2 * n
         if len(raw_rows) != size:
             raise SchemaError(f"expected {size} rows, got {len(raw_rows)}")
@@ -50,7 +52,7 @@ class ExtBoundMatrix:
                     row.append(ABSENT)
                 elif x == "inf" or x == INF:
                     row.append(INF)
-                elif isinstance(x, int) and x >= 0:
+                elif isinstance(x, int) and not isinstance(x, bool) and x >= 0:
                     row.append(x)
                 else:
                     raise SchemaError(f"bad bound entry {x!r} in row {i + 1}")

@@ -30,7 +30,9 @@ class CohomDatum:
     h2: int
 
     def __post_init__(self) -> None:
-        if min(self.h0, self.h1, self.h2) < 0:
+        if any(isinstance(h, bool) or not isinstance(h, int) for h in self.triple):
+            raise SchemaError(f"Ext dimensions {self.triple!r} must be integers")
+        if min(self.triple) < 0:
             raise SchemaError("Ext dimensions must be nonnegative")
 
     @property

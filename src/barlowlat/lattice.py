@@ -3,20 +3,15 @@
 Classes are integer coordinate vectors in a fixed basis; the lattice supplies
 the symmetric pairing, the Euler characteristic of a class, the root test and
 reconstruction of classes from their pairings against a spanning probe set.
-The covering-calculus helpers at the bottom convert degree data of a 10:1
-quotient into intersection numbers downstairs.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import (
     DimensionMismatch,
     InconsistentValues,
-    MissingField,
     NonIntegralSolution,
     NonSymmetricGram,
     ParityViolation,
@@ -177,81 +172,3 @@ def make_lattice(
         raise DimensionMismatch(f"k has length {len(k)}, expected {rank}")
     return PicardLattice(rank=rank, gram=g, k=k)
 
-
-# --- covering calculus --------------------------------------------------------
-#
-# Intersection numbers on the quotient surface from degree data upstairs on the
-# 10:1 cover.  Results are exact rationals; integrality is the caller's check.
-
-class CoverCase(Enum):
-    DISJOINT = "disjoint"
-    RAM_RAM = "ram_ram"
-    RAM_CURVE = "ram_curve"
-    CURVE_CURVE = "curve_curve"
-    CANONICAL_DEGREE = "canonical_degree"
-    SELF_INTERSECTION = "self_intersection"
-
-
-@dataclass(frozen=True)
-class CoverCaseData:
-    case: CoverCase
-    deg_i: int | None = None      # deg V(I), or deg(I1 + (x1)) for the degree case
-    deg_iir: int | None = None    # deg V(I + I_r)
-    deg_ram: int | None = None    # ramification degree in the genus computation
-    pa_up: int | None = None      # arithmetic genus of the image curve upstairs
-    k_dot: int | None = None      # canonical degree of the curve downstairs
-
-    def _req(self, name: str) -> int:
-        v = getattr(self, name)
-        if v is None:
-            raise MissingField(f"case {self.case.value} requires field {name!r}")
-        if name.startswith("deg") and v < 0:
-            raise ValueError(f"{name} must be nonnegative, got {v}")
-        return v
-
-
-def hurwitz_pa_up(pa_down: int, ram_deg: int) -> int:
-    """Arithmetic genus upstairs: 2*pa_up - 2 = 10*(2*pa_down - 2) + ram_deg."""
-    if ram_deg < 0:
-        raise ValueError("ramification degree must be nonnegative")
-    rhs = 10 * (2 * pa_down - 2) + ram_deg
-    if rhs % 2:
-        raise ParityViolation(f"2*pa_up - 2 = {rhs} is odd")
-    return rhs // 2 + 1
-
-
-def hurwitz_pa_down(pa_up: int, ram_deg: int) -> int:
-    """Inverse of hurwitz_pa_up, with exact divisibility checks."""
-    if ram_deg < 0:
-        raise ValueError("ramification degree must be nonnegative")
-    num = 2 * pa_up - 2 - ram_deg
-    if num % 10:
-        raise ParityViolation(f"2*pa_up - 2 - ram = {num} is not divisible by 10")
-    twice = num // 10  # = 2*pa_down - 2
-    if twice % 2:
-        raise ParityViolation(f"2*pa_down - 2 = {twice} is odd")
-    return twice // 2 + 1
-
-
-def genus_selfint(pa: int, k_dot: int) -> int:
-    """Self-intersection from the genus formula: d.d = 2*pa - 2 - d.k."""
-    return 2 * pa - 2 - k_dot
-
-
-def cover_intersection(data: CoverCaseData) -> Fraction:
-    """Apply the covering-calculus case formula; returns an exact rational."""
-    c = data.case
-    if c is CoverCase.DISJOINT:
-        return Fraction(0)
-    if c is CoverCase.RAM_RAM:
-        return Fraction(-2 * data._req("deg_i"), 5)
-    if c is CoverCase.RAM_CURVE:
-        return Fraction(data._req("deg_i"), 5)
-    if c is CoverCase.CURVE_CURVE:
-        return Fraction(data._req("deg_i") - data._req("deg_iir"), 10)
-    if c is CoverCase.CANONICAL_DEGREE:
-        return Fraction(data._req("deg_i"), 10)
-    if c is CoverCase.SELF_INTERSECTION:
-        pa_down = hurwitz_pa_down(data._req("pa_up"), data._req("deg_ram"))
-        return Fraction(genus_selfint(pa_down, data._req("k_dot")))
-    raise MissingField(f"unknown case {c!r}")

@@ -254,8 +254,9 @@ def partition_roots(
     * +-(k - F_i),
     * for every B, the four classes 2k - B - (subsets of the two (-2)-curves
       meeting B).
-    Raises PartitionFailure if the families overlap, miss a root, or have
-    unexpected sizes for the full rank-9 instance.
+    Raises PartitionFailure if a B class meets other than two (-2)-curves,
+    if the families overlap, or if their union is not the root set.  The
+    sizes are not checked here; `verify` requires (84, 28, 128).
     """
     lat = rs.lattice
     k = lat.k

@@ -7,10 +7,18 @@ from pathlib import Path
 import pytest
 
 import barlowlat
-from barlowlat.cli import main, parse_class_expr
+from barlowlat.cli import main, parse_class_expr, run_verification
 from barlowlat.errors import SchemaError
 from barlowlat.fixtures import load_fixtures, shipped_fixture_text
 from barlowlat.lattice import DivisorClass
+
+
+def _run_subprocess(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(barlowlat.__file__).parent.parent))
+    return subprocess.run(
+        [sys.executable, "-m", "barlowlat.cli", *argv],
+        capture_output=True, text=True, env=env,
+    )
 
 
 def run_cli(capsys, *argv):
@@ -180,6 +188,28 @@ def test_height_external_matrix(tmp_path, capsys):
     assert json.loads(out)["height"] == 1
 
 
+def _null_dp_cell_matrix():
+    rows = [[None] * 4 for _ in range(4)]
+    for i in range(3, 5):
+        for j in range(i - 2, i):
+            rows[i - 1][j - 1] = 1
+    return {"n": 2, "rows": rows}   # cell (target 2, source 1) is null
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [[1, 2], {"n": 0, "rows": []}, _null_dp_cell_matrix()],
+    ids=["json-list", "n-zero", "null-dp-cell"],
+)
+def test_height_unusable_matrix_exits_2(tmp_path, matrix):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matrix))
+    proc = _run_subprocess("height", "--matrix", str(path))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("cannot read bound matrix:")
+
+
 def test_formality_command(capsys):
     code, out, _ = run_cli(capsys, "formality", "--stars", "both")
     assert code == 0
@@ -229,11 +259,7 @@ def test_decompose_expression(capsys):
     ],
 )
 def test_out_of_range_argument_exits_2(argv):
-    env = dict(os.environ, PYTHONPATH=str(Path(barlowlat.__file__).parent.parent))
-    proc = subprocess.run(
-        [sys.executable, "-m", "barlowlat.cli", *argv],
-        capture_output=True, text=True, env=env,
-    )
+    proc = _run_subprocess(*argv)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert f"argument {argv[-2]}:" in proc.stderr
@@ -248,5 +274,45 @@ def test_parse_class_expr():
         5 * k - fix.curve_class("E3p") - fix.curve_class("Bp000")
     )
     assert parse_class_expr(fix, "0") == DivisorClass.zero(9)
-    with pytest.raises(SchemaError):
-        parse_class_expr(fix, "K + + E1 @")
+    for text in ("5K", "5*K", "5 K"):
+        assert parse_class_expr(fix, text) == 5 * k
+    for text in ("K + + E1 @", "K K", "2K E1"):
+        with pytest.raises(SchemaError):
+            parse_class_expr(fix, text)
+
+
+def test_chi_terms_without_sign_exit_2(capsys):
+    code, out, err = run_cli(capsys, "chi", "--cls", "K K")
+    assert code == 2
+    assert out == ""
+    assert "cannot parse class expression" in err
+
+
+GOLDEN = Path(__file__).parent / "data"
+
+
+def _rank_mutant(raw):
+    raw["curve_table"]["matrix"][0][8] = 4
+    raw["curve_table"]["matrix"][8][0] = 4
+
+
+def _l_values_plus_mutant(raw):
+    raw["b_table"]["l_values"]["plus"] += 1
+
+
+def test_verify_reports_match_golden():
+    # the lattice checks are skipped after the rank mutant; after the l_values
+    # mutant b-reconstruction and every check reading the genus-3 classes
+    # fail with the same message
+    for name, mutate in (
+        ("shipped", None),
+        ("curve_rank", _rank_mutant),
+        ("l_values_plus", _l_values_plus_mutant),
+    ):
+        raw = json.loads(shipped_fixture_text())
+        if mutate:
+            mutate(raw)
+        report = run_verification(load_fixtures(raw, validate=False), "both")
+        del report["version"]
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        assert text == (GOLDEN / f"report_{name}.json").read_text(), name

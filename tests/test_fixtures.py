@@ -99,12 +99,41 @@ def _drop(*path):
     return mutate
 
 
+def _set(value, *path):
+    def mutate(raw):
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return mutate
+
+
 MALFORMED = {
     "ledger-entries-list": _ledger_entries_as_list,
     "e12-without-plus": _drop("b_table", "e12_values", "plus"),
     "e12-without-minus": _drop("b_table", "e12_values", "minus"),
     "l-values-without-plus": _drop("b_table", "l_values", "plus"),
     "l-values-without-minus": _drop("b_table", "l_values", "minus"),
+    # integers are JSON integers: no truncated floats, bools or numeric strings
+    "curve-cell-float": _set(-1.5, "curve_table", "matrix", 0, 0),
+    "curve-cell-true": _set(True, "curve_table", "matrix", 0, 9),
+    "curve-cell-string": _set("-1", "curve_table", "matrix", 0, 0),
+    "d8-gram-true": _set(True, "d8", "gram", 0, 1),
+    "chi-cell-float": _set(1.0, "chi_matrix", 0, 0),
+    "b-k-value-float": _set(2.0, "b_table", "k_value"),
+    "b-l-value-float": _set(1.0, "b_table", "l_values", "plus"),
+    "b-c-table-true": _set(True, "b_table", "c_table", "C1p", 0, 1),
+    "b-cross-cell-string": _set(["0", 3], "b_table", "cross_block_b_cells", 0),
+    "combo-true": _set(True, "sequence", "L1", "E1"),
+    "ledger-n-string": _set("11", "ledger", "n"),
+    "ledger-triple-true": _set([True, 0, 0], "ledger", "entries", "1,1"),
+    "ext-bounds-n-float": _set(11.0, "ext_bounds", "n"),
+    "ext-bounds-cell-true": _set(True, "ext_bounds", "rows", 2, 0),
+    "sequence-combo-list": _set([["E1", 1]], "sequence", "L1"),
+    "c-table-list": _set([], "b_table", "c_table"),
+    "format-missing": _drop("format"),
+    "format-other": _set("barlowlat-fixture-v2", "format"),
 }
 
 

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,21 +5,11 @@ from hypothesis import strategies as st
 from barlowlat.errors import (
     DimensionMismatch,
     InconsistentValues,
-    MissingField,
     NonSymmetricGram,
     ParityViolation,
     ProbesDoNotSpan,
 )
-from barlowlat.lattice import (
-    CoverCase,
-    CoverCaseData,
-    DivisorClass,
-    cover_intersection,
-    genus_selfint,
-    hurwitz_pa_down,
-    hurwitz_pa_up,
-    make_lattice,
-)
+from barlowlat.lattice import DivisorClass, make_lattice
 
 coords9 = st.tuples(*[st.integers(-9, 9)] * 9).map(DivisorClass)
 
@@ -173,67 +161,3 @@ def test_class_from_pairings_non_integral():
     with pytest.raises(NonIntegralSolution):
         lat.class_from_pairings([DivisorClass((1,))], [1])
 
-
-# --- covering calculus -----------------------------------------------------------
-
-def test_cover_cases():
-    assert cover_intersection(CoverCaseData(CoverCase.DISJOINT)) == 0
-    assert cover_intersection(
-        CoverCaseData(CoverCase.RAM_RAM, deg_i=5)
-    ) == Fraction(-2)
-    assert cover_intersection(
-        CoverCaseData(CoverCase.RAM_CURVE, deg_i=5)
-    ) == Fraction(1)
-    assert cover_intersection(
-        CoverCaseData(CoverCase.CURVE_CURVE, deg_i=32, deg_iir=2)
-    ) == Fraction(3)
-    assert cover_intersection(
-        CoverCaseData(CoverCase.CANONICAL_DEGREE, deg_i=10)
-    ) == Fraction(1)
-
-
-def test_cover_canonical_degree_matches_table(fix, lat):
-    # degree-10 hyperplane section upstairs corresponds to the canonical
-    # self-pairing in the curve table
-    out = cover_intersection(CoverCaseData(CoverCase.CANONICAL_DEGREE, deg_i=10))
-    assert out == lat.pair(lat.k, lat.k) == fix.curve_table.value("K", "K")
-
-
-def test_cover_results_may_be_non_integral():
-    out = cover_intersection(CoverCaseData(CoverCase.CANONICAL_DEGREE, deg_i=3))
-    assert out == Fraction(3, 10)
-
-
-def test_cover_missing_field():
-    with pytest.raises(MissingField):
-        cover_intersection(CoverCaseData(CoverCase.RAM_RAM))
-
-
-def test_cover_self_intersection_composes():
-    # genus-3 degree-2 curve through two branch points: pa upstairs 22
-    data = CoverCaseData(
-        CoverCase.SELF_INTERSECTION, pa_up=22, deg_ram=2, k_dot=2
-    )
-    assert cover_intersection(data) == Fraction(2)
-
-
-def test_hurwitz_examples():
-    assert hurwitz_pa_up(1, 0) == 1
-    assert hurwitz_pa_up(1, 2) == 2
-    assert hurwitz_pa_up(3, 2) == 22
-    with pytest.raises(ParityViolation):
-        hurwitz_pa_up(1, 1)
-
-
-def test_hurwitz_down_inverts_up():
-    for pa in range(0, 6):
-        for ram in range(0, 9, 2):
-            assert hurwitz_pa_down(hurwitz_pa_up(pa, ram), ram) == pa
-    with pytest.raises(ParityViolation):
-        hurwitz_pa_down(5, 0)
-
-
-def test_genus_selfint_examples():
-    assert genus_selfint(3, 2) == 2
-    assert genus_selfint(1, 1) == -1
-    assert genus_selfint(0, 0) == -2
