@@ -285,12 +285,24 @@ def suffix_annihilators(
     """Integer bases of the annihilators of every suffix of a vector list.
 
     Entry idx is a basis of the integer vectors w with w . v = 0 (plain dot
-    product of coordinates) for every v in vectors[idx:].  The integer kernel
-    spans the rational one, so a vector lies in the rational span of the
-    suffix iff it has dot product zero with each basis vector; a suffix of
-    full rank has none.
+    product) for every v in vectors[idx:].  The integer kernel spans the
+    rational one, so a vector lies in the rational span of the suffix iff
+    it is orthogonal to each basis vector; a suffix of full rank has none.
+    Built from the last suffix: an annihilator is saturated, so its integer
+    points are the integer combinations of its basis, and the next basis is
+    the integer kernel of [w . v for w in basis] mapped back through it.
     """
-    return [linalg.integer_kernel(vectors[idx:]) for idx in range(len(vectors))]
+    dim = len(vectors[0]) if vectors else 0
+    basis = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    out: list[list[tuple[int, ...]]] = []
+    for v in reversed(vectors):
+        row = [sum(map(mul, w, v)) for w in basis]
+        basis = [
+            tuple(sum(c * w[t] for c, w in zip(kv, basis) if c) for t in range(dim))
+            for kv in linalg.integer_kernel([row])
+        ]
+        out.append(basis)
+    return out[::-1]
 
 
 def decompose_effective(

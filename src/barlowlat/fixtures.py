@@ -25,9 +25,9 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from importlib import resources
+from operator import mul
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -50,6 +50,7 @@ CURVE_NAMES = (
     "E1", "E2", "E3p", "E3m", "E4p", "E4m", "E5p", "E5m",
     "L", "K", "C1p", "C1m", "C2p", "C2m",
 )
+_CURVE_INDEX = {name: i for i, name in enumerate(CURVE_NAMES)}
 MINUS_TWO_CURVES = ("C1p", "C1m", "C2p", "C2m")
 IRREDUCIBLE_ELLIPTIC = ("E1", "E2", "E3p", "E3m", "E4p", "E4m", "E5p", "E5m")
 ELLIPTIC_CURVE_DIAGONAL = -1
@@ -90,14 +91,11 @@ class CurveTable:
     matrix: tuple[tuple[int, ...], ...]
 
     def value(self, a: str, b: str) -> int:
-        return self.matrix[self.names.index(a)][self.names.index(b)]
+        return self.matrix[_CURVE_INDEX[a]][_CURVE_INDEX[b]]
 
     def validate(self) -> dict[str, object]:
+        """Symmetry, rank 9 and the diagonal; names and shape are parsed."""
         n = len(self.names)
-        if self.names != CURVE_NAMES:
-            raise SchemaError(f"curve names must be {CURVE_NAMES}")
-        if len(self.matrix) != n or any(len(r) != n for r in self.matrix):
-            raise SchemaError("curve matrix must be 14x14")
         if not linalg.is_symmetric(self.matrix):
             bad = next(
                 (i, j)
@@ -213,6 +211,31 @@ def _combo_dict(raw: Mapping[str, object], where: str) -> dict[str, int]:
     return {name: _int(coeff, f"{where}.{name}") for name, coeff in raw.items()}
 
 
+def _square(rows: Sequence[Sequence[int]], n: int) -> bool:
+    return len(rows) == n and all(len(r) == n for r in rows)
+
+
+# Combinations of the 14 curves are integer coefficient vectors in
+# CURVE_NAMES order; the formal pairing of a and b is a . (M b), M the curve
+# matrix.
+
+def _dot(a: Sequence[int], b: Sequence[int]) -> int:
+    return sum(map(mul, a, b))
+
+
+def _apply(matrix: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
+    return [_dot(row, v) for row in matrix]
+
+
+def _curve_vector(combo: Mapping[str, int]) -> list[int]:
+    out = [0] * len(CURVE_NAMES)
+    for name, coeff in combo.items():
+        if name not in _CURVE_INDEX:
+            raise UnknownName(f"{name!r} is not a curve name")
+        out[_CURVE_INDEX[name]] += coeff
+    return out
+
+
 @dataclass(frozen=True)
 class Canonical:
     """The canonical stage: lattice, glue tips and the classes named by it."""
@@ -295,11 +318,17 @@ class FixtureSet:
             rel_rhs = _combo_dict(raw["b_relation"]["rhs"], "b_relation.rhs")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"fixture document malformed: {exc}") from exc
+        if table.names != CURVE_NAMES:
+            raise SchemaError(f"curve names must be {CURVE_NAMES}")
+        if not _square(table.matrix, len(CURVE_NAMES)):
+            raise SchemaError("curve matrix must be 14x14")
+        if not _square(d8_gram, 8):
+            raise SchemaError("d8.gram must be 8x8")
         if sorted(d8_defs) != [f"D{i}" for i in range(1, 9)]:
             raise SchemaError("d8.defs must define D1..D8")
         if sorted(seq) != sorted(SEQUENCE_NAMES):
             raise SchemaError("sequence must define L1..L11")
-        if len(chi) != 11 or any(len(r) != 11 for r in chi):
+        if not _square(chi, 11):
             raise SchemaError("chi_matrix must be 11x11")
         btable.validate()
         return FixtureSet(
@@ -316,50 +345,6 @@ class FixtureSet:
             relation_rhs=rel_rhs,
         )
 
-    # ------------------------------------------------------------ formal pairing
-
-    def _formal_pair(self, a: Mapping[str, Fraction], b: Mapping[str, Fraction]) -> Fraction:
-        tot = Fraction(0)
-        for x, cx in a.items():
-            for y, cy in b.items():
-                tot += cx * cy * self.curve_table.value(x, y)
-        return tot
-
-    def _formal_combo(self, combo: Mapping[str, int | Fraction]) -> dict[str, Fraction]:
-        out: dict[str, Fraction] = {}
-        for name, coeff in combo.items():
-            if name not in CURVE_NAMES:
-                raise UnknownName(f"{name!r} is not a curve name")
-            out[name] = out.get(name, Fraction(0)) + Fraction(coeff)
-        return {k: v for k, v in out.items() if v}
-
-    @staticmethod
-    def _half_sum(
-        ds: Sequence[Mapping[str, Fraction]], tips: tuple[int, int]
-    ) -> dict[str, Fraction]:
-        weights = (1, 2, 3, 4, 5, 6) + tips
-        e: dict[str, Fraction] = {}
-        for w, d in zip(weights, ds):
-            for name, c in d.items():
-                e[name] = e.get(name, Fraction(0)) + Fraction(w, 2) * c
-        return {k: v for k, v in e.items() if v}
-
-    def _b_integral_probe(
-        self,
-        basis: Sequence[Mapping[str, Fraction]],
-        gram_int: Sequence[Sequence[int]],
-    ) -> bool:
-        """Does the base genus-3 class solve integrally in this basis?"""
-        ginv = linalg.invert_exact(gram_int)
-        row = self.b_table.pairing_row(self.curve_table, 1, 0, 0, 0)
-        values = dict(zip(CURVE_NAMES, row))
-        # pair(B, basis_i) expands bilinearly over the curve combination
-        pv = []
-        for b in basis:
-            pv.append(sum(Fraction(values[name]) * c for name, c in b.items()))
-        xs = [sum(ginv[i][j] * pv[j] for j in range(9)) for i in range(9)]
-        return all(x.denominator == 1 for x in xs)
-
     # ------------------------------------------------------------------ stages
 
     @cached_property
@@ -373,24 +358,32 @@ class FixtureSet:
         """
         self.validate_curve_table()
         self.validate_d8()
-        ds = [self._formal_combo(self.d8_defs[f"D{i}"]) for i in range(1, 9)]
+        m = self.curve_table.matrix
+        ds = [_curve_vector(self.d8_defs[f"D{i}"]) for i in range(1, 9)]
+        k2 = [2 * x for x in _curve_vector({"K": 1})]
 
+        # Every basis vector is doubled, so the half-sum e has integer
+        # coefficients; a pairing of doubled vectors is four times the real one.
         unimodular = []
         for tips in ((3, 4), (4, 3)):
-            e = self._half_sum(ds, tips)
-            basis = [self._formal_combo({"K": 1}), e] + [ds[i] for i in (7, 6, 5, 4, 3, 2, 1)]
-            gram = [[self._formal_pair(a, b) for b in basis] for a in basis]
-            if any(x.denominator != 1 for row in gram for x in row):
+            weights = (1, 2, 3, 4, 5, 6) + tips
+            e2 = [_dot(weights, col) for col in zip(*ds)]
+            basis2 = [k2, e2] + [[2 * x for x in ds[i]] for i in (7, 6, 5, 4, 3, 2, 1)]
+            mb2 = [_apply(m, b) for b in basis2]
+            gram4 = [[_dot(a, mb) for mb in mb2] for a in basis2]
+            if any(x % 4 for row in gram4 for x in row):
                 continue
-            gram_int = tuple(tuple(int(x) for x in row) for row in gram)
+            gram_int = tuple(tuple(x // 4 for x in row) for row in gram4)
             if abs(linalg.det_exact(gram_int)) != 1:
                 continue
-            unimodular.append((tips, basis, gram_int))
+            unimodular.append((tips, basis2, mb2, gram_int))
         if not unimodular:
             raise NonUnimodular("no glue choice yields a unimodular basis")
+        # A class is integral iff its pairings with the unimodular basis are.
+        b_row = self.b_table.pairing_row(self.curve_table, 1, 0, 0, 0)
         chosen = next(
             (entry for entry in unimodular
-             if self._b_integral_probe(entry[1], entry[2])),
+             if all(_dot(b_row, b) % 2 == 0 for b in entry[1])),
             None,
         )
         if chosen is None:
@@ -398,7 +391,7 @@ class FixtureSet:
                 "genus-3 base class is not integral under either glue choice; "
                 "the pairing tables are inconsistent"
             )
-        tips, basis, gram_int = chosen
+        tips, _, mb2, gram_int = chosen
 
         sig = linalg.signature_symmetric(gram_int)
         if sig != (1, 8, 0):
@@ -409,21 +402,23 @@ class FixtureSet:
         if lat.pair(k_class, k_class) != 1:
             raise TableInconsistency("canonical class has square != 1")
 
-        ginv = linalg.invert_exact(gram_int)
+        # the inverse of a unimodular integer matrix is an integer matrix
+        ginv = [[int(x) for x in row] for row in linalg.invert_exact(gram_int)]
 
-        def coords_of(formal: Mapping[str, Fraction]) -> DivisorClass:
-            pv = [self._formal_pair(formal, b) for b in basis]
-            xs = [sum(ginv[i][j] * pv[j] for j in range(9)) for i in range(9)]
-            if any(x.denominator != 1 for x in xs):
+        def coords_of(combo: Mapping[str, int]) -> DivisorClass:
+            pv2 = [_dot(_curve_vector(combo), mb) for mb in mb2]
+            if any(x % 2 for x in pv2):
+                cells = ", ".join(f"{n!r}: Fraction({c}, 1)" for n, c in combo.items() if c)
                 raise TableInconsistency(
-                    f"combination {dict(formal)} is not integral in the canonical basis"
+                    f"combination {{{cells}}} is not integral in the canonical basis"
                 )
-            return DivisorClass(tuple(int(x) for x in xs))
+            pv = [x // 2 for x in pv2]
+            return DivisorClass(tuple(_dot(row, pv) for row in ginv))
 
-        classes = {name: coords_of(self._formal_combo({name: 1})) for name in CURVE_NAMES}
+        classes = {name: coords_of({name: 1}) for name in CURVE_NAMES}
         for i in range(1, 9):
-            classes[f"D{i}"] = coords_of(ds[i - 1])
-        classes["e"] = coords_of(self._half_sum(ds, tips))
+            classes[f"D{i}"] = coords_of(self.d8_defs[f"D{i}"])
+        classes["e"] = DivisorClass((0, 1) + (0,) * 7)   # basis (K, e, D8..D2)
 
         # round-trip: coordinates reproduce the full 14x14 table
         for a in CURVE_NAMES:
@@ -446,10 +441,9 @@ class FixtureSet:
         """The 32 genus-3 classes by name, every pairing rule re-verified."""
         lat = self.lattice
         probes = [self.canonical.classes[n] for n in CURVE_NAMES]
-        classes: dict[tuple[int, int, int, int], DivisorClass] = {}
-        for key in b_keys():
-            row = self.b_table.pairing_row(self.curve_table, *key)
-            classes[key] = lat.class_from_pairings(probes, row)
+        keys = b_keys()
+        rows = [self.b_table.pairing_row(self.curve_table, *key) for key in keys]
+        classes = dict(zip(keys, lat.classes_from_pairings(probes, rows)))
         if len(set(c.coords for c in classes.values())) != 32:
             raise TableInconsistency("the 32 genus-3 classes are not distinct")
         for key, cls in classes.items():
@@ -466,11 +460,13 @@ class FixtureSet:
                 raise TableInconsistency(
                     f"{b_name(*key)} meets {len(meets)} (-2)-curves, expected 2"
                 )
+        # one gram product per class, not one per pair of the 992
+        images = {key: _apply(lat.gram, cls.coords) for key, cls in classes.items()}
         for k1, c1 in classes.items():
-            for k2, c2 in classes.items():
+            for k2, image in images.items():
                 if k1 == k2:
                     continue
-                got = lat.pair(c1, c2)
+                got = _dot(c1.coords, image)
                 want = self.b_table.expected_pairing(k1, k2)
                 if got != want:
                     raise TableInconsistency(
@@ -519,11 +515,10 @@ class FixtureSet:
 
     def validate_d8(self) -> dict[str, object]:
         """The eight combinations have the expected fork Gram and degree 0."""
-        ds = [self._formal_combo(self.d8_defs[f"D{i}"]) for i in range(1, 9)]
-        gram = tuple(
-            tuple(self._formal_pair(a, b) for b in ds) for a in ds
-        )
-        gram_int = tuple(tuple(int(x) for x in row) for row in gram)
+        m = self.curve_table.matrix
+        ds = [_curve_vector(self.d8_defs[f"D{i}"]) for i in range(1, 9)]
+        mds = [_apply(m, d) for d in ds]
+        gram_int = tuple(tuple(_dot(a, md) for md in mds) for a in ds)
         if gram_int != self.d8_gram_expected:
             bad = next(
                 (i, j)
@@ -535,9 +530,9 @@ class FixtureSet:
                 f"simple-root gram differs at (D{bad[0] + 1}, D{bad[1] + 1}): "
                 f"{gram_int[bad[0]][bad[1]]} != {self.d8_gram_expected[bad[0]][bad[1]]}"
             )
-        kf = self._formal_combo({"K": 1})
+        mk = _apply(m, _curve_vector({"K": 1}))
         for i, d in enumerate(ds):
-            if self._formal_pair(d, kf) != 0:
+            if _dot(d, mk) != 0:
                 raise TableInconsistency(f"D{i + 1} is not orthogonal to K")
         return {"gram": gram_int, "degrees_zero": True}
 

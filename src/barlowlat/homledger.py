@@ -42,9 +42,6 @@ class CohomDatum:
     def euler(self) -> int:
         return self.h0 - self.h1 + self.h2
 
-    def is_zero(self) -> bool:
-        return self.triple == (0, 0, 0)
-
     def min_degree(self) -> int | float:
         """Smallest p with h_p nonzero, INF for the zero datum."""
         for p, h in enumerate(self.triple):

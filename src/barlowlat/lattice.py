@@ -7,6 +7,7 @@ reconstruction of classes from their pairings against a spanning probe set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -56,9 +57,6 @@ class DivisorClass:
             raise TypeError("scalar must be an integer")
         return DivisorClass(tuple(scalar * a for a in self.coords))
 
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
 
 @dataclass(frozen=True)
 class PicardLattice:
@@ -78,13 +76,8 @@ class PicardLattice:
         """Intersection pairing a . b."""
         self._check_len(a)
         self._check_len(b)
-        g = self.gram
-        return sum(
-            a.coords[i] * g[i][j] * b.coords[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-            if a.coords[i] and g[i][j] and b.coords[j]
-        )
+        bc = b.coords
+        return sum(x * sum(map(mul, row, bc)) for x, row in zip(a.coords, self.gram) if x)
 
     def chi(self, d: DivisorClass) -> int:
         """Euler characteristic 1 + (d.d - d.k)/2 of a class."""
@@ -108,47 +101,52 @@ class PicardLattice:
         return (self.pair(v, v) + self.pair(v, self.k)) % 2 == 0
 
     def det(self) -> int:
-        d = linalg.det_exact(self.gram)
-        return int(d)
+        return linalg.det_exact(self.gram)
 
     def signature(self) -> tuple[int, int, int]:
         return linalg.signature_symmetric(self.gram)
+
+    def classes_from_pairings(
+        self,
+        probes: Sequence[DivisorClass],
+        values: Sequence[Sequence[int]],
+    ) -> list[DivisorClass]:
+        """For each value row, the unique integral class x with x . probe_i = value_i.
+
+        One fraction-free elimination of the probe pairing rows serves every
+        value row; the equations beyond a maximal independent probe subset
+        are verified, and each solution is checked to be integral in lattice
+        coordinates.  The first value row that fails raises its error.
+        """
+        if any(len(probes) != len(row) for row in values):
+            raise DimensionMismatch("probes and values have different lengths")
+        for p in probes:
+            self._check_len(p)
+        columns = list(zip(*self.gram))
+        rows = [[sum(map(mul, p.coords, col)) for col in columns] for p in probes]
+        out = []
+        for status, x in linalg.solve_overdetermined(rows, values):
+            if status == "underdetermined":
+                raise ProbesDoNotSpan(
+                    f"probes span a proper subspace of the rank-{self.rank} lattice"
+                )
+            if status == "inconsistent":
+                raise InconsistentValues("pairing equations have no common solution")
+            assert x is not None
+            if any(c.denominator != 1 for c in x):
+                raise NonIntegralSolution(
+                    f"solution {[str(c) for c in x]} is rational but not integral"
+                )
+            out.append(DivisorClass(tuple(int(c) for c in x)))
+        return out
 
     def class_from_pairings(
         self,
         probes: Sequence[DivisorClass],
         values: Sequence[int],
     ) -> DivisorClass:
-        """The unique integral class x with x . probe_i = value_i.
-
-        Solved by exact rational elimination on a maximal independent probe
-        subset; the remaining equations are verified, and the solution is
-        checked to be integral in lattice coordinates.
-        """
-        if len(probes) != len(values):
-            raise DimensionMismatch("probes and values have different lengths")
-        for p in probes:
-            self._check_len(p)
-        rows = [
-            [
-                sum(p.coords[i] * self.gram[i][j] for i in range(self.rank))
-                for j in range(self.rank)
-            ]
-            for p in probes
-        ]
-        status, x = linalg.solve_overdetermined(rows, list(values))
-        if status == "underdetermined":
-            raise ProbesDoNotSpan(
-                f"probes span a proper subspace of the rank-{self.rank} lattice"
-            )
-        if status == "inconsistent":
-            raise InconsistentValues("pairing equations have no common solution")
-        assert x is not None
-        if any(c.denominator != 1 for c in x):
-            raise NonIntegralSolution(
-                f"solution {[str(c) for c in x]} is rational but not integral"
-            )
-        return DivisorClass(tuple(int(c) for c in x))
+        """The unique integral class x with x . probe_i = value_i."""
+        return self.classes_from_pairings(probes, [values])[0]
 
 
 def make_lattice(

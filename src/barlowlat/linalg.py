@@ -1,17 +1,24 @@
-"""Exact linear algebra over the rationals and the integers.
+"""Exact linear algebra over the integers and the rationals.
 
-Everything here works on plain lists of Python ints / fractions.Fraction;
-no floating point is used anywhere.  Matrices are small (at most 22x22),
-so simple Gaussian elimination is entirely adequate.
+Everything here works on plain lists of Python ints; no floating point is
+used anywhere.  Rank, determinant, inverse and linear solves share one
+fraction-free Gauss-Jordan elimination (Bareiss 1968): each step divides
+exactly by the previous pivot, so every intermediate entry is an integer
+minor of the input.  `invert_exact` and `solve_overdetermined` build
+`Fraction`s only for the values they return.  `signature_symmetric` and
+`ldl_positive` (with `integer_interval`, which bounds Fincke-Pohst) work
+over `Fraction`.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import isqrt
+from operator import index
 from typing import Sequence
 
 
 Matrix = Sequence[Sequence[int | Fraction]]
+IntMatrix = Sequence[Sequence[int]]
 
 
 def _copy(mat: Matrix) -> list[list[Fraction]]:
@@ -25,107 +32,96 @@ def is_symmetric(mat: Matrix) -> bool:
     )
 
 
-def rank_exact(mat: Matrix) -> int:
-    """Rational rank by Gaussian elimination."""
-    m = _copy(mat)
-    if not m:
-        return 0
-    rows, cols = len(m), len(m[0])
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+def _gauss_jordan(
+    rows: IntMatrix, width: int
+) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free Gauss-Jordan elimination on integer rows.
 
+    Pivots are taken in the first `width` columns, topmost nonzero entry
+    first; later columns (right-hand sides, an identity block) are carried
+    along.  A step with pivot p replaces every other row by
+    (p * row - f * pivot_row) / prev, where f is the row's entry in the pivot
+    column and prev the previous pivot.  By Sylvester's identity the division
+    is exact, so every entry stays an integer.
 
-def det_exact(mat: Matrix) -> Fraction:
-    m = _copy(mat)
-    n = len(m)
-    d = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            d = -d
-        d *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return d
-
-
-def invert_exact(mat: Matrix) -> list[list[Fraction]]:
-    """Inverse of a nonsingular square matrix (raises ZeroDivisionError if singular)."""
-    n = len(mat)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(mat)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return [row[n:] for row in m]
-
-
-def solve_overdetermined(
-    rows: Matrix, rhs: Sequence[int | Fraction]
-) -> tuple[str, list[Fraction] | None]:
-    """Solve rows @ x = rhs for x with len(rows[0]) unknowns.
-
-    Returns one of
-      ("unique", x)        -- full column rank, all equations satisfied
-      ("inconsistent", None)
-      ("underdetermined", None)
+    Returns (m, pivots, d, swaps).  Row i < len(pivots) of m holds d in
+    column pivots[i] and zero in the other pivot columns; the other rows
+    vanish in the first `width` columns.  d is the last pivot (1 if there
+    is none) and swaps counts the row exchanges.
     """
-    if not rows:
-        return "underdetermined", None
-    n = len(rows[0])
-    m = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
+    m = [[index(x) for x in row] for row in rows]
     pivots: list[int] = []
-    r = 0
-    for c in range(n):
+    prev, swaps = 1, 0
+    for c in range(width):
+        r = len(pivots)
         piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            swaps += 1
+        top = m[r]
+        p = top[c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if i != r and (f or p != prev):
+                m[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
         pivots.append(c)
-        r += 1
-    for i in range(r, len(m)):
-        if m[i][n]:
-            return "inconsistent", None
-    if r < n:
-        return "underdetermined", None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = m[i][n]
-    return "unique", x
+        prev = p
+    return m, pivots, prev, swaps
+
+
+def rank_exact(mat: IntMatrix) -> int:
+    """Rank by fraction-free elimination."""
+    return len(_gauss_jordan(mat, len(mat[0]) if mat else 0)[1])
+
+
+def det_exact(mat: IntMatrix) -> int:
+    """Determinant of a square integer matrix."""
+    n = len(mat)
+    _, pivots, d, swaps = _gauss_jordan(mat, n)
+    return 0 if len(pivots) < n else -d if swaps % 2 else d
+
+
+def invert_exact(mat: IntMatrix) -> list[list[Fraction]]:
+    """Inverse of a nonsingular square matrix (raises ZeroDivisionError if singular)."""
+    n = len(mat)
+    m, pivots, d, _ = _gauss_jordan(
+        [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(mat)], n
+    )
+    if len(pivots) < n:
+        raise ZeroDivisionError("matrix is singular")
+    return [[Fraction(x, d) for x in row[n:]] for row in m]
+
+
+def solve_overdetermined(
+    rows: IntMatrix, rhs: IntMatrix
+) -> list[tuple[str, list[Fraction] | None]]:
+    """Solve rows @ x = b for every right-hand side b in rhs, in one elimination.
+
+    x has len(rows[0]) unknowns and each b one value per row.  Returns, per
+    right-hand side and in order, one of
+      ("unique", x)        -- full column rank, all equations satisfied
+      ("inconsistent", None)
+      ("underdetermined", None)
+    An inconsistent system is reported as such even without full rank.
+    """
+    if not rows:
+        return [("underdetermined", None)] * len(rhs)
+    n = len(rows[0])
+    m, pivots, d, _ = _gauss_jordan(
+        [[*row, *(b[i] for b in rhs)] for i, row in enumerate(rows)], n
+    )
+    r = len(pivots)
+    out: list[tuple[str, list[Fraction] | None]] = []
+    for col in range(n, n + len(rhs)):
+        if any(row[col] for row in m[r:]):
+            out.append(("inconsistent", None))
+        elif r < n:
+            out.append(("underdetermined", None))
+        else:
+            out.append(("unique", [Fraction(row[col], d) for row in m[:n]]))
+    return out
 
 
 def signature_symmetric(gram: Matrix) -> tuple[int, int, int]:

@@ -210,6 +210,21 @@ def test_height_unusable_matrix_exits_2(tmp_path, matrix):
     assert proc.stderr.startswith("cannot read bound matrix:")
 
 
+@pytest.mark.parametrize("path, value", [
+    (("curve_table", "names"), ["x"] * 14),
+    (("d8", "gram"), [[0] * 8] * 7),
+])
+def test_verify_misshapen_table_exits_2(tmp_path, path, value):
+    raw = json.loads(shipped_fixture_text())
+    raw[path[0]][path[1]] = value
+    doc = tmp_path / "bad.json"
+    doc.write_text(json.dumps(raw))
+    proc = _run_subprocess("verify", "--fixtures", str(doc))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("fixture error:")
+
+
 def test_formality_command(capsys):
     code, out, _ = run_cli(capsys, "formality", "--stars", "both")
     assert code == 0

@@ -1,7 +1,10 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from barlowlat import linalg
 from barlowlat.errors import ConfigurationInvalid
 from barlowlat.exceptional import (
     ABConfiguration,
@@ -244,3 +247,31 @@ def test_suffix_annihilators_kill_their_suffix(fix):
     # the whole list spans the rank-9 lattice; a single class leaves 8
     assert annihilators[0] == []
     assert len(annihilators[-1]) == 8
+
+
+def _check_annihilators(vectors):
+    annihilators = suffix_annihilators(vectors)
+    assert len(annihilators) == len(vectors)
+    for idx, basis in enumerate(annihilators):
+        assert len(basis) == len(linalg.integer_kernel(vectors[idx:]))
+        if basis:
+            assert linalg.rank_exact(basis) == len(basis)
+        for w in basis:
+            for v in vectors[idx:]:
+                assert sum(a * b for a, b in zip(w, v)) == 0
+
+
+def test_suffix_annihilators_match_integer_kernel(fix):
+    names = list(fix.curve_table.names) + sorted(fix.b_classes())
+    _check_annihilators([fix.curve_class(n).coords for n in names])
+
+
+@given(
+    data=st.data(),
+    dim=st.integers(1, 5),
+    count=st.integers(1, 7),
+)
+@settings(max_examples=150, deadline=None)
+def test_suffix_annihilators_match_integer_kernel_random(data, dim, count):
+    vec = st.tuples(*[st.integers(-3, 3)] * dim)
+    _check_annihilators(data.draw(st.lists(vec, min_size=count, max_size=count)))

@@ -132,6 +132,11 @@ MALFORMED = {
     "ext-bounds-cell-true": _set(True, "ext_bounds", "rows", 2, 0),
     "sequence-combo-list": _set([["E1", 1]], "sequence", "L1"),
     "c-table-list": _set([], "b_table", "c_table"),
+    # names and shapes the formal pairing indexes by
+    "curve-names-unknown": _set(["x"] * 14, "curve_table", "names"),
+    "curve-matrix-13-rows": _drop("curve_table", "matrix", 13),
+    "curve-row-13-cells": _drop("curve_table", "matrix", 0, 13),
+    "d8-gram-7-rows": _drop("d8", "gram", 7),
     "format-missing": _drop("format"),
     "format-other": _set("barlowlat-fixture-v2", "format"),
 }

@@ -31,6 +31,23 @@ def test_make_lattice_rejects_bad_shapes():
         make_lattice(2, [[1, 0], [0, 1]], DivisorClass((1,)))
 
 
+@given(data=st.data(), n=st.integers(1, 6))
+@settings(max_examples=200, deadline=None)
+def test_pair_matches_naive_sum(data, n):
+    entry = st.integers(-4, 4)
+    upper = data.draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    gram = [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    vec = st.tuples(*[entry] * n).map(DivisorClass)
+    a, b = data.draw(vec), data.draw(vec)
+    lat = make_lattice(n, gram, DivisorClass.zero(n))
+    naive = sum(a.coords[i] * gram[i][j] * b.coords[j] for i in range(n) for j in range(n))
+    assert lat.pair(a, b) == naive
+    with pytest.raises(DimensionMismatch):
+        lat.pair(a, DivisorClass.zero(n + 1))
+    with pytest.raises(DimensionMismatch):
+        lat.pair(DivisorClass.zero(n + 1), b)
+
+
 def test_barlow_lattice_unimodular(lat):
     assert abs(lat.det()) == 1
     assert lat.signature() == (1, 8, 0)

@@ -25,12 +25,119 @@ def test_invert_exact():
 
 
 def test_solve_overdetermined_cases():
-    status, x = linalg.solve_overdetermined([[1, 0], [0, 1], [1, 1]], [2, 3, 5])
+    (status, x), = linalg.solve_overdetermined([[1, 0], [0, 1], [1, 1]], [[2, 3, 5]])
     assert status == "unique" and x == [2, 3]
-    status, _ = linalg.solve_overdetermined([[1, 0], [0, 1], [1, 1]], [2, 3, 6])
+    (status, _), = linalg.solve_overdetermined([[1, 0], [0, 1], [1, 1]], [[2, 3, 6]])
     assert status == "inconsistent"
-    status, _ = linalg.solve_overdetermined([[1, 1]], [2])
+    (status, _), = linalg.solve_overdetermined([[1, 1]], [[2]])
     assert status == "underdetermined"
+
+
+# --- oracle: Fraction Gauss-Jordan and cofactor expansion ----------------------
+
+def _rref(mat, width):
+    """Reduced row echelon form over Fraction, pivots in the first width columns."""
+    m = [[Fraction(x) for x in row] for row in mat]
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def _det_cofactor(m):
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * _det_cofactor([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+    )
+
+
+def _solve_oracle(rows, b):
+    n = len(rows[0])
+    m, pivots = _rref([list(row) + [v] for row, v in zip(rows, b)], n)
+    if any(row[n] for row in m[len(pivots):]):
+        return "inconsistent", None
+    if len(pivots) < n:
+        return "underdetermined", None
+    return "unique", [m[i][n] for i in range(n)]
+
+
+@st.composite
+def int_matrices(draw, rows=None, cols=None):
+    """Small integer matrices; about a third have a row that repeats a
+    combination of two others, so singular and rank-deficient cases are common."""
+    r = rows if rows is not None else draw(st.integers(1, 5))
+    c = cols if cols is not None else draw(st.integers(1, 5))
+    m = draw(st.lists(st.lists(small_int, min_size=c, max_size=c), min_size=r, max_size=r))
+    if r >= 3 and draw(st.integers(0, 2)) == 0:
+        i, j, k = draw(st.permutations(range(r)))[:3]
+        s, t = draw(small_int), draw(small_int)
+        m[k] = [s * a + t * b for a, b in zip(m[i], m[j])]
+    return m
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(1, 5))
+    return draw(int_matrices(rows=n, cols=n))
+
+
+@given(m=int_matrices())
+@settings(max_examples=300, deadline=None)
+def test_rank_matches_oracle(m):
+    assert linalg.rank_exact(m) == len(_rref(m, len(m[0]))[1])
+
+
+@given(m=square_matrices())
+@settings(max_examples=300, deadline=None)
+def test_det_and_inverse_match_oracle(m):
+    n = len(m)
+    det = linalg.det_exact(m)
+    assert type(det) is int and det == _det_cofactor(m)
+    if det == 0:
+        with pytest.raises(ZeroDivisionError):
+            linalg.invert_exact(m)
+        return
+    inv = linalg.invert_exact(m)
+    ref, _ = _rref([row + [int(i == j) for j in range(n)] for i, row in enumerate(m)], n)
+    assert inv == [row[n:] for row in ref]
+    assert all(type(x) is Fraction for row in inv for x in row)
+
+
+@given(data=st.data(), m=int_matrices())
+@settings(max_examples=300, deadline=None)
+def test_solve_overdetermined_matches_oracle(data, m):
+    rows, cols = len(m), len(m[0])
+    # consistent right-hand sides m @ x next to arbitrary ones
+    rhs = []
+    for _ in range(data.draw(st.integers(1, 4))):
+        if data.draw(st.booleans()):
+            x = data.draw(st.lists(small_int, min_size=cols, max_size=cols))
+            rhs.append([sum(a * b for a, b in zip(row, x)) for row in m])
+        else:
+            rhs.append(data.draw(st.lists(small_int, min_size=rows, max_size=rows)))
+    got = linalg.solve_overdetermined(m, rhs)
+    assert got == [_solve_oracle(m, b) for b in rhs]
+    assert got == [linalg.solve_overdetermined(m, [b])[0] for b in rhs]
+
+
+def test_solve_reports_inconsistent_before_underdetermined():
+    rows = [[1, 1], [2, 2]]
+    assert linalg.solve_overdetermined(rows, [[1, 3], [1, 2]]) == [
+        ("inconsistent", None), ("underdetermined", None),
+    ]
+    assert linalg.solve_overdetermined([], [[], []]) == [("underdetermined", None)] * 2
 
 
 @given(m=st.lists(st.lists(small_int, min_size=3, max_size=3), min_size=3, max_size=3))
