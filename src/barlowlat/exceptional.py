@@ -2,12 +2,14 @@
 
 A sequence of classes l_1..l_N is numerically exceptional when every
 chi(l_i, l_i) = 1 and chi(l_i, l_j) = 0 for i > j.  The ten-root pattern
-(an eight-chain with two marked extra roots) produces such a sequence of
-length 11; the search below looks for instances of the pattern inside a
-root set by depth-first backtracking.  The effective-decomposition solver
-enumerates all bounded nonnegative integer representations of a class over
-a generator list; it works on integer coordinate tuples only, pruning by
-degree and by integer annihilators of each generator suffix.
+(a chain A1..A8, B1 on A3 and B2 on A6, B1.B2 = -1) produces such a
+sequence of length 11.  Its pairing table CONFIG_GRAM drives both the
+validation of a configuration and the search, which places the ten members
+one by one among the roots by depth-first backtracking.  The
+effective-decomposition solver enumerates all bounded nonnegative integer
+representations of a class over a generator list; it works on integer
+coordinate tuples only, pruning by degree and by integer annihilators of
+each generator suffix.
 """
 from __future__ import annotations
 
@@ -45,10 +47,20 @@ def is_num_exceptional(
 
 # ----------------------------------------------------------------- configurations
 
-# chain adjacencies: consecutive A's meet once; the two extra roots attach to
-# the third and sixth chain node and meet each other with pairing -1
-_B1_ATTACH = 3
-_B2_ATTACH = 6
+#: the ten members of the configuration, in the order of CONFIG_GRAM
+CONFIG_MEMBERS = ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "B1", "B2")
+
+#: the ten roots are (-2)-classes; consecutive chain members meet once, B1
+#: meets A3, B2 meets A6, B1.B2 = -1, and every other pair is orthogonal
+_MEETS = {(s, s + 1): 1 for s in range(7)} | {(2, 8): 1, (5, 9): 1, (8, 9): -1}
+CONFIG_GRAM = tuple(
+    tuple(-2 if s == t else _MEETS.get((min(s, t), max(s, t)), 0) for t in range(10))
+    for s in range(10)
+)
+
+#: the pairs violations() compares, in report order: A-A, B1.A*, B2.A*, B1.B2
+_CHECKED_PAIRS = [(s, t) for s in range(8) for t in range(s + 1, 8)]
+_CHECKED_PAIRS += [(b, s) for b in (8, 9) for s in range(8)] + [(8, 9)]
 
 
 @dataclass(frozen=True)
@@ -62,25 +74,19 @@ class ABConfiguration:
             raise ConfigurationInvalid("need eight chain roots and two extra roots")
 
     def violations(self, lat: PicardLattice) -> list[str]:
-        out = []
-        for idx, r in enumerate([*self.a, *self.b]):
-            if not lat.is_root(r):
-                out.append(f"member {idx} is not a root")
-        for s in range(8):
-            for t in range(s + 1, 8):
-                want = 1 if t == s + 1 else 0
-                got = lat.pair(self.a[s], self.a[t])
-                if got != want:
-                    out.append(f"A{s + 1}.A{t + 1} = {got}, expected {want}")
-        for bi, attach in ((0, _B1_ATTACH), (1, _B2_ATTACH)):
-            for s in range(8):
-                want = 1 if s + 1 == attach else 0
-                got = lat.pair(self.b[bi], self.a[s])
-                if got != want:
-                    out.append(f"B{bi + 1}.A{s + 1} = {got}, expected {want}")
-        got = lat.pair(self.b[0], self.b[1])
-        if got != -1:
-            out.append(f"B1.B2 = {got}, expected -1")
+        members = [*self.a, *self.b]
+        out = [
+            f"member {idx} is not a root"
+            for idx, r in enumerate(members)
+            if not lat.is_root(r)
+        ]
+        for s, t in _CHECKED_PAIRS:
+            got = lat.pair(members[s], members[t])
+            want = CONFIG_GRAM[s][t]
+            if got != want:
+                out.append(
+                    f"{CONFIG_MEMBERS[s]}.{CONFIG_MEMBERS[t]} = {got}, expected {want}"
+                )
         return out
 
     def validate(self, lat: PicardLattice) -> None:
@@ -132,9 +138,9 @@ def check_formal_pattern(
 ) -> bool:
     """Exceptionality of the pattern from bilinear data alone, no embedding.
 
-    gram10 is the 10x10 pairing table of (A1..A8, B1, B2); k_pairings lists
-    k.A_i and k.B_j (zero by default); k_square is k.k.  The pattern is
-    built in the formal lattice on the eleven generators (A1..A8, B1, B2, k),
+    gram10 is a 10x10 pairing table of (A1..A8, B1, B2), such as CONFIG_GRAM;
+    k_pairings lists k.A_i and k.B_j (zero by default); k_square is k.k.  The
+    pattern is built in the formal lattice on the generators (A1..A8, B1, B2, k),
     whose Gram is gram10 bordered by k_pairings and k_square.  An asymmetric
     gram10, or one giving a class of odd d.d - d.k, is not exceptional.
     """
@@ -158,96 +164,57 @@ def search_configs(
 ) -> list[ABConfiguration]:
     """Depth-first backtracking for configurations inside a root set.
 
-    Roots are tried in their canonical order at every level (chain first,
-    then the two marked roots), each placement checked against all earlier
-    pairings; results are deterministic and deduplicated only as identical
-    tuples.  Stops after `limit` configurations.
+    place(m) puts member m of CONFIG_MEMBERS at every root, in the root set's
+    order, whose pairing with each placed member s is CONFIG_GRAM[s][m]; the
+    candidates are an intersection of neighbour sets keyed by pairing value.
+    Results are deterministic and deduplicated only as identical tuples;
+    each one is re-verified through its built sequence.  Stops after
+    `limit` configurations.
     """
     if limit < 1:
         raise ValueError("limit must be positive")
     lat = rs.lattice
     roots = rs.roots
     n = len(roots)
-    if n == 0:
-        return []
 
-    # precompute gram @ root once per root; each pairing is then a 9-dot
-    gr = [
-        tuple(
-            sum(lat.gram[i][j] * r.coords[j] for j in range(lat.rank))
-            for i in range(lat.rank)
-        )
-        for r in roots
-    ]
-    pair_value: list[list[int]] = [[0] * n for _ in range(n)]
+    # gram @ root once per root; each pairing is then a 9-dot
+    gr = [tuple(sum(map(mul, row, r.coords)) for row in lat.gram) for r in roots]
+    # neighbours[v][x]: the roots y with x.y = v, for the values the pattern uses
+    neighbours: dict[int, list[set[int]]]
+    neighbours = {v: [set() for _ in roots] for v in (-1, 0, 1)}
     for x in range(n):
         cx = roots[x].coords
-        for y in range(x, n):
-            v = sum(a * b for a, b in zip(cx, gr[y]))
-            pair_value[x][y] = v
-            pair_value[y][x] = v
-    ones: list[set[int]] = [set() for _ in range(n)]
-    zeros: list[set[int]] = [set() for _ in range(n)]
-    neg_ones: list[set[int]] = [set() for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            v = pair_value[x][y]
-            if v == 1:
-                ones[x].add(y)
-            elif v == 0:
-                zeros[x].add(y)
-            elif v == -1:
-                neg_ones[x].add(y)
+        for y in range(x + 1, n):
+            by_value = neighbours.get(sum(map(mul, cx, gr[y])))
+            if by_value is not None:
+                by_value[x].add(y)
+                by_value[y].add(x)
 
     results: list[ABConfiguration] = []
-    chain: list[int] = []
+    placed: list[int] = []
 
-    def chain_candidates() -> list[int]:
-        cands = ones[chain[-1]]
-        for earlier in chain[:-1]:
-            cands = cands & zeros[earlier]
-        return sorted(cands)
-
-    def extend_chain() -> bool:
-        if len(chain) == 8:
-            return place_marked()
-        for idx in chain_candidates():
-            chain.append(idx)
-            if extend_chain():
+    def place(m: int) -> bool:
+        """Place members m.. in every way; True once `limit` is reached."""
+        if m == len(CONFIG_MEMBERS):
+            members = tuple(roots[i] for i in placed)
+            cfg = ABConfiguration(a=members[:8], b=members[8:], k=k)
+            # final re-verification through the built sequence
+            sequence_from_config(lat, cfg)
+            results.append(cfg)
+            return len(results) >= limit
+        candidates = range(n)
+        if placed:
+            candidates = sorted(set.intersection(*(
+                neighbours[CONFIG_GRAM[s][m]][x] for s, x in enumerate(placed)
+            )))
+        for idx in candidates:
+            placed.append(idx)
+            if place(m + 1):
                 return True
-            chain.pop()
+            placed.pop()
         return False
 
-    def place_marked() -> bool:
-        b1_cands = ones[chain[_B1_ATTACH - 1]]
-        for s, idx in enumerate(chain):
-            if s != _B1_ATTACH - 1:
-                b1_cands = b1_cands & zeros[idx]
-        for b1 in sorted(b1_cands):
-            b2_cands = ones[chain[_B2_ATTACH - 1]] & neg_ones[b1]
-            for s, idx in enumerate(chain):
-                if s != _B2_ATTACH - 1:
-                    b2_cands = b2_cands & zeros[idx]
-            for b2 in sorted(b2_cands):
-                cfg = ABConfiguration(
-                    a=tuple(roots[i] for i in chain),
-                    b=(roots[b1], roots[b2]),
-                    k=k,
-                )
-                # final re-verification through the built sequence
-                sequence_from_config(lat, cfg)
-                results.append(cfg)
-                if len(results) >= limit:
-                    return True
-        return False
-
-    for first in range(n):
-        chain.append(first)
-        if extend_chain():
-            break
-        chain.pop()
+    place(0)
     return results
 
 

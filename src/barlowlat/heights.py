@@ -13,9 +13,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import SchemaError, UndefinedEntry
+from .homledger import INF
 from .lattice import DivisorClass
-
-INF = float("inf")
 
 #: marker for cells of the bound table that carry no data
 ABSENT = None

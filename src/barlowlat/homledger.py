@@ -20,8 +20,6 @@ INF = float("inf")
 #: 0..2, so a forced total degree above this kills the multiplication.
 MAX_EXT_DEGREE = 2
 
-STAR_OPTIONS = ((0, 0, 0), (0, 1, 1))
-
 
 @dataclass(frozen=True)
 class CohomDatum:
@@ -145,9 +143,6 @@ def validate_ledger(
                     raise ChiInconsistency(
                         f"star cell ({i},{j}) has chi {chi}, expected 0"
                     )
-                for opt in STAR_OPTIONS:
-                    if CohomDatum(*opt).euler() != 0:
-                        raise ChiInconsistency("star option is not chi-neutral")
             else:
                 assert isinstance(val, CohomDatum)
                 if val.euler() != chi:

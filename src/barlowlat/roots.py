@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -36,13 +37,9 @@ class RootSet:
     def __contains__(self, v: DivisorClass) -> bool:
         return v.coords in self._index
 
-    @property
+    @cached_property
     def _index(self) -> frozenset[tuple[int, ...]]:
-        cached = getattr(self, "_index_cache", None)
-        if cached is None:
-            cached = frozenset(r.coords for r in self.roots)
-            object.__setattr__(self, "_index_cache", cached)
-        return cached
+        return frozenset(r.coords for r in self.roots)
 
 
 def _short_vectors(q: Sequence[Sequence[int]], bound: int) -> list[tuple[int, ...]]:

@@ -315,6 +315,12 @@ def _l_values_plus_mutant(raw):
     raw["b_table"]["l_values"]["plus"] += 1
 
 
+def test_search_limit10_matches_golden(capsys):
+    code, out, _ = run_cli(capsys, "search", "--limit", "10")
+    assert code == 0
+    assert out == (GOLDEN / "search_limit10.json").read_text()
+
+
 def test_verify_reports_match_golden():
     # the lattice checks are skipped after the rank mutant; after the l_values
     # mutant b-reconstruction and every check reading the genus-3 classes

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -8,6 +9,8 @@ from barlowlat import linalg
 from barlowlat.errors import ConfigurationInvalid
 from barlowlat.exceptional import (
     ABConfiguration,
+    CONFIG_GRAM,
+    CONFIG_MEMBERS,
     DecompositionProblem,
     check_formal_pattern,
     decompose_effective,
@@ -86,6 +89,27 @@ def test_invalid_config_rejected(fix, lat):
         sequence_from_config(lat, broken)
 
 
+def test_violations_exact_list(fix, lat):
+    # roots first, then A-A pairs, B1.A*, B2.A* and B1.B2, each in order
+    cfg = fixture_config(fix, lat)
+    a, b = cfg.a, cfg.b
+    broken = ABConfiguration(
+        a=(a[1], a[0], *a[2:7], a[7] + a[7]), b=(b[1], a[0]), k=lat.k
+    )
+    assert broken.violations(lat) == [
+        "member 7 is not a root",
+        "A1.A3 = 1, expected 0",
+        "A2.A3 = 0, expected 1",
+        "A7.A8 = 2, expected 1",
+        "B1.A3 = 0, expected 1",
+        "B1.A6 = 1, expected 0",
+        "B2.A1 = 1, expected 0",
+        "B2.A2 = -2, expected 0",
+        "B2.A6 = 0, expected 1",
+        "B1.B2 = 0, expected -1",
+    ]
+
+
 # --- formal pattern -------------------------------------------------------------
 
 def pattern_gram():
@@ -98,6 +122,11 @@ def pattern_gram():
     g[9][5] = g[5][9] = 1   # B2 . A6
     g[8][9] = g[9][8] = -1
     return g
+
+
+def test_config_gram_is_the_pattern_gram():
+    assert [list(row) for row in CONFIG_GRAM] == pattern_gram()
+    assert CONFIG_MEMBERS == tuple(f"A{i}" for i in range(1, 9)) + ("B1", "B2")
 
 
 def test_formal_pattern_holds():
@@ -144,6 +173,37 @@ def test_search_finds_valid_configs(fix, lat):
     # deterministic ordering across runs
     again = search_configs(rs, lat.k, limit=3)
     assert [(c.a, c.b) for c in configs] == [(c.a, c.b) for c in again]
+
+
+def naive_configs(lat, roots, limit):
+    """Oracle: place A1..A8, B1, B2 in turn, trying every root in order and
+    comparing lat.pair with each placed member against pattern_gram()."""
+    gram = pattern_gram()
+    found, placed = [], []
+
+    def rec(m):
+        if m == 10:
+            found.append((tuple(placed[:8]), tuple(placed[8:])))
+            return len(found) >= limit
+        for r in roots:
+            if all(lat.pair(p, r) == gram[s][m] for s, p in enumerate(placed)):
+                placed.append(r)
+                if rec(m + 1):
+                    return True
+                placed.pop()
+        return False
+
+    rec(0)
+    return found
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_search_matches_naive_dfs_on_shuffled_roots(fix, lat, seed):
+    roots = list(fix.roots.roots)
+    random.Random(seed).shuffle(roots)
+    rs = RootSet(lattice=lat, roots=tuple(roots))
+    got = [(c.a, c.b) for c in search_configs(rs, lat.k, limit=5)]
+    assert got == naive_configs(lat, roots, 5)
 
 
 # --- decomposition ---------------------------------------------------------------

@@ -163,3 +163,9 @@ def test_schema_rejects_bad_rows():
         ExtBoundMatrix.from_rows(1, [[None, "nan"], [1, None]])
     with pytest.raises(SchemaError):
         ExtBoundMatrix.from_rows(1, [[None, None], [-3, None]])
+
+
+def test_inf_is_the_ledger_inf():
+    from barlowlat import homledger
+
+    assert INF is homledger.INF

@@ -167,3 +167,10 @@ def test_formality_counterexample_shape():
     report = formality_report(led, StarChoice.ZERO)
     assert report[2].min_degree == 0
     assert not report[2].forced_zero
+
+
+def test_star_choices_are_chi_neutral():
+    # validate_ledger only checks that a star cell has chi 0, which is
+    # enough because either choice of datum has alternating sum 0
+    for stars in StarChoice:
+        assert stars.datum.euler() == 0
