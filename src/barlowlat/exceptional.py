@@ -5,15 +5,19 @@ chi(l_i, l_i) = 1 and chi(l_i, l_j) = 0 for i > j.  The ten-root pattern
 (a chain A1..A8, B1 on A3 and B2 on A6, B1.B2 = -1) produces such a
 sequence of length 11.  Its pairing table CONFIG_GRAM drives both the
 validation of a configuration and the search, which places the ten members
-one by one among the roots by depth-first backtracking.  The
-effective-decomposition solver enumerates all bounded nonnegative integer
-representations of a class over a generator list; it works on integer
-coordinate tuples only, pruning by degree and by integer annihilators of
-each generator suffix.
+one by one among the roots by depth-first backtracking.  Each pattern term
+is an integer combination of the ten members and k, so the search certifies
+a configuration by its actual Gram plus one formal proof of the pattern
+(check_formal_pattern); sequence_from_config, the full check, is the
+fallback.  The effective-decomposition solver enumerates all bounded
+nonnegative integer representations of a class over a generator list; it
+works on integer coordinate tuples only, pruning by degree and by integer
+annihilators of each generator suffix.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 from operator import mul, sub
 from typing import Sequence
@@ -167,9 +171,12 @@ def search_configs(
     place(m) puts member m of CONFIG_MEMBERS at every root, in the root set's
     order, whose pairing with each placed member s is CONFIG_GRAM[s][m]; the
     candidates are an intersection of neighbour sets keyed by pairing value.
-    Results are deterministic and deduplicated only as identical tuples;
-    each one is re-verified through its built sequence.  Stops after
-    `limit` configurations.
+    Results are deterministic and deduplicated only as identical tuples.
+    A configuration is certified when k is lat.k, its Gram, recomputed from
+    the coordinates, is CONFIG_GRAM and its members are orthogonal to k:
+    check_formal_pattern, run at most once per call, proves the pattern
+    exceptional over those pairings.  Otherwise sequence_from_config checks
+    it in full and raises its exact error.  Stops after `limit` results.
     """
     if limit < 1:
         raise ValueError("limit must be positive")
@@ -190,6 +197,20 @@ def search_configs(
                 by_value[x].add(y)
                 by_value[y].add(x)
 
+    @cache
+    def pattern_proved() -> bool:
+        return check_formal_pattern(CONFIG_GRAM, k_square=lat.pair(k, k))
+
+    def certified(idx: list[int]) -> bool:
+        return (
+            k == lat.k
+            and tuple(
+                tuple(sum(map(mul, roots[x].coords, gr[y])) for y in idx) for x in idx
+            ) == CONFIG_GRAM
+            and not any(sum(map(mul, gr[x], k.coords)) for x in idx)
+            and pattern_proved()
+        )
+
     results: list[ABConfiguration] = []
     placed: list[int] = []
 
@@ -198,8 +219,8 @@ def search_configs(
         if m == len(CONFIG_MEMBERS):
             members = tuple(roots[i] for i in placed)
             cfg = ABConfiguration(a=members[:8], b=members[8:], k=k)
-            # final re-verification through the built sequence
-            sequence_from_config(lat, cfg)
+            if not certified(placed):
+                sequence_from_config(lat, cfg)
             results.append(cfg)
             return len(results) >= limit
         candidates = range(n)

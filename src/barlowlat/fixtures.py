@@ -636,9 +636,6 @@ class FixtureSet:
             return self.sequence[SEQUENCE_NAMES.index(name)]
         raise UnknownName(f"unknown class name {name!r}")
 
-    def d8_basis(self) -> tuple[DivisorClass, ...]:
-        return tuple(self.curve_class(f"D{i}") for i in range(1, 9))
-
     def canonical_basis(self) -> tuple[DivisorClass, ...]:
         """(K, e, D8, D7, D6, D5, D4, D3, D2) as coordinate classes."""
         names = ["K", "e", "D8", "D7", "D6", "D5", "D4", "D3", "D2"]

@@ -10,7 +10,7 @@ bound on the shipped data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import SchemaError, UndefinedEntry
 from .homledger import INF
@@ -143,15 +143,6 @@ def single_segment_bound(m: ExtBoundMatrix) -> int | float:
     """min_i of the one-jump circle (i, i+n); an upper bound for the height
     when the table is exact on those cells."""
     return min(m.entry(i + m.n, i) for i in range(1, m.n + 1))
-
-
-def circles(n: int) -> Iterable[Arc]:
-    """All normalized circles for small n (oracle use; exponential)."""
-    for a0 in range(1, n + 1):
-        inner = list(range(a0 + 1, n + 1))
-        for mask in range(1 << len(inner)):
-            mid = [inner[t] for t in range(len(inner)) if mask >> t & 1]
-            yield Arc(tuple([a0] + mid + [a0 + n]), n=n)
 
 
 def extend_anticanonical(

@@ -96,10 +96,6 @@ class PicardLattice:
         """True iff v.k = 0 and v.v = -2."""
         return self.pair(v, self.k) == 0 and self.pair(v, v) == -2
 
-    def parity_holds(self, v: DivisorClass) -> bool:
-        """v.v + v.k even (fails only on corrupted gram/k data)."""
-        return (self.pair(v, v) + self.pair(v, self.k)) % 2 == 0
-
     def det(self) -> int:
         return linalg.det_exact(self.gram)
 

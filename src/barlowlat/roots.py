@@ -170,15 +170,13 @@ def borel_siebenthal(lat: PicardLattice, ds: Sequence[DivisorClass]) -> DivisorC
     return candidate
 
 
-def extended_cartan_expected(
-    e_attaches: str = "d7", sign_flip_first: bool = True
-) -> tuple[tuple[int, ...], ...]:
+def extended_cartan_expected(e_attaches: str = "d7") -> tuple[tuple[int, ...], ...]:
     """The negated E8 Cartan matrix in the extended node order.
 
     Node order (e, d8, d7, d6, d5, d4, d3, d2); the half-sum e attaches to
-    whichever tip carries weight 4.  With ``sign_flip_first`` the row/column
-    of e is negated -- the form the half-sum convention actually produces
-    (e pairs -1 with its neighbour, all other adjacent pairs +1).
+    whichever tip carries weight 4.  The row/column of e is negated -- the
+    form the half-sum convention actually produces (e pairs -1 with its
+    neighbour, all other adjacent pairs +1).
     """
     if e_attaches not in ("d7", "d8"):
         raise ValueError("e_attaches must be 'd7' or 'd8'")
@@ -191,11 +189,7 @@ def extended_cartan_expected(
     for i, a in enumerate(names):
         for j, b in enumerate(names):
             if (a, b) in edges or (b, a) in edges:
-                m[i][j] = 1
-    if sign_flip_first:
-        for j in range(1, 8):
-            m[0][j] = -m[0][j]
-            m[j][0] = -m[j][0]
+                m[i][j] = -1 if "e" in (a, b) else 1
     return tuple(tuple(row) for row in m)
 
 

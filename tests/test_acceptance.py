@@ -20,10 +20,10 @@ from barlowlat.exceptional import (
 from barlowlat.fixtures import b_keys, b_name
 from barlowlat.heights import (
     INF,
+    Arc,
     ExtBoundMatrix,
     Fullness,
     arc_height,
-    circles,
     fullness_verdict,
     height,
     single_segment_bound,
@@ -78,7 +78,7 @@ def test_acceptance_01_root_enumeration(fix, lat):
 
 def test_acceptance_02_highest_root_extension(fix, lat):
     with timer() as t:
-        ds = fix.d8_basis()
+        ds = [fix.curve_class(f"D{i}") for i in range(1, 9)]
         e = borel_siebenthal(lat, ds)
         # integral by construction; the half-sum weights are 1..6 on the
         # chain plus {3, 4} on the two fork tips.  Which tip carries 4 is the
@@ -104,7 +104,10 @@ def test_acceptance_02_highest_root_extension(fix, lat):
         flipped = list(basis)
         flipped[1] = -flipped[1]
         gram_norm = [[lat.pair(a, b) for b in flipped] for a in flipped]
-        expected = extended_cartan_expected(sign_flip_first=False)
+        expected = [
+            [(-1 if (i == 0) != (j == 0) else 1) * v for j, v in enumerate(row)]
+            for i, row in enumerate(extended_cartan_expected())
+        ]
         assert gram_norm[0][0] == 1
         assert all(gram_norm[0][j] == 0 for j in range(1, 9))
         for i in range(8):
@@ -118,7 +121,7 @@ def test_acceptance_03_curve_table(fix, lat):
     with timer() as t:
         assert linalg.is_symmetric(fix.curve_table.matrix)
         assert linalg.rank_exact(fix.curve_table.matrix) == 9
-        ds = fix.d8_basis()
+        ds = [fix.curve_class(f"D{i}") for i in range(1, 9)]
         gram = tuple(tuple(lat.pair(a, b) for b in ds) for a in ds)
         assert gram == tuple(tuple(r) for r in fix.d8_gram_expected)
     assert t.elapsed < 1.0
@@ -239,6 +242,13 @@ def test_acceptance_10_oracle_suites(fix, lat):
             assert list(enumerate_roots(small).roots) == box_roots(small)
 
         # height DP vs brute-force circles on synthetic tables
+        def circles(n):
+            for a0 in range(1, n + 1):
+                inner = list(range(a0 + 1, n + 1))
+                for mask in range(1 << len(inner)):
+                    mid = [inner[t] for t in range(len(inner)) if mask >> t & 1]
+                    yield Arc(tuple([a0] + mid + [a0 + n]), n=n)
+
         rng = random.Random(20240809)
         for _ in range(12):
             n = rng.choice([2, 3, 4])

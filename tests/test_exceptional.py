@@ -1,5 +1,8 @@
+import hashlib
+import json
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -204,6 +207,54 @@ def test_search_matches_naive_dfs_on_shuffled_roots(fix, lat, seed):
     rs = RootSet(lattice=lat, roots=tuple(roots))
     got = [(c.a, c.b) for c in search_configs(rs, lat.k, limit=5)]
     assert got == naive_configs(lat, roots, 5)
+
+
+SEARCH_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "search_digests.json").read_text()
+)
+
+
+def config_digest(configs):
+    """SHA-256 of the repr of the (a, b) coordinate tuples, in result order."""
+    found = [
+        (tuple(r.coords for r in c.a), tuple(r.coords for r in c.b)) for c in configs
+    ]
+    return hashlib.sha256(repr(found).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("limit", [1, 10, 100, 300])
+def test_search_matches_pinned_digest(fix, lat, limit):
+    configs = search_configs(fix.roots, lat.k, limit)
+    assert len(configs) == limit
+    assert config_digest(configs) == SEARCH_DIGESTS[str(limit)]
+
+
+def test_search_configs_pass_the_full_check(fix, lat):
+    # the per-configuration re-verification the search no longer runs
+    for cfg in search_configs(fix.roots, lat.k, limit=100):
+        ok, _ = is_num_exceptional(lat, sequence_from_config(lat, cfg))
+        assert ok
+
+
+NOT_EXCEPTIONAL = "built sequence is not numerically exceptional"
+
+
+@pytest.mark.parametrize("case", ["zero_k", "twice_k", "root_as_k"])
+def test_search_falls_back_to_the_full_check(fix, lat, case):
+    rs = fix.roots
+    r0 = rs.roots[0]
+    rs, k, message = {
+        "zero_k": (rs, DivisorClass.zero(9), NOT_EXCEPTIONAL),
+        "twice_k": (rs, 2 * lat.k, NOT_EXCEPTIONAL),
+        "root_as_k": (
+            RootSet(lattice=make_lattice(9, lat.gram, r0), roots=rs.roots),
+            r0,
+            "member 0 is not a root; member 1 is not a root",
+        ),
+    }[case]
+    with pytest.raises(ConfigurationInvalid) as err:
+        search_configs(rs, k, limit=3)
+    assert str(err.value) == message
 
 
 # --- decomposition ---------------------------------------------------------------

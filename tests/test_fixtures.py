@@ -154,7 +154,7 @@ def test_malformed_document_is_schema_error(raw_copy, kind, tmp_path, capsys):
 
 
 def test_d8_basis(fix, lat):
-    ds = fix.d8_basis()
+    ds = [fix.curve_class(f"D{i}") for i in range(1, 9)]
     gram = tuple(tuple(lat.pair(a, b) for b in ds) for a in ds)
     assert gram == EXPECTED_D8_GRAM
     for d in ds:

@@ -9,12 +9,20 @@ from barlowlat.heights import (
     Fullness,
     INF,
     arc_height,
-    circles,
     extend_anticanonical,
     fullness_verdict,
     height,
     single_segment_bound,
 )
+
+
+def circles(n):
+    """Oracle: all normalized circles for small n (exponential)."""
+    for a0 in range(1, n + 1):
+        inner = list(range(a0 + 1, n + 1))
+        for mask in range(1 << len(inner)):
+            mid = [inner[t] for t in range(len(inner)) if mask >> t & 1]
+            yield Arc(tuple([a0] + mid + [a0 + n]), n=n)
 
 
 def brute_height(m):

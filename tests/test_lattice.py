@@ -97,7 +97,7 @@ def test_chi_serre_symmetry(lat, d):
 @given(d=coords9)
 @settings(max_examples=300, deadline=None)
 def test_parity_invariant(lat, d):
-    assert lat.parity_holds(d)
+    assert (lat.pair(d, d) + lat.pair(d, lat.k)) % 2 == 0
 
 
 def test_chi_parity_violation_on_bad_lattice():

@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from barlowlat import linalg
 from barlowlat.errors import (
     CartanMismatch,
     IndefinitePerp,
@@ -137,7 +138,7 @@ def test_vanishing_classification(fix, lat):
 # --- highest-root extension ------------------------------------------------------
 
 def test_borel_siebenthal_on_fixture(fix, lat):
-    ds = fix.d8_basis()
+    ds = [fix.curve_class(f"D{i}") for i in range(1, 9)]
     e = borel_siebenthal(lat, ds)
     assert e == fix.curve_class("e")
     assert lat.pair(e, e) == -2
@@ -153,7 +154,7 @@ def test_borel_siebenthal_on_fixture(fix, lat):
 def test_borel_siebenthal_displayed_weights_are_the_other_glue(fix, lat):
     # the (..., 3, 4) assignment lands in the other spinor coset: its
     # doubled sum has odd coordinates, so it is not a lattice class
-    ds = fix.d8_basis()
+    ds = [fix.curve_class(f"D{i}") for i in range(1, 9)]
     weights = (1, 2, 3, 4, 5, 6, 3, 4)
     doubled = DivisorClass.zero(9)
     for w, d in zip(weights, ds):
@@ -180,23 +181,30 @@ def test_borel_siebenthal_rejects_bare_root_lattice():
 
 
 def test_borel_siebenthal_rejects_wrong_gram(fix, lat):
-    ds = list(fix.d8_basis())
+    ds = [fix.curve_class(f"D{i}") for i in range(1, 9)]
     ds[0], ds[1] = ds[1], ds[0]
     with pytest.raises(CartanMismatch):
         borel_siebenthal(lat, ds)
 
 
+def negate_first(m):
+    """Negate row and column 0: the plain negated Cartan matrix from the
+    form with the glue node's sign flipped."""
+    return tuple(
+        tuple((-1 if (i == 0) != (j == 0) else 1) * v for j, v in enumerate(row))
+        for i, row in enumerate(m)
+    )
+
+
 def test_extended_cartan_shapes():
-    plain = extended_cartan_expected(sign_flip_first=False)
-    flipped = extended_cartan_expected(sign_flip_first=True)
+    flipped = extended_cartan_expected()
+    plain = negate_first(flipped)
     assert plain[0][2] == 1 and flipped[0][2] == -1   # e-d7 adjacency
     assert all(plain[i][i] == -2 for i in range(8))
-    # sign conjugation of the first node maps one to the other
-    conj = [
-        [(-1 if (i == 0) != (j == 0) else 1) * flipped[i][j] for j in range(8)]
-        for i in range(8)
-    ]
-    assert tuple(tuple(r) for r in conj) == plain
+    # the plain form is the negated Cartan matrix of a tree: seven +1 edges
+    off = [plain[i][j] for i in range(8) for j in range(i + 1, 8) if plain[i][j]]
+    assert off == [1] * 7
+    assert linalg.det_exact(plain) == 1
 
 
 def test_canonical_gram_is_negated_cartan_up_to_glue_sign(fix, lat):
@@ -205,7 +213,7 @@ def test_canonical_gram_is_negated_cartan_up_to_glue_sign(fix, lat):
     basis = list(fix.canonical_basis())
     basis[1] = -basis[1]
     gram = [[lat.pair(a, b) for b in basis] for a in basis]
-    expected = extended_cartan_expected(sign_flip_first=False)
+    expected = negate_first(extended_cartan_expected())
     assert gram[0][0] == 1
     assert all(gram[0][j] == 0 for j in range(1, 9))
     for i in range(8):
