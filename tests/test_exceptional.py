@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barlowlat import linalg
+from barlowlat import exceptional, linalg
 from barlowlat.errors import ConfigurationInvalid
 from barlowlat.exceptional import (
     ABConfiguration,
@@ -236,24 +236,71 @@ def test_search_configs_pass_the_full_check(fix, lat):
         assert ok
 
 
+def test_search_runs_one_proof_and_no_full_check(fix, lat, monkeypatch):
+    calls = {"proof": 0, "full": 0}
+    proof = exceptional.check_formal_pattern
+
+    def counted_proof(*args, **kwargs):
+        calls["proof"] += 1
+        return proof(*args, **kwargs)
+
+    def counted_full(lat, cfg):
+        calls["full"] += 1
+
+    monkeypatch.setattr(exceptional, "check_formal_pattern", counted_proof)
+    monkeypatch.setattr(exceptional, "sequence_from_config", counted_full)
+    assert len(search_configs(fix.roots, lat.k, limit=10)) == 10
+    assert calls == {"proof": 1, "full": 0}
+
+
+def formal_rootset(a1_square=-2, a1_k=0, k_square=1):
+    """The ten members as unit vectors of the formal lattice on
+    (A1..A8, B1, B2, k), with A1.A1, A1.k and k.k as given."""
+    gram = [list(row) + [0] for row in CONFIG_GRAM] + [[0] * 10 + [k_square]]
+    gram[0][0] = a1_square
+    gram[0][10] = gram[10][0] = a1_k
+    unit = [DivisorClass(tuple(int(i == j) for j in range(11))) for i in range(11)]
+    return RootSet(lattice=make_lattice(11, gram, unit[10]), roots=tuple(unit[:10]))
+
+
+def test_search_certifies_the_formal_configuration():
+    rs = formal_rootset()
+    configs = search_configs(rs, rs.lattice.k, limit=3)
+    # the chain read backwards, with B1 and B2 swapped, is the second one
+    assert [[m.coords.index(1) for m in (*c.a, *c.b)] for c in configs] == [
+        list(range(10)),
+        [7, 6, 5, 4, 3, 2, 1, 0, 9, 8],
+    ]
+
+
 NOT_EXCEPTIONAL = "built sequence is not numerically exceptional"
+NOT_ROOTS = "member 0 is not a root; member 1 is not a root"
 
 
-@pytest.mark.parametrize("case", ["zero_k", "twice_k", "root_as_k"])
+@pytest.mark.parametrize(
+    "case",
+    ["zero_k", "twice_k", "negated_k", "root_as_k", "a1_square", "a1_k", "k_square"],
+)
 def test_search_falls_back_to_the_full_check(fix, lat, case):
+    # each case breaks one part of the certificate; the full check then
+    # raises the same error as a search that re-verifies every configuration
     rs = fix.roots
     r0 = rs.roots[0]
     rs, k, message = {
         "zero_k": (rs, DivisorClass.zero(9), NOT_EXCEPTIONAL),
         "twice_k": (rs, 2 * lat.k, NOT_EXCEPTIONAL),
+        "negated_k": (rs, -lat.k, NOT_EXCEPTIONAL),
         "root_as_k": (
             RootSet(lattice=make_lattice(9, lat.gram, r0), roots=rs.roots),
             r0,
-            "member 0 is not a root; member 1 is not a root",
+            NOT_ROOTS,
         ),
+        "a1_square": (formal_rootset(a1_square=-4), None, "member 0 is not a root"),
+        "a1_k": (formal_rootset(a1_k=2), None, "member 0 is not a root"),
+        "k_square": (formal_rootset(k_square=3), None, NOT_EXCEPTIONAL),
     }[case]
     with pytest.raises(ConfigurationInvalid) as err:
-        search_configs(rs, k, limit=3)
+        search_configs(rs, rs.lattice.k if k is None else k, limit=3)
     assert str(err.value) == message
 
 
