@@ -17,9 +17,9 @@ annihilators of each generator suffix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
-from itertools import accumulate
-from operator import mul, sub
+from functools import cache, reduce
+from itertools import accumulate, repeat
+from operator import and_, mul, sub
 from typing import Sequence
 
 from .errors import (
@@ -66,6 +66,11 @@ CONFIG_GRAM = tuple(
 _CHECKED_PAIRS = [(s, t) for s in range(8) for t in range(s + 1, 8)]
 _CHECKED_PAIRS += [(b, s) for b in (8, 9) for s in range(8)] + [(8, 9)]
 
+#: byte codes of the pairing values the search uses (any other value is 3),
+#: and per value the table that turns a row of codes into a binary numeral
+_CODE = {-1: 0, 0: 1, 1: 2}
+_MARK = {v: bytes(48 + (b == c) for b in range(256)) for v, c in _CODE.items()}
+
 
 @dataclass(frozen=True)
 class ABConfiguration:
@@ -105,19 +110,7 @@ def _pattern(
     """The eleven-term pattern: partial sums of the chain, with k - B1 in
     third place, k - B2 after the five-sum, and the zero class last."""
     sums = list(accumulate(a))
-    return [
-        sums[0],
-        sums[1],
-        k - b1,
-        sums[2],
-        sums[3],
-        sums[4],
-        k - b2,
-        sums[5],
-        sums[6],
-        sums[7],
-        DivisorClass.zero(len(k)),
-    ]
+    return [*sums[:2], k - b1, *sums[2:5], k - b2, *sums[5:], DivisorClass.zero(len(k))]
 
 
 def sequence_from_config(
@@ -170,7 +163,7 @@ def search_configs(
 
     place(m) puts member m of CONFIG_MEMBERS at every root, in the root set's
     order, whose pairing with each placed member s is CONFIG_GRAM[s][m]; the
-    candidates are an intersection of neighbour sets keyed by pairing value.
+    candidates are an intersection of neighbour bitmasks keyed by pairing value.
     Results are deterministic and deduplicated only as identical tuples.
     A configuration is certified when k is lat.k, its Gram, recomputed from
     the coordinates, is CONFIG_GRAM and its members are orthogonal to k:
@@ -186,16 +179,18 @@ def search_configs(
 
     # gram @ root once per root; each pairing is then a 9-dot
     gr = [tuple(sum(map(mul, row, r.coords)) for row in lat.gram) for r in roots]
-    # neighbours[v][x]: the roots y with x.y = v, for the values the pattern uses
-    neighbours: dict[int, list[set[int]]]
-    neighbours = {v: [set() for _ in roots] for v in (-1, 0, 1)}
+    # codes[x * n + y]: the _CODE of x.y, from one 9-dot per pair x < y
+    codes = bytearray([3]) * (n * n)
     for x in range(n):
-        cx = roots[x].coords
-        for y in range(x + 1, n):
-            by_value = neighbours.get(sum(map(mul, cx, gr[y])))
-            if by_value is not None:
-                by_value[x].add(y)
-                by_value[y].add(x)
+        dots = [sum(map(mul, roots[x].coords, g)) for g in gr[x + 1:]]
+        upper = bytes(map(_CODE.get, dots, repeat(3)))
+        codes[x * n + x + 1:(x + 1) * n] = codes[(x + 1) * n + x::n] = upper
+    # neighbours[v][x]: bit y is set when x.y = v.  Integers, unlike sets,
+    # leave the garbage collector nothing to traverse while the search runs
+    neighbours = {
+        v: [int(codes[x * n:(x + 1) * n][::-1].translate(t), 2) for x in range(n)]
+        for v, t in _MARK.items()
+    }
 
     @cache
     def pattern_proved() -> bool:
@@ -223,12 +218,13 @@ def search_configs(
                 sequence_from_config(lat, cfg)
             results.append(cfg)
             return len(results) >= limit
-        candidates = range(n)
-        if placed:
-            candidates = sorted(set.intersection(*(
-                neighbours[CONFIG_GRAM[s][m]][x] for s, x in enumerate(placed)
-            )))
-        for idx in candidates:
+        # the candidates are the set bits, lowest (first in root order) first
+        free = reduce(and_, (
+            neighbours[CONFIG_GRAM[s][m]][x] for s, x in enumerate(placed)
+        ), (1 << n) - 1)
+        while free:
+            idx = (free & -free).bit_length() - 1
+            free &= free - 1
             placed.append(idx)
             if place(m + 1):
                 return True

@@ -229,6 +229,14 @@ def test_search_matches_pinned_digest(fix, lat, limit):
     assert config_digest(configs) == SEARCH_DIGESTS[str(limit)]
 
 
+def test_search_skips_pairing_values_outside_the_pattern(fix, lat):
+    # a doubled root pairs evenly, up to 8 in size, with every vector here,
+    # so it can take no place in a configuration and the results stay put
+    doubled = tuple(2 * r for r in fix.roots.roots)
+    rs = RootSet(lattice=lat, roots=fix.roots.roots + doubled)
+    assert config_digest(search_configs(rs, lat.k, 10)) == SEARCH_DIGESTS["10"]
+
+
 def test_search_configs_pass_the_full_check(fix, lat):
     # the per-configuration re-verification the search no longer runs
     for cfg in search_configs(fix.roots, lat.k, limit=100):
