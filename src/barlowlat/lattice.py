@@ -7,6 +7,7 @@ reconstruction of classes from their pairings against a spanning probe set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -28,9 +29,10 @@ class DivisorClass:
     coords: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not all(isinstance(c, int) for c in self.coords):
+        coords = self.coords
+        if not all(map(isinstance, coords, repeat(int))):
             raise TypeError("coordinates must be integers")
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+        object.__setattr__(self, "coords", tuple(map(int, coords)))
 
     @staticmethod
     def zero(rank: int) -> "DivisorClass":

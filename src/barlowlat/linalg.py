@@ -5,14 +5,13 @@ used anywhere.  Rank, determinant, inverse and linear solves share one
 fraction-free Gauss-Jordan elimination (Bareiss 1968): each step divides
 exactly by the previous pivot, so every intermediate entry is an integer
 minor of the input.  `invert_exact` and `solve_overdetermined` build
-`Fraction`s only for the values they return.  `signature_symmetric` and
-`ldl_positive` (with `integer_interval`, which bounds Fincke-Pohst) work
-over `Fraction`.
+`Fraction`s only for the values they return.  `ldl_positive`, which feeds
+the Fincke-Pohst root search, is the same elimination without pivoting and
+returns integers only.  `signature_symmetric` works over `Fraction`.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
 from operator import index
 from typing import Sequence
 
@@ -227,42 +226,29 @@ def integer_kernel(mat: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     return [tuple(u[i][j] for i in range(cols)) for j in kernel]
 
 
-def ldl_positive(q: Matrix) -> tuple[list[Fraction], list[list[Fraction]]]:
-    """Exact LDL^T of a positive-definite symmetric matrix.
+def ldl_positive(q: IntMatrix) -> tuple[list[int], list[list[int]]]:
+    """Fraction-free LDL^T of a positive-definite symmetric integer matrix.
 
-    Returns (d, L) with q = L diag(d) L^T, L unit lower triangular.
-    Raises ValueError if the matrix is not positive definite.
+    Bareiss elimination without pivoting.  Returns (d, a): d[0] = 1 and d[i]
+    is the i-th leading principal minor of q; row i of a is row i of q after
+    i elimination steps, so a[i][i] = d[i + 1], a[i][j] = 0 for j < i and
+    every entry is an integer minor of q.  Then l_ji = a[i][j] / d[i + 1] and
+
+        x^T q x = sum_i (d[i + 1] x_i + s_i)^2 / (d[i] d[i + 1]),
+        s_i = sum_{j > i} a[i][j] x_j.
+
+    Raises ValueError at the first non-positive pivot, i.e. if q is not
+    positive definite (Sylvester's criterion).
     """
-    n = len(q)
-    d = [Fraction(0)] * n
-    lo = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        lo[i][i] = Fraction(1)
-    for i in range(n):
-        s = Fraction(q[i][i])
-        for k in range(i):
-            s -= d[k] * lo[i][k] ** 2
-        if s <= 0:
+    m = [[index(x) for x in row] for row in q]
+    d = [1]
+    for i, top in enumerate(m):
+        p, prev = top[i], d[-1]
+        if p <= 0:
             raise ValueError("matrix is not positive definite")
-        d[i] = s
-        for j in range(i + 1, n):
-            t = Fraction(q[j][i])
-            for k in range(i):
-                t -= d[k] * lo[i][k] * lo[j][k]
-            lo[j][i] = t / d[i]
-    return d, lo
-
-
-def integer_interval(shift: Fraction, bound: Fraction) -> range:
-    """All integers t with (t + shift)^2 <= bound, as a range.
-
-    Exact: the endpoints are computed with integer square roots only.
-    """
-    if bound < 0:
-        return range(0)
-    p, q = shift.numerator, shift.denominator
-    u, v = bound.numerator, bound.denominator
-    y = isqrt(u * q * q // v)  # floor(sqrt(bound) * q)
-    hi = (y - p) // q
-    lo = -((y + p) // q)
-    return range(lo, hi + 1)
+        for r in range(i + 1, len(m)):
+            row = m[r]
+            f = row[i]
+            m[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+        d.append(p)
+    return d, m

@@ -2,15 +2,17 @@
 
 A root is a class v with v.k = 0 and v.v = -2.  Enumeration restricts the
 negated pairing to the integer kernel of the pairing-with-k map and runs an
-exact Fincke-Pohst search at bound 2; everything stays in integer/rational
-arithmetic.
+exact Fincke-Pohst search at bound 2 over the fraction-free LDL^T of
+`linalg.ldl_positive`; root families are compared as int tuples.  All of it
+is integer arithmetic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from fractions import Fraction
+from math import isqrt, lcm
+from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from .errors import (
@@ -43,26 +45,38 @@ class RootSet:
 
 
 def _short_vectors(q: Sequence[Sequence[int]], bound: int) -> list[tuple[int, ...]]:
-    """All nonzero integer x with x^T q x <= bound, q positive definite."""
+    """All nonzero integer x with x^T q x <= bound, q positive definite.
+
+    Fincke-Pohst over the fraction-free factors of `linalg.ldl_positive`
+    (ValueError if q is not positive definite).  The i-th term of x^T q x is
+    (d[i+1] x_i + s_i)^2 / (d[i] d[i+1]); scaling by lcm(d[i] d[i+1]) keeps
+    the remaining budget an integer, and each coordinate interval is one
+    `isqrt`.
+    """
     n = len(q)
     if n == 0:
         return []
-    d, lo = linalg.ldl_positive(q)
+    d, a = linalg.ldl_positive(q)
+    dens = [d[i] * d[i + 1] for i in range(n)]
+    scale = lcm(*dens)
+    weights = [scale // c for c in dens]
     out: list[tuple[int, ...]] = []
     x = [0] * n
 
-    def rec(i: int, rem: Fraction) -> None:
+    def rec(i: int, rem: int) -> None:
         if i < 0:
             if any(x):
                 out.append(tuple(x))
             return
-        shift = sum((lo[j][i] * x[j] for j in range(i + 1, n)), Fraction(0))
-        for t in linalg.integer_interval(shift, rem / d[i]):
+        p, w = d[i + 1], weights[i]
+        s = sum(map(mul, a[i][i + 1:], x[i + 1:]))
+        y = isqrt(rem // w)
+        for t in range(-((y + s) // p), (y - s) // p + 1):
             x[i] = t
-            rec(i - 1, rem - d[i] * (t + shift) ** 2)
+            rec(i - 1, rem - w * (p * t + s) ** 2)
         x[i] = 0
 
-    rec(n - 1, Fraction(bound))
+    rec(n - 1, scale * bound)
     return out
 
 
@@ -74,40 +88,24 @@ def enumerate_roots(lat: PicardLattice) -> RootSet:
     (IndefinitePerp otherwise), and its norm-2 vectors are found by exact
     Fincke-Pohst enumeration.
     """
-    n = lat.rank
-    w = [sum(lat.gram[i][j] * lat.k.coords[j] for j in range(n)) for i in range(n)]
-    kernel = linalg.integer_kernel([w])
+    gram = lat.gram
+    kernel = linalg.integer_kernel([[sum(map(mul, row, lat.k.coords)) for row in gram]])
     if not kernel:
         return RootSet(lattice=lat, roots=())
-    m = len(kernel)
-    restricted = [
-        [
-            -sum(
-                kernel[a][i] * lat.gram[i][j] * kernel[b][j]
-                for i in range(n)
-                for j in range(n)
-            )
-            for b in range(m)
-        ]
-        for a in range(m)
-    ]
+    images = [[sum(map(mul, row, kb)) for row in gram] for kb in kernel]
+    restricted = [[-sum(map(mul, ka, gb)) for gb in images] for ka in kernel]
     try:
-        linalg.ldl_positive(restricted)
+        short = _short_vectors(restricted, 2)
     except ValueError as exc:
         raise IndefinitePerp(
             "orthogonal complement of k is not negative definite"
         ) from exc
+    columns = list(zip(*kernel))
     found = set()
-    for x in _short_vectors(restricted, 2):
-        norm = sum(
-            x[a] * restricted[a][b] * x[b] for a in range(m) for b in range(m)
-        )
-        if norm != 2:
-            continue
-        v = tuple(
-            sum(x[a] * kernel[a][i] for a in range(m)) for i in range(n)
-        )
-        found.add(v)
+    for x in short:
+        qx = [sum(map(mul, row, x)) for row in restricted]
+        if sum(map(mul, x, qx)) == 2:
+            found.add(tuple(sum(map(mul, x, col)) for col in columns))
     roots = tuple(DivisorClass(v) for v in sorted(found))
     return RootSet(lattice=lat, roots=roots)
 
@@ -250,15 +248,16 @@ def partition_roots(
     sizes are not checked here; `verify` requires (84, 28, 128).
     """
     lat = rs.lattice
-    k = lat.k
+    kc = lat.k.coords
+    ell = [f.coords for f in elliptic]
 
     fam1 = {
-        (a - b).coords
+        tuple(map(sub, a.coords, b.coords))
         for a in elliptic
         for b in elliptic
         if a != b and lat.pair(a, b) == 0
     }
-    fam2 = {(k - f).coords for f in elliptic} | {(f - k).coords for f in elliptic}
+    fam2 = {tuple(map(sub, kc, f)) for f in ell} | {tuple(map(sub, f, kc)) for f in ell}
     fam3 = set()
     for b in b_classes:
         meets = [c for c in minus_two_curves if lat.pair(b, c) > 0]
@@ -266,10 +265,10 @@ def partition_roots(
             raise PartitionFailure(
                 f"B class {b.coords} meets {len(meets)} (-2)-curves, expected 2"
             )
-        f, g = meets
-        base = 2 * k - b
-        for extra in (DivisorClass.zero(lat.rank), f, g, f + g):
-            fam3.add((base - extra).coords)
+        f, g = meets[0].coords, meets[1].coords
+        base = tuple(2 * x - y for x, y in zip(kc, b.coords))
+        for extra in ((0,) * lat.rank, f, g, tuple(map(add, f, g))):
+            fam3.add(tuple(map(sub, base, extra)))
 
     fams = [fam1, fam2, fam3]
     for i in range(3):
@@ -281,7 +280,7 @@ def partition_roots(
                     f"{sorted(overlap)[0]}"
                 )
     union = fam1 | fam2 | fam3
-    rootset = {r.coords for r in rs.roots}
+    rootset = rs._index
     if union != rootset:
         missing = sorted(rootset - union)[:3]
         extra = sorted(union - rootset)[:3]
@@ -305,13 +304,13 @@ def vanishing_classification(
 
     The two tags are verified to be mutually exclusive on this lattice.
     """
-    lat = rs.lattice
+    kc = rs.lattice.k.coords
     h0_set = {c.coords for c in minus_two_curves}
     e_set = {c.coords for c in irreducible_elliptic}
     tags: dict[DivisorClass, VanishingTag] = {}
     for r in rs.roots:
         in_h0 = r.coords in h0_set
-        in_h2 = (lat.k - r).coords in e_set
+        in_h2 = tuple(map(sub, kc, r.coords)) in e_set
         if in_h0 and in_h2:
             raise PartitionFailure(
                 f"root {r.coords} is tagged both H0 and H2"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -337,3 +338,15 @@ def test_verify_reports_match_golden():
         del report["version"]
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         assert text == (GOLDEN / f"report_{name}.json").read_text(), name
+
+
+ROOTS_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "roots_digests.json").read_text()
+)
+
+
+@pytest.mark.parametrize("argv", sorted(ROOTS_DIGESTS))
+def test_roots_output_matches_pinned_digest(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == ROOTS_DIGESTS[argv]

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,24 @@ from barlowlat.errors import (
 from barlowlat.lattice import DivisorClass, make_lattice
 
 coords9 = st.tuples(*[st.integers(-9, 9)] * 9).map(DivisorClass)
+
+
+class Small(int):
+    pass
+
+
+@pytest.mark.parametrize("bad", [Fraction(1), 1.0, "1", None])
+def test_divisor_class_rejects_non_integers(bad):
+    with pytest.raises(TypeError):
+        DivisorClass((0, bad, 2))
+
+
+def test_divisor_class_normalises_ints():
+    v = DivisorClass((True, Small(3), -1))
+    assert v.coords == (1, 3, -1)
+    assert all(type(c) is int for c in v.coords)
+    assert v == DivisorClass((1, 3, -1))
+    assert DivisorClass(()).coords == ()
 
 
 def test_make_lattice_minimal():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -181,26 +182,49 @@ def test_integer_kernel_matrix():
     assert gcd(gcd(abs(v[0]), abs(v[1])), abs(v[2])) == 1
 
 
+def check_ldl(q):
+    """The integer factors of ldl_positive reconstruct q exactly."""
+    n = len(q)
+    d, a = linalg.ldl_positive(q)
+    assert len(d) == n + 1 and d[0] == 1
+    assert all(type(x) is int for x in d) and all(type(x) is int for row in a for x in row)
+    for i in range(n):
+        assert d[i + 1] == linalg.det_exact([row[: i + 1] for row in q[: i + 1]]) > 0
+        assert a[i][i] == d[i + 1]
+        assert a[i][:i] == [0] * i
+    scale = lcm(*(d[i] * d[i + 1] for i in range(n)))
+    for j in range(n):
+        for k in range(n):
+            total = sum(a[i][j] * a[i][k] * (scale // (d[i] * d[i + 1])) for i in range(n))
+            assert total == scale * q[j][k]
+
+
 def test_ldl_positive():
-    d, lo = linalg.ldl_positive([[2, 1], [1, 2]])
-    assert d == [2, Fraction(3, 2)]
-    assert lo[1][0] == Fraction(1, 2)
-    with pytest.raises(ValueError):
-        linalg.ldl_positive([[1, 0], [0, -1]])
-    with pytest.raises(ValueError):
-        linalg.ldl_positive([[0, 1], [1, 0]])
+    d, a = linalg.ldl_positive([[2, 1], [1, 2]])
+    assert d == [1, 2, 3]
+    assert a == [[2, 1], [0, 3]]
+    check_ldl([[2, 1], [1, 2]])
+    check_ldl([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
+    for bad in (
+        [[1, 0], [0, -1]],          # indefinite
+        [[0, 1], [1, 0]],           # zero leading pivot
+        [[1, 1], [1, 1]],           # singular, positive semidefinite
+        [[-2]],                     # negative definite
+    ):
+        with pytest.raises(ValueError):
+            linalg.ldl_positive(bad)
 
 
-@given(
-    p=st.integers(-40, 40),
-    q=st.integers(1, 12),
-    u=st.integers(0, 400),
-    v=st.integers(1, 12),
-)
-@settings(max_examples=300, deadline=None)
-def test_integer_interval_exact(p, q, u, v):
-    shift = Fraction(p, q)
-    bound = Fraction(u, v)
-    got = set(linalg.integer_interval(shift, bound))
-    want = {t for t in range(-120, 121) if (t + shift) ** 2 <= bound}
-    assert got == want
+@given(st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(small_int, min_size=n, max_size=n), min_size=n, max_size=n)
+))
+@settings(max_examples=150, deadline=None)
+def test_ldl_positive_gram_forms(b):
+    # B^T B is positive definite iff B is nonsingular, else semidefinite
+    n = len(b)
+    q = [[sum(b[r][i] * b[r][j] for r in range(n)) for j in range(n)] for i in range(n)]
+    if linalg.det_exact(b):
+        check_ldl(q)
+    else:
+        with pytest.raises(ValueError):
+            linalg.ldl_positive(q)

@@ -1,6 +1,10 @@
 from itertools import product
+from math import isqrt
+from operator import mul
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from barlowlat import linalg
 from barlowlat.errors import (
@@ -12,6 +16,7 @@ from barlowlat.errors import (
 from barlowlat.lattice import DivisorClass, make_lattice
 from barlowlat.roots import (
     VanishingTag,
+    _short_vectors,
     borel_siebenthal,
     enumerate_roots,
     extended_cartan_expected,
@@ -133,6 +138,88 @@ def test_vanishing_classification(fix, lat):
     assert tags[fix.curve_class("C1p")] is VanishingTag.H0
     assert tags[lat.k - fix.curve_class("E1")] is VanishingTag.H2
     assert tags[fix.curve_class("D5")] is VanishingTag.NEITHER
+
+
+def weyl_closure(lat, seeds):
+    """Close a set of roots under the reflections s_d(v) = v + (v.d) d in the
+    seeds d (each of norm -2)."""
+    mirrors = [(d, [sum(map(mul, row, d)) for row in lat.gram]) for d in seeds]
+    seen = set(seeds)
+    frontier = list(seeds)
+    while frontier:
+        v = frontier.pop()
+        for d, gd in mirrors:
+            c = sum(map(mul, v, gd))
+            w = tuple(a + c * b for a, b in zip(v, d))
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return seen
+
+
+def test_weyl_closure_of_e8_simple_roots_is_the_root_set(fix):
+    # W(E8) acts transitively on the roots, so the reflections in the simple
+    # roots (e, D8..D2) generate all 240 from the simple roots themselves
+    simple = [fix.curve_class(n).coords for n in ("e", "D8", "D7", "D6", "D5", "D4", "D3", "D2")]
+    closure = weyl_closure(fix.lattice, simple)
+    assert len(closure) == 240
+    assert closure == {r.coords for r in fix.roots.roots}
+
+
+def test_weyl_closure_of_d8_is_only_its_sublattice(fix):
+    # D1..D8 span an index-2 sublattice of the E8 complement, and their
+    # closure is the 112 roots of D8: an oracle, not an enumerator
+    closure = weyl_closure(fix.lattice, [fix.curve_class(f"D{i}").coords for i in range(1, 9)])
+    assert len(closure) == 112
+    assert closure < {r.coords for r in fix.roots.roots}
+
+
+def det_laplace(m):
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * det_laplace([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+def short_vectors_by_image(b, bound):
+    """Oracle: x^T (B^T B) x = |Bx|^2, so the short x are the integral
+    preimages B^-1 y of the nonzero y in the box |y_i| <= isqrt(bound) with
+    |y|^2 <= bound (adjugate over determinant)."""
+    n = len(b)
+    det = det_laplace(b)
+    minor = lambda i, j: [row[:j] + row[j + 1:] for r, row in enumerate(b) if r != i]
+    adj = [[(-1) ** (i + j) * det_laplace(minor(j, i)) for j in range(n)] for i in range(n)]
+    r = isqrt(bound)
+    out = set()
+    for y in product(range(-r, r + 1), repeat=n):
+        if any(y) and sum(c * c for c in y) <= bound:
+            num = [sum(map(mul, row, y)) for row in adj]
+            if all(v % det == 0 for v in num):
+                out.add(tuple(v // det for v in num))
+    return out
+
+
+@given(
+    b=st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    ),
+    bound=st.integers(1, 12),
+)
+@settings(max_examples=200, deadline=None)
+def test_short_vectors_match_box_search(b, bound):
+    # odd forms and odd bounds, which the Barlow lattice's even E8
+    # complement at bound 2 never exercises
+    assume(det_laplace(b) != 0)
+    n = len(b)
+    q = [[sum(b[r][i] * b[r][j] for r in range(n)) for j in range(n)] for i in range(n)]
+    got = _short_vectors(q, bound)
+    assert len(got) == len(set(got))
+    assert set(got) == short_vectors_by_image(b, bound)
 
 
 # --- highest-root extension ------------------------------------------------------
