@@ -54,8 +54,6 @@ def _short_vectors(q: Sequence[Sequence[int]], bound: int) -> list[tuple[int, ..
     `isqrt`.
     """
     n = len(q)
-    if n == 0:
-        return []
     d, a = linalg.ldl_positive(q)
     dens = [d[i] * d[i + 1] for i in range(n)]
     scale = lcm(*dens)
@@ -90,8 +88,6 @@ def enumerate_roots(lat: PicardLattice) -> RootSet:
     """
     gram = lat.gram
     kernel = linalg.integer_kernel([[sum(map(mul, row, lat.k.coords)) for row in gram]])
-    if not kernel:
-        return RootSet(lattice=lat, roots=())
     images = [[sum(map(mul, row, kb)) for row in gram] for kb in kernel]
     restricted = [[-sum(map(mul, ka, gb)) for gb in images] for ka in kernel]
     try:
