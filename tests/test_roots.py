@@ -190,7 +190,10 @@ def short_vectors_by_image(b, bound):
     |y|^2 <= bound (adjugate over determinant)."""
     n = len(b)
     det = det_laplace(b)
-    minor = lambda i, j: [row[:j] + row[j + 1:] for r, row in enumerate(b) if r != i]
+
+    def minor(i, j):
+        return [row[:j] + row[j + 1:] for r, row in enumerate(b) if r != i]
+
     adj = [[(-1) ** (i + j) * det_laplace(minor(j, i)) for j in range(n)] for i in range(n)]
     r = isqrt(bound)
     out = set()
