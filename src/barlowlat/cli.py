@@ -55,6 +55,8 @@ def parse_class_expr(fix: FixtureSet, expr: str) -> DivisorClass:
     Terms are joined by + or -; a coefficient may be written 5K, 5*K or 5 K.
     """
     text = expr.strip()
+    if not text:
+        raise SchemaError("empty class expression")
     if text == "0":
         return DivisorClass.zero(9)
     pos = 0
@@ -331,8 +333,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else _report_text(report)
     )
     if args.report:
-        with open(args.report, "w") as fh:
-            fh.write(payload + "\n")
+        try:
+            Path(args.report).write_text(payload + "\n")
+        except OSError as exc:
+            print(f"report error: {exc}", file=sys.stderr)
+            return 2
     print(payload)
     return 0 if report["summary"]["fail"] == 0 else 1
 

@@ -16,7 +16,6 @@ annihilators of each generator suffix.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, reduce
 from itertools import accumulate, repeat
 from operator import and_, mul, sub
@@ -29,6 +28,7 @@ from .errors import (
     ParityViolation,
 )
 from .lattice import DivisorClass, PicardLattice, make_lattice
+from .record import Record
 from .roots import RootSet
 from . import linalg
 
@@ -72,8 +72,7 @@ _CODE = {-1: 0, 0: 1, 1: 2}
 _MARK = {v: bytes(48 + (b == c) for b in range(256)) for v, c in _CODE.items()}
 
 
-@dataclass(frozen=True)
-class ABConfiguration:
+class ABConfiguration(Record):
     a: tuple[DivisorClass, ...]  # eight chain roots
     b: tuple[DivisorClass, ...]  # two marked roots
     k: DivisorClass
@@ -237,8 +236,7 @@ def search_configs(
 
 # ----------------------------------------------------------------- decomposition
 
-@dataclass(frozen=True)
-class DecompositionProblem:
+class DecompositionProblem(Record):
     """Bounded nonnegative integer representations of a target class."""
 
     target: DivisorClass

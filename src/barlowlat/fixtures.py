@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from operator import mul
@@ -45,6 +44,7 @@ from .errors import (
 from .heights import ExtBoundMatrix
 from .homledger import LedgerMatrix, StarChoice, validate_ledger
 from .lattice import DivisorClass, PicardLattice, make_lattice
+from .record import Record
 
 CURVE_NAMES = (
     "E1", "E2", "E3p", "E3m", "E4p", "E4m", "E5p", "E5m",
@@ -85,8 +85,7 @@ B_NAMES = frozenset(b_name(*key) for key in b_keys())
 
 # --------------------------------------------------------------------------- tables
 
-@dataclass(frozen=True)
-class CurveTable:
+class CurveTable(Record):
     names: tuple[str, ...]
     matrix: tuple[tuple[int, ...], ...]
 
@@ -125,8 +124,7 @@ class CurveTable:
         return {"rank": rk, "symmetric": True}
 
 
-@dataclass(frozen=True)
-class BTable:
+class BTable(Record):
     """Parametrized pairing rules for the 32 genus-3 classes."""
 
     k_value: int
@@ -236,8 +234,7 @@ def _curve_vector(combo: Mapping[str, int]) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Canonical:
+class Canonical(Record):
     """The canonical stage: lattice, glue tips and the classes named by it."""
 
     lattice: PicardLattice
@@ -245,8 +242,7 @@ class Canonical:
     classes: Mapping[str, DivisorClass]   # the 14 curves, D1..D8 and e
 
 
-@dataclass(frozen=True)
-class FixtureSet:
+class FixtureSet(Record):
     """The parsed tables; the model stages are cached properties over them."""
 
     raw: dict
@@ -700,7 +696,9 @@ def load_fixtures(
         if not path.exists():
             raise SchemaError(f"fixture file {path} does not exist")
         try:
-            raw = json.loads(path.read_text())
+            raw = json.loads(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise SchemaError(f"fixture file {path} cannot be read: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise SchemaError(f"fixture file {path} is not valid JSON: {exc}") from exc
     fix = FixtureSet.from_dict(raw)

@@ -9,19 +9,18 @@ bound on the shipped data.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import SchemaError, UndefinedEntry
 from .homledger import INF
 from .lattice import DivisorClass
+from .record import Record
 
 #: marker for cells of the bound table that carry no data
 ABSENT = None
 
 
-@dataclass(frozen=True)
-class ExtBoundMatrix:
+class ExtBoundMatrix(Record):
     """Partial 2n x 2n table of lower bounds for e(source j -> target i).
 
     rows[i-1][j-1] is an integer bound, INF (all forward Ext vanish), or
@@ -74,8 +73,7 @@ class ExtBoundMatrix:
         return self.rows[target - 1][source - 1] is not ABSENT
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(Record):
     """Strictly increasing indices a0 < ... < ak with ak <= a0 + n <= 2n."""
 
     indices: tuple[int, ...]

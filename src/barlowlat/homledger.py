@@ -8,11 +8,11 @@ dynamic programming over the strictly-increasing-index DAG.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ChiInconsistency, SchemaError, StarPositionError
+from .record import Record
 
 INF = float("inf")
 
@@ -21,8 +21,7 @@ INF = float("inf")
 MAX_EXT_DEGREE = 2
 
 
-@dataclass(frozen=True)
-class CohomDatum:
+class CohomDatum(Record):
     h0: int
     h1: int
     h2: int
@@ -63,8 +62,7 @@ class StarChoice(Enum):
         return CohomDatum(*self.value)
 
 
-@dataclass(frozen=True)
-class LedgerMatrix:
+class LedgerMatrix(Record):
     """n x n lower-triangular table of forward Ext data.
 
     entries[(i, j)] with 1 <= j <= i <= n is the datum of maps from object j
@@ -190,8 +188,7 @@ def min_chain_degree(
     return min(best[1:], default=INF)
 
 
-@dataclass(frozen=True)
-class FormalityVerdict:
+class FormalityVerdict(Record):
     d: int
     min_degree: int | float
     landing_degree: int | float  # min_degree - (d - 2)

@@ -6,7 +6,6 @@ reconstruction of classes from their pairings against a spanning probe set.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import repeat
 from operator import mul
 from typing import Iterable, Sequence
@@ -20,19 +19,27 @@ from .errors import (
     ProbesDoNotSpan,
 )
 from . import linalg
+from .record import Record
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(Record):
     """An integer vector in the coordinates of a fixed lattice basis."""
 
     coords: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        coords = self.coords
+    # hand-written for the hot paths of search and decompose; same semantics
+    def __init__(self, coords: Sequence[int]) -> None:
         if not all(map(isinstance, coords, repeat(int))):
             raise TypeError("coordinates must be integers")
-        object.__setattr__(self, "coords", tuple(map(int, coords)))
+        self.__dict__["coords"] = tuple(map(int, coords))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
 
     @staticmethod
     def zero(rank: int) -> "DivisorClass":
@@ -60,8 +67,7 @@ class DivisorClass:
         return DivisorClass(tuple(scalar * a for a in self.coords))
 
 
-@dataclass(frozen=True)
-class PicardLattice:
+class PicardLattice(Record):
     """Rank, symmetric integer Gram matrix and a distinguished canonical class."""
 
     rank: int

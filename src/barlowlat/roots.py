@@ -8,7 +8,6 @@ is integer arithmetic.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from math import isqrt, lcm
@@ -23,11 +22,11 @@ from .errors import (
     PartitionFailure,
 )
 from .lattice import DivisorClass, PicardLattice
+from .record import Record
 from . import linalg
 
 
-@dataclass(frozen=True)
-class RootSet:
+class RootSet(Record):
     """All roots of a lattice, in lexicographic coordinate order."""
 
     lattice: PicardLattice
@@ -210,8 +209,7 @@ class VanishingTag(Enum):
     NEITHER = "neither"
 
 
-@dataclass(frozen=True)
-class RootPartition:
+class RootPartition(Record):
     """The three families partitioning the root set."""
 
     elliptic_differences: tuple[DivisorClass, ...]

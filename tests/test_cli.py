@@ -95,6 +95,29 @@ def test_verify_missing_fixture_exits_2(capsys):
     assert "fixture" in err
 
 
+def test_verify_directory_as_fixture_exits_2(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "verify", "--fixtures", str(tmp_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("fixture error:") and "cannot be read" in err
+
+
+def test_verify_undecodable_fixture_exits_2(tmp_path, capsys):
+    path = tmp_path / "bom.json"
+    path.write_bytes(b"\xff\xfe{")
+    code, out, err = run_cli(capsys, "verify", "--fixtures", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("fixture error:") and "cannot be read" in err
+
+
+def test_verify_unwritable_report_exits_2(tmp_path):
+    target = tmp_path / "no_such_dir" / "x.json"
+    proc = _run_subprocess("verify", "--report", str(target))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1 and str(target) in proc.stderr
+
+
 def test_verify_text_format(capsys):
     code, out, _ = run_cli(capsys, "verify", "--format", "text", "--stars", "zero")
     assert code == 0
@@ -292,7 +315,7 @@ def test_parse_class_expr():
     assert parse_class_expr(fix, "0") == DivisorClass.zero(9)
     for text in ("5K", "5*K", "5 K"):
         assert parse_class_expr(fix, text) == 5 * k
-    for text in ("K + + E1 @", "K K", "2K E1"):
+    for text in ("K + + E1 @", "K K", "2K E1", "", "  \t "):
         with pytest.raises(SchemaError):
             parse_class_expr(fix, text)
 
