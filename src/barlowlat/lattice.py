@@ -31,7 +31,7 @@ class DivisorClass(Record):
     def __init__(self, coords: Sequence[int]) -> None:
         if not all(map(isinstance, coords, repeat(int))):
             raise TypeError("coordinates must be integers")
-        self.__dict__["coords"] = tuple(map(int, coords))
+        object.__setattr__(self, "coords", tuple(map(int, coords)))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:

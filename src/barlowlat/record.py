@@ -4,7 +4,6 @@ class annotations, in order; equality, hash and repr follow the field tuple."""
 
 class Record:
     def __init_subclass__(cls) -> None:
-        super().__init_subclass__()
         cls._fields = tuple(cls.__annotations__)
 
     def __init__(self, *args: object, **kwargs: object) -> None:
@@ -12,7 +11,8 @@ class Record:
         values = dict(zip(names, args), **kwargs)
         if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
             raise TypeError(f"{type(self).__name__} takes the fields {names}")
-        self.__dict__.update(values)
+        for name in names:   # not via __dict__, which would slow every read
+            object.__setattr__(self, name, values[name])
         self.__post_init__()
 
     def __post_init__(self) -> None:
