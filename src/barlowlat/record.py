@@ -11,7 +11,7 @@ class Record:
         values = dict(zip(names, args), **kwargs)
         if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
             raise TypeError(f"{type(self).__name__} takes the fields {names}")
-        for name in names:   # not via __dict__, which would slow every read
+        for name in names:   # not via __dict__: a materialised dict slows every read
             object.__setattr__(self, name, values[name])
         self.__post_init__()
 

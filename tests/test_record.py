@@ -45,7 +45,7 @@ def test_equality_and_hash_are_by_value():
     assert DivisorClass((1, -1)) == DivisorClass([1, -1])
     assert DivisorClass((1, -1)) != DivisorClass((1, 1))
     assert DivisorClass((1, -1)) != (1, -1)
-    # the hash of the field tuple, so sets of records keep their order
+    # the hash is that of the field tuple, which fixes the order of sets of records
     assert hash(DivisorClass((1, -1))) == hash(((1, -1),))
     assert hash(a) == hash((0, 1, 1))
     assert Arc((1, 3), 11) == Arc((1, 3), 11) != Arc((1, 3), 12)
