@@ -17,7 +17,7 @@ annihilators of each generator suffix.
 from __future__ import annotations
 
 from functools import cache, reduce
-from itertools import accumulate, repeat
+from itertools import accumulate
 from operator import and_, mul, sub
 from typing import Sequence
 
@@ -65,11 +65,6 @@ CONFIG_GRAM = tuple(
 #: the pairs violations() compares, in report order: A-A, B1.A*, B2.A*, B1.B2
 _CHECKED_PAIRS = [(s, t) for s in range(8) for t in range(s + 1, 8)]
 _CHECKED_PAIRS += [(b, s) for b in (8, 9) for s in range(8)] + [(8, 9)]
-
-#: byte codes of the pairing values the search uses (any other value is 3),
-#: and per value the table that turns a row of codes into a binary numeral
-_CODE = {-1: 0, 0: 1, 1: 2}
-_MARK = {v: bytes(48 + (b == c) for b in range(256)) for v, c in _CODE.items()}
 
 
 class ABConfiguration(Record):
@@ -155,6 +150,39 @@ def check_formal_pattern(
     return ok
 
 
+def _neighbour_masks(
+    lat: PicardLattice, roots: Sequence[DivisorClass]
+) -> tuple[list[tuple[int, ...]], int, dict[int, list[int]]]:
+    """The images G.r of the roots, a lane width w and the neighbour masks.
+
+    Lane y of an integer is its bits w*y .. w*y + w - 1.  masks[v][x] has the
+    top bit of lane y set exactly when x.y = v and y != x, for v in -1, 0, 1.
+    Column i of the images is packed into one integer, a lane per root, so
+    one 9-term sum gives row x's pairings at once, each raised by 2**(w - 1).
+    bound is at least every |x.y| and fits in w - 2 bits, so each raised
+    pairing and each 2**(w - 1) + v fits in a lane: no lane carries into the
+    next.  The images are returned for the search's certificate.
+    """
+    gr = [tuple(sum(map(mul, row, r.coords)) for row in lat.gram) for r in roots]
+    top = [max(map(abs, col)) for col in zip(*gr)]
+    bound = max((sum(map(mul, map(abs, r.coords), top)) for r in roots), default=0)
+    w = bound.bit_length() + 2
+    ones = sum(1 << (w * y) for y in range(len(roots)))
+    high = ones << (w - 1)
+    low = high - ones
+    packed = [sum(g << (w * y) for y, g in enumerate(col)) for col in zip(*gr)]
+    masks: dict[int, list[int]] = {-1: [], 0: [], 1: []}
+    for x, r in enumerate(roots):
+        row = sum(map(mul, r.coords, packed), high)
+        others = ~(1 << (w * x + w - 1))
+        for v, out in masks.items():
+            # t's zero lanes are those where x.y = v; ((t & low) + low) | t
+            # has a lane's top bit set exactly when that lane is nonzero
+            t = row ^ (high + v * ones)
+            out.append(high & ~(((t & low) + low) | t) & others)
+    return gr, w, masks
+
+
 def search_configs(
     rs: RootSet, k: DivisorClass, limit: int
 ) -> list[ABConfiguration]:
@@ -162,7 +190,7 @@ def search_configs(
 
     place(m) puts member m of CONFIG_MEMBERS at every root, in the root set's
     order, whose pairing with each placed member s is CONFIG_GRAM[s][m]; the
-    candidates are an intersection of neighbour bitmasks keyed by pairing value.
+    candidates are an intersection of neighbour masks keyed by pairing value.
     Results are deterministic and deduplicated only as identical tuples.
     A configuration is certified when k is lat.k, its Gram, recomputed from
     the coordinates, is CONFIG_GRAM and its members are orthogonal to k:
@@ -174,22 +202,10 @@ def search_configs(
         raise ValueError("limit must be positive")
     lat = rs.lattice
     roots = rs.roots
-    n = len(roots)
-
-    # gram @ root once per root; each pairing is then a 9-dot
-    gr = [tuple(sum(map(mul, row, r.coords)) for row in lat.gram) for r in roots]
-    # codes[x * n + y]: the _CODE of x.y, from one 9-dot per pair x < y
-    codes = bytearray([3]) * (n * n)
-    for x in range(n):
-        dots = [sum(map(mul, roots[x].coords, g)) for g in gr[x + 1:]]
-        upper = bytes(map(_CODE.get, dots, repeat(3)))
-        codes[x * n + x + 1:(x + 1) * n] = codes[(x + 1) * n + x::n] = upper
-    # neighbours[v][x]: bit y is set when x.y = v.  Integers, unlike sets,
-    # leave the garbage collector nothing to traverse while the search runs
-    neighbours = {
-        v: [int(codes[x * n:(x + 1) * n][::-1].translate(t), 2) for x in range(n)]
-        for v, t in _MARK.items()
-    }
+    # integers, unlike sets, leave the garbage collector nothing to traverse
+    # while the search runs
+    gr, w, neighbours = _neighbour_masks(lat, roots)
+    everyone = sum(1 << (w * y + w - 1) for y in range(len(roots)))
 
     @cache
     def pattern_proved() -> bool:
@@ -217,12 +233,13 @@ def search_configs(
                 sequence_from_config(lat, cfg)
             results.append(cfg)
             return len(results) >= limit
-        # the candidates are the set bits, lowest (first in root order) first
+        # the candidates are the lanes with their top bit set, lowest (first
+        # in root order) first
         free = reduce(and_, (
             neighbours[CONFIG_GRAM[s][m]][x] for s, x in enumerate(placed)
-        ), (1 << n) - 1)
+        ), everyone)
         while free:
-            idx = (free & -free).bit_length() - 1
+            idx = (free & -free).bit_length() // w - 1
             free &= free - 1
             placed.append(idx)
             if place(m + 1):

@@ -57,9 +57,9 @@ class StarChoice(Enum):
     ZERO = (0, 0, 0)
     NONZERO = (0, 1, 1)
 
-    @property
-    def datum(self) -> CohomDatum:
-        return CohomDatum(*self.value)
+    def __init__(self, *triple: int) -> None:
+        # one datum per member, shared by every ledger read that takes it
+        self.datum = CohomDatum(*triple)
 
 
 class LedgerMatrix(Record):

@@ -5,7 +5,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from barlowlat import exceptional, linalg
@@ -22,7 +22,7 @@ from barlowlat.exceptional import (
     sequence_from_config,
     suffix_annihilators,
 )
-from barlowlat.lattice import DivisorClass, make_lattice
+from barlowlat.lattice import DivisorClass, PicardLattice, make_lattice
 from barlowlat.roots import RootSet, enumerate_roots
 
 
@@ -235,6 +235,79 @@ def test_search_skips_pairing_values_outside_the_pattern(fix, lat):
     doubled = tuple(2 * r for r in fix.roots.roots)
     rs = RootSet(lattice=lat, roots=fix.roots.roots + doubled)
     assert config_digest(search_configs(rs, lat.k, 10)) == SEARCH_DIGESTS["10"]
+
+
+def test_search_ignores_roots_scaled_by_a_hundred(fix, lat):
+    # a hundredfold root pairs with itself to -20,000 and with every root
+    # here to a multiple of 100, so its lanes need more than 16 bits and it
+    # takes no place in a configuration
+    scaled = tuple(100 * r for r in fix.roots.roots)
+    rs = RootSet(lattice=lat, roots=fix.roots.roots + scaled)
+    assert exceptional._neighbour_masks(lat, rs.roots)[1] > 16
+    assert config_digest(search_configs(rs, lat.k, 10)) == SEARCH_DIGESTS["10"]
+
+
+def unchecked_lattice(gram):
+    """A PicardLattice built without make_lattice, so gram may be asymmetric."""
+    rank = len(gram)
+    return PicardLattice(rank=rank, gram=gram, k=DivisorClass.zero(rank))
+
+
+@st.composite
+def lattices_and_vectors(draw):
+    rank = draw(st.integers(0, 4))
+    size = draw(st.sampled_from([1, 2, 20, 300]))
+    entry = st.integers(-size, size)
+    gram = tuple(tuple(draw(entry) for _ in range(rank)) for _ in range(rank))
+    vectors = draw(st.lists(st.tuples(*[entry] * rank), max_size=10))
+    if vectors:
+        vectors += draw(st.lists(st.sampled_from(vectors), max_size=3))
+    order = draw(st.permutations(range(len(vectors))))
+    return unchecked_lattice(gram), [DivisorClass(vectors[i]) for i in order]
+
+
+def classes(*coords):
+    return [DivisorClass(c) for c in coords]
+
+
+#: an asymmetric Gram: x.y = x0 * y1 - 3 * x1 * y0
+ASYMMETRIC = unchecked_lattice(((0, 1), (-3, 0)))
+#: a diagonal Gram with self-pairings 1, -1 and 0 among the vectors below
+HYPERBOLIC = unchecked_lattice(((1, 0), (0, -1)))
+
+
+@given(case=lattices_and_vectors())
+@example(case=(HYPERBOLIC, []))
+@example(case=(HYPERBOLIC, classes((0, 0), (0, 0), (0, 0))))
+@example(case=(HYPERBOLIC, classes((1, 0), (0, 1), (1, 1), (1, 0))))
+@example(case=(ASYMMETRIC, classes((1, 0), (0, 1), (1, 1), (-1, 2))))
+@example(case=(ASYMMETRIC, classes((9, 1), (0, 9), (-9, 9))))
+@example(case=(ASYMMETRIC, classes((1, 0), (0, 1), (300, -300))))
+@settings(max_examples=200, deadline=None)
+def test_neighbour_masks_match_the_pairing(case):
+    lat, vectors = case
+    _, w, masks = exceptional._neighbour_masks(lat, vectors)
+    tops = sum(1 << (w * y + w - 1) for y in range(len(vectors)))
+    for v in (-1, 0, 1):
+        assert len(masks[v]) == len(vectors)
+        for x, mask in enumerate(masks[v]):
+            assert mask & ~tops == 0
+            assert not mask >> (w * x + w - 1) & 1
+            assert mask == sum(
+                1 << (w * y + w - 1)
+                for y, b in enumerate(vectors)
+                if y != x and lat.pair(vectors[x], b) == v
+            )
+
+
+def test_neighbour_mask_examples_reach_wide_lanes():
+    # the examples above cover bound 0 and lanes of more than 8 and 16 bits
+    def width(lat, *coords):
+        return exceptional._neighbour_masks(lat, classes(*coords))[1]
+
+    assert width(HYPERBOLIC, (0, 0), (0, 0), (0, 0)) == 2
+    assert width(ASYMMETRIC, (9, 1), (0, 9), (-9, 9)) > 8
+    assert width(ASYMMETRIC, (1, 0), (0, 1), (300, -300)) > 16
 
 
 def test_search_configs_pass_the_full_check(fix, lat):

@@ -52,6 +52,14 @@ def test_datum_basics():
         CohomDatum(-1, 0, 0)
 
 
+def test_star_choice_data_are_shared_constants():
+    assert StarChoice.ZERO.datum is StarChoice.ZERO.datum
+    assert StarChoice.NONZERO.datum is StarChoice.NONZERO.datum
+    assert StarChoice.ZERO.datum == CohomDatum(0, 0, 0)
+    assert StarChoice.NONZERO.datum == CohomDatum(0, 1, 1)
+    assert [c.value for c in StarChoice] == [(0, 0, 0), (0, 1, 1)]
+
+
 def test_ledger_shape_validation(fix):
     led = fix.ledger
     assert led.n == 11
