@@ -17,9 +17,9 @@ annihilators of each generator suffix.
 from __future__ import annotations
 
 from functools import cache, reduce
-from itertools import accumulate
-from operator import and_, mul, sub
-from typing import Sequence
+from itertools import accumulate, product, starmap
+from operator import and_, getitem, lshift, mul, sub
+from typing import Callable, Sequence
 
 from .errors import (
     ConfigurationInvalid,
@@ -61,6 +61,7 @@ CONFIG_GRAM = tuple(
     tuple(-2 if s == t else _MEETS.get((min(s, t), max(s, t)), 0) for t in range(10))
     for s in range(10)
 )
+_GRAM_ENTRIES = sum(CONFIG_GRAM, ())
 
 #: the pairs violations() compares, in report order: A-A, B1.A*, B2.A*, B1.B2
 _CHECKED_PAIRS = [(s, t) for s in range(8) for t in range(s + 1, 8)]
@@ -150,76 +151,76 @@ def check_formal_pattern(
     return ok
 
 
-def _neighbour_masks(
-    lat: PicardLattice, roots: Sequence[DivisorClass]
-) -> tuple[list[tuple[int, ...]], int, dict[int, list[int]]]:
-    """The images G.r of the roots, a lane width w and the neighbour masks.
+@cache
+def _pattern_proved(k_square: int) -> bool:
+    """check_formal_pattern over CONFIG_GRAM, a function of k.k alone."""
+    return check_formal_pattern(CONFIG_GRAM, k_square=k_square)
 
-    Lane y of an integer is its bits w*y .. w*y + w - 1.  masks[v][x] has the
-    top bit of lane y set exactly when x.y = v and y != x, for v in -1, 0, 1.
-    Column i of the images is packed into one integer, a lane per root, so
-    one 9-term sum gives row x's pairings at once, each raised by 2**(w - 1).
-    bound is at least every |x.y| and fits in w - 2 bits, so each raised
-    pairing and each 2**(w - 1) + v fits in a lane: no lane carries into the
-    next.  The images are returned for the search's certificate.
+
+def _neighbour_rows(
+    lat: PicardLattice, roots: Sequence[DivisorClass]
+) -> tuple[int, Callable[[int], dict[int, int]]]:
+    """A lane width w and the neighbour masks of each root, built on first read.
+
+    Lane y of an integer is its bits w*y .. w*y + w - 1.  rows(x)[v] has the
+    top bit of lane y set exactly when x.y = v and y != x, for v in -1, 0, 1;
+    integers, unlike sets, leave the garbage collector nothing to traverse.
+    Coordinate column j of the roots is packed into one integer R_j, a lane
+    per root, so lane y of the 9-term sum of (x^T G)_j * R_j is x.y.  bound is
+    at least every |x.y| and fits in w - 2 bits, so each pairing raised by
+    2**(w - 1), and each 2**(w - 1) + v, fits in a lane: none carries.
     """
-    gr = [tuple(sum(map(mul, row, r.coords)) for row in lat.gram) for r in roots]
-    top = [max(map(abs, col)) for col in zip(*gr)]
-    bound = max((sum(map(mul, map(abs, r.coords), top)) for r in roots), default=0)
+    cols = list(zip(*(r.coords for r in roots)))
+    top = [max(map(abs, col)) for col in cols]
+    bound = sum(s * abs(g) * t for s, row in zip(top, lat.gram) for g, t in zip(row, top))
     w = bound.bit_length() + 2
-    ones = sum(1 << (w * y) for y in range(len(roots)))
+    shifts = range(0, w * len(roots), w)
+    ones = sum(1 << s for s in shifts)
     high = ones << (w - 1)
     low = high - ones
-    packed = [sum(g << (w * y) for y, g in enumerate(col)) for col in zip(*gr)]
-    masks: dict[int, list[int]] = {-1: [], 0: [], 1: []}
-    for x, r in enumerate(roots):
-        row = sum(map(mul, r.coords, packed), high)
+    packed = [sum(map(lshift, col, shifts)) for col in cols]
+
+    @cache
+    def row(x: int) -> dict[int, int]:
+        xg = [sum(map(mul, roots[x].coords, col)) for col in zip(*lat.gram)]
+        lanes = sum(map(mul, xg, packed), high)
         others = ~(1 << (w * x + w - 1))
-        for v, out in masks.items():
-            # t's zero lanes are those where x.y = v; ((t & low) + low) | t
-            # has a lane's top bit set exactly when that lane is nonzero
-            t = row ^ (high + v * ones)
-            out.append(high & ~(((t & low) + low) | t) & others)
-    return gr, w, masks
+        # t's zero lanes are those where x.y = v; ((t & low) + low) | t has a
+        # lane's top bit set exactly when that lane is nonzero
+        return {v: high & ~(((t & low) + low) | t) & others
+                for v in (-1, 0, 1) for t in [lanes ^ (high + v * ones)]}
+
+    return w, row
 
 
-def search_configs(
-    rs: RootSet, k: DivisorClass, limit: int
-) -> list[ABConfiguration]:
+def search_configs(rs: RootSet, k: DivisorClass, limit: int) -> list[ABConfiguration]:
     """Depth-first backtracking for configurations inside a root set.
 
     place(m) puts member m of CONFIG_MEMBERS at every root, in the root set's
     order, whose pairing with each placed member s is CONFIG_GRAM[s][m]; the
     candidates are an intersection of neighbour masks keyed by pairing value.
-    Results are deterministic and deduplicated only as identical tuples.
-    A configuration is certified when k is lat.k, its Gram, recomputed from
-    the coordinates, is CONFIG_GRAM and its members are orthogonal to k:
-    check_formal_pattern, run at most once per call, proves the pattern
-    exceptional over those pairings.  Otherwise sequence_from_config checks
-    it in full and raises its exact error.  Stops after `limit` results.
+    Results are deterministic and deduplicated only as identical tuples.  A
+    configuration is certified when k is lat.k, its Gram (9-dots with images
+    G.y, each at most once per call) is CONFIG_GRAM and its members are
+    orthogonal to k: check_formal_pattern, run once per process for each k.k,
+    proves the pattern exceptional over those pairings.  Otherwise the full
+    check, sequence_from_config, decides.  Stops after `limit` results.
     """
     if limit < 1:
         raise ValueError("limit must be positive")
     lat = rs.lattice
     roots = rs.roots
-    # integers, unlike sets, leave the garbage collector nothing to traverse
-    # while the search runs
-    gr, w, neighbours = _neighbour_masks(lat, roots)
+    w, rows = _neighbour_rows(lat, roots)
     everyone = sum(1 << (w * y + w - 1) for y in range(len(roots)))
 
-    @cache
-    def pattern_proved() -> bool:
-        return check_formal_pattern(CONFIG_GRAM, k_square=lat.pair(k, k))
+    proved = k == lat.k and _pattern_proved(lat.pair(k, k))
+    image = cache(lambda y: tuple(sum(map(mul, row, roots[y].coords)) for row in lat.gram))
+    pairing = cache(lambda x, y: sum(map(mul, roots[x].coords, image(y))))
+    k_pairing = cache(lambda x: sum(map(mul, image(x), k.coords)))
 
     def certified(idx: list[int]) -> bool:
-        return (
-            k == lat.k
-            and tuple(
-                tuple(sum(map(mul, roots[x].coords, gr[y])) for y in idx) for x in idx
-            ) == CONFIG_GRAM
-            and not any(sum(map(mul, gr[x], k.coords)) for x in idx)
-            and pattern_proved()
-        )
+        gram = tuple(starmap(pairing, product(idx, repeat=2)))
+        return proved and gram == _GRAM_ENTRIES and not any(map(k_pairing, idx))
 
     results: list[ABConfiguration] = []
     placed: list[int] = []
@@ -234,10 +235,9 @@ def search_configs(
             results.append(cfg)
             return len(results) >= limit
         # the candidates are the lanes with their top bit set, lowest (first
-        # in root order) first
-        free = reduce(and_, (
-            neighbours[CONFIG_GRAM[s][m]][x] for s, x in enumerate(placed)
-        ), everyone)
+        # in root order) first; CONFIG_GRAM[m][s] is CONFIG_GRAM[s][m]
+        masks = map(getitem, map(rows, placed), CONFIG_GRAM[m])
+        free = reduce(and_, masks, everyone)
         while free:
             idx = (free & -free).bit_length() // w - 1
             free &= free - 1

@@ -243,7 +243,7 @@ def test_search_ignores_roots_scaled_by_a_hundred(fix, lat):
     # takes no place in a configuration
     scaled = tuple(100 * r for r in fix.roots.roots)
     rs = RootSet(lattice=lat, roots=fix.roots.roots + scaled)
-    assert exceptional._neighbour_masks(lat, rs.roots)[1] > 16
+    assert exceptional._neighbour_rows(lat, rs.roots)[0] > 16
     assert config_digest(search_configs(rs, lat.k, 10)) == SEARCH_DIGESTS["10"]
 
 
@@ -286,11 +286,12 @@ HYPERBOLIC = unchecked_lattice(((1, 0), (0, -1)))
 @settings(max_examples=200, deadline=None)
 def test_neighbour_masks_match_the_pairing(case):
     lat, vectors = case
-    _, w, masks = exceptional._neighbour_masks(lat, vectors)
+    w, rows = exceptional._neighbour_rows(lat, vectors)
     tops = sum(1 << (w * y + w - 1) for y in range(len(vectors)))
-    for v in (-1, 0, 1):
-        assert len(masks[v]) == len(vectors)
-        for x, mask in enumerate(masks[v]):
+    # rows are built on first read, here last root first
+    for x in reversed(range(len(vectors))):
+        assert sorted(rows(x)) == [-1, 0, 1]
+        for v, mask in rows(x).items():
             assert mask & ~tops == 0
             assert not mask >> (w * x + w - 1) & 1
             assert mask == sum(
@@ -303,7 +304,7 @@ def test_neighbour_masks_match_the_pairing(case):
 def test_neighbour_mask_examples_reach_wide_lanes():
     # the examples above cover bound 0 and lanes of more than 8 and 16 bits
     def width(lat, *coords):
-        return exceptional._neighbour_masks(lat, classes(*coords))[1]
+        return exceptional._neighbour_rows(lat, classes(*coords))[0]
 
     assert width(HYPERBOLIC, (0, 0), (0, 0), (0, 0)) == 2
     assert width(ASYMMETRIC, (9, 1), (0, 9), (-9, 9)) > 8
@@ -317,7 +318,47 @@ def test_search_configs_pass_the_full_check(fix, lat):
         assert ok
 
 
-def test_search_runs_one_proof_and_no_full_check(fix, lat, monkeypatch):
+@pytest.mark.parametrize("limit, built", [(1, 10), (100, 38)])
+def test_search_builds_only_the_rows_it_reads(fix, lat, monkeypatch, limit, built):
+    # on the shipped root order the DFS reads the rows of 10 roots at limit 1
+    # and of 38 at limit 100, out of 240
+    made = []
+    helper = exceptional._neighbour_rows
+
+    def recorded(lat, roots):
+        w, rows = helper(lat, roots)
+        made.append(rows)
+        return w, rows
+
+    monkeypatch.setattr(exceptional, "_neighbour_rows", recorded)
+    assert len(search_configs(fix.roots, lat.k, limit)) == limit
+    assert [rows.cache_info().currsize for rows in made] == [built]
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_search_commutes_with_lattice_automorphisms(fix, lat, seed):
+    # a product of reflections v -> v + (v.r) r in roots fixes k and permutes
+    # the roots, so moved root i pairs with moved root j as root i with root
+    # j, and the search must pick the same root indices on the moved order
+    roots = fix.roots.roots
+    moved = list(roots)
+    for r in random.Random(seed).choices(roots, k=32):
+        moved = [v + lat.pair(v, r) * r for v in moved]
+    assert set(moved) == set(roots) and moved != list(roots)
+
+    def indices(order, limit):
+        at = {r: i for i, r in enumerate(order)}
+        configs = search_configs(RootSet(lattice=lat, roots=tuple(order)), lat.k, limit)
+        return [[at[m] for m in (*c.a, *c.b)] for c in configs]
+
+    for limit in (1, 100):
+        assert indices(moved, limit) == indices(roots, limit)
+
+
+@pytest.fixture
+def counted_proofs(monkeypatch):
+    """Count check_formal_pattern calls from an empty proof cache, and empty
+    it again afterwards so no proof run under the patch stays cached."""
     calls = {"proof": 0, "full": 0}
     proof = exceptional.check_formal_pattern
 
@@ -325,13 +366,20 @@ def test_search_runs_one_proof_and_no_full_check(fix, lat, monkeypatch):
         calls["proof"] += 1
         return proof(*args, **kwargs)
 
-    def counted_full(lat, cfg):
-        calls["full"] += 1
-
+    exceptional._pattern_proved.cache_clear()
     monkeypatch.setattr(exceptional, "check_formal_pattern", counted_proof)
+    yield calls
+    exceptional._pattern_proved.cache_clear()
+
+
+def test_search_runs_one_proof_and_no_full_check(fix, lat, monkeypatch, counted_proofs):
+    def counted_full(lat, cfg):
+        counted_proofs["full"] += 1
+
     monkeypatch.setattr(exceptional, "sequence_from_config", counted_full)
-    assert len(search_configs(fix.roots, lat.k, limit=10)) == 10
-    assert calls == {"proof": 1, "full": 0}
+    for _ in range(2):
+        assert len(search_configs(fix.roots, lat.k, limit=10)) == 10
+    assert counted_proofs == {"proof": 1, "full": 0}
 
 
 def formal_rootset(a1_square=-2, a1_k=0, k_square=1):
@@ -383,6 +431,20 @@ def test_search_falls_back_to_the_full_check(fix, lat, case):
     with pytest.raises(ConfigurationInvalid) as err:
         search_configs(rs, rs.lattice.k if k is None else k, limit=3)
     assert str(err.value) == message
+
+
+def test_search_proves_the_pattern_once_per_k_square(fix, lat, counted_proofs):
+    # the shipped lattice and the formal one both have k.k = 1 and share a
+    # proof; a formal lattice with k.k = 3 runs its own, which fails
+    search_configs(fix.roots, lat.k, limit=1)
+    rs = formal_rootset()
+    assert len(search_configs(rs, rs.lattice.k, limit=1)) == 1
+    assert counted_proofs["proof"] == 1
+    rs = formal_rootset(k_square=3)
+    for _ in range(2):
+        with pytest.raises(ConfigurationInvalid, match=NOT_EXCEPTIONAL):
+            search_configs(rs, rs.lattice.k, limit=1)
+    assert counted_proofs["proof"] == 2
 
 
 # --- decomposition ---------------------------------------------------------------
