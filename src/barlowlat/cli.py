@@ -23,7 +23,7 @@ from .exceptional import (
     is_num_exceptional,
     search_configs,
 )
-from .fixtures import CURVE_NAMES, FixtureSet, load_fixtures
+from .fixtures import BASIS_NAMES, CURVE_NAMES, FixtureSet, load_fixtures
 from .heights import (
     ExtBoundMatrix,
     Fullness,
@@ -115,10 +115,6 @@ def verification_checks(
     patched class method is the one that runs.
     """
 
-    def simple_roots() -> dict:
-        out = fix.validate_d8()
-        return {"gram_verified": True, "degrees_zero": out["degrees_zero"]}
-
     def canonical_basis() -> dict:
         out = fix.build_canonical()
         lat = fix.lattice
@@ -172,7 +168,7 @@ def verification_checks(
         return counts
 
     def num_exceptional() -> dict:
-        ok, _ = is_num_exceptional(fix.lattice, fix.sequence_classes())
+        ok, _ = is_num_exceptional(fix.lattice, fix.sequence)
         if not ok:
             raise ToolkitError("shipped sequence is not numerically exceptional")
         return {"length": 11}
@@ -215,9 +211,9 @@ def verification_checks(
 
     checks: list[tuple[str, str, Callable[[], dict], bool]] = [
         ("fixture-tables", "curve table is symmetric with rational rank 9",
-         fix.validate_curve_table, False),
+         fix.curve_table.validate, False),
         ("simple-roots-gram", "eight simple roots realize the fork Gram, degree 0",
-         simple_roots, False),
+         fix.validate_d8, False),
         ("canonical-basis",
          "glue half-sum extends to a unimodular basis of signature (1,8)",
          canonical_basis, False),
@@ -363,11 +359,10 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
 def cmd_classes(args: argparse.Namespace) -> int:
     fix = _load(args)
-    basis = ["K", "e", "D8", "D7", "D6", "D5", "D4", "D3", "D2"]
     names = list(CURVE_NAMES) + [f"D{i}" for i in range(1, 9)] + ["e"]
     names += sorted(fix.b_classes()) + [f"L{i}" for i in range(1, 12)]
     out = {
-        "basis": basis,
+        "basis": list(BASIS_NAMES),
         "entries": {n: list(fix.curve_class(n).coords) for n in names},
     }
     print(json.dumps(out, indent=2, sort_keys=True))
@@ -396,7 +391,8 @@ def cmd_height(args: argparse.Namespace) -> int:
             raw = json.loads(Path(args.matrix).read_text())
             bounds = ExtBoundMatrix.from_rows(raw["n"], raw["rows"])
             h = height(bounds)
-        except (OSError, KeyError, TypeError, ValueError, SchemaError, UndefinedEntry) as exc:
+        except (OSError, KeyError, TypeError, ValueError, RecursionError, SchemaError,
+                UndefinedEntry) as exc:
             print(f"cannot read bound matrix: {exc}", file=sys.stderr)
             return 2
     else:
@@ -424,14 +420,11 @@ def cmd_formality(args: argparse.Namespace) -> int:
             }
             for d, v in report.items()
         }
-    if args.stars == "both":
-        zero_v = {d: v["forced_zero"] for d, v in out["zero"].items()}
-        nonzero_v = {d: v["forced_zero"] for d, v in out["nonzero"].items()}
-        if zero_v != nonzero_v:
-            print(json.dumps(out, indent=2, sort_keys=True))
-            print("verdicts differ between star choices", file=sys.stderr)
-            return 1
     print(json.dumps(out, indent=2, sort_keys=True))
+    verdicts = [{d: v["forced_zero"] for d, v in r.items()} for r in out.values()]
+    if any(v != verdicts[0] for v in verdicts):
+        print("verdicts differ between star choices", file=sys.stderr)
+        return 1
     return 0
 
 

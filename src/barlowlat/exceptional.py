@@ -123,25 +123,18 @@ def sequence_from_config(
     return tuple(seq)
 
 
-def check_formal_pattern(
-    gram10: Sequence[Sequence[int]],
-    k_pairings: Sequence[int] | None = None,
-    k_square: int = 1,
-) -> bool:
+def check_formal_pattern(gram10: Sequence[Sequence[int]], k_square: int = 1) -> bool:
     """Exceptionality of the pattern from bilinear data alone, no embedding.
 
-    gram10 is a 10x10 pairing table of (A1..A8, B1, B2), such as CONFIG_GRAM;
-    k_pairings lists k.A_i and k.B_j (zero by default); k_square is k.k.  The
-    pattern is built in the formal lattice on the generators (A1..A8, B1, B2, k),
-    whose Gram is gram10 bordered by k_pairings and k_square.  An asymmetric
-    gram10, or one giving a class of odd d.d - d.k, is not exceptional.
+    gram10 is a 10x10 pairing table of (A1..A8, B1, B2), such as CONFIG_GRAM,
+    and k_square is k.k.  The pattern is built in the formal lattice on the
+    generators (A1..A8, B1, B2, k), whose Gram is gram10 bordered by zeros
+    (every member is orthogonal to k) and k_square.  An asymmetric gram10, or
+    one giving a class of odd d.d - d.k, is not exceptional.
     """
     if len(gram10) != 10 or any(len(r) != 10 for r in gram10):
         raise DimensionMismatch("gram10 must be 10x10")
-    kp = list(k_pairings) if k_pairings is not None else [0] * 10
-    if len(kp) != 10:
-        raise DimensionMismatch("k_pairings must have length 10")
-    gram = [list(row) + [kp[i]] for i, row in enumerate(gram10)] + [kp + [k_square]]
+    gram = [[*row, 0] for row in gram10] + [[0] * 10 + [k_square]]
     unit = [DivisorClass(tuple(int(i == j) for j in range(11))) for i in range(11)]
     try:
         lat = make_lattice(11, gram, unit[10])
@@ -159,10 +152,11 @@ def _pattern_proved(k_square: int) -> bool:
 
 def _neighbour_rows(
     lat: PicardLattice, roots: Sequence[DivisorClass]
-) -> tuple[int, Callable[[int], dict[int, int]]]:
-    """A lane width w and the neighbour masks of each root, built on first read.
+) -> tuple[int, int, Callable[[int], dict[int, int]]]:
+    """A lane width w, the mask of all roots and each root's neighbour masks.
 
-    Lane y of an integer is its bits w*y .. w*y + w - 1.  rows(x)[v] has the
+    Lane y of an integer is its bits w*y .. w*y + w - 1, and the mask high has
+    the top bit of every lane set.  rows(x)[v], built on first read, has the
     top bit of lane y set exactly when x.y = v and y != x, for v in -1, 0, 1;
     integers, unlike sets, leave the garbage collector nothing to traverse.
     Coordinate column j of the roots is packed into one integer R_j, a lane
@@ -190,7 +184,7 @@ def _neighbour_rows(
         return {v: high & ~(((t & low) + low) | t) & others
                 for v in (-1, 0, 1) for t in [lanes ^ (high + v * ones)]}
 
-    return w, row
+    return w, high, row
 
 
 def search_configs(rs: RootSet, k: DivisorClass, limit: int) -> list[ABConfiguration]:
@@ -210,8 +204,7 @@ def search_configs(rs: RootSet, k: DivisorClass, limit: int) -> list[ABConfigura
         raise ValueError("limit must be positive")
     lat = rs.lattice
     roots = rs.roots
-    w, rows = _neighbour_rows(lat, roots)
-    everyone = sum(1 << (w * y + w - 1) for y in range(len(roots)))
+    w, high, rows = _neighbour_rows(lat, roots)
 
     proved = k == lat.k and _pattern_proved(lat.pair(k, k))
     image = cache(lambda y: tuple(sum(map(mul, row, roots[y].coords)) for row in lat.gram))
@@ -237,7 +230,7 @@ def search_configs(rs: RootSet, k: DivisorClass, limit: int) -> list[ABConfigura
         # the candidates are the lanes with their top bit set, lowest (first
         # in root order) first; CONFIG_GRAM[m][s] is CONFIG_GRAM[s][m]
         masks = map(getitem, map(rows, placed), CONFIG_GRAM[m])
-        free = reduce(and_, masks, everyone)
+        free = reduce(and_, masks, high)
         while free:
             idx = (free & -free).bit_length() // w - 1
             free &= free - 1

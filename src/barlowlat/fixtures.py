@@ -65,6 +65,9 @@ STAR_POSITIONS = tuple((11, j) for j in (1, 2, 4, 5, 6, 8, 9, 10))
 
 SEQUENCE_NAMES = tuple(f"L{i}" for i in range(1, 12))
 
+#: the canonical coordinate basis, in coordinate order
+BASIS_NAMES = ("K", "e", "D8", "D7", "D6", "D5", "D4", "D3", "D2")
+
 
 def b_name(q: int, i: int, j: int, k: int) -> str:
     return ("Bp" if q == 1 else "Bm") + f"{i}{j}{k}"
@@ -94,14 +97,8 @@ class CurveTable(Record):
 
     def validate(self) -> dict[str, object]:
         """Symmetry, rank 9 and the diagonal; names and shape are parsed."""
-        n = len(self.names)
-        if not linalg.is_symmetric(self.matrix):
-            bad = next(
-                (i, j)
-                for i in range(n)
-                for j in range(n)
-                if self.matrix[i][j] != self.matrix[j][i]
-            )
+        bad = linalg.asymmetric_cell(self.matrix)
+        if bad:
             raise SymmetryError(
                 f"curve matrix asymmetric at ({self.names[bad[0]]}, {self.names[bad[1]]})"
             )
@@ -352,7 +349,7 @@ class FixtureSet(Record):
         integral; determinant and signature of the resulting Gram are
         verified, and every curve round-trips through its pairings.
         """
-        self.validate_curve_table()
+        self.curve_table.validate()
         self.validate_d8()
         m = self.curve_table.matrix
         ds = [_curve_vector(self.d8_defs[f"D{i}"]) for i in range(1, 9)]
@@ -361,8 +358,8 @@ class FixtureSet(Record):
         # Every basis vector is doubled, so the half-sum e has integer
         # coefficients; a pairing of doubled vectors is four times the real one.
         unimodular = []
-        for tips in ((3, 4), (4, 3)):
-            weights = (1, 2, 3, 4, 5, 6) + tips
+        for tips in rootsmod.TIP_WEIGHTS:
+            weights = rootsmod.HALF_SUM_WEIGHTS + tips
             e2 = [_dot(weights, col) for col in zip(*ds)]
             basis2 = [k2, e2] + [[2 * x for x in ds[i]] for i in (7, 6, 5, 4, 3, 2, 1)]
             mb2 = [_apply(m, b) for b in basis2]
@@ -506,9 +503,6 @@ class FixtureSet(Record):
 
     # ------------------------------------------------------------------ checks
 
-    def validate_curve_table(self) -> dict[str, object]:
-        return self.curve_table.validate()
-
     def validate_d8(self) -> dict[str, object]:
         """The eight combinations have the expected fork Gram and degree 0."""
         m = self.curve_table.matrix
@@ -530,7 +524,7 @@ class FixtureSet(Record):
         for i, d in enumerate(ds):
             if _dot(d, mk) != 0:
                 raise TableInconsistency(f"D{i + 1} is not orthogonal to K")
-        return {"gram": gram_int, "degrees_zero": True}
+        return {"gram_verified": True, "degrees_zero": True}
 
     def build_canonical(self) -> dict[str, object]:
         """The canonical stage; witness: determinant and glue tips."""
@@ -618,10 +612,6 @@ class FixtureSet(Record):
     def lattice(self) -> PicardLattice:
         return self.canonical.lattice
 
-    @property
-    def glue_tips(self) -> tuple[int, int]:
-        return self.canonical.glue_tips
-
     def curve_class(self, name: str) -> DivisorClass:
         """Any named class: curves, D1..D8, e, the 32 B names, L1..L11."""
         if name in self.canonical.classes:
@@ -634,14 +624,10 @@ class FixtureSet(Record):
 
     def canonical_basis(self) -> tuple[DivisorClass, ...]:
         """(K, e, D8, D7, D6, D5, D4, D3, D2) as coordinate classes."""
-        names = ["K", "e", "D8", "D7", "D6", "D5", "D4", "D3", "D2"]
-        return tuple(self.curve_class(n) for n in names)
+        return tuple(self.curve_class(n) for n in BASIS_NAMES)
 
     def b_classes(self) -> dict[str, DivisorClass]:
         return dict(self.genus3)
-
-    def sequence_classes(self) -> tuple[DivisorClass, ...]:
-        return self.sequence
 
     def degree1_elliptic_classes(self) -> tuple[DivisorClass, ...]:
         """The 14 effective degree-1 classes of elliptic type.
@@ -699,7 +685,7 @@ def load_fixtures(
             raw = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError) as exc:
             raise SchemaError(f"fixture file {path} cannot be read: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise SchemaError(f"fixture file {path} is not valid JSON: {exc}") from exc
     fix = FixtureSet.from_dict(raw)
     if validate:

@@ -195,19 +195,15 @@ class FormalityVerdict(Record):
     forced_zero: bool
 
 
-def formality_report(
-    ledger: LedgerMatrix, stars: StarChoice, d_max: int | None = None
-) -> dict[int, FormalityVerdict]:
+def formality_report(ledger: LedgerMatrix, stars: StarChoice) -> dict[int, FormalityVerdict]:
     """Degree bookkeeping for the order-d compositions, d = 2..n.
 
     A composition of d maps lowers total degree by d - 2; it is forced to
     vanish when even the cheapest chain of d nonzero maps lands above the
     maximal Ext degree of a surface.
     """
-    n = ledger.n
-    top = d_max if d_max is not None else n
     out: dict[int, FormalityVerdict] = {}
-    for d in range(2, top + 1):
+    for d in range(2, ledger.n + 1):
         m = min_chain_degree(ledger, stars, d)
         landing = m - (d - 2) if m != INF else INF
         out[d] = FormalityVerdict(

@@ -162,13 +162,8 @@ def make_lattice(
     g = tuple(tuple(int(x) for x in row) for row in gram)
     if len(g) != rank or any(len(row) != rank for row in g):
         raise DimensionMismatch(f"gram is not {rank}x{rank}")
-    if not linalg.is_symmetric(g):
-        bad = next(
-            (i, j)
-            for i in range(rank)
-            for j in range(rank)
-            if g[i][j] != g[j][i]
-        )
+    bad = linalg.asymmetric_cell(g)
+    if bad:
         raise NonSymmetricGram(f"gram[{bad[0]}][{bad[1]}] != gram[{bad[1]}][{bad[0]}]")
     if len(k) != rank:
         raise DimensionMismatch(f"k has length {len(k)}, expected {rank}")

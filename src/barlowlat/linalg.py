@@ -5,9 +5,10 @@ used anywhere.  Rank, determinant, inverse and linear solves share one
 fraction-free Gauss-Jordan elimination (Bareiss 1968): each step divides
 exactly by the previous pivot, so every intermediate entry is an integer
 minor of the input.  `invert_exact` and `solve_overdetermined` build
-`Fraction`s only for the values they return.  `ldl_positive`, which feeds
-the Fincke-Pohst root search, is the same elimination without pivoting and
-returns integers only.  `signature_symmetric` works over `Fraction`.
+`Fraction`s only for the values they return; no other routine uses them.
+`ldl_positive`, which feeds the Fincke-Pohst root search, is the same
+elimination without pivoting.  `signature_symmetric` (an integer congruence)
+and `integer_kernel` (unimodular column operations) eliminate on their own.
 """
 from __future__ import annotations
 
@@ -16,19 +17,15 @@ from operator import index
 from typing import Sequence
 
 
-Matrix = Sequence[Sequence[int | Fraction]]
 IntMatrix = Sequence[Sequence[int]]
 
 
-def _copy(mat: Matrix) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in mat]
-
-
-def is_symmetric(mat: Matrix) -> bool:
+def asymmetric_cell(mat: IntMatrix) -> tuple[int, int] | None:
+    """The first cell (i, j), i < j in row order, where a square matrix
+    differs from its transpose; None if it is symmetric."""
     n = len(mat)
-    return all(len(row) == n for row in mat) and all(
-        mat[i][j] == mat[j][i] for i in range(n) for j in range(i + 1, n)
-    )
+    return next(((i, j) for i in range(n) for j in range(i + 1, n)
+                 if mat[i][j] != mat[j][i]), None)
 
 
 def _gauss_jordan(
@@ -123,14 +120,17 @@ def solve_overdetermined(
     return out
 
 
-def signature_symmetric(gram: Matrix) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia of a symmetric rational matrix.
+def signature_symmetric(gram: IntMatrix) -> tuple[int, int, int]:
+    """(positive, negative, zero) inertia of a symmetric integer matrix.
 
-    Congruence diagonalization.  A zero diagonal pivot is repaired by a
-    symmetric swap when another diagonal entry is nonzero, or by a symmetric
-    row-plus-column addition otherwise.
+    Integer congruence diagonalization.  A step with pivot p = m[k][k] sets
+    row i to p * row i - f * row k, f = m[i][k], for each i > k with f != 0,
+    then column i the same way: row and column k clear, and the Schur
+    complement of p is left with those rows and columns scaled by p, so its
+    inertia is kept.  A zero pivot is repaired by a symmetric swap with a
+    nonzero diagonal entry, or else by a symmetric row-plus-column addition.
     """
-    m = _copy(gram)
+    m = [[index(x) for x in row] for row in gram]
     n = len(m)
     pos = neg = zero = 0
 
@@ -161,22 +161,21 @@ def signature_symmetric(gram: Matrix) -> tuple[int, int, int]:
                 sym_add(i, j)  # makes m[i][i] = 2 m[i][j] != 0
                 if i != k:
                     sym_swap(k, i)
-        d = m[k][k]
-        if d > 0:
+        p = m[k][k]
+        if p > 0:
             pos += 1
         else:
             neg += 1
         for i in range(k + 1, n):
-            if m[i][k]:
-                f = m[i][k] / d
-                for t in range(n):
-                    m[i][t] -= f * m[k][t]
+            f = m[i][k]
+            if f:
+                m[i] = [p * a - f * b for a, b in zip(m[i], m[k])]
                 for row in m:
-                    row[i] -= f * row[k]
+                    row[i] = p * row[i] - f * row[k]
     return pos, neg, zero
 
 
-def integer_kernel(mat: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+def integer_kernel(mat: IntMatrix) -> list[tuple[int, ...]]:
     """Basis of the integer kernel {x : mat @ x = 0} via column elimination.
 
     Unimodular column operations reduce the matrix to column echelon form

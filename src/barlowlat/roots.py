@@ -110,8 +110,8 @@ def enumerate_roots(lat: PicardLattice) -> RootSet:
 # Half-sum weights on the eight simple roots; the two fork tips (positions 7
 # and 8) can carry (3,4) or (4,3), one for each glue class of the index-2
 # embedding into the full lattice.
-_HALF_SUM_WEIGHTS = (1, 2, 3, 4, 5, 6)
-_TIP_WEIGHTS = ((3, 4), (4, 3))
+HALF_SUM_WEIGHTS = (1, 2, 3, 4, 5, 6)
+TIP_WEIGHTS = ((3, 4), (4, 3))
 
 _D8_GRAM = (
     (-2, 1, 0, 0, 0, 0, 0, 0),
@@ -144,8 +144,8 @@ def borel_siebenthal(lat: PicardLattice, ds: Sequence[DivisorClass]) -> DivisorC
 
     candidate = None
     chosen_tips = None
-    for tips in _TIP_WEIGHTS:
-        weights = _HALF_SUM_WEIGHTS + tips
+    for tips in TIP_WEIGHTS:
+        weights = HALF_SUM_WEIGHTS + tips
         doubled = DivisorClass.zero(lat.rank)
         for w, d in zip(weights, ds):
             doubled = doubled + w * d

@@ -119,7 +119,7 @@ def test_acceptance_02_highest_root_extension(fix, lat):
 
 def test_acceptance_03_curve_table(fix, lat):
     with timer() as t:
-        assert linalg.is_symmetric(fix.curve_table.matrix)
+        assert linalg.asymmetric_cell(fix.curve_table.matrix) is None
         assert linalg.rank_exact(fix.curve_table.matrix) == 9
         ds = [fix.curve_class(f"D{i}") for i in range(1, 9)]
         gram = tuple(tuple(lat.pair(a, b) for b in ds) for a in ds)
@@ -153,7 +153,7 @@ def test_acceptance_04_b_reconstruction(fix, lat):
 
 def test_acceptance_05_chi_matrix(fix, lat):
     with timer() as t:
-        seq = fix.sequence_classes()
+        seq = fix.sequence
         chi = [[lat.chi(a - b) for b in seq] for a in seq]
         assert tuple(tuple(r) for r in chi) == fix.chi_matrix
         ok, matrix = is_num_exceptional(lat, seq)

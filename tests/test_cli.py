@@ -13,6 +13,9 @@ from barlowlat.errors import SchemaError
 from barlowlat.fixtures import load_fixtures, shipped_fixture_text
 from barlowlat.lattice import DivisorClass
 
+#: an array nested deeper than the JSON decoder's recursion limit
+DEEPLY_NESTED = "[" * 200000 + "]" * 200000
+
 
 def _run_subprocess(*argv):
     env = dict(os.environ, PYTHONPATH=str(Path(barlowlat.__file__).parent.parent))
@@ -89,6 +92,27 @@ def test_verify_perturbed_fixture_fails(tmp_path, capsys):
     assert "rank" in failed[0]["witness"]["error"]
 
 
+def test_verify_catches_swapped_fork_tips(tmp_path, capsys):
+    # D7 and D8 both attach to D6, so the swap keeps the fork Gram and the
+    # half-sum (borel_siebenthal) takes the other glue tips; only the CLI's
+    # re-derivation of the extended Cartan block sees that e now meets D8
+    raw = json.loads(shipped_fixture_text())
+    defs = raw["d8"]["defs"]
+    defs["D7"], defs["D8"] = defs["D8"], defs["D7"]
+    assert load_fixtures(raw, validate=False).canonical.glue_tips == (3, 4)
+    path = tmp_path / "swapped.json"
+    path.write_text(json.dumps(raw))
+    code, out, _ = run_cli(capsys, "verify", "--fixtures", str(path))
+    report = json.loads(out)
+    failed = [(c["id"], c["witness"]["error"])
+              for c in report["checks"] if c["status"] == "fail"]
+    assert code == 1
+    assert failed == [
+        ("canonical-basis", "canonical gram does not match the extended Cartan form")
+    ]
+    assert report["summary"] == {"pass": 15, "fail": 1, "skipped": 0}
+
+
 def test_verify_missing_fixture_exits_2(capsys):
     code, _, err = run_cli(capsys, "verify", "--fixtures", "/no/such/file.json")
     assert code == 2
@@ -107,6 +131,16 @@ def test_verify_undecodable_fixture_exits_2(tmp_path, capsys):
     code, out, err = run_cli(capsys, "verify", "--fixtures", str(path))
     assert (code, out) == (2, "")
     assert err.startswith("fixture error:") and "cannot be read" in err
+
+
+def test_verify_deeply_nested_fixture_exits_2(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(DEEPLY_NESTED)
+    proc = _run_subprocess("verify", "--fixtures", str(path))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("fixture error:") and "is not valid JSON" in proc.stderr
+    assert proc.stderr.count("\n") == 1
 
 
 def test_verify_unwritable_report_exits_2(tmp_path):
@@ -221,17 +255,19 @@ def _null_dp_cell_matrix():
 
 
 @pytest.mark.parametrize(
-    "matrix",
-    [[1, 2], {"n": 0, "rows": []}, _null_dp_cell_matrix()],
-    ids=["json-list", "n-zero", "null-dp-cell"],
+    "text",
+    [json.dumps([1, 2]), json.dumps({"n": 0, "rows": []}),
+     json.dumps(_null_dp_cell_matrix()), DEEPLY_NESTED],
+    ids=["json-list", "n-zero", "null-dp-cell", "deeply-nested"],
 )
-def test_height_unusable_matrix_exits_2(tmp_path, matrix):
+def test_height_unusable_matrix_exits_2(tmp_path, text):
     path = tmp_path / "m.json"
-    path.write_text(json.dumps(matrix))
+    path.write_text(text)
     proc = _run_subprocess("height", "--matrix", str(path))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("cannot read bound matrix:")
+    assert proc.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize("path, value", [

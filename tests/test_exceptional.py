@@ -28,7 +28,7 @@ from barlowlat.roots import RootSet, enumerate_roots
 
 def fixture_config(fix, lat):
     """Translate the shipped bundles back into the ten-root pattern."""
-    seq = fix.sequence_classes()
+    seq = fix.sequence
     t = [s - seq[10] for s in seq]
     a = (
         t[0],
@@ -44,7 +44,7 @@ def fixture_config(fix, lat):
 
 
 def test_fixture_sequence_is_num_exceptional(fix, lat):
-    ok, matrix = is_num_exceptional(lat, fix.sequence_classes())
+    ok, matrix = is_num_exceptional(lat, fix.sequence)
     assert ok
     assert tuple(tuple(r) for r in matrix) == fix.chi_matrix
 
@@ -56,7 +56,7 @@ def test_single_class_is_exceptional(lat):
 
 
 def test_reversed_pair_fails(fix, lat):
-    seq = fix.sequence_classes()
+    seq = fix.sequence
     ok, matrix = is_num_exceptional(lat, [seq[2], seq[0]])
     assert not ok
     assert matrix[0][1] == -1   # the backward pairing lands above the diagonal
@@ -72,7 +72,7 @@ def test_fixture_config_valid_and_builds(fix, lat):
     ok, _ = is_num_exceptional(lat, seq)
     assert ok
     # the built sequence is the shipped one translated by its last member
-    shipped = fix.sequence_classes()
+    shipped = fix.sequence
     assert list(seq) == [s - shipped[10] for s in shipped]
 
 
@@ -286,8 +286,9 @@ HYPERBOLIC = unchecked_lattice(((1, 0), (0, -1)))
 @settings(max_examples=200, deadline=None)
 def test_neighbour_masks_match_the_pairing(case):
     lat, vectors = case
-    w, rows = exceptional._neighbour_rows(lat, vectors)
+    w, high, rows = exceptional._neighbour_rows(lat, vectors)
     tops = sum(1 << (w * y + w - 1) for y in range(len(vectors)))
+    assert high == tops
     # rows are built on first read, here last root first
     for x in reversed(range(len(vectors))):
         assert sorted(rows(x)) == [-1, 0, 1]
@@ -326,9 +327,9 @@ def test_search_builds_only_the_rows_it_reads(fix, lat, monkeypatch, limit, buil
     helper = exceptional._neighbour_rows
 
     def recorded(lat, roots):
-        w, rows = helper(lat, roots)
+        w, high, rows = helper(lat, roots)
         made.append(rows)
-        return w, rows
+        return w, high, rows
 
     monkeypatch.setattr(exceptional, "_neighbour_rows", recorded)
     assert len(search_configs(fix.roots, lat.k, limit)) == limit

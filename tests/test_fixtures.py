@@ -41,7 +41,7 @@ EXPECTED_CANONICAL_GRAM = (
 
 def test_shipped_fixture_loads_and_validates(fix):
     assert fix.lattice is not None
-    assert fix.glue_tips == (4, 3)
+    assert fix.canonical.glue_tips == (4, 3)
 
 
 def test_curve_table_rank(fix):
@@ -274,7 +274,7 @@ def test_relation_violation_detected(raw_copy):
 # --- sequence ------------------------------------------------------------------
 
 def test_sequence_chi_matrix_cells(fix, lat):
-    seq = fix.sequence_classes()
+    seq = fix.sequence
     chi = [[lat.chi(seq[i] - seq[j]) for j in range(11)] for i in range(11)]
     assert tuple(tuple(r) for r in chi) == fix.chi_matrix
     assert chi[6][0] == -1          # cell (7, 1)
@@ -282,7 +282,7 @@ def test_sequence_chi_matrix_cells(fix, lat):
 
 
 def test_sequence_degrees(fix, lat):
-    degrees = [lat.pair(c, lat.k) for c in fix.sequence_classes()]
+    degrees = [lat.pair(c, lat.k) for c in fix.sequence]
     assert degrees == [0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0]
 
 

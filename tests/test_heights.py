@@ -44,7 +44,7 @@ def full_random_matrix(n, rng, inf_prob=0.2):
 
 
 def test_extend_anticanonical(fix, lat):
-    seq = fix.sequence_classes()
+    seq = fix.sequence
     ext = extend_anticanonical(seq, lat.k)
     assert len(ext) == 22
     assert ext[11] == seq[0] - lat.k

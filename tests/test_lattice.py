@@ -128,7 +128,7 @@ def test_chi_parity_violation_on_bad_lattice():
 
 
 def test_chi_hom_examples(fix, lat):
-    seq = fix.sequence_classes()
+    seq = fix.sequence
     assert lat.chi_hom(seq[0], seq[0]) == 1
     assert lat.chi_hom(seq[0], seq[2]) == -1   # table cell (3, 1)
     assert lat.chi_hom(seq[2], seq[3]) == 1    # table cell (4, 3)

@@ -1,8 +1,10 @@
+import ast
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from barlowlat import linalg
@@ -158,6 +160,87 @@ def test_signature_known_values():
     assert linalg.signature_symmetric([[1, 0], [0, -2]]) == (1, 1, 0)
     assert linalg.signature_symmetric([[0, 1], [1, 0]]) == (1, 1, 0)
     assert linalg.signature_symmetric([[0, 0], [0, 0]]) == (0, 0, 2)
+
+
+# --- oracle: Descartes' rule of signs on the characteristic polynomial --------
+
+def _charpoly(m):
+    """Coefficients c[0..n] of det(x I - m), by Faddeev-LeVerrier over Fraction."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    c = [Fraction(0)] * n + [Fraction(1)]
+    mk = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(1, n + 1):
+        # M_k = A M_{k-1} + c_{n-k+1} I and c_{n-k} = -tr(A M_k) / k
+        mk = [[sum(a[i][t] * mk[t][j] for t in range(n)) + (c[n - k + 1] if i == j else 0)
+               for j in range(n)] for i in range(n)]
+        c[n - k] = -sum(a[i][t] * mk[t][i] for i in range(n) for t in range(n)) / k
+    return c
+
+
+def _sign_changes(coeffs):
+    signs = [x > 0 for x in coeffs if x]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _inertia_by_descartes(m):
+    """A real symmetric matrix has only real eigenvalues, so Descartes' rule
+    of signs counts its positive and negative ones exactly."""
+    c = _charpoly(m)
+    zero = next(i for i, x in enumerate(c) if x)
+    rest = c[zero:]
+    flipped = [x if i % 2 == 0 else -x for i, x in enumerate(rest)]
+    return _sign_changes(rest), _sign_changes(flipped), zero
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric integer matrices of size 1-6; in about half of them some
+    diagonal entries are forced to zero, which needs the pivot repairs."""
+    n = draw(st.integers(1, 6))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(small_int)
+    if draw(st.booleans()):
+        for i in range(n):
+            if draw(st.booleans()):
+                m[i][i] = 0
+    return m
+
+
+@given(m=symmetric_matrices())
+@example(m=[[1, 1, 0], [1, 1, 0], [0, 0, 0]])
+@example(m=[[0, 2, 0], [2, 0, 0], [0, 0, 0]])
+@example(m=[[0, 0, 3], [0, 0, 0], [3, 0, 0]])
+@settings(max_examples=300, deadline=None)
+def test_signature_matches_descartes_oracle(m):
+    assert linalg.signature_symmetric(m) == _inertia_by_descartes(m)
+
+
+def test_fraction_is_built_only_for_returned_solutions():
+    # no Fraction elimination may come back: Fraction is imported by linalg
+    # alone and called once in each of the two solves, as the element of the
+    # comprehension that wraps the finished integers into the returned values
+    calls = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert all(alias.name != "fractions" for alias in node.names), path.name
+            if isinstance(node, ast.ImportFrom) and node.module == "fractions":
+                assert path.name == "linalg.py"
+                assert [(a.name, a.asname) for a in node.names] == [("Fraction", None)]
+            if not isinstance(node, ast.Call):
+                continue
+            if getattr(node.func, "id", getattr(node.func, "attr", None)) == "Fraction":
+                owner = parent[node]
+                assert isinstance(owner, ast.ListComp) and owner.elt is node, path.name
+                while not isinstance(owner, (ast.FunctionDef, ast.Module)):
+                    owner = parent[owner]
+                calls.append((path.name, getattr(owner, "name", "<module>")))
+    assert sorted(calls) == [("linalg.py", "invert_exact"), ("linalg.py", "solve_overdetermined")]
 
 
 @given(
