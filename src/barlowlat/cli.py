@@ -448,10 +448,14 @@ def cmd_search(args: argparse.Namespace) -> int:
 def cmd_decompose(args: argparse.Namespace) -> int:
     fix = _load(args)
     target = parse_class_expr(fix, args.target)
-    if args.generators:
+    names = list(CURVE_NAMES) + sorted(fix.b_classes())
+    if args.generators is not None:
         names = [n.strip() for n in args.generators.split(",") if n.strip()]
-    else:
-        names = list(CURVE_NAMES) + sorted(fix.b_classes())
+        if not names:
+            raise SchemaError("--generators names no generator")
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        if repeated:
+            raise SchemaError(f"--generators names {', '.join(repeated)} more than once")
     gens = [(n, fix.curve_class(n)) for n in names]
     problem = DecompositionProblem.create(target, gens, caps=args.caps)
     solutions = decompose_effective(fix.lattice, problem)

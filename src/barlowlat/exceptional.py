@@ -10,14 +10,15 @@ is an integer combination of the ten members and k, so the search certifies
 a configuration by its actual Gram plus one formal proof of the pattern
 (check_formal_pattern); sequence_from_config, the full check, is the
 fallback.  The effective-decomposition solver enumerates all bounded
-nonnegative integer representations of a class over a generator list; it
-works on integer coordinate tuples only, pruning by degree and by integer
-annihilators of each generator suffix.
+nonnegative integer representations of a class over a generator list, on
+integer tuples only: the remainder's degree and its values under one flag
+functional per rank-raising generator, which forces that coefficient.
 """
 from __future__ import annotations
 
 from functools import cache, reduce
 from itertools import accumulate, product, starmap
+from math import gcd
 from operator import and_, getitem, lshift, mul, sub
 from typing import Callable, Sequence
 
@@ -30,7 +31,6 @@ from .errors import (
 from .lattice import DivisorClass, PicardLattice, make_lattice
 from .record import Record
 from .roots import RootSet
-from . import linalg
 
 
 def is_num_exceptional(
@@ -271,76 +271,79 @@ class DecompositionProblem(Record):
         return DecompositionProblem(target=target, generators=gens, caps=cap_vec)
 
 
-def suffix_annihilators(
-    vectors: Sequence[Sequence[int]],
-) -> list[list[tuple[int, ...]]]:
-    """Integer bases of the annihilators of every suffix of a vector list.
+def suffix_flags(
+    vectors: Sequence[Sequence[int]], dim: int
+) -> tuple[dict[int, tuple[int, ...]], list[tuple[int, ...]]]:
+    """Flags of a list of dim-vectors and a basis of its common annihilator.
 
-    Entry idx is a basis of the integer vectors w with w . v = 0 (plain dot
-    product) for every v in vectors[idx:].  The integer kernel spans the
-    rational one, so a vector lies in the rational span of the suffix iff
-    it is orthogonal to each basis vector; a suffix of full rank has none.
-    Built from the last suffix: an annihilator is saturated, so its integer
-    points are the integer combinations of its basis, and the next basis is
-    the integer kernel of [w . v for w in basis] mapped back through it.
+    A backward fraction-free elimination from the unit basis: at vectors[i]
+    the first basis vector u with p = u . vectors[i] != 0 is the flag of i,
+    and each other w becomes p*w - (w . vectors[i])*u over its content.  So
+    flag i kills every later vector but not vectors[i], and exactly the
+    indices that raise the rank of their suffix have one.  Each step is
+    invertible given u, so the flags and the vectors left span Q^dim.
     """
-    dim = len(vectors[0]) if vectors else 0
     basis = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    out: list[list[tuple[int, ...]]] = []
-    for v in reversed(vectors):
-        row = [sum(map(mul, w, v)) for w in basis]
-        basis = [
-            tuple(sum(c * w[t] for c, w in zip(kv, basis) if c) for t in range(dim))
-            for kv in linalg.integer_kernel([row])
-        ]
-        out.append(basis)
-    return out[::-1]
+    flags: dict[int, tuple[int, ...]] = {}
+    for i in reversed(range(len(vectors))):
+        dots = [sum(map(mul, w, vectors[i])) for w in basis]
+        if any(dots):
+            t = next(t for t, d in enumerate(dots) if d)
+            p, u = dots.pop(t), basis.pop(t)
+            flags[i] = u
+            basis = [tuple(p * a - d * b for a, b in zip(w, u)) for w, d in zip(basis, dots)]
+            basis = [tuple(a // c for a in w) for w in basis for c in [gcd(*w)]]
+    return flags, basis
 
 
 def decompose_effective(
     lat: PicardLattice, problem: DecompositionProblem
 ) -> list[tuple[int, ...]]:
-    """All vectors c with sum c_g * g = target, 0 <= c <= caps.
+    """All c with sum c_g * g = target and 0 <= c <= caps, in lexicographic order.
 
-    Branch and bound in generator order on integer coordinate tuples.
-    Branches are cut when the degree (pairing with k) of the remainder drops
-    below what the remaining generators can absorb, or when the remainder
-    leaves the rational span of the remaining generators, i.e. some integer
-    annihilator of that suffix (suffix_annihilators) has a nonzero dot
-    product with it.  Both cuts are exact and use integers only.
+    Depth first in generator order on the remainder's degree (pairing with k)
+    and its value under each flag of suffix_flags.  A flag kills all later
+    generators, so it forces its own coefficient (flag . remainder over
+    flag . generator), kept if an integer within the cap and the degree left;
+    other coefficients take each value the cap and degree allow.  The common
+    annihilator must kill the target.  A leaf needs no zero check: each flag
+    coordinate is zeroed at its own index and untouched after it, the common
+    annihilator kills the target and every generator, and they span Q^dim.
     """
     gens = [g.coords for _, g in problem.generators]
-    caps = problem.caps
-    m = len(gens)
-    degrees = [lat.pair(g, lat.k) for _, g in problem.generators]
-    if any(d < 0 for d in degrees):
+    target = problem.target.coords
+    if any(len(v) != lat.rank for v in (*gens, target)):
+        raise DimensionMismatch("generators and target must have the lattice's rank")
+    flags, common = suffix_flags(gens, lat.rank)
+    # the degree, then the flags; cols[idx] is what generator idx takes of them
+    funcs = [[sum(map(mul, row, lat.k.coords)) for row in lat.gram], *flags.values()]
+    cols = [tuple(sum(map(mul, f, g)) for f in funcs) for g in gens]
+    if any(col[0] < 0 for col in cols):
         raise ValueError("generators must have nonnegative degree")
-    annihilators = suffix_annihilators(gens)
-
+    if any(sum(map(mul, w, target)) for w in common):
+        return []
+    place = {idx: pos for pos, idx in enumerate(flags, 1)}  # flag coordinates
+    m, caps = len(gens), problem.caps
     out: list[tuple[int, ...]] = []
-    coeffs = [0] * m
+    coeffs = [0] * m  # rec sets coeffs[idx] before it goes deeper
 
-    def rec(idx: int, remainder: tuple[int, ...], rem_degree: int) -> None:
+    def rec(idx: int, rem: tuple[int, ...]) -> None:
         if idx == m:
-            if not any(remainder):
-                out.append(tuple(coeffs))
+            out.append(tuple(coeffs))
             return
-        if rem_degree < 0:
+        col = cols[idx]
+        pos = place.get(idx)
+        if pos:
+            q, r = divmod(rem[pos], col[pos])
+            if not r and 0 <= q <= caps[idx] and q * col[0] <= rem[0]:
+                coeffs[idx] = q
+                rec(idx + 1, tuple(a - q * b for a, b in zip(rem, col)))
             return
-        for w in annihilators[idx]:
-            if sum(map(mul, w, remainder)):
-                return
-        g = gens[idx]
-        d = degrees[idx]
-        top = caps[idx]
-        if d > 0:
-            top = min(top, rem_degree // d)
-        current = remainder
+        top = min(caps[idx], rem[0] // col[0]) if col[0] else caps[idx]
         for c in range(top + 1):
             coeffs[idx] = c
-            rec(idx + 1, current, rem_degree - c * d)
-            current = tuple(map(sub, current, g))
-        coeffs[idx] = 0
+            rec(idx + 1, rem)
+            rem = tuple(map(sub, rem, col))
 
-    rec(0, problem.target.coords, lat.pair(problem.target, lat.k))
-    return sorted(out)
+    rec(0, tuple(sum(map(mul, f, target)) for f in funcs))
+    return out

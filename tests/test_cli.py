@@ -326,6 +326,24 @@ def test_decompose_expression(capsys):
 
 
 @pytest.mark.parametrize(
+    "generators, message",
+    [
+        ("E1,E1", "--generators names E1 more than once"),
+        ("E1, C1p,K,C1p ,E1", "--generators names C1p, E1 more than once"),
+        ("", "--generators names no generator"),
+        (",", "--generators names no generator"),
+        (" , ,", "--generators names no generator"),
+    ],
+)
+def test_decompose_generators_naming_none_or_repeating_exit_2(capsys, generators, message):
+    code, out, err = run_cli(
+        capsys, "decompose", "--target", "E1", "--generators", generators
+    )
+    assert (code, out) == (2, "")
+    assert err == f"fixture error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["search", "--limit", "0"],
@@ -409,3 +427,15 @@ def test_roots_output_matches_pinned_digest(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == ROOTS_DIGESTS[argv]
+
+
+DECOMPOSE_CLI_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "decompose_digests.json").read_text()
+)["cli"]
+
+
+@pytest.mark.parametrize("target", sorted(DECOMPOSE_CLI_DIGESTS))
+def test_decompose_output_matches_pinned_digest(capsys, target):
+    code, out, err = run_cli(capsys, "decompose", "--target", target)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == DECOMPOSE_CLI_DIGESTS[target]

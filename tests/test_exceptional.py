@@ -1,5 +1,6 @@
 import hashlib
 import json
+import operator
 import random
 from itertools import product
 from pathlib import Path
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from barlowlat import exceptional, linalg
+from barlowlat.cli import parse_class_expr
 from barlowlat.errors import ConfigurationInvalid
 from barlowlat.exceptional import (
     ABConfiguration,
@@ -20,8 +22,9 @@ from barlowlat.exceptional import (
     is_num_exceptional,
     search_configs,
     sequence_from_config,
-    suffix_annihilators,
+    suffix_flags,
 )
+from barlowlat.fixtures import CURVE_NAMES
 from barlowlat.lattice import DivisorClass, PicardLattice, make_lattice
 from barlowlat.roots import RootSet, enumerate_roots
 
@@ -451,13 +454,12 @@ def test_search_proves_the_pattern_once_per_k_square(fix, lat, counted_proofs):
 # --- decomposition ---------------------------------------------------------------
 
 def grid_decompose(lat, target, gens, caps):
-    """Exhaustive oracle over the full coefficient grid."""
+    """Exhaustive oracle over the full coefficient grid, coordinate by coordinate."""
+    columns = list(zip(*(g.coords for _, g in gens))) or [()] * lat.rank
     out = []
     for combo in product(*(range(c + 1) for c in caps)):
-        total = DivisorClass.zero(lat.rank)
-        for c, (_, g) in zip(combo, gens):
-            total = total + c * g
-        if total == target:
+        total = tuple(sum(map(operator.mul, combo, col)) for col in columns)
+        if total == target.coords:
             out.append(combo)
     return sorted(out)
 
@@ -494,6 +496,23 @@ def test_decompose_linked_class(fix, lat):
     assert as_dicts == [{"Bp001": 1, "C1m": 1, "C2p": 1}]
 
 
+DECOMPOSE_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "decompose_digests.json").read_text()
+)["targets"]
+
+
+def test_decompose_matches_pinned_digests(fix, lat):
+    # the 14 curves and 32 genus-3 classes at caps 8, as the CLI defaults;
+    # each digest is the SHA-256 of the repr of the sorted solution list
+    names = list(CURVE_NAMES) + sorted(fix.b_classes())
+    gens = [(n, fix.curve_class(n)) for n in names]
+    assert len(DECOMPOSE_DIGESTS) == 1 + 2 * 10 + 32
+    for label, digest in DECOMPOSE_DIGESTS.items():
+        target = parse_class_expr(fix, label)
+        sols = decompose_effective(lat, DecompositionProblem.create(target, gens, caps=8))
+        assert hashlib.sha256(repr(sorted(sols)).encode()).hexdigest() == digest, label
+
+
 def test_decompose_resubstitution(fix, lat):
     names = list(fix.curve_table.names)
     gens = [(n, fix.curve_class(n)) for n in names]
@@ -526,41 +545,82 @@ def test_decompose_matches_grid_oracle(fix, lat, seed):
     )
 
 
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_decompose_matches_grid_oracle_random(fix, lat, data):
+    # up to six generators: classes of the 46 defaults, the zero class and sums
+    # of two drawn ones, so the span is rank deficient and often dependent;
+    # caps 0-3, a grid of at most 4**6 points.  The target is built from the
+    # generators, then some generators are doubled (the target stays in the
+    # rational span, maybe not the integer one) and it may be pushed off by
+    # +-1 in one coordinate
+    pool = list(CURVE_NAMES) + sorted(fix.b_classes())
+    gens = []
+    for _ in range(data.draw(st.integers(0, 6), label="count")):
+        kind = data.draw(st.sampled_from(["class", "class", "zero", "sum"]))
+        if kind == "zero":
+            gens.append(("0", DivisorClass.zero(9)))
+        elif kind == "sum" and gens:
+            (n1, g1), (n2, g2) = (gens[data.draw(st.integers(0, len(gens) - 1))] for _ in "12")
+            gens.append((f"{n1}+{n2}", g1 + g2))
+        else:
+            name = data.draw(st.sampled_from(pool))
+            gens.append((name, fix.curve_class(name)))
+    caps = [data.draw(st.integers(0, 3)) for _ in gens]
+    target = DivisorClass.zero(9)
+    for (_, g), cap in zip(gens, caps):
+        target = target + data.draw(st.integers(0, cap)) * g
+    gens = [(n, data.draw(st.sampled_from([1, 1, 1, 2])) * g) for n, g in gens]
+    shift = data.draw(st.sampled_from([0, 0, -1, 1]), label="shift")
+    coord = data.draw(st.integers(0, 8), label="coord")
+    target = DivisorClass(tuple(x + shift * (j == coord) for j, x in enumerate(target.coords)))
+    problem = DecompositionProblem.create(target, gens, caps)
+    assert decompose_effective(lat, problem) == grid_decompose(lat, target, gens, caps)
+
+
 def test_decompose_target_outside_rank_deficient_span(fix, lat):
     # the four (-2)-curves span a rank-4 sublattice that misses E1
     gens = [(n, fix.curve_class(n)) for n in ("C1p", "C1m", "C2p", "C2m")]
     target = fix.curve_class("E1")
-    assert len(suffix_annihilators([g.coords for _, g in gens])[0]) == 9 - 4
+    assert len(linalg.integer_kernel([g.coords for _, g in gens])) == 9 - 4
     problem = DecompositionProblem.create(target, gens, caps=3)
     assert decompose_effective(lat, problem) == []
     assert grid_decompose(lat, target, gens, [3] * 4) == []
 
 
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
 def test_suffix_annihilators_kill_their_suffix(fix):
+    # each flag of suffix_flags kills the generators after its own and not
+    # its own; the whole list spans the rank-9 lattice, so there are nine
+    # flags and no common annihilator, and a single class leaves 8
     names = list(fix.curve_table.names) + sorted(fix.b_classes())
     vectors = [fix.curve_class(n).coords for n in names]
-    annihilators = suffix_annihilators(vectors)
-    assert len(annihilators) == len(vectors)
-    for idx, basis in enumerate(annihilators):
-        for w in basis:
-            assert any(w)
-            for v in vectors[idx:]:
-                assert sum(a * b for a, b in zip(w, v)) == 0
-    # the whole list spans the rank-9 lattice; a single class leaves 8
-    assert annihilators[0] == []
-    assert len(annihilators[-1]) == 8
+    flags, common = suffix_flags(vectors, len(vectors[0]))
+    assert len(flags) == 9 and common == []
+    for idx, u in flags.items():
+        assert dot(u, vectors[idx]) != 0
+        assert all(dot(u, v) == 0 for v in vectors[idx + 1:])
+    flags, common = suffix_flags(vectors[-1:], 9)
+    assert list(flags) == [0] and len(common) == 8
 
 
 def _check_annihilators(vectors):
-    annihilators = suffix_annihilators(vectors)
-    assert len(annihilators) == len(vectors)
-    for idx, basis in enumerate(annihilators):
-        assert len(basis) == len(linalg.integer_kernel(vectors[idx:]))
-        if basis:
-            assert linalg.rank_exact(basis) == len(basis)
-        for w in basis:
-            for v in vectors[idx:]:
-                assert sum(a * b for a, b in zip(w, v)) == 0
+    flags, common = suffix_flags(vectors, len(vectors[0]))
+    dim = len(vectors[0])
+    assert len(flags) == linalg.rank_exact(vectors)
+    assert linalg.rank_exact([*flags.values(), *common]) == dim
+    assert len(common) == len(linalg.integer_kernel(vectors))
+    for idx, u in flags.items():
+        assert dot(u, vectors[idx]) != 0
+        assert all(dot(u, v) == 0 for v in vectors[idx + 1:])
+    for w in common:
+        assert all(dot(w, v) == 0 for v in vectors)
+    # a flag sits exactly where the suffix gains rank
+    ranks = [linalg.rank_exact(vectors[idx:]) for idx in range(len(vectors))] + [0]
+    assert sorted(flags) == [i for i in range(len(vectors)) if ranks[i] > ranks[i + 1]]
 
 
 def test_suffix_annihilators_match_integer_kernel(fix):
