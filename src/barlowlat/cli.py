@@ -23,7 +23,7 @@ from .exceptional import (
     is_num_exceptional,
     search_configs,
 )
-from .fixtures import BASIS_NAMES, CURVE_NAMES, FixtureSet, load_fixtures
+from .fixtures import BASIS_NAMES, CURVE_NAMES, SEQUENCE_NAMES, FixtureSet, load_fixtures
 from .heights import (
     ExtBoundMatrix,
     Fullness,
@@ -32,7 +32,7 @@ from .heights import (
     height,
     single_segment_bound,
 )
-from .homledger import StarChoice, formality_report
+from .homledger import StarChoice, formality_report, validate_ledger
 from .lattice import DivisorClass
 # enumerate_roots is not called here (fix.roots enumerates once), but it stays
 # bound in this namespace: bench/ wraps and checks the binding by name
@@ -83,19 +83,13 @@ def _jsonable(value: Any) -> Any:
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, StarChoice):
-        return value.name.lower()
     return value
 
 
 # ------------------------------------------------------------------ verify
 
 def _star_choices(flag: str) -> list[StarChoice]:
-    return {
-        "zero": [StarChoice.ZERO],
-        "nonzero": [StarChoice.NONZERO],
-        "both": [StarChoice.ZERO, StarChoice.NONZERO],
-    }[flag]
+    return list(StarChoice) if flag == "both" else [StarChoice[flag.upper()]]
 
 
 EXPECTED_MIN_DEGREES = {
@@ -110,29 +104,18 @@ def verification_checks(
     """Ordered (id, claim, runner, needs_lattice) tuples for the pipeline.
 
     A check that needs the lattice is skipped when the canonical stage
-    failed; canonical-basis itself runs and reports that failure.  The
-    fixture's own checks go in as methods bound here, at call time, so a
-    patched class method is the one that runs.
+    failed; canonical-basis itself runs and reports that failure.  Methods
+    are bound and module functions looked up at call time, so a patched
+    method or function is the one that runs.
     """
 
     def canonical_basis() -> dict:
         out = fix.build_canonical()
         lat = fix.lattice
-        basis = fix.canonical_basis()
-        gram = [[lat.pair(a, b) for b in basis] for a in basis]
-        expected = extended_cartan_expected()
-        block_ok = all(
-            gram[1 + i][1 + j] == expected[i][j]
-            for i in range(8)
-            for j in range(8)
-        )
-        corner_ok = gram[0][0] == 1 and all(
-            gram[0][j] == 0 and gram[j][0] == 0 for j in range(1, 9)
-        )
-        if not (block_ok and corner_ok):
+        # K, e, D8..D2 are the unit vectors: a match also makes e a root
+        expected = ((1,) + (0,) * 8,) + tuple((0,) + row for row in extended_cartan_expected())
+        if lat.gram != expected:
             raise ToolkitError("canonical gram does not match the extended Cartan form")
-        if not lat.is_root(fix.curve_class("e")):
-            raise ToolkitError("glue vector is not a root")
         return {**out, "signature": list(lat.signature())}
 
     def root_count() -> dict:
@@ -189,7 +172,7 @@ def verification_checks(
             if not_forced:
                 raise ToolkitError(f"compositions not forced to vanish: {not_forced}")
             return {
-                "stars": choice,
+                "stars": choice.name.lower(),
                 "min_degrees": {d: v.min_degree for d, v in report.items()},
                 "forced_zero_from": 3,
             }
@@ -233,7 +216,7 @@ def verification_checks(
         ("num-exceptional", "the 11 bundles form a numerically exceptional sequence",
          num_exceptional, True),
         ("ledger-chi", "Ext triples alternate to the Euler pairing in every cell",
-         fix.validate_ledger_consistency, False),
+         lambda: validate_ledger(fix.ledger, fix.chi_matrix), False),
         ("ext-bounds", "height bound table matches the ledger and shift symmetry",
          fix.validate_ext_bounds, False),
     ]
@@ -262,20 +245,13 @@ def run_verification(fix: FixtureSet, stars_flag: str) -> dict:
         build_error = str(exc)
     for check_id, claim, runner, needs_lattice in verification_checks(fix, stars_flag):
         if needs_lattice and build_error is not None:
-            counts["skipped"] += 1
-            results.append({
-                "id": check_id,
-                "claim": claim,
-                "status": "skipped",
-                "witness": {"reason": f"canonical basis unavailable: {build_error}"},
-            })
-            continue
-        try:
-            witness = runner()
-            status = "pass"
-        except (ToolkitError, AssertionError) as exc:
-            witness = {"error": str(exc)}
-            status = "fail"
+            status = "skipped"
+            witness = {"reason": f"canonical basis unavailable: {build_error}"}
+        else:
+            try:
+                status, witness = "pass", runner()
+            except (ToolkitError, AssertionError) as exc:
+                status, witness = "fail", {"error": str(exc)}
         counts[status] += 1
         results.append({
             "id": check_id,
@@ -359,11 +335,10 @@ def cmd_roots(args: argparse.Namespace) -> int:
 
 def cmd_classes(args: argparse.Namespace) -> int:
     fix = _load(args)
-    names = list(CURVE_NAMES) + [f"D{i}" for i in range(1, 9)] + ["e"]
-    names += sorted(fix.b_classes()) + [f"L{i}" for i in range(1, 12)]
+    named = {**fix.canonical.classes, **fix.genus3, **dict(zip(SEQUENCE_NAMES, fix.sequence))}
     out = {
         "basis": list(BASIS_NAMES),
-        "entries": {n: list(fix.curve_class(n).coords) for n in names},
+        "entries": {n: list(c.coords) for n, c in named.items()},
     }
     print(json.dumps(out, indent=2, sort_keys=True))
     return 0

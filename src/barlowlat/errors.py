@@ -100,8 +100,8 @@ class ConfigurationInvalid(ToolkitError):
 
 # --- hom ledger ----------------------------------------------------------------
 
-class StarPositionError(ToolkitError):
-    """Undetermined ledger entries appear at unexpected positions."""
+class StarPositionError(SchemaError):
+    """A ledger diagonal entry or an undetermined entry is out of place."""
 
 
 class ChiInconsistency(ToolkitError):

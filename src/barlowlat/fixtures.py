@@ -323,6 +323,8 @@ class FixtureSet(Record):
             raise SchemaError("sequence must define L1..L11")
         if not _square(chi, 11):
             raise SchemaError("chi_matrix must be 11x11")
+        if (ledger.n, bounds.n) != (11, 11):
+            raise SchemaError(f"ledger.n and ext_bounds.n must be 11, not {ledger.n}, {bounds.n}")
         btable.validate()
         return FixtureSet(
             raw=dict(raw),
@@ -390,10 +392,8 @@ class FixtureSet(Record):
         if sig != (1, 8, 0):
             raise TableInconsistency(f"canonical gram has signature {sig}, expected (1, 8, 0)")
 
-        k_class = DivisorClass((1,) + (0,) * 8)
-        lat = make_lattice(9, gram_int, k_class)
-        if lat.pair(k_class, k_class) != 1:
-            raise TableInconsistency("canonical class has square != 1")
+        # k.k = gram[0][0] = M[K][K], which CurveTable.validate fixed at 1
+        lat = make_lattice(9, gram_int, DivisorClass((1,) + (0,) * 8))
 
         # the inverse of a unimodular integer matrix is an integer matrix
         ginv = [[int(x) for x in row] for row in linalg.invert_exact(gram_int)]
@@ -551,9 +551,6 @@ class FixtureSet(Record):
         self.sequence  # reading the stage runs its checks
         return {"matrix_verified": True}
 
-    def validate_ledger_consistency(self) -> dict[str, object]:
-        return validate_ledger(self.ledger, self.chi_matrix)
-
     def validate_ext_bounds(self) -> dict[str, object]:
         """Shape, window pattern, ledger consistency and shift invariance."""
         m = self.ext_bounds
@@ -602,7 +599,7 @@ class FixtureSet(Record):
         self.validate_b_classes()
         self.validate_relation()
         self.validate_sequence()
-        self.validate_ledger_consistency()
+        validate_ledger(self.ledger, self.chi_matrix)
         self.validate_ext_bounds()
         return self
 
@@ -621,10 +618,6 @@ class FixtureSet(Record):
         if name in SEQUENCE_NAMES:
             return self.sequence[SEQUENCE_NAMES.index(name)]
         raise UnknownName(f"unknown class name {name!r}")
-
-    def canonical_basis(self) -> tuple[DivisorClass, ...]:
-        """(K, e, D8, D7, D6, D5, D4, D3, D2) as coordinate classes."""
-        return tuple(self.curve_class(n) for n in BASIS_NAMES)
 
     def b_classes(self) -> dict[str, DivisorClass]:
         return dict(self.genus3)

@@ -17,7 +17,7 @@ from barlowlat.exceptional import (
     search_configs,
     sequence_from_config,
 )
-from barlowlat.fixtures import b_keys, b_name
+from barlowlat.fixtures import BASIS_NAMES, b_keys, b_name
 from barlowlat.heights import (
     INF,
     Arc,
@@ -28,7 +28,12 @@ from barlowlat.heights import (
     height,
     single_segment_bound,
 )
-from barlowlat.homledger import StarChoice, formality_report, min_chain_degree
+from barlowlat.homledger import (
+    StarChoice,
+    formality_report,
+    min_chain_degree,
+    validate_ledger,
+)
 from barlowlat.lattice import DivisorClass, make_lattice
 from barlowlat.roots import (
     borel_siebenthal,
@@ -95,7 +100,7 @@ def test_acceptance_02_highest_root_extension(fix, lat):
             other = other + w * d
         assert any(c % 2 for c in other.coords), "other glue must be non-integral"
 
-        basis = fix.canonical_basis()
+        basis = [fix.curve_class(n) for n in BASIS_NAMES]
         gram = [[lat.pair(a, b) for b in basis] for a in basis]
         assert abs(int(linalg.det_exact(gram))) == 1
         # diag(1) + negated Cartan of the extended diagram; the glue vector
@@ -165,7 +170,7 @@ def test_acceptance_05_chi_matrix(fix, lat):
 
 def test_acceptance_06_ledger_consistency(fix):
     with timer() as t:
-        out = fix.validate_ledger_consistency()
+        out = validate_ledger(fix.ledger, fix.chi_matrix)
         assert out["cells_checked"] == 66
         assert fix.ledger.star_positions == frozenset(
             (11, j) for j in (1, 2, 4, 5, 6, 8, 9, 10)

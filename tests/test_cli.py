@@ -1,11 +1,18 @@
+import contextlib
+import copy
+import functools
 import hashlib
+import io
 import json
+import operator
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import barlowlat
 from barlowlat.cli import main, parse_class_expr, run_verification
@@ -285,6 +292,101 @@ def test_verify_misshapen_table_exits_2(tmp_path, path, value):
     assert proc.stderr.startswith("fixture error:")
 
 
+def _ledger_n12(raw):
+    entries = raw["ledger"]["entries"]
+    entries.update({f"12,{j}": [0, 0, 0] for j in range(1, 12)})
+    entries["12,12"] = [1, 0, 0]
+    raw["ledger"]["n"] = 12
+
+
+def _ext_bounds_n12(raw):
+    # the 24x24 window max(1, i - 12) <= j <= i - 1, rows 1..11 as shipped
+    old = raw["ext_bounds"]["rows"]
+    raw["ext_bounds"] = {"n": 12, "rows": [
+        [(old[i - 1][j - 1] if i <= 11 else 1) if max(1, i - 12) <= j <= i - 1 else None
+         for j in range(1, 25)]
+        for i in range(1, 25)
+    ]}
+
+
+def _ledger_diagonal(raw):
+    raw["ledger"]["entries"]["3,3"] = [0, 0, 0]
+
+
+def _ledger_misplaced_star(raw):
+    raw["ledger"]["entries"]["11,3"] = "star"
+
+
+@pytest.mark.parametrize("argv", [("verify",), ("roots", "--count")])
+@pytest.mark.parametrize("mutate, message", [
+    (_ledger_n12, "ledger.n and ext_bounds.n must be 11, not 12, 11"),
+    (_ext_bounds_n12, "ledger.n and ext_bounds.n must be 11, not 11, 12"),
+    (_ledger_diagonal, "diagonal entry 3,3 must be [1,0,0]"),
+    (_ledger_misplaced_star, "star entries at"),
+], ids=["ledger-n-12", "ext-bounds-n-12", "ledger-diagonal", "ledger-misplaced-star"])
+def test_fixture_shape_rule_broken_exits_2(tmp_path, capsys, argv, mutate, message):
+    # n = 11, the star cells and the [1,0,0] diagonal are shape rules
+    raw = json.loads(shipped_fixture_text())
+    mutate(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, *argv, "--fixtures", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"fixture error: {message}") and err.count("\n") == 1
+
+
+#: replacement values a fuzzed cell draws from; DELETE removes the key instead
+FUZZ_VALUES = [0, 1, -1, 11, 12, 10**6, -10**6, True, None, "x", "inf", "star",
+               [], {}, [1, 0, 0], 1.5]
+DELETE = object()
+
+
+def _fuzz_paths(node, prefix=()):
+    """Every key path below node, containers included."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _fuzz_paths(child, prefix + (key,))
+
+
+SHIPPED_RAW = json.loads(shipped_fixture_text())
+FUZZ_PATHS = list(_fuzz_paths(SHIPPED_RAW))
+
+
+def _edited(edits):
+    raw = copy.deepcopy(SHIPPED_RAW)
+    for path, value in edits:
+        try:
+            parent = functools.reduce(operator.getitem, path[:-1], raw)
+            if value is DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = copy.deepcopy(value)
+        except (KeyError, IndexError, TypeError):
+            pass   # an earlier edit removed or replaced the container
+    return raw
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(
+    st.tuples(st.sampled_from(FUZZ_PATHS), st.sampled_from(FUZZ_VALUES + [DELETE])),
+    min_size=1, max_size=2,
+))
+@example([(("ledger", "entries", "3,3", 0), 0)])
+@example([(("ledger", "entries", "10,1"), "star")])
+def test_verify_fuzzed_fixture_exits_cleanly(tmp_path_factory, edits):
+    # exit 0, 1 or 2 and nothing escapes main; a failure leaves its report
+    path = tmp_path_factory.mktemp("fuzz") / "fixture.json"
+    path.write_text(json.dumps(_edited(edits)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(["verify", "--fixtures", str(path)])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert json.loads(out.getvalue())["summary"]["fail"] >= 1
+
+
 def test_formality_command(capsys):
     code, out, _ = run_cli(capsys, "formality", "--stars", "both")
     assert code == 0
@@ -417,16 +519,17 @@ def test_verify_reports_match_golden():
         assert text == (GOLDEN / f"report_{name}.json").read_text(), name
 
 
-ROOTS_DIGESTS = json.loads(
-    (Path(__file__).parent / "data" / "roots_digests.json").read_text()
+#: SHA-256 of the stdout of each argv on the shipped fixture
+CLI_DIGESTS = json.loads(
+    (Path(__file__).parent / "data" / "cli_digests.json").read_text()
 )
 
 
-@pytest.mark.parametrize("argv", sorted(ROOTS_DIGESTS))
-def test_roots_output_matches_pinned_digest(capsys, argv):
+@pytest.mark.parametrize("argv", sorted(CLI_DIGESTS))
+def test_cli_output_matches_pinned_digest(capsys, argv):
     code, out, err = run_cli(capsys, *argv.split())
     assert (code, err) == (0, "")
-    assert hashlib.sha256(out.encode()).hexdigest() == ROOTS_DIGESTS[argv]
+    assert hashlib.sha256(out.encode()).hexdigest() == CLI_DIGESTS[argv]
 
 
 DECOMPOSE_CLI_DIGESTS = json.loads(

@@ -13,7 +13,7 @@ from barlowlat.errors import (
     TableInconsistency,
     UnknownName,
 )
-from barlowlat.fixtures import FixtureSet, b_keys, b_name, load_fixtures
+from barlowlat.fixtures import BASIS_NAMES, FixtureSet, b_keys, b_name, load_fixtures
 
 EXPECTED_D8_GRAM = (
     (-2, 1, 0, 0, 0, 0, 0, 0),
@@ -163,7 +163,7 @@ def test_d8_basis(fix, lat):
 
 
 def test_canonical_basis_gram_and_det(fix, lat):
-    basis = fix.canonical_basis()
+    basis = [fix.curve_class(n) for n in BASIS_NAMES]
     gram = tuple(tuple(lat.pair(a, b) for b in basis) for a in basis)
     assert gram == EXPECTED_CANONICAL_GRAM
     assert abs(int(linalg.det_exact(gram))) == 1

@@ -13,6 +13,7 @@ from barlowlat.errors import (
     NonIntegralHighestRoot,
     PartitionFailure,
 )
+from barlowlat.fixtures import BASIS_NAMES
 from barlowlat.lattice import DivisorClass, make_lattice
 from barlowlat.roots import (
     VanishingTag,
@@ -300,7 +301,7 @@ def test_extended_cartan_shapes():
 def test_canonical_gram_is_negated_cartan_up_to_glue_sign(fix, lat):
     # flipping the sign of the glue vector turns the canonical Gram into
     # exactly diag(1) + the negated Cartan matrix of the extended diagram
-    basis = list(fix.canonical_basis())
+    basis = [fix.curve_class(n) for n in BASIS_NAMES]
     basis[1] = -basis[1]
     gram = [[lat.pair(a, b) for b in basis] for a in basis]
     expected = negate_first(extended_cartan_expected())
