@@ -54,10 +54,6 @@ class TableInconsistency(ToolkitError):
     """A cross-check between fixture tables failed; the message names the cell."""
 
 
-class NonUnimodular(ToolkitError):
-    """The constructed basis does not have determinant +-1."""
-
-
 class UnknownName(ToolkitError):
     """Lookup of a class name that is not in the registry."""
 

@@ -10,8 +10,8 @@ chain of stages, each a cached property that is a pure function of the
 tables and the earlier stages:
 
 * `canonical`: the canonical coordinate basis (k, e, d8..d2), constructed
-  via the half-sum glue vector, with the lattice and the coordinates of the
-  14 curves, D1..D8 and e;
+  via the half-sum glue vector and pinned to the Gram `CANONICAL_GRAM`,
+  with the lattice and the coordinates of the 14 curves, D1..D8 and e;
 * `genus3`: the 32 genus-3 classes, reconstructed from their pairing rules;
 * `sequence`: the 11 line-bundle classes, checked against the Euler matrix;
 * `roots`: the roots of the canonical lattice.
@@ -33,7 +33,6 @@ from typing import Mapping, Sequence
 from . import linalg, roots as rootsmod
 from .errors import (
     ChiMatrixMismatch,
-    NonUnimodular,
     RankError,
     RelationViolation,
     SchemaError,
@@ -67,6 +66,8 @@ SEQUENCE_NAMES = tuple(f"L{i}" for i in range(1, 12))
 
 #: the canonical coordinate basis, in coordinate order
 BASIS_NAMES = ("K", "e", "D8", "D7", "D6", "D5", "D4", "D3", "D2")
+#: its Gram, 1 ⊥ (-E8): K, then e extending D8..D2 to the E8 Cartan form
+CANONICAL_GRAM = ((1,) + (0,) * 8,) + tuple((0,) + r for r in rootsmod.extended_cartan_expected())
 
 
 def b_name(q: int, i: int, j: int, k: int) -> str:
@@ -346,57 +347,42 @@ class FixtureSet(Record):
     def canonical(self) -> Canonical:
         """Construct the canonical basis (K, e, D8..D2) and all coordinates.
 
-        The curve table and the simple roots are validated first.  The glue
-        vector e is the half-sum whose tip weights make the genus-3 classes
-        integral; determinant and signature of the resulting Gram are
-        verified, and every curve round-trips through its pairings.
+        This stage alone decides the basis.  The curve table and the simple
+        roots are validated first.  The glue vector e is the half-sum whose
+        tip weights make the genus-3 base class pair integrally with it.  The
+        Gram of the basis must be `CANONICAL_GRAM`, which fixes det 1 and
+        signature (1, 8, 0) as well, and every curve round-trips through
+        its pairings.
         """
         self.curve_table.validate()
         self.validate_d8()
         m = self.curve_table.matrix
         ds = [_curve_vector(self.d8_defs[f"D{i}"]) for i in range(1, 9)]
         k2 = [2 * x for x in _curve_vector({"K": 1})]
+        b_row = self.b_table.pairing_row(self.curve_table, 1, 0, 0, 0)
 
         # Every basis vector is doubled, so the half-sum e has integer
-        # coefficients; a pairing of doubled vectors is four times the real one.
-        unimodular = []
+        # coefficients; a pairing of doubled vectors is four times the real
+        # one.  The tips are those under which the base class B pairs
+        # integrally with e.
         for tips in rootsmod.TIP_WEIGHTS:
-            weights = rootsmod.HALF_SUM_WEIGHTS + tips
-            e2 = [_dot(weights, col) for col in zip(*ds)]
+            e2 = [_dot(rootsmod.HALF_SUM_WEIGHTS + tips, col) for col in zip(*ds)]
             basis2 = [k2, e2] + [[2 * x for x in ds[i]] for i in (7, 6, 5, 4, 3, 2, 1)]
-            mb2 = [_apply(m, b) for b in basis2]
-            gram4 = [[_dot(a, mb) for mb in mb2] for a in basis2]
-            if any(x % 4 for row in gram4 for x in row):
-                continue
-            gram_int = tuple(tuple(x // 4 for x in row) for row in gram4)
-            if abs(linalg.det_exact(gram_int)) != 1:
-                continue
-            unimodular.append((tips, basis2, mb2, gram_int))
-        if not unimodular:
-            raise NonUnimodular("no glue choice yields a unimodular basis")
-        # A class is integral iff its pairings with the unimodular basis are.
-        b_row = self.b_table.pairing_row(self.curve_table, 1, 0, 0, 0)
-        chosen = next(
-            (entry for entry in unimodular
-             if all(_dot(b_row, b) % 2 == 0 for b in entry[1])),
-            None,
-        )
-        if chosen is None:
+            if all(_dot(b_row, b) % 2 == 0 for b in basis2):
+                break
+        else:
             raise TableInconsistency(
                 "genus-3 base class is not integral under either glue choice; "
                 "the pairing tables are inconsistent"
             )
-        tips, _, mb2, gram_int = chosen
-
-        sig = linalg.signature_symmetric(gram_int)
-        if sig != (1, 8, 0):
-            raise TableInconsistency(f"canonical gram has signature {sig}, expected (1, 8, 0)")
-
-        # k.k = gram[0][0] = M[K][K], which CurveTable.validate fixed at 1
-        lat = make_lattice(9, gram_int, DivisorClass((1,) + (0,) * 8))
+        mb2 = [_apply(m, b) for b in basis2]
+        gram4 = tuple(tuple(_dot(a, mb) for mb in mb2) for a in basis2)
+        if gram4 != tuple(tuple(4 * x for x in row) for row in CANONICAL_GRAM):
+            raise TableInconsistency("canonical gram does not match the extended Cartan form")
+        lat = make_lattice(9, CANONICAL_GRAM, DivisorClass((1,) + (0,) * 8))
 
         # the inverse of a unimodular integer matrix is an integer matrix
-        ginv = [[int(x) for x in row] for row in linalg.invert_exact(gram_int)]
+        ginv = [[int(x) for x in row] for row in linalg.invert_exact(CANONICAL_GRAM)]
 
         def coords_of(combo: Mapping[str, int]) -> DivisorClass:
             pv2 = [_dot(_curve_vector(combo), mb) for mb in mb2]
@@ -527,9 +513,10 @@ class FixtureSet(Record):
         return {"gram_verified": True, "degrees_zero": True}
 
     def build_canonical(self) -> dict[str, object]:
-        """The canonical stage; witness: determinant and glue tips."""
-        canonical = self.canonical
-        return {"det": canonical.lattice.det(), "glue_tips": list(canonical.glue_tips)}
+        """The canonical stage; witness: determinant, glue tips and signature."""
+        lat = self.lattice
+        return {"det": lat.det(), "glue_tips": list(self.canonical.glue_tips),
+                "signature": list(lat.signature())}
 
     def validate_b_classes(self) -> dict[str, object]:
         """The genus-3 stage: the 32 classes reconstruct and match every rule."""

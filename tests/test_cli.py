@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import copy
 import functools
@@ -15,9 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import barlowlat
+from barlowlat import cli, linalg
 from barlowlat.cli import main, parse_class_expr, run_verification
-from barlowlat.errors import SchemaError
-from barlowlat.fixtures import load_fixtures, shipped_fixture_text
+from barlowlat.errors import SchemaError, TableInconsistency, ToolkitError
+from barlowlat.fixtures import FixtureSet, load_fixtures, shipped_fixture_text
 from barlowlat.lattice import DivisorClass
 
 #: an array nested deeper than the JSON decoder's recursion limit
@@ -101,12 +103,14 @@ def test_verify_perturbed_fixture_fails(tmp_path, capsys):
 
 def test_verify_catches_swapped_fork_tips(tmp_path, capsys):
     # D7 and D8 both attach to D6, so the swap keeps the fork Gram and the
-    # half-sum (borel_siebenthal) takes the other glue tips; only the CLI's
-    # re-derivation of the extended Cartan block sees that e now meets D8
+    # half-sum takes the other glue tips; the canonical stage sees that e now
+    # meets D8, so the lattice checks are skipped and the library rejects it
     raw = json.loads(shipped_fixture_text())
     defs = raw["d8"]["defs"]
     defs["D7"], defs["D8"] = defs["D8"], defs["D7"]
-    assert load_fixtures(raw, validate=False).canonical.glue_tips == (3, 4)
+    message = "canonical gram does not match the extended Cartan form"
+    with pytest.raises(TableInconsistency, match=message):
+        load_fixtures(raw)
     path = tmp_path / "swapped.json"
     path.write_text(json.dumps(raw))
     code, out, _ = run_cli(capsys, "verify", "--fixtures", str(path))
@@ -114,10 +118,30 @@ def test_verify_catches_swapped_fork_tips(tmp_path, capsys):
     failed = [(c["id"], c["witness"]["error"])
               for c in report["checks"] if c["status"] == "fail"]
     assert code == 1
-    assert failed == [
-        ("canonical-basis", "canonical gram does not match the extended Cartan form")
-    ]
-    assert report["summary"] == {"pass": 15, "fail": 1, "skipped": 0}
+    assert failed == [("canonical-basis", message)]
+    assert report["summary"] == {"pass": 8, "fail": 1, "skipped": 7}
+    code, out, err = run_cli(capsys, "classes", "--fixtures", str(path))
+    assert (code, out, err) == (1, "", f"check failed: {message}\n")
+
+
+def test_verify_runs_each_elimination_and_height_once(monkeypatch):
+    calls = collections.Counter()
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(linalg, "det_exact")
+    counted(linalg, "signature_symmetric")
+    counted(cli, "height")
+    report = run_verification(load_fixtures(validate=False), "both")
+    assert report["summary"]["fail"] == 0
+    assert calls == {"det_exact": 1, "signature_symmetric": 1, "height": 1}
 
 
 def test_verify_missing_fixture_exits_2(capsys):
@@ -223,6 +247,13 @@ def test_chi_requires_arguments(capsys):
     code, _, err = run_cli(capsys, "chi")
     assert code == 2
     assert "requires" in err
+
+
+@pytest.mark.parametrize("extra", [["--from", "L1"], ["--to", "L3"], ["--from", "L1", "--to", "L3"]])
+def test_chi_cls_with_from_or_to_exits_2(capsys, extra):
+    code, out, err = run_cli(capsys, "chi", "--cls", "K", *extra)
+    assert (code, out) == (2, "")
+    assert err == "chi takes either --cls or --from and --to, not both\n"
 
 
 def test_chi_unknown_name(capsys):
@@ -385,6 +416,38 @@ def test_verify_fuzzed_fixture_exits_cleanly(tmp_path_factory, edits):
     assert code in (0, 1, 2)
     if code == 1:
         assert json.loads(out.getvalue())["summary"]["fail"] >= 1
+
+
+#: verify's rows over the tables and the model stages, fixture-tables to ext-bounds
+MODEL_ROWS = ("fixture-tables", "simple-roots-gram", "canonical-basis", "b-reconstruction",
+              "b-relation", "root-count", "root-partition", "vanishing-classification",
+              "sequence-chi", "num-exceptional", "ledger-chi", "ext-bounds")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(
+    st.tuples(st.sampled_from(FUZZ_PATHS), st.sampled_from(FUZZ_VALUES + [DELETE])),
+    min_size=1, max_size=2,
+))
+@example([])
+@example([(("d8", "defs", name), SHIPPED_RAW["d8"]["defs"][other])
+          for name, other in (("D7", "D8"), ("D8", "D7"))])
+@example([(("curve_table", "matrix", 0, 8), 4), (("curve_table", "matrix", 8, 0), 4)])
+@example([(("b_table", "l_values", "plus"), 2)])
+def test_validate_raises_exactly_when_a_verify_model_row_fails(edits):
+    raw = _edited(edits)
+    try:
+        fix = FixtureSet.from_dict(raw)
+    except SchemaError:
+        return   # verify exits 2 before any row runs
+    try:
+        fix.validate()
+        rejected = False
+    except ToolkitError:
+        rejected = True
+    report = run_verification(FixtureSet.from_dict(raw), "both")
+    failed = {c["id"] for c in report["checks"] if c["status"] == "fail"}
+    assert rejected == bool(failed & set(MODEL_ROWS)), sorted(failed)
 
 
 def test_formality_command(capsys):
