@@ -13,7 +13,6 @@ from .lattice import DivisorClass, PicardLattice, make_lattice
 from .fixtures import FixtureSet, load_fixtures
 from .roots import (
     RootSet,
-    borel_siebenthal,
     enumerate_roots,
     partition_roots,
     vanishing_classification,
@@ -58,7 +57,6 @@ __all__ = [
     "StarChoice",
     "ToolkitError",
     "arc_height",
-    "borel_siebenthal",
     "decompose_effective",
     "enumerate_roots",
     "extend_anticanonical",

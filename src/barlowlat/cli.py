@@ -343,14 +343,14 @@ def cmd_chi(args: argparse.Namespace) -> int:
     if args.cls is not None and (args.src is not None or args.dst is not None):
         print("chi takes either --cls or --from and --to, not both", file=sys.stderr)
         return 2
+    if args.cls is None and (args.src is None or args.dst is None):
+        print("chi requires either --cls or both --from and --to", file=sys.stderr)
+        return 2
     fix = _load(args)
     lat = fix.lattice
     if args.cls is not None:
         value = lat.chi(parse_class_expr(fix, args.cls))
     else:
-        if args.src is None or args.dst is None:
-            print("chi requires either --cls or both --from and --to", file=sys.stderr)
-            return 2
         value = lat.chi_hom(
             parse_class_expr(fix, args.src), parse_class_expr(fix, args.dst)
         )
@@ -419,9 +419,6 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    fix = _load(args)
-    target = parse_class_expr(fix, args.target)
-    names = list(CURVE_NAMES) + sorted(fix.b_classes())
     if args.generators is not None:
         names = [n.strip() for n in args.generators.split(",") if n.strip()]
         if not names:
@@ -429,6 +426,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         repeated = sorted({n for n in names if names.count(n) > 1})
         if repeated:
             raise SchemaError(f"--generators names {', '.join(repeated)} more than once")
+    fix = _load(args)
+    target = parse_class_expr(fix, args.target)
+    if args.generators is None:
+        names = list(CURVE_NAMES) + sorted(fix.b_classes())
     gens = [(n, fix.curve_class(n)) for n in names]
     problem = DecompositionProblem.create(target, gens, caps=args.caps)
     solutions = decompose_effective(fix.lattice, problem)

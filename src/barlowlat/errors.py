@@ -76,18 +76,6 @@ class PartitionFailure(ToolkitError):
     """The three root families overlap, leave roots uncovered, or have wrong sizes."""
 
 
-class NonIntegralHighestRoot(ToolkitError):
-    """Neither glue choice of the half-sum vector lands in the lattice."""
-
-
-class NotARoot(ToolkitError):
-    """A constructed vector fails the root test."""
-
-
-class CartanMismatch(ToolkitError):
-    """An extended simple-root basis does not realize the expected Cartan form."""
-
-
 # --- exceptional sequences ----------------------------------------------------
 
 class ConfigurationInvalid(ToolkitError):

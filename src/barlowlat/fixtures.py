@@ -9,9 +9,11 @@ matrix, the forward Ext ledger and the 22x22 height bound table.
 chain of stages, each a cached property that is a pure function of the
 tables and the earlier stages:
 
-* `canonical`: the canonical coordinate basis (k, e, d8..d2), constructed
-  via the half-sum glue vector and pinned to the Gram `CANONICAL_GRAM`,
-  with the lattice and the coordinates of the 14 curves, D1..D8 and e;
+* `canonical`: the canonical coordinate basis (k, e, d8..d2), with the
+  lattice and the coordinates of the 14 curves, D1..D8 and e.  It is the
+  only code that builds the glue root e: the fork D1..D8 must have the Gram
+  `D8_FORK_GRAM`, e is their half-sum, and the basis must have the Gram
+  `CANONICAL_GRAM`;
 * `genus3`: the 32 genus-3 classes, reconstructed from their pairing rules;
 * `sequence`: the 11 line-bundle classes, checked against the Euler matrix;
 * `roots`: the roots of the canonical lattice.
@@ -64,10 +66,40 @@ STAR_POSITIONS = tuple((11, j) for j in (1, 2, 4, 5, 6, 8, 9, 10))
 
 SEQUENCE_NAMES = tuple(f"L{i}" for i in range(1, 12))
 
+#: the Gram of D1..D8: the chain D1..D6 with both fork tips D7, D8 on D6
+D8_FORK_GRAM = (
+    (-2, 1, 0, 0, 0, 0, 0, 0),
+    (1, -2, 1, 0, 0, 0, 0, 0),
+    (0, 1, -2, 1, 0, 0, 0, 0),
+    (0, 0, 1, -2, 1, 0, 0, 0),
+    (0, 0, 0, 1, -2, 1, 0, 0),
+    (0, 0, 0, 0, 1, -2, 1, 1),
+    (0, 0, 0, 0, 0, 1, -2, 0),
+    (0, 0, 0, 0, 0, 1, 0, -2),
+)
+#: twice the glue root e is the sum of D1..D6 with these weights and the
+#: tips D7, D8 with (3, 4) or (4, 3), one for each glue class of the index-2
+#: embedding of D8 in E8
+HALF_SUM_WEIGHTS = (1, 2, 3, 4, 5, 6)
+TIP_WEIGHTS = ((3, 4), (4, 3))
+
+
+def extended_cartan_expected() -> tuple[tuple[int, ...], ...]:
+    """The negated E8 Cartan form of (e, d8, d7, d6, d5, d4, d3, d2).
+
+    e attaches to d7, the tip of weight 4, and pairs -1 with it: the sign the
+    half-sum produces.  Every other edge of the diagram pairs +1.
+    """
+    m = [[-2 if i == j else 0 for j in range(8)] for i in range(8)]
+    for i, j in ((0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)):
+        m[i][j] = m[j][i] = -1 if i == 0 else 1
+    return tuple(map(tuple, m))
+
+
 #: the canonical coordinate basis, in coordinate order
 BASIS_NAMES = ("K", "e", "D8", "D7", "D6", "D5", "D4", "D3", "D2")
 #: its Gram, 1 ⊥ (-E8): K, then e extending D8..D2 to the E8 Cartan form
-CANONICAL_GRAM = ((1,) + (0,) * 8,) + tuple((0,) + r for r in rootsmod.extended_cartan_expected())
+CANONICAL_GRAM = ((1,) + (0,) * 8,) + tuple((0,) + r for r in extended_cartan_expected())
 
 
 def b_name(q: int, i: int, j: int, k: int) -> str:
@@ -347,12 +379,11 @@ class FixtureSet(Record):
     def canonical(self) -> Canonical:
         """Construct the canonical basis (K, e, D8..D2) and all coordinates.
 
-        This stage alone decides the basis.  The curve table and the simple
-        roots are validated first.  The glue vector e is the half-sum whose
-        tip weights make the genus-3 base class pair integrally with it.  The
-        Gram of the basis must be `CANONICAL_GRAM`, which fixes det 1 and
-        signature (1, 8, 0) as well, and every curve round-trips through
-        its pairings.
+        This stage alone builds the glue root and decides the basis.  The
+        curve table and the fork D1..D8 are validated first.  The glue root e
+        is the half-sum whose tip weights make the genus-3 base class pair
+        integrally with it.  The Gram of the basis must be `CANONICAL_GRAM`,
+        which fixes det 1 and signature (1, 8, 0) as well.
         """
         self.curve_table.validate()
         self.validate_d8()
@@ -365,8 +396,8 @@ class FixtureSet(Record):
         # coefficients; a pairing of doubled vectors is four times the real
         # one.  The tips are those under which the base class B pairs
         # integrally with e.
-        for tips in rootsmod.TIP_WEIGHTS:
-            e2 = [_dot(rootsmod.HALF_SUM_WEIGHTS + tips, col) for col in zip(*ds)]
+        for tips in TIP_WEIGHTS:
+            e2 = [_dot(HALF_SUM_WEIGHTS + tips, col) for col in zip(*ds)]
             basis2 = [k2, e2] + [[2 * x for x in ds[i]] for i in (7, 6, 5, 4, 3, 2, 1)]
             if all(_dot(b_row, b) % 2 == 0 for b in basis2):
                 break
@@ -384,6 +415,13 @@ class FixtureSet(Record):
         # the inverse of a unimodular integer matrix is an integer matrix
         ginv = [[int(x) for x in row] for row in linalg.invert_exact(CANONICAL_GRAM)]
 
+        # The coordinates of a curve vector a are G^-1 B^T M a, where the
+        # columns of B are the real basis and B^T M B = G is unimodular.  MB
+        # has rank 9, since B^T (MB) = G does, and its columns lie in
+        # colspace(M), of rank 9 too; so colspace(MB) = colspace(M) and
+        # M = MB X.  Applying B^T gives X = G^-1 B^T M, so M = MB G^-1 B^T M:
+        # the coordinates reproduce every cell of the curve table, with no
+        # round trip to check.
         def coords_of(combo: Mapping[str, int]) -> DivisorClass:
             pv2 = [_dot(_curve_vector(combo), mb) for mb in mb2]
             if any(x % 2 for x in pv2):
@@ -398,21 +436,6 @@ class FixtureSet(Record):
         for i in range(1, 9):
             classes[f"D{i}"] = coords_of(self.d8_defs[f"D{i}"])
         classes["e"] = DivisorClass((0, 1) + (0,) * 7)   # basis (K, e, D8..D2)
-
-        # round-trip: coordinates reproduce the full 14x14 table
-        for a in CURVE_NAMES:
-            for b in CURVE_NAMES:
-                got = lat.pair(classes[a], classes[b])
-                want = self.curve_table.value(a, b)
-                if got != want:
-                    raise TableInconsistency(
-                        f"coordinates give {a}.{b} = {got}, table says {want}"
-                    )
-
-        # cross-check the public half-sum operation against the bootstrap
-        d8 = [classes[f"D{i}"] for i in range(1, 9)]
-        if rootsmod.borel_siebenthal(lat, d8) != classes["e"]:
-            raise TableInconsistency("half-sum operation disagrees with the bootstrap")
         return Canonical(lattice=lat, glue_tips=tips, classes=classes)
 
     @cached_property
@@ -506,6 +529,8 @@ class FixtureSet(Record):
                 f"simple-root gram differs at (D{bad[0] + 1}, D{bad[1] + 1}): "
                 f"{gram_int[bad[0]][bad[1]]} != {self.d8_gram_expected[bad[0]][bad[1]]}"
             )
+        if gram_int != D8_FORK_GRAM:
+            raise TableInconsistency("input Gram is not the expected fork-at-d6 form")
         mk = _apply(m, _curve_vector({"K": 1}))
         for i, d in enumerate(ds):
             if _dot(d, mk) != 0:

@@ -4,7 +4,8 @@ A root is a class v with v.k = 0 and v.v = -2.  Enumeration restricts the
 negated pairing to the integer kernel of the pairing-with-k map and runs an
 exact Fincke-Pohst search at bound 2 over the fraction-free LDL^T of
 `linalg.ldl_positive`; root families are compared as int tuples.  All of it
-is integer arithmetic.
+is integer arithmetic.  The glue root e and the E8 form of the canonical
+basis are built by the canonical stage in `fixtures`, not here.
 """
 from __future__ import annotations
 
@@ -14,13 +15,7 @@ from math import isqrt, lcm
 from operator import add, mul, sub
 from typing import Mapping, Sequence
 
-from .errors import (
-    CartanMismatch,
-    IndefinitePerp,
-    NonIntegralHighestRoot,
-    NotARoot,
-    PartitionFailure,
-)
+from .errors import IndefinitePerp, PartitionFailure
 from .lattice import DivisorClass, PicardLattice
 from .record import Record
 from . import linalg
@@ -103,102 +98,6 @@ def enumerate_roots(lat: PicardLattice) -> RootSet:
             found.add(tuple(sum(map(mul, x, col)) for col in columns))
     roots = tuple(DivisorClass(v) for v in sorted(found))
     return RootSet(lattice=lat, roots=roots)
-
-
-# --- highest-root extension -----------------------------------------------------
-
-# Half-sum weights on the eight simple roots; the two fork tips (positions 7
-# and 8) can carry (3,4) or (4,3), one for each glue class of the index-2
-# embedding into the full lattice.
-HALF_SUM_WEIGHTS = (1, 2, 3, 4, 5, 6)
-TIP_WEIGHTS = ((3, 4), (4, 3))
-
-_D8_GRAM = (
-    (-2, 1, 0, 0, 0, 0, 0, 0),
-    (1, -2, 1, 0, 0, 0, 0, 0),
-    (0, 1, -2, 1, 0, 0, 0, 0),
-    (0, 0, 1, -2, 1, 0, 0, 0),
-    (0, 0, 0, 1, -2, 1, 0, 0),
-    (0, 0, 0, 0, 1, -2, 1, 1),
-    (0, 0, 0, 0, 0, 1, -2, 0),
-    (0, 0, 0, 0, 0, 1, 0, -2),
-)
-
-
-def borel_siebenthal(lat: PicardLattice, ds: Sequence[DivisorClass]) -> DivisorClass:
-    """Extend eight simple roots with the half-sum highest root.
-
-    The input Gram must be the chain d1..d6 with the two tips d7, d8 attached
-    to d6.  Both tip-weight assignments give a norm -2 half-sum; exactly one
-    of them can land in an ambient unimodular lattice, and that one is
-    returned.  Raises NonIntegralHighestRoot if neither is integral, NotARoot
-    or CartanMismatch if the result fails its defining checks.
-    """
-    if len(ds) != 8:
-        raise CartanMismatch(f"need 8 simple roots, got {len(ds)}")
-    gram = tuple(
-        tuple(lat.pair(a, b) for b in ds) for a in ds
-    )
-    if gram != _D8_GRAM:
-        raise CartanMismatch("input Gram is not the expected fork-at-d6 form")
-
-    candidate = None
-    chosen_tips = None
-    for tips in TIP_WEIGHTS:
-        weights = HALF_SUM_WEIGHTS + tips
-        doubled = DivisorClass.zero(lat.rank)
-        for w, d in zip(weights, ds):
-            doubled = doubled + w * d
-        if all(c % 2 == 0 for c in doubled.coords):
-            candidate = DivisorClass(tuple(c // 2 for c in doubled.coords))
-            chosen_tips = tips
-            break
-    if candidate is None:
-        raise NonIntegralHighestRoot(
-            "neither half-sum glue choice is integral in this lattice"
-        )
-    if not lat.is_root(candidate):
-        raise NotARoot("half-sum vector is not a root")
-    _check_extended_cartan(lat, candidate, ds, chosen_tips)
-    return candidate
-
-
-def extended_cartan_expected(e_attaches: str = "d7") -> tuple[tuple[int, ...], ...]:
-    """The negated E8 Cartan matrix in the extended node order.
-
-    Node order (e, d8, d7, d6, d5, d4, d3, d2); the half-sum e attaches to
-    whichever tip carries weight 4.  The row/column of e is negated -- the
-    form the half-sum convention actually produces (e pairs -1 with its
-    neighbour, all other adjacent pairs +1).
-    """
-    if e_attaches not in ("d7", "d8"):
-        raise ValueError("e_attaches must be 'd7' or 'd8'")
-    names = ["e", "d8", "d7", "d6", "d5", "d4", "d3", "d2"]
-    edges = {("e", e_attaches), ("d8", "d6"), ("d7", "d6"), ("d6", "d5"),
-             ("d5", "d4"), ("d4", "d3"), ("d3", "d2")}
-    m = [[0] * 8 for _ in range(8)]
-    for i in range(8):
-        m[i][i] = -2
-    for i, a in enumerate(names):
-        for j, b in enumerate(names):
-            if (a, b) in edges or (b, a) in edges:
-                m[i][j] = -1 if "e" in (a, b) else 1
-    return tuple(tuple(row) for row in m)
-
-
-def _check_extended_cartan(
-    lat: PicardLattice,
-    e: DivisorClass,
-    ds: Sequence[DivisorClass],
-    tips: tuple[int, int],
-) -> None:
-    ordered = [e] + [ds[i] for i in (7, 6, 5, 4, 3, 2, 1)]
-    gram = tuple(tuple(lat.pair(a, b) for b in ordered) for a in ordered)
-    attaches = "d7" if tips == (4, 3) else "d8"
-    if gram != extended_cartan_expected(e_attaches=attaches):
-        raise CartanMismatch(
-            "extended basis does not realize the negated Cartan form"
-        )
 
 
 # --- classification ---------------------------------------------------------------

@@ -8,7 +8,10 @@ process, on the same cases:
 * on the shipped document: verify (json and text, every --stars), roots,
   roots --count, classes, height, formality, search --limit 100, the
   paper's decompose and chi with --cls and --from together;
-* verify and classes on the document with D7 and D8 swapped in d8.defs;
+* verify and classes on three documents that fail the canonical stage:
+  D7 and D8 swapped in d8.defs; D1 + D7 - D8 for D1 with d8.gram
+  recomputed, which is no longer the fork; and the genus-3 base class of
+  neither glue parity (b_table.c_table.C1p[0][0] + 1);
 * verify on every variant that bench/inputs.KINDS can draw.  The module is
   read, not edited.
 
@@ -55,16 +58,39 @@ json.dump(out, sys.stdout)
 """
 
 
+def non_fork_document(raw: dict) -> dict:
+    """A copy of raw with D1 + D7 - D8 for D1 and d8.gram recomputed.
+
+    The tips trade their half-sum weights, so e and the basis (K, e, D8..D2)
+    are unchanged, and the document agrees with itself; only D1 no longer
+    ends the D8 fork.
+    """
+    doc = json.loads(json.dumps(raw))
+    defs = doc["d8"]["defs"]
+    d1 = {n: defs["D1"].get(n, 0) + defs["D7"].get(n, 0) - defs["D8"].get(n, 0)
+          for n in sorted({*defs["D1"], *defs["D7"], *defs["D8"]})}
+    defs["D1"] = {n: c for n, c in d1.items() if c}
+    m = doc["curve_table"]["matrix"]
+    vecs = [[defs[f"D{i}"].get(n, 0) for n in doc["curve_table"]["names"]] for i in range(1, 9)]
+    doc["d8"]["gram"] = [[sum(a[x] * m[x][y] * b[y] for x in range(14) for y in range(14))
+                          for b in vecs] for a in vecs]
+    return doc
+
+
 def write_cases(directory: Path) -> list[tuple[str, list[str]]]:
     """The (name, argv) cases; fixture documents are written to directory."""
     sys.path.insert(0, str(ROOT / "bench"))
     import inputs
 
     raw = inputs.shipped_raw()
-    swapped = json.loads(json.dumps(raw))
+    swapped, parity = (json.loads(json.dumps(raw)) for _ in range(2))
     defs = swapped["d8"]["defs"]
     defs["D7"], defs["D8"] = defs["D8"], defs["D7"]
-    docs = [("swapped-D7-D8", json.dumps(swapped))]
+    non_fork = non_fork_document(raw)
+    parity["b_table"]["c_table"]["C1p"][0][0] += 1
+    canonical_failures = [("swapped-D7-D8", swapped), ("non-fork-D1", non_fork),
+                          ("C1p-parity", parity)]
+    docs = [(name, json.dumps(doc)) for name, doc in canonical_failures]
     for kind, (variants, *_) in inputs.KINDS.items():
         for variant in variants(raw):
             name = f"{kind}:{variant}"
@@ -75,7 +101,8 @@ def write_cases(directory: Path) -> list[tuple[str, list[str]]]:
         path = directory / f"doc{i}.json"
         path.write_text(text)
         cases.append((f"verify {name}", ["verify", "--fixtures", str(path)]))
-    cases.append(("classes swapped-D7-D8", ["classes", "--fixtures", str(directory / "doc0.json")]))
+    for i, (name, _) in enumerate(canonical_failures):
+        cases.append((f"classes {name}", ["classes", "--fixtures", str(directory / f"doc{i}.json")]))
     return cases
 
 

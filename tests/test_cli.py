@@ -22,6 +22,8 @@ from barlowlat.errors import SchemaError, TableInconsistency, ToolkitError
 from barlowlat.fixtures import FixtureSet, load_fixtures, shipped_fixture_text
 from barlowlat.lattice import DivisorClass
 
+from compare_outputs import non_fork_document
+
 #: an array nested deeper than the JSON decoder's recursion limit
 DEEPLY_NESTED = "[" * 200000 + "]" * 200000
 
@@ -122,6 +124,53 @@ def test_verify_catches_swapped_fork_tips(tmp_path, capsys):
     assert report["summary"] == {"pass": 8, "fail": 1, "skipped": 7}
     code, out, err = run_cli(capsys, "classes", "--fixtures", str(path))
     assert (code, out, err) == (1, "", f"check failed: {message}\n")
+
+
+def test_verify_rejects_a_self_consistent_non_fork_document(tmp_path, capsys):
+    message = "input Gram is not the expected fork-at-d6 form"
+    raw = non_fork_document(json.loads(shipped_fixture_text()))
+    with pytest.raises(TableInconsistency, match=message):
+        load_fixtures(raw)
+    path = tmp_path / "non-fork.json"
+    path.write_text(json.dumps(raw))
+    code, out, _ = run_cli(capsys, "verify", "--fixtures", str(path))
+    report = json.loads(out)
+    failed = [(c["id"], c["witness"]["error"])
+              for c in report["checks"] if c["status"] == "fail"]
+    assert code == 1
+    assert failed == [("simple-roots-gram", message), ("canonical-basis", message)]
+    assert report["summary"]["skipped"] == 7
+
+
+def test_verify_reports_a_base_class_of_neither_glue_parity(tmp_path, capsys):
+    raw = json.loads(shipped_fixture_text())
+    raw["b_table"]["c_table"]["C1p"][0][0] += 1
+    path = tmp_path / "parity.json"
+    path.write_text(json.dumps(raw))
+    code, out, _ = run_cli(capsys, "verify", "--fixtures", str(path))
+    by_id = {c["id"]: c for c in json.loads(out)["checks"]}
+    assert code == 1
+    assert by_id["canonical-basis"]["status"] == "fail"
+    assert by_id["canonical-basis"]["witness"]["error"] == (
+        "genus-3 base class is not integral under either glue choice; "
+        "the pairing tables are inconsistent"
+    )
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["chi", "--from", "L1"], "chi requires either --cls or both --from and --to"),
+    (["chi", "--to", "L3"], "chi requires either --cls or both --from and --to"),
+    (["decompose", "--target", "E1", "--generators", " , "],
+     "fixture error: --generators names no generator"),
+    (["decompose", "--target", "E1", "--generators", "E1,E1"],
+     "fixture error: --generators names E1 more than once"),
+], ids=["chi-from", "chi-to", "generators-empty", "generators-repeated"])
+def test_argument_errors_are_reported_before_the_fixture_loads(tmp_path, capsys, argv, err):
+    # the document fails the canonical stage, which the commands would read
+    path = tmp_path / "non-fork.json"
+    path.write_text(json.dumps(non_fork_document(json.loads(shipped_fixture_text()))))
+    code, out, got = run_cli(capsys, *argv, "--fixtures", str(path))
+    assert (code, out, got) == (2, "", err + "\n")
 
 
 def test_verify_runs_each_elimination_and_height_once(monkeypatch):
