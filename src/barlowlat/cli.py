@@ -3,7 +3,7 @@
 Subcommands run the verification pipeline or individual computations and
 emit machine-readable JSON (or a plain-text summary for `verify --format
 text`).  Exit codes: 0 all good, 1 a check failed, 2 unusable input
-(missing or malformed fixture, bad expression).
+(missing or malformed fixture, malformed argument or expression).
 """
 from __future__ import annotations
 
@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from . import __version__
-from .errors import SchemaError, ToolkitError, UndefinedEntry, UnknownName
+from .errors import SchemaError, ToolkitError, UndefinedEntry, UnknownName, UsageError
 from .exceptional import (
     DecompositionProblem,
     decompose_effective,
@@ -46,7 +46,7 @@ from .roots import (  # noqa: F401
 
 SURFACE_DIMENSION = 2
 
-_TERM = re.compile(r"([+-]?)\s*(\d*)\s*\*?\s*([A-Za-z][A-Za-z0-9]*)")
+_TERM = re.compile(r"([+-]?)\s*([0-9]*)\s*\*?\s*([A-Za-z][A-Za-z0-9]*)")
 
 
 def parse_class_expr(fix: FixtureSet, expr: str) -> DivisorClass:
@@ -56,7 +56,7 @@ def parse_class_expr(fix: FixtureSet, expr: str) -> DivisorClass:
     """
     text = expr.strip()
     if not text:
-        raise SchemaError("empty class expression")
+        raise UsageError("empty class expression")
     if text == "0":
         return DivisorClass.zero(9)
     pos = 0
@@ -65,7 +65,7 @@ def parse_class_expr(fix: FixtureSet, expr: str) -> DivisorClass:
         m = _TERM.match(text, pos)
         # terms after the first need their sign: "K K" is not "2K"
         if m is None or (pos and not m.group(1)):
-            raise SchemaError(f"cannot parse class expression at {text[pos:]!r}")
+            raise UsageError(f"cannot parse class expression at {text[pos:]!r}")
         sign = -1 if m.group(1) == "-" else 1
         coeff = int(m.group(2)) if m.group(2) else 1
         name = m.group(3)
@@ -341,11 +341,9 @@ def cmd_classes(args: argparse.Namespace) -> int:
 
 def cmd_chi(args: argparse.Namespace) -> int:
     if args.cls is not None and (args.src is not None or args.dst is not None):
-        print("chi takes either --cls or --from and --to, not both", file=sys.stderr)
-        return 2
+        raise UsageError("chi takes either --cls or --from and --to, not both")
     if args.cls is None and (args.src is None or args.dst is None):
-        print("chi requires either --cls or both --from and --to", file=sys.stderr)
-        return 2
+        raise UsageError("chi requires either --cls or both --from and --to")
     fix = _load(args)
     lat = fix.lattice
     if args.cls is not None:
@@ -422,10 +420,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if args.generators is not None:
         names = [n.strip() for n in args.generators.split(",") if n.strip()]
         if not names:
-            raise SchemaError("--generators names no generator")
+            raise UsageError("--generators names no generator")
         repeated = sorted({n for n in names if names.count(n) > 1})
         if repeated:
-            raise SchemaError(f"--generators names {', '.join(repeated)} more than once")
+            raise UsageError(f"--generators names {', '.join(repeated)} more than once")
     fix = _load(args)
     target = parse_class_expr(fix, args.target)
     if args.generators is None:
@@ -526,6 +524,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     except SchemaError as exc:
         print(f"fixture error: {exc}", file=sys.stderr)
         return 2

@@ -10,6 +10,10 @@ class ToolkitError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class UsageError(ToolkitError):
+    """A command-line argument is malformed; the message is the whole report."""
+
+
 # --- lattice arithmetic ------------------------------------------------------
 
 class DimensionMismatch(ToolkitError):
@@ -68,8 +72,8 @@ class RelationViolation(ToolkitError):
 
 # --- root systems ------------------------------------------------------------
 
-class IndefinitePerp(ToolkitError):
-    """The orthogonal complement of k is not negative definite."""
+class NonCanonicalLattice(ToolkitError):
+    """Roots were asked of a lattice other than the canonical 1 + (-E8)."""
 
 
 class PartitionFailure(ToolkitError):

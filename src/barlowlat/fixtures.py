@@ -9,6 +9,7 @@ matrix, the forward Ext ledger and the 22x22 height bound table.
 chain of stages, each a cached property that is a pure function of the
 tables and the earlier stages:
 
+* `d8_fork`: D1..D8 as curve vectors, and their images under the curve matrix;
 * `canonical`: the canonical coordinate basis (k, e, d8..d2), with the
   lattice and the coordinates of the 14 curves, D1..D8 and e.  It is the
   only code that builds the glue root e: the fork D1..D8 must have the Gram
@@ -33,6 +34,7 @@ from pathlib import Path
 from typing import Mapping, Sequence
 
 from . import linalg, roots as rootsmod
+from .roots import CANONICAL_GRAM, CANONICAL_K
 from .errors import (
     ChiMatrixMismatch,
     RankError,
@@ -84,22 +86,8 @@ HALF_SUM_WEIGHTS = (1, 2, 3, 4, 5, 6)
 TIP_WEIGHTS = ((3, 4), (4, 3))
 
 
-def extended_cartan_expected() -> tuple[tuple[int, ...], ...]:
-    """The negated E8 Cartan form of (e, d8, d7, d6, d5, d4, d3, d2).
-
-    e attaches to d7, the tip of weight 4, and pairs -1 with it: the sign the
-    half-sum produces.  Every other edge of the diagram pairs +1.
-    """
-    m = [[-2 if i == j else 0 for j in range(8)] for i in range(8)]
-    for i, j in ((0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)):
-        m[i][j] = m[j][i] = -1 if i == 0 else 1
-    return tuple(map(tuple, m))
-
-
-#: the canonical coordinate basis, in coordinate order
+#: the canonical coordinate basis, in coordinate order (Gram `CANONICAL_GRAM`)
 BASIS_NAMES = ("K", "e", "D8", "D7", "D6", "D5", "D4", "D3", "D2")
-#: its Gram, 1 ⊥ (-E8): K, then e extending D8..D2 to the E8 Cartan form
-CANONICAL_GRAM = ((1,) + (0,) * 8,) + tuple((0,) + r for r in extended_cartan_expected())
 
 
 def b_name(q: int, i: int, j: int, k: int) -> str:
@@ -376,6 +364,12 @@ class FixtureSet(Record):
     # ------------------------------------------------------------------ stages
 
     @cached_property
+    def d8_fork(self) -> tuple[list[list[int]], list[list[int]]]:
+        """D1..D8 as curve vectors, and their images under the curve matrix."""
+        ds = [_curve_vector(self.d8_defs[f"D{i}"]) for i in range(1, 9)]
+        return ds, [_apply(self.curve_table.matrix, d) for d in ds]
+
+    @cached_property
     def canonical(self) -> Canonical:
         """Construct the canonical basis (K, e, D8..D2) and all coordinates.
 
@@ -387,8 +381,7 @@ class FixtureSet(Record):
         """
         self.curve_table.validate()
         self.validate_d8()
-        m = self.curve_table.matrix
-        ds = [_curve_vector(self.d8_defs[f"D{i}"]) for i in range(1, 9)]
+        ds = self.d8_fork[0]
         k2 = [2 * x for x in _curve_vector({"K": 1})]
         b_row = self.b_table.pairing_row(self.curve_table, 1, 0, 0, 0)
 
@@ -406,11 +399,11 @@ class FixtureSet(Record):
                 "genus-3 base class is not integral under either glue choice; "
                 "the pairing tables are inconsistent"
             )
-        mb2 = [_apply(m, b) for b in basis2]
+        mb2 = [_apply(self.curve_table.matrix, b) for b in basis2]
         gram4 = tuple(tuple(_dot(a, mb) for mb in mb2) for a in basis2)
         if gram4 != tuple(tuple(4 * x for x in row) for row in CANONICAL_GRAM):
             raise TableInconsistency("canonical gram does not match the extended Cartan form")
-        lat = make_lattice(9, CANONICAL_GRAM, DivisorClass((1,) + (0,) * 8))
+        lat = make_lattice(9, CANONICAL_GRAM, DivisorClass(CANONICAL_K))
 
         # the inverse of a unimodular integer matrix is an integer matrix
         ginv = [[int(x) for x in row] for row in linalg.invert_exact(CANONICAL_GRAM)]
@@ -422,19 +415,18 @@ class FixtureSet(Record):
         # M = MB X.  Applying B^T gives X = G^-1 B^T M, so M = MB G^-1 B^T M:
         # the coordinates reproduce every cell of the curve table, with no
         # round trip to check.
-        def coords_of(combo: Mapping[str, int]) -> DivisorClass:
-            pv2 = [_dot(_curve_vector(combo), mb) for mb in mb2]
+        def coords_of(v: Sequence[int]) -> DivisorClass:
+            pv2 = [_dot(v, mb) for mb in mb2]
             if any(x % 2 for x in pv2):
-                cells = ", ".join(f"{n!r}: Fraction({c}, 1)" for n, c in combo.items() if c)
+                cells = ", ".join(f"{n!r}: Fraction({c}, 1)" for n, c in zip(CURVE_NAMES, v) if c)
                 raise TableInconsistency(
                     f"combination {{{cells}}} is not integral in the canonical basis"
                 )
             pv = [x // 2 for x in pv2]
             return DivisorClass(tuple(_dot(row, pv) for row in ginv))
 
-        classes = {name: coords_of({name: 1}) for name in CURVE_NAMES}
-        for i in range(1, 9):
-            classes[f"D{i}"] = coords_of(self.d8_defs[f"D{i}"])
+        classes = {name: coords_of(_curve_vector({name: 1})) for name in CURVE_NAMES}
+        classes.update((f"D{i}", coords_of(d)) for i, d in enumerate(ds, 1))
         classes["e"] = DivisorClass((0, 1) + (0,) * 7)   # basis (K, e, D8..D2)
         return Canonical(lattice=lat, glue_tips=tips, classes=classes)
 
@@ -514,9 +506,7 @@ class FixtureSet(Record):
 
     def validate_d8(self) -> dict[str, object]:
         """The eight combinations have the expected fork Gram and degree 0."""
-        m = self.curve_table.matrix
-        ds = [_curve_vector(self.d8_defs[f"D{i}"]) for i in range(1, 9)]
-        mds = [_apply(m, d) for d in ds]
+        ds, mds = self.d8_fork
         gram_int = tuple(tuple(_dot(a, md) for md in mds) for a in ds)
         if gram_int != self.d8_gram_expected:
             bad = next(
@@ -531,7 +521,7 @@ class FixtureSet(Record):
             )
         if gram_int != D8_FORK_GRAM:
             raise TableInconsistency("input Gram is not the expected fork-at-d6 form")
-        mk = _apply(m, _curve_vector({"K": 1}))
+        mk = _apply(self.curve_table.matrix, _curve_vector({"K": 1}))
         for i, d in enumerate(ds):
             if _dot(d, mk) != 0:
                 raise TableInconsistency(f"D{i + 1} is not orthogonal to K")

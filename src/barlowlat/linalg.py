@@ -6,9 +6,10 @@ fraction-free Gauss-Jordan elimination (Bareiss 1968): each step divides
 exactly by the previous pivot, so every intermediate entry is an integer
 minor of the input.  `invert_exact` and `solve_overdetermined` build
 `Fraction`s only for the values they return; no other routine uses them.
-`ldl_positive`, which feeds the Fincke-Pohst root search, is the same
-elimination without pivoting.  `signature_symmetric` (an integer congruence)
-and `integer_kernel` (unimodular column operations) eliminate on their own.
+`signature_symmetric` (an integer congruence) eliminates on its own.
+`ldl_positive` (the same elimination without pivoting) and `integer_kernel`
+(unimodular column operations) serve only the Fincke-Pohst root oracle of
+the tests; they stay here because `bench/tracing.py` resolves them by name.
 """
 from __future__ import annotations
 

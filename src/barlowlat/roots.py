@@ -1,24 +1,41 @@
 """Root enumeration and classification.
 
-A root is a class v with v.k = 0 and v.v = -2.  Enumeration restricts the
-negated pairing to the integer kernel of the pairing-with-k map and runs an
-exact Fincke-Pohst search at bound 2 over the fraction-free LDL^T of
-`linalg.ldl_positive`; root families are compared as int tuples.  All of it
-is integer arithmetic.  The glue root e and the E8 form of the canonical
-basis are built by the canonical stage in `fixtures`, not here.
+A root is a class v with v.k = 0 and v.v = -2.  Every fixture that loads has
+the lattice 1 ⊥ (-E8) with the Gram `CANONICAL_GRAM` defined here, and its 240
+roots are the Weyl closure of the simple roots e, D8..D2; the tests keep an
+exact Fincke-Pohst enumeration as the oracle.  Root families are compared as
+int tuples, in integer arithmetic.  The glue root e is built by the canonical
+stage in `fixtures`.
 """
 from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
-from math import isqrt, lcm
 from operator import add, mul, sub
 from typing import Mapping, Sequence
 
-from .errors import IndefinitePerp, PartitionFailure
+from .errors import NonCanonicalLattice, PartitionFailure
 from .lattice import DivisorClass, PicardLattice
 from .record import Record
-from . import linalg
+
+
+def extended_cartan_expected() -> tuple[tuple[int, ...], ...]:
+    """The negated E8 Cartan form of (e, d8, d7, d6, d5, d4, d3, d2).
+
+    e attaches to d7, the tip of weight 4, and pairs -1 with it: the sign the
+    half-sum produces.  Every other edge of the diagram pairs +1.
+    """
+    m = [[-2 if i == j else 0 for j in range(8)] for i in range(8)]
+    for i, j in ((0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)):
+        m[i][j] = m[j][i] = -1 if i == 0 else 1
+    return tuple(map(tuple, m))
+
+
+#: the Gram of the canonical basis (K, e, D8..D2), 1 ⊥ (-E8): K, then e
+#: extending D8..D2 to the E8 Cartan form
+CANONICAL_GRAM = ((1,) + (0,) * 8,) + tuple((0,) + r for r in extended_cartan_expected())
+#: K, the first vector of the canonical basis
+CANONICAL_K = (1,) + (0,) * 8
 
 
 class RootSet(Record):
@@ -38,66 +55,29 @@ class RootSet(Record):
         return frozenset(r.coords for r in self.roots)
 
 
-def _short_vectors(q: Sequence[Sequence[int]], bound: int) -> list[tuple[int, ...]]:
-    """All nonzero integer x with x^T q x <= bound, q positive definite.
-
-    Fincke-Pohst over the fraction-free factors of `linalg.ldl_positive`
-    (ValueError if q is not positive definite).  The i-th term of x^T q x is
-    (d[i+1] x_i + s_i)^2 / (d[i] d[i+1]); scaling by lcm(d[i] d[i+1]) keeps
-    the remaining budget an integer, and each coordinate interval is one
-    `isqrt`.
-    """
-    n = len(q)
-    d, a = linalg.ldl_positive(q)
-    dens = [d[i] * d[i + 1] for i in range(n)]
-    scale = lcm(*dens)
-    weights = [scale // c for c in dens]
-    out: list[tuple[int, ...]] = []
-    x = [0] * n
-
-    def rec(i: int, rem: int) -> None:
-        if i < 0:
-            if any(x):
-                out.append(tuple(x))
-            return
-        p, w = d[i + 1], weights[i]
-        s = sum(map(mul, a[i][i + 1:], x[i + 1:]))
-        y = isqrt(rem // w)
-        for t in range(-((y + s) // p), (y - s) // p + 1):
-            x[i] = t
-            rec(i - 1, rem - w * (p * t + s) ** 2)
-        x[i] = 0
-
-    rec(n - 1, scale * bound)
-    return out
-
-
 def enumerate_roots(lat: PicardLattice) -> RootSet:
-    """All v with v.k = 0 and v.v = -2, deterministically ordered.
-
-    The kernel of v -> v.k is computed with integer column elimination; the
-    negated Gram restricted to the kernel must be positive definite
-    (IndefinitePerp otherwise), and its norm-2 vectors are found by exact
-    Fincke-Pohst enumeration.
-    """
-    gram = lat.gram
-    kernel = linalg.integer_kernel([[sum(map(mul, row, lat.k.coords)) for row in gram]])
-    images = [[sum(map(mul, row, kb)) for row in gram] for kb in kernel]
-    restricted = [[-sum(map(mul, ka, gb)) for gb in images] for ka in kernel]
-    try:
-        short = _short_vectors(restricted, 2)
-    except ValueError as exc:
-        raise IndefinitePerp(
-            "orthogonal complement of k is not negative definite"
-        ) from exc
-    columns = list(zip(*kernel))
-    found = set()
-    for x in short:
-        qx = [sum(map(mul, row, x)) for row in restricted]
-        if sum(map(mul, x, qx)) == 2:
-            found.add(tuple(sum(map(mul, x, col)) for col in columns))
-    roots = tuple(DivisorClass(v) for v in sorted(found))
-    return RootSet(lattice=lat, roots=roots)
+    """The 240 roots of the lattice `CANONICAL_GRAM` with k = `CANONICAL_K`, in
+    lexicographic order; any other lattice raises NonCanonicalLattice."""
+    if lat.gram != CANONICAL_GRAM or lat.k.coords != CANONICAL_K:
+        raise NonCanonicalLattice(
+            "roots are enumerated only on 1 + (-E8) in the basis (K, e, D8..D2)"
+        )
+    # W(E8) is generated by the reflections v -> v + (v.a) a in the simple
+    # roots a = e, D8..D2, the unit vectors 1..8, and acts transitively on
+    # the roots, so the orbit of the simple roots is every root.  A
+    # reflection is the same for -a, so the sign of e.D7 = -1 is harmless.
+    found = {tuple(int(i == j) for j in range(9)) for i in range(1, 9)}
+    frontier = list(found)
+    while frontier:
+        v = frontier.pop()
+        for i in range(1, 9):
+            c = sum(map(mul, CANONICAL_GRAM[i], v))
+            if c:
+                w = v[:i] + (v[i] + c,) + v[i + 1:]
+                if w not in found:
+                    found.add(w)
+                    frontier.append(w)
+    return RootSet(lattice=lat, roots=tuple(DivisorClass(v) for v in sorted(found)))
 
 
 # --- classification ---------------------------------------------------------------

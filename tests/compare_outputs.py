@@ -7,7 +7,9 @@ process, on the same cases:
 
 * on the shipped document: verify (json and text, every --stars), roots,
   roots --count, classes, height, formality, search --limit 100, the
-  paper's decompose and chi with --cls and --from together;
+  paper's decompose and chi with --cls and --from together, and four
+  malformed arguments: --generators naming none or one twice, an unsigned
+  second term and an empty --target;
 * verify and classes on three documents that fail the canonical stage:
   D7 and D8 swapped in d8.defs; D1 + D7 - D8 for D1 with d8.gram
   recomputed, which is no longer the fork; and the genus-3 base class of
@@ -36,6 +38,9 @@ SHIPPED_CASES = [
     ["roots"], ["roots", "--count"], ["classes"], ["height"], ["formality"],
     ["search", "--limit", "100"], ["decompose", "--target", "5K - E3p - Bp000"],
     ["chi", "--cls", "K", "--from", "L1"],
+    ["decompose", "--target", "E1", "--generators", " , "],
+    ["decompose", "--target", "E1", "--generators", "E1,E1"],
+    ["chi", "--cls", "K K"], ["decompose", "--target", ""],
 ]
 
 #: runs (name, argv) pairs read from stdin; a crash is recorded, not raised

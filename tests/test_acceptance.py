@@ -17,7 +17,7 @@ from barlowlat.exceptional import (
     search_configs,
     sequence_from_config,
 )
-from barlowlat.fixtures import BASIS_NAMES, b_keys, b_name, extended_cartan_expected
+from barlowlat.fixtures import BASIS_NAMES, b_keys, b_name
 from barlowlat.heights import (
     INF,
     Arc,
@@ -35,7 +35,9 @@ from barlowlat.homledger import (
     validate_ledger,
 )
 from barlowlat.lattice import DivisorClass, make_lattice
-from barlowlat.roots import enumerate_roots, partition_roots
+from barlowlat.roots import enumerate_roots, extended_cartan_expected, partition_roots
+
+from root_oracle import fincke_pohst_roots
 
 BOTH_STARS = (StarChoice.ZERO, StarChoice.NONZERO)
 
@@ -221,7 +223,8 @@ def test_acceptance_09_search(fix, lat):
 
 def test_acceptance_10_oracle_suites(fix, lat):
     with timer() as t:
-        # roots vs box search on small lattices
+        # the Fincke-Pohst root oracle vs box search on small lattices, and
+        # the Weyl closure vs that oracle on the canonical lattice
         def box_roots(small):
             return sorted(
                 (
@@ -239,7 +242,8 @@ def test_acceptance_10_oracle_suites(fix, lat):
             (3, [[2, 1, 0], [1, -2, 0], [0, 0, -2]], (1, 0, 0)),
         ]:
             small = make_lattice(rank, gram, DivisorClass(k))
-            assert list(enumerate_roots(small).roots) == box_roots(small)
+            assert fincke_pohst_roots(small) == box_roots(small)
+        assert list(enumerate_roots(lat).roots) == fincke_pohst_roots(lat)
 
         # height DP vs brute-force circles on synthetic tables
         def circles(n):

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import barlowlat
 from barlowlat import cli, linalg
 from barlowlat.cli import main, parse_class_expr, run_verification
-from barlowlat.errors import SchemaError, TableInconsistency, ToolkitError
+from barlowlat.errors import SchemaError, TableInconsistency, ToolkitError, UsageError
 from barlowlat.fixtures import FixtureSet, load_fixtures, shipped_fixture_text
 from barlowlat.lattice import DivisorClass
 
@@ -161,9 +161,9 @@ def test_verify_reports_a_base_class_of_neither_glue_parity(tmp_path, capsys):
     (["chi", "--from", "L1"], "chi requires either --cls or both --from and --to"),
     (["chi", "--to", "L3"], "chi requires either --cls or both --from and --to"),
     (["decompose", "--target", "E1", "--generators", " , "],
-     "fixture error: --generators names no generator"),
+     "--generators names no generator"),
     (["decompose", "--target", "E1", "--generators", "E1,E1"],
-     "fixture error: --generators names E1 more than once"),
+     "--generators names E1 more than once"),
 ], ids=["chi-from", "chi-to", "generators-empty", "generators-repeated"])
 def test_argument_errors_are_reported_before_the_fixture_loads(tmp_path, capsys, argv, err):
     # the document fails the canonical stage, which the commands would read
@@ -467,6 +467,43 @@ def test_verify_fuzzed_fixture_exits_cleanly(tmp_path_factory, edits):
         assert json.loads(out.getvalue())["summary"]["fail"] >= 1
 
 
+#: marks where a command form takes the fuzzed class expression
+EXPR = object()
+#: the other subcommands, in range and out of range; argparse exits 2 on the latter
+FUZZ_COMMANDS = [
+    ["roots"], ["roots", "--count"], ["classes"], ["height"], ["formality"],
+    ["search", "--limit", "2"], ["chi", "--cls", EXPR], ["chi", "--from", EXPR, "--to", "L3"],
+    ["decompose", "--target", EXPR, "--caps", "2"],
+    ["decompose", "--target", EXPR, "--caps", "2", "--generators", "E1,C1p,K,Bp000"],
+    ["search", "--limit", "0"], ["decompose", "--target", "0", "--caps", "-1"],
+    ["height", "--dim", "0"], ["search", "--limit", "two"], ["chi", "--cls", EXPR, "--to", "L1"],
+]
+FUZZ_EXPRS = st.one_of(
+    st.sampled_from(["5K - E3p - Bp000", "2*L1 - e", "0", "K K", "", "٣K", "Zork", "+"]),
+    st.text(alphabet="KELBpe0123456789+-* ٣", max_size=10),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    edits=st.lists(st.tuples(st.sampled_from(FUZZ_PATHS),
+                             st.sampled_from(FUZZ_VALUES + [DELETE])), max_size=1),
+    command=st.sampled_from(FUZZ_COMMANDS),
+    expr=FUZZ_EXPRS,
+)
+def test_other_commands_exit_cleanly_on_fuzzed_input(tmp_path_factory, edits, command, expr):
+    # exit 0, 1 or 2 and nothing escapes main but argparse's exit
+    path = tmp_path_factory.mktemp("fuzz") / "fixture.json"
+    path.write_text(json.dumps(_edited(edits)))
+    argv = [expr if arg is EXPR else arg for arg in command] + ["--fixtures", str(path)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2)
+
+
 #: verify's rows over the tables and the model stages, fixture-tables to ext-bounds
 MODEL_ROWS = ("fixture-tables", "simple-roots-gram", "canonical-basis", "b-reconstruction",
               "b-relation", "root-count", "root-partition", "vanishing-classification",
@@ -554,7 +591,7 @@ def test_decompose_generators_naming_none_or_repeating_exit_2(capsys, generators
         capsys, "decompose", "--target", "E1", "--generators", generators
     )
     assert (code, out) == (2, "")
-    assert err == f"fixture error: {message}\n"
+    assert err == f"{message}\n"
 
 
 @pytest.mark.parametrize(
@@ -583,8 +620,9 @@ def test_parse_class_expr():
     assert parse_class_expr(fix, "0") == DivisorClass.zero(9)
     for text in ("5K", "5*K", "5 K"):
         assert parse_class_expr(fix, text) == 5 * k
-    for text in ("K + + E1 @", "K K", "2K E1", "", "  \t "):
-        with pytest.raises(SchemaError):
+    # "٣" is an Arabic-Indic digit, which a coefficient does not accept
+    for text in ("K + + E1 @", "K K", "2K E1", "", "  \t ", "٣K"):
+        with pytest.raises(UsageError):
             parse_class_expr(fix, text)
 
 
@@ -592,7 +630,16 @@ def test_chi_terms_without_sign_exit_2(capsys):
     code, out, err = run_cli(capsys, "chi", "--cls", "K K")
     assert code == 2
     assert out == ""
-    assert "cannot parse class expression" in err
+    assert err == "cannot parse class expression at 'K'\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["chi", "--cls", "٣K"], "cannot parse class expression at '٣K'"),
+    (["decompose", "--target", ""], "empty class expression"),
+], ids=["chi-non-ascii-digit", "decompose-empty-target"])
+def test_malformed_expression_is_a_usage_error(capsys, argv, err):
+    # a bare line, not "fixture error: ..."
+    assert run_cli(capsys, *argv) == (2, "", err + "\n")
 
 
 GOLDEN = Path(__file__).parent / "data"

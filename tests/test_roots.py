@@ -7,16 +7,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from barlowlat import linalg
-from barlowlat.errors import IndefinitePerp, PartitionFailure
-from barlowlat.fixtures import BASIS_NAMES, extended_cartan_expected
+from barlowlat.errors import NonCanonicalLattice, PartitionFailure
+from barlowlat.fixtures import BASIS_NAMES
 from barlowlat.lattice import DivisorClass, make_lattice
 from barlowlat.roots import (
+    CANONICAL_GRAM,
+    CANONICAL_K,
     VanishingTag,
-    _short_vectors,
     enumerate_roots,
+    extended_cartan_expected,
     partition_roots,
     vanishing_classification,
 )
+
+from root_oracle import fincke_pohst_roots, short_vectors
 
 
 def box_roots(lat, bound=6):
@@ -40,28 +44,52 @@ SMALL_LATTICES = [
 ]
 
 
+# The box-search tests check the Fincke-Pohst oracle of root_oracle.py, which
+# enumerates the roots of any lattice; enumerate_roots refuses these lattices.
+
 @pytest.mark.parametrize("rank,gram,k", SMALL_LATTICES)
 def test_enumerate_matches_box_search(rank, gram, k):
     lat = make_lattice(rank, gram, DivisorClass(k))
-    got = list(enumerate_roots(lat).roots)
+    got = fincke_pohst_roots(lat)
     assert got == box_roots(lat)
 
 
 def test_enumerate_rank1_empty():
     lat = make_lattice(1, [[1]], DivisorClass((1,)))
-    assert len(enumerate_roots(lat)) == 0
+    assert len(fincke_pohst_roots(lat)) == 0
 
 
 def test_enumerate_single_pair():
     lat = make_lattice(2, [[1, 0], [0, -2]], DivisorClass((1, 0)))
-    roots = enumerate_roots(lat).roots
+    roots = fincke_pohst_roots(lat)
     assert [r.coords for r in roots] == [(0, -1), (0, 1)]
 
 
 def test_enumerate_indefinite_perp_rejected():
     lat = make_lattice(3, [[1, 0, 0], [0, 1, 0], [0, 0, -2]], DivisorClass((1, 0, 0)))
-    with pytest.raises(IndefinitePerp):
-        enumerate_roots(lat)
+    with pytest.raises(ValueError):
+        fincke_pohst_roots(lat)
+
+
+def _changed_cell_pair(gram, i, j, delta):
+    rows = [list(row) for row in gram]
+    rows[i][j] += delta
+    rows[j][i] += delta
+    return rows
+
+
+@pytest.mark.parametrize("rank,gram,k", SMALL_LATTICES + [
+    (9, CANONICAL_GRAM, (2,) + CANONICAL_K[1:]),
+    (9, _changed_cell_pair(CANONICAL_GRAM, 2, 5, 1), CANONICAL_K),
+])
+def test_enumerate_refuses_a_lattice_other_than_the_canonical_one(rank, gram, k):
+    with pytest.raises(NonCanonicalLattice):
+        enumerate_roots(make_lattice(rank, gram, DivisorClass(k)))
+
+
+def test_enumerate_matches_fincke_pohst_oracle(lat):
+    # the Weyl closure and the kernel/LDL search share no code
+    assert list(enumerate_roots(lat).roots) == fincke_pohst_roots(lat)
 
 
 def test_barlow_240(lat):
@@ -214,7 +242,7 @@ def test_short_vectors_match_box_search(b, bound):
     assume(det_laplace(b) != 0)
     n = len(b)
     q = [[sum(b[r][i] * b[r][j] for r in range(n)) for j in range(n)] for i in range(n)]
-    got = _short_vectors(q, bound)
+    got = short_vectors(q, bound)
     assert len(got) == len(set(got))
     assert set(got) == short_vectors_by_image(b, bound)
 
