@@ -429,8 +429,12 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     if args.generators is None:
         names = list(CURVE_NAMES) + sorted(fix.b_classes())
     gens = [(n, fix.curve_class(n)) for n in names]
+    lat = fix.lattice
+    negative = [f"{n} has degree {d}" for n, g in gens if (d := lat.pair(g, lat.k)) < 0]
+    if negative:
+        raise UsageError(f"generators need nonnegative degree: {', '.join(negative)}")
     problem = DecompositionProblem.create(target, gens, caps=args.caps)
-    solutions = decompose_effective(fix.lattice, problem)
+    solutions = decompose_effective(lat, problem)
     out = {
         "target": args.target,
         "generators": names,

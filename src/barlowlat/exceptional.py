@@ -10,18 +10,18 @@ is an integer combination of the ten members and k, so the search certifies
 a configuration by its actual Gram plus one formal proof of the pattern
 (check_formal_pattern); sequence_from_config, the full check, is the
 fallback.  The effective-decomposition solver enumerates all bounded
-nonnegative integer representations of a class over a generator list, on
-integer tuples only: the remainder's degree and its values under one flag
-functional per rank-raising generator, which forces that coefficient.
+nonnegative integer representations of a class over a generator list: one
+linalg.gauss_jordan gives a flag per rank-raising generator, which forces
+that coefficient, and the search runs on integer tuples.
 """
 from __future__ import annotations
 
 from functools import cache, reduce
 from itertools import accumulate, product, starmap
-from math import gcd
 from operator import and_, getitem, lshift, mul, sub
 from typing import Callable, Sequence
 
+from . import linalg
 from .errors import (
     ConfigurationInvalid,
     DimensionMismatch,
@@ -271,59 +271,40 @@ class DecompositionProblem(Record):
         return DecompositionProblem(target=target, generators=gens, caps=cap_vec)
 
 
-def suffix_flags(
-    vectors: Sequence[Sequence[int]], dim: int
-) -> tuple[dict[int, tuple[int, ...]], list[tuple[int, ...]]]:
-    """Flags of a list of dim-vectors and a basis of its common annihilator.
-
-    A backward fraction-free elimination from the unit basis: at vectors[i]
-    the first basis vector u with p = u . vectors[i] != 0 is the flag of i,
-    and each other w becomes p*w - (w . vectors[i])*u over its content.  So
-    flag i kills every later vector but not vectors[i], and exactly the
-    indices that raise the rank of their suffix have one.  Each step is
-    invertible given u, so the flags and the vectors left span Q^dim.
-    """
-    basis = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    flags: dict[int, tuple[int, ...]] = {}
-    for i in reversed(range(len(vectors))):
-        dots = [sum(map(mul, w, vectors[i])) for w in basis]
-        if any(dots):
-            t = next(t for t, d in enumerate(dots) if d)
-            p, u = dots.pop(t), basis.pop(t)
-            flags[i] = u
-            basis = [tuple(p * a - d * b for a, b in zip(w, u)) for w, d in zip(basis, dots)]
-            basis = [tuple(a // c for a in w) for w in basis for c in [gcd(*w)]]
-    return flags, basis
-
-
 def decompose_effective(
     lat: PicardLattice, problem: DecompositionProblem
 ) -> list[tuple[int, ...]]:
     """All c with sum c_g * g = target and 0 <= c <= caps, in lexicographic order.
 
-    Depth first in generator order on the remainder's degree (pairing with k)
-    and its value under each flag of suffix_flags.  A flag kills all later
-    generators, so it forces its own coefficient (flag . remainder over
-    flag . generator), kept if an integer within the cap and the degree left;
-    other coefficients take each value the cap and degree allow.  The common
-    annihilator must kill the target.  A leaf needs no zero check: each flag
-    coordinate is zeroed at its own index and untouched after it, the common
-    annihilator kills the target and every generator, and they span Q^dim.
+    One linalg.gauss_jordan over the columns g_{m-1}, ..., g_0, target, with
+    pivots in the generator columns, sets up the search.  Pivot row i is the
+    flag of generator m-1-pivots[i], with value d there and 0 at every later
+    generator, and a nonzero target entry below the rank puts the target
+    outside the span.  Depth first in generator order on the remainder's
+    degree (pairing with k) and flag values: a flag forces its coefficient
+    (flag value over d), kept if an integer within the cap and the degree
+    left; other coefficients take each value the cap and degree allow.  A
+    leaf needs no zero check: its remainder lies in the span, where the flags,
+    each zeroed at its own index and untouched after, are d times the dual
+    basis of the pivot generators.
     """
     gens = [g.coords for _, g in problem.generators]
     target = problem.target.coords
     if any(len(v) != lat.rank for v in (*gens, target)):
         raise DimensionMismatch("generators and target must have the lattice's rank")
-    flags, common = suffix_flags(gens, lat.rank)
+    m, caps = len(gens), problem.caps
+    vecs = [*gens[::-1], target]
+    rows, pivots, _, _ = linalg.gauss_jordan(list(zip(*vecs)), m)
+    rank = len(pivots)
     # the degree, then the flags; cols[idx] is what generator idx takes of them
-    funcs = [[sum(map(mul, row, lat.k.coords)) for row in lat.gram], *flags.values()]
-    cols = [tuple(sum(map(mul, f, g)) for f in funcs) for g in gens]
+    kg = [sum(map(mul, row, lat.k.coords)) for row in lat.gram]
+    *cols, start = zip([sum(map(mul, kg, v)) for v in vecs], *rows[:rank])
+    cols.reverse()
     if any(col[0] < 0 for col in cols):
         raise ValueError("generators must have nonnegative degree")
-    if any(sum(map(mul, w, target)) for w in common):
+    if any(row[m] for row in rows[rank:]):
         return []
-    place = {idx: pos for pos, idx in enumerate(flags, 1)}  # flag coordinates
-    m, caps = len(gens), problem.caps
+    place = {m - 1 - c: pos for pos, c in enumerate(pivots, 1)}  # flag coordinates
     out: list[tuple[int, ...]] = []
     coeffs = [0] * m  # rec sets coeffs[idx] before it goes deeper
 
@@ -345,5 +326,5 @@ def decompose_effective(
             rec(idx + 1, rem)
             rem = tuple(map(sub, rem, col))
 
-    rec(0, tuple(sum(map(mul, f, target)) for f in funcs))
+    rec(0, start)
     return out

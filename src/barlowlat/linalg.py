@@ -1,11 +1,12 @@
 """Exact linear algebra over the integers and the rationals.
 
 Everything here works on plain lists of Python ints; no floating point is
-used anywhere.  Rank, determinant, inverse and linear solves share one
-fraction-free Gauss-Jordan elimination (Bareiss 1968): each step divides
-exactly by the previous pivot, so every intermediate entry is an integer
-minor of the input.  `invert_exact` and `solve_overdetermined` build
-`Fraction`s only for the values they return; no other routine uses them.
+used anywhere.  Rank, determinant, inverse, linear solves and the set-up of
+`exceptional.decompose_effective` share one fraction-free Gauss-Jordan
+elimination, `gauss_jordan` (Bareiss 1968): each step divides exactly by
+the previous pivot, so every intermediate entry is an integer minor of the
+input.  `invert_exact` and `solve_overdetermined` build `Fraction`s only
+for the values they return; no other routine uses them.
 `signature_symmetric` (an integer congruence) eliminates on its own.
 `ldl_positive` (the same elimination without pivoting) and `integer_kernel`
 (unimodular column operations) serve only the Fincke-Pohst root oracle of
@@ -29,7 +30,7 @@ def asymmetric_cell(mat: IntMatrix) -> tuple[int, int] | None:
                  if mat[i][j] != mat[j][i]), None)
 
 
-def _gauss_jordan(
+def gauss_jordan(
     rows: IntMatrix, width: int
 ) -> tuple[list[list[int]], list[int], int, int]:
     """Fraction-free Gauss-Jordan elimination on integer rows.
@@ -42,9 +43,9 @@ def _gauss_jordan(
     is exact, so every entry stays an integer.
 
     Returns (m, pivots, d, swaps).  Row i < len(pivots) of m holds d in
-    column pivots[i] and zero in the other pivot columns; the other rows
-    vanish in the first `width` columns.  d is the last pivot (1 if there
-    is none) and swaps counts the row exchanges.
+    column pivots[i] and zero in every column before it and in the other
+    pivot columns; the other rows vanish in the first `width` columns.  d
+    is the last pivot (1 if there is none) and swaps counts the row exchanges.
     """
     m = [[index(x) for x in row] for row in rows]
     pivots: list[int] = []
@@ -70,20 +71,20 @@ def _gauss_jordan(
 
 def rank_exact(mat: IntMatrix) -> int:
     """Rank by fraction-free elimination."""
-    return len(_gauss_jordan(mat, len(mat[0]) if mat else 0)[1])
+    return len(gauss_jordan(mat, len(mat[0]) if mat else 0)[1])
 
 
 def det_exact(mat: IntMatrix) -> int:
     """Determinant of a square integer matrix."""
     n = len(mat)
-    _, pivots, d, swaps = _gauss_jordan(mat, n)
+    _, pivots, d, swaps = gauss_jordan(mat, n)
     return 0 if len(pivots) < n else -d if swaps % 2 else d
 
 
 def invert_exact(mat: IntMatrix) -> list[list[Fraction]]:
     """Inverse of a nonsingular square matrix (raises ZeroDivisionError if singular)."""
     n = len(mat)
-    m, pivots, d, _ = _gauss_jordan(
+    m, pivots, d, _ = gauss_jordan(
         [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(mat)], n
     )
     if len(pivots) < n:
@@ -106,7 +107,7 @@ def solve_overdetermined(
     if not rows:
         return [("underdetermined", None)] * len(rhs)
     n = len(rows[0])
-    m, pivots, d, _ = _gauss_jordan(
+    m, pivots, d, _ = gauss_jordan(
         [[*row, *(b[i] for b in rhs)] for i, row in enumerate(rows)], n
     )
     r = len(pivots)

@@ -10,6 +10,11 @@ process, on the same cases:
   paper's decompose and chi with --cls and --from together, and four
   malformed arguments: --generators naming none or one twice, an unsigned
   second term and an empty --target;
+* decompose for a target outside its generators' span (E1 over the four
+  (-2)-curves), E1 + C1p over E1,C1p,C1m,K at --caps 3, 2K and Bm013 over
+  the 46 defaults, and K over e,D1,D2,K (generators of degree zero);
+* decompose on a document that verifies but whose L1 has negative degree,
+  with L1 among the generators;
 * verify and classes on three documents that fail the canonical stage:
   D7 and D8 swapped in d8.defs; D1 + D7 - D8 for D1 with d8.gram
   recomputed, which is no longer the fork; and the genus-3 base class of
@@ -41,6 +46,10 @@ SHIPPED_CASES = [
     ["decompose", "--target", "E1", "--generators", " , "],
     ["decompose", "--target", "E1", "--generators", "E1,E1"],
     ["chi", "--cls", "K K"], ["decompose", "--target", ""],
+    ["decompose", "--target", "E1", "--generators", "C1p,C1m,C2p,C2m"],
+    ["decompose", "--target", "E1 + C1p", "--generators", "E1,C1p,C1m,K", "--caps", "3"],
+    ["decompose", "--target", "2K"], ["decompose", "--target", "Bm013"],
+    ["decompose", "--target", "K", "--generators", "e,D1,D2,K"],
 ]
 
 #: runs (name, argv) pairs read from stdin; a crash is recorded, not raised
@@ -82,6 +91,18 @@ def non_fork_document(raw: dict) -> dict:
     return doc
 
 
+def negative_degree_document(raw: dict) -> dict:
+    """A copy of raw with K - 5 in each of the eleven sequence classes.
+
+    Every difference L_i - L_j is unchanged, so the document verifies, but
+    L1 and L11 have degree -5 and cannot be decomposition generators.
+    """
+    doc = json.loads(json.dumps(raw))
+    for combo in doc["sequence"].values():
+        combo["K"] = combo.get("K", 0) - 5
+    return doc
+
+
 def write_cases(directory: Path) -> list[tuple[str, list[str]]]:
     """The (name, argv) cases; fixture documents are written to directory."""
     sys.path.insert(0, str(ROOT / "bench"))
@@ -108,6 +129,10 @@ def write_cases(directory: Path) -> list[tuple[str, list[str]]]:
         cases.append((f"verify {name}", ["verify", "--fixtures", str(path)]))
     for i, (name, _) in enumerate(canonical_failures):
         cases.append((f"classes {name}", ["classes", "--fixtures", str(directory / f"doc{i}.json")]))
+    path = directory / "negative-degree.json"
+    path.write_text(json.dumps(negative_degree_document(raw)))
+    cases.append(("decompose negative-degree", ["decompose", "--fixtures", str(path),
+                                                "--target", "K", "--generators", "L1,E1"]))
     return cases
 
 

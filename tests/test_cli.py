@@ -22,7 +22,7 @@ from barlowlat.errors import SchemaError, TableInconsistency, ToolkitError, Usag
 from barlowlat.fixtures import FixtureSet, load_fixtures, shipped_fixture_text
 from barlowlat.lattice import DivisorClass
 
-from compare_outputs import non_fork_document
+from compare_outputs import negative_degree_document, non_fork_document
 
 #: an array nested deeper than the JSON decoder's recursion limit
 DEEPLY_NESTED = "[" * 200000 + "]" * 200000
@@ -592,6 +592,19 @@ def test_decompose_generators_naming_none_or_repeating_exit_2(capsys, generators
     )
     assert (code, out) == (2, "")
     assert err == f"{message}\n"
+
+
+def test_decompose_negative_degree_generators_exit_2(tmp_path, capsys):
+    # K - 5 in every sequence class leaves each difference L_i - L_j, so the
+    # document verifies, but L1 and L11 now have degree -5
+    path = tmp_path / "shifted.json"
+    path.write_text(json.dumps(negative_degree_document(json.loads(shipped_fixture_text()))))
+    code, out, _ = run_cli(capsys, "verify", "--fixtures", str(path), "--format", "text")
+    assert code == 0 and out.endswith("16 passed, 0 failed, 0 skipped\n")
+    code, out, err = run_cli(capsys, "decompose", "--fixtures", str(path), "--target", "K",
+                             "--generators", "L1,E1,L11")
+    assert (code, out) == (2, "")
+    assert err == "generators need nonnegative degree: L1 has degree -5, L11 has degree -5\n"
 
 
 @pytest.mark.parametrize(

@@ -22,7 +22,6 @@ from barlowlat.exceptional import (
     is_num_exceptional,
     search_configs,
     sequence_from_config,
-    suffix_flags,
 )
 from barlowlat.fixtures import CURVE_NAMES
 from barlowlat.lattice import DivisorClass, PicardLattice, make_lattice
@@ -591,52 +590,57 @@ def test_decompose_target_outside_rank_deficient_span(fix, lat):
     assert grid_decompose(lat, target, gens, [3] * 4) == []
 
 
-def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
-def test_suffix_annihilators_kill_their_suffix(fix):
-    # each flag of suffix_flags kills the generators after its own and not
-    # its own; the whole list spans the rank-9 lattice, so there are nine
-    # flags and no common annihilator, and a single class leaves 8
-    names = list(fix.curve_table.names) + sorted(fix.b_classes())
-    vectors = [fix.curve_class(n).coords for n in names]
-    flags, common = suffix_flags(vectors, len(vectors[0]))
-    assert len(flags) == 9 and common == []
-    for idx, u in flags.items():
-        assert dot(u, vectors[idx]) != 0
-        assert all(dot(u, v) == 0 for v in vectors[idx + 1:])
-    flags, common = suffix_flags(vectors[-1:], 9)
-    assert list(flags) == [0] and len(common) == 8
-
-
-def _check_annihilators(vectors):
-    flags, common = suffix_flags(vectors, len(vectors[0]))
-    dim = len(vectors[0])
-    assert len(flags) == linalg.rank_exact(vectors)
-    assert linalg.rank_exact([*flags.values(), *common]) == dim
-    assert len(common) == len(linalg.integer_kernel(vectors))
-    for idx, u in flags.items():
-        assert dot(u, vectors[idx]) != 0
-        assert all(dot(u, v) == 0 for v in vectors[idx + 1:])
-    for w in common:
-        assert all(dot(w, v) == 0 for v in vectors)
-    # a flag sits exactly where the suffix gains rank
-    ranks = [linalg.rank_exact(vectors[idx:]) for idx in range(len(vectors))] + [0]
-    assert sorted(flags) == [i for i in range(len(vectors)) if ranks[i] > ranks[i + 1]]
-
-
-def test_suffix_annihilators_match_integer_kernel(fix):
-    names = list(fix.curve_table.names) + sorted(fix.b_classes())
-    _check_annihilators([fix.curve_class(n).coords for n in names])
-
-
-@given(
-    data=st.data(),
-    dim=st.integers(1, 5),
-    count=st.integers(1, 7),
-)
+@given(data=st.data(), rank=st.integers(1, 5))
 @settings(max_examples=150, deadline=None)
-def test_suffix_annihilators_match_integer_kernel_random(data, dim, count):
-    vec = st.tuples(*[st.integers(-3, 3)] * dim)
-    _check_annihilators(data.draw(st.lists(vec, min_size=count, max_size=count)))
+def test_decompose_matches_grid_oracle_small_lattices(data, rank):
+    # identity Gram and k = (1, ..., 1), so the degree is the coordinate sum.
+    # Up to six generators: random vectors of nonnegative degree, the zero
+    # vector, and repeats, sums and doubles of earlier ones, so the span has
+    # any rank up to `rank` and is often dependent; caps 0-3.  The target is
+    # a combination within the caps, maybe pushed off by +-1 in one coordinate
+    lat = make_lattice(rank, [[int(i == j) for j in range(rank)] for i in range(rank)],
+                       DivisorClass((1,) * rank))
+    vec = st.lists(st.integers(-2, 2), min_size=rank, max_size=rank)
+    gens = []
+    for _ in range(data.draw(st.integers(0, 6), label="count")):
+        kind = data.draw(st.sampled_from(["vector", "vector", "zero", "repeat", "sum", "double"]))
+        if kind == "zero":
+            coords = [0] * rank
+        elif kind == "vector" or not gens:
+            coords = data.draw(vec)
+            coords = [-x for x in coords] if sum(coords) < 0 else coords
+        else:
+            a, b = (gens[data.draw(st.integers(0, len(gens) - 1))][1].coords for _ in "ab")
+            coords = {"repeat": a, "sum": [x + y for x, y in zip(a, b)],
+                      "double": [2 * x for x in a]}[kind]
+        gens.append((f"g{len(gens)}", DivisorClass(tuple(coords))))
+    caps = [data.draw(st.integers(0, 3)) for _ in gens]
+    target = [0] * rank
+    for (_, g), cap in zip(gens, caps):
+        c = data.draw(st.integers(0, cap))
+        target = [t + c * x for t, x in zip(target, g.coords)]
+    shift = data.draw(st.sampled_from([0, 0, -1, 1]), label="shift")
+    coord = data.draw(st.integers(0, rank - 1), label="coord")
+    target = DivisorClass(tuple(x + shift * (j == coord) for j, x in enumerate(target)))
+    problem = DecompositionProblem.create(target, gens, caps)
+    assert decompose_effective(lat, problem) == grid_decompose(lat, target, gens, caps)
+
+
+@pytest.mark.parametrize("target, names, count", [
+    ("5K - E3p - Bp000", None, 1),
+    ("E1", ["C1p", "C1m", "C2p", "C2m"], 0),  # outside the span
+])
+def test_decompose_runs_one_elimination(fix, lat, monkeypatch, target, names, count):
+    calls = []
+    inner = linalg.gauss_jordan
+
+    def counted(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(linalg, "gauss_jordan", counted)
+    names = names or list(CURVE_NAMES) + sorted(fix.b_classes())
+    gens = [(n, fix.curve_class(n)) for n in names]
+    problem = DecompositionProblem.create(parse_class_expr(fix, target), gens, caps=8)
+    assert len(decompose_effective(lat, problem)) == count
+    assert len(calls) == 1
