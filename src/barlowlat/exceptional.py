@@ -12,7 +12,10 @@ a configuration by its actual Gram plus one formal proof of the pattern
 fallback.  The effective-decomposition solver enumerates all bounded
 nonnegative integer representations of a class over a generator list: one
 linalg.gauss_jordan gives a flag per rank-raising generator, which forces
-that coefficient, and the search runs on integer tuples.
+that coefficient, and the search runs on integer tuples.  Two exact integer
+prunes cut it: an interval per flag that the generators up to its pivot can
+still fill, and a jump past the generators of positive degree once the
+degree is spent.
 """
 from __future__ import annotations
 
@@ -287,6 +290,16 @@ def decompose_effective(
     leaf needs no zero check: its remainder lies in the span, where the flags,
     each zeroed at its own index and untouched after, are d times the dual
     basis of the pivot generators.
+
+    Two prunes, exact in integers, with D the degree left.  A flag is 0 after
+    its pivot j, so generators idx..j must add exactly its remainder value.
+    One of degree 0 adds between cap*min(0, f) and cap*max(0, f); those of
+    positive degree and nonzero cap spend at most D, so together they add
+    between D*min(0, f/deg) and D*max(0, f/deg) over them.  A node outside
+    an interval returns; the ratios are compared by cross-multiplying.  When
+    D is 0, every generator of positive degree takes 0, so the search jumps
+    to the next one of degree 0, or to the leaf.  A flag whose pivot it jumps
+    over has the interval [0, 0] there, so the check just made zeroed it.
     """
     gens = [g.coords for _, g in problem.generators]
     target = problem.target.coords
@@ -305,10 +318,34 @@ def decompose_effective(
     if any(row[m] for row in rows[rank:]):
         return []
     place = {m - 1 - c: pos for pos, c in enumerate(pivots, 1)}  # flag coordinates
+    # bounds[idx]: per flag with pivot j >= idx, generators idx..j add to it
+    # between lo + D*a/b and hi + D*c/e with D degree left (a/b <= 0 <= c/e)
+    bounds: list[list[tuple[int, ...]]] = [[] for _ in range(m + 1)]
+    for j, pos in place.items():
+        lo = hi = a = c = 0
+        b = e = 1
+        for idx in range(j, -1, -1):
+            d, f, cap = cols[idx][0], cols[idx][pos], caps[idx]
+            if not d:
+                lo, hi = lo + cap * min(0, f), hi + cap * max(0, f)
+            elif cap:
+                a, b = (f, d) if f * b < a * d else (a, b)
+                c, e = (f, d) if f * e > c * d else (c, e)
+            bounds[idx].append((pos, lo, a, b, hi, c, e))
+    skip = [m] * (m + 1)  # the first generator of degree 0 from idx on, or m
+    for idx in range(m - 1, -1, -1):
+        skip[idx] = skip[idx + 1] if cols[idx][0] else idx
     out: list[tuple[int, ...]] = []
     coeffs = [0] * m  # rec sets coeffs[idx] before it goes deeper
 
     def rec(idx: int, rem: tuple[int, ...]) -> None:
+        left = rem[0]
+        for pos, lo, a, b, hi, c, e in bounds[idx]:
+            if lo * b + left * a > rem[pos] * b or rem[pos] * e > hi * e + left * c:
+                return
+        if not left and skip[idx] > idx:
+            coeffs[idx:skip[idx]] = [0] * (skip[idx] - idx)
+            return rec(skip[idx], rem)
         if idx == m:
             out.append(tuple(coeffs))
             return

@@ -13,6 +13,10 @@ process, on the same cases:
 * decompose for a target outside its generators' span (E1 over the four
   (-2)-curves), E1 + C1p over E1,C1p,C1m,K at --caps 3, 2K and Bm013 over
   the 46 defaults, and K over e,D1,D2,K (generators of degree zero);
+* decompose over the 46 defaults for 3K and 4K (6 and 22 solutions) and for
+  2K + 2C1p and Bp000 + 4C1p (a (-2)-curve taken more than once), 3K over
+  Bp000,E1,C1p,K,C1m,L,C2p,C2m (degree-0 classes after positive-degree
+  ones) at --caps 2, and 2K at --caps 0;
 * decompose on a document that verifies but whose L1 has negative degree,
   with L1 among the generators;
 * verify and classes on three documents that fail the canonical stage:
@@ -50,6 +54,11 @@ SHIPPED_CASES = [
     ["decompose", "--target", "E1 + C1p", "--generators", "E1,C1p,C1m,K", "--caps", "3"],
     ["decompose", "--target", "2K"], ["decompose", "--target", "Bm013"],
     ["decompose", "--target", "K", "--generators", "e,D1,D2,K"],
+    ["decompose", "--target", "3K"], ["decompose", "--target", "4K"],
+    ["decompose", "--target", "2K + 2C1p"], ["decompose", "--target", "Bp000 + 4C1p"],
+    ["decompose", "--target", "3K", "--generators", "Bp000,E1,C1p,K,C1m,L,C2p,C2m",
+     "--caps", "2"],
+    ["decompose", "--target", "2K", "--caps", "0"],
 ]
 
 #: runs (name, argv) pairs read from stdin; a crash is recorded, not raised

@@ -498,9 +498,10 @@ def test_decompose_linked_class(fix, lat):
     assert as_dicts == [{"Bp001": 1, "C1m": 1, "C2p": 1}]
 
 
-DECOMPOSE_DIGESTS = json.loads(
+DIGEST_FILE = json.loads(
     (Path(__file__).parent / "data" / "decompose_digests.json").read_text()
-)["targets"]
+)
+DECOMPOSE_DIGESTS = DIGEST_FILE["targets"]
 
 
 def test_decompose_matches_pinned_digests(fix, lat):
@@ -513,6 +514,78 @@ def test_decompose_matches_pinned_digests(fix, lat):
         target = parse_class_expr(fix, label)
         sols = decompose_effective(lat, DecompositionProblem.create(target, gens, caps=8))
         assert hashlib.sha256(repr(sorted(sols)).encode()).hexdigest() == digest, label
+
+
+def test_decompose_matches_capped_digests(fix, lat):
+    # pinned before the search had interval bounds and the degree-exhausted
+    # skip: multiples of K with 6 to 117 solutions, 3K at caps 2, and targets
+    # that need a (-2)-curve more than once.  Label "TARGET @ caps C", value
+    # [number of solutions, SHA-256 of the repr of the sorted solution list]
+    names = list(CURVE_NAMES) + sorted(fix.b_classes())
+    gens = [(n, fix.curve_class(n)) for n in names]
+    assert len(DIGEST_FILE["capped"]) == 8
+    for label, (count, digest) in DIGEST_FILE["capped"].items():
+        expr, caps = label.split(" @ caps ")
+        problem = DecompositionProblem.create(parse_class_expr(fix, expr), gens, int(caps))
+        sols = decompose_effective(lat, problem)
+        assert len(sols) == count, label
+        assert hashlib.sha256(repr(sorted(sols)).encode()).hexdigest() == digest, label
+
+
+def test_decompose_multiplicity_of_a_nodal_curve(fix, lat):
+    names = list(CURVE_NAMES) + sorted(fix.b_classes())
+    gens = [(n, fix.curve_class(n)) for n in names]
+    problem = DecompositionProblem.create(parse_class_expr(fix, "2K + 2C1p"), gens, caps=8)
+    sols = decompose_effective(lat, problem)
+    assert [{names[i]: c for i, c in enumerate(v) if c} for v in sols] == [{"C1p": 2, "K": 2}]
+
+
+@pytest.mark.parametrize("target", [
+    "3K", "3K + C1p", "3K + C2p", "3K - E1", "2K + 2C1p", "K + 2C2p + C2m",
+    "Bp000 + 2C1m + C2p", "Bp000 + E1 + K", "2C1p + 2C2m", "K - C1p", "E1 + C2m - C1p", "0",
+])
+def test_decompose_interleaved_degree_zero_generators(fix, lat, target):
+    # degree-0 classes (the four (-2)-curves) after generators of positive
+    # degree that are pivots, so a flag's interval mixes both kinds; with L
+    # the list is dependent (3K = L + 2E1 + C1p + C1m), so 3K has two answers;
+    # 2C1p + 2C2m takes two curves at their caps with no degree to spare
+    names = ["Bp000", "E1", "C1p", "K", "C1m", "L", "C2p", "C2m"]
+    gens = [(n, fix.curve_class(n)) for n in names]
+    caps = [2, 2, 2, 3, 2, 1, 2, 2]
+    cls = parse_class_expr(fix, target)
+    problem = DecompositionProblem.create(cls, gens, caps)
+    assert decompose_effective(lat, problem) == grid_decompose(lat, cls, gens, caps)
+
+
+@pytest.mark.parametrize("target", [
+    "K + C1p", "K + 2C1p", "E1 + K", "Bp000 + C1m", "2K + C1p + C1m", "E1",
+])
+def test_decompose_cap_zero_generators_of_positive_degree(fix, lat, target):
+    # E1, Bp000 and E2 are capped at 0; K + 2C1p takes C1p at its cap
+    names = ["E1", "K", "C1p", "Bp000", "C1m", "E2"]
+    gens = [(n, fix.curve_class(n)) for n in names]
+    caps = [0, 2, 2, 0, 2, 0]
+    cls = parse_class_expr(fix, target)
+    problem = DecompositionProblem.create(cls, gens, caps)
+    assert decompose_effective(lat, problem) == grid_decompose(lat, cls, gens, caps)
+
+
+@pytest.mark.parametrize("target, names", [
+    ("E1 - E2", ["E1", "E2"]),
+    ("C1p + E2 - E1", ["C1p", "E1", "E2"]),
+    ("K + C1p - E1", ["K", "C1p", "E1", "C1m"]),
+    ("E1 + C1p - E2", ["E1", "C1p", "E2"]),
+])
+def test_decompose_degree_runs_out_before_a_positive_flag(fix, lat, target, names):
+    # the target has degree 0 but is not a sum of degree-0 generators: the
+    # degree is spent at the first generator while the flag of a later one
+    # of positive degree is nonzero
+    gens = [(n, fix.curve_class(n)) for n in names]
+    cls = parse_class_expr(fix, target)
+    assert lat.pair(cls, lat.k) == 0
+    problem = DecompositionProblem.create(cls, gens, caps=3)
+    assert decompose_effective(lat, problem) == []
+    assert grid_decompose(lat, cls, gens, [3] * len(gens)) == []
 
 
 def test_decompose_resubstitution(fix, lat):
