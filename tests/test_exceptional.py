@@ -532,14 +532,6 @@ def test_decompose_matches_capped_digests(fix, lat):
         assert hashlib.sha256(repr(sorted(sols)).encode()).hexdigest() == digest, label
 
 
-def test_decompose_multiplicity_of_a_nodal_curve(fix, lat):
-    names = list(CURVE_NAMES) + sorted(fix.b_classes())
-    gens = [(n, fix.curve_class(n)) for n in names]
-    problem = DecompositionProblem.create(parse_class_expr(fix, "2K + 2C1p"), gens, caps=8)
-    sols = decompose_effective(lat, problem)
-    assert [{names[i]: c for i, c in enumerate(v) if c} for v in sols] == [{"C1p": 2, "K": 2}]
-
-
 @pytest.mark.parametrize("target", [
     "3K", "3K + C1p", "3K + C2p", "3K - E1", "2K + 2C1p", "K + 2C2p + C2m",
     "Bp000 + 2C1m + C2p", "Bp000 + E1 + K", "2C1p + 2C2m", "K - C1p", "E1 + C2m - C1p", "0",
@@ -578,8 +570,8 @@ def test_decompose_cap_zero_generators_of_positive_degree(fix, lat, target):
 ])
 def test_decompose_degree_runs_out_before_a_positive_flag(fix, lat, target, names):
     # the target has degree 0 but is not a sum of degree-0 generators: the
-    # degree is spent at the first generator while the flag of a later one
-    # of positive degree is nonzero
+    # degree is spent from the start while the flag of a later generator of
+    # positive degree is nonzero
     gens = [(n, fix.curve_class(n)) for n in names]
     cls = parse_class_expr(fix, target)
     assert lat.pair(cls, lat.k) == 0
