@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from . import __version__
-from .errors import SchemaError, ToolkitError, UndefinedEntry, UnknownName, UsageError
+from .errors import SchemaError, ToolkitError, UnknownName, UsageError
 from .exceptional import (
     DecompositionProblem,
     decompose_effective,
@@ -362,8 +362,7 @@ def cmd_height(args: argparse.Namespace) -> int:
             raw = json.loads(Path(args.matrix).read_text())
             bounds = ExtBoundMatrix.from_rows(raw["n"], raw["rows"])
             h = height(bounds)
-        except (OSError, KeyError, TypeError, ValueError, RecursionError, SchemaError,
-                UndefinedEntry) as exc:
+        except (OSError, KeyError, TypeError, ValueError, RecursionError, ToolkitError) as exc:
             print(f"cannot read bound matrix: {exc}", file=sys.stderr)
             return 2
     else:

@@ -25,12 +25,7 @@ from operator import and_, getitem, lshift, mul, sub
 from typing import Callable, Sequence
 
 from . import linalg
-from .errors import (
-    ConfigurationInvalid,
-    DimensionMismatch,
-    NonSymmetricGram,
-    ParityViolation,
-)
+from .errors import ToolkitError
 from .lattice import DivisorClass, PicardLattice, make_lattice
 from .record import Record
 from .roots import RootSet
@@ -78,7 +73,7 @@ class ABConfiguration(Record):
 
     def __post_init__(self) -> None:
         if len(self.a) != 8 or len(self.b) != 2:
-            raise ConfigurationInvalid("need eight chain roots and two extra roots")
+            raise ToolkitError("need eight chain roots and two extra roots")
 
     def violations(self, lat: PicardLattice) -> list[str]:
         members = [*self.a, *self.b]
@@ -99,7 +94,7 @@ class ABConfiguration(Record):
     def validate(self, lat: PicardLattice) -> None:
         bad = self.violations(lat)
         if bad:
-            raise ConfigurationInvalid("; ".join(bad))
+            raise ToolkitError("; ".join(bad))
 
 
 def _pattern(
@@ -122,7 +117,7 @@ def sequence_from_config(
     seq = _pattern(cfg.a, *cfg.b, cfg.k)
     ok, _ = is_num_exceptional(lat, seq)
     if not ok:
-        raise ConfigurationInvalid("built sequence is not numerically exceptional")
+        raise ToolkitError("built sequence is not numerically exceptional")
     return tuple(seq)
 
 
@@ -136,13 +131,15 @@ def check_formal_pattern(gram10: Sequence[Sequence[int]], k_square: int = 1) -> 
     one giving a class of odd d.d - d.k, is not exceptional.
     """
     if len(gram10) != 10 or any(len(r) != 10 for r in gram10):
-        raise DimensionMismatch("gram10 must be 10x10")
+        raise ToolkitError("gram10 must be 10x10")
     gram = [[*row, 0] for row in gram10] + [[0] * 10 + [k_square]]
     unit = [DivisorClass(tuple(int(i == j) for j in range(11))) for i in range(11)]
+    # the shape is checked above, so only an asymmetric Gram or an odd
+    # d.d - d.k can raise here
     try:
         lat = make_lattice(11, gram, unit[10])
         ok, _ = is_num_exceptional(lat, _pattern(unit[:8], unit[8], unit[9], unit[10]))
-    except (NonSymmetricGram, ParityViolation):
+    except ToolkitError:
         return False
     return ok
 
@@ -268,7 +265,7 @@ class DecompositionProblem(Record):
         else:
             cap_vec = tuple(caps)
         if len(cap_vec) != len(gens):
-            raise DimensionMismatch("caps and generators have different lengths")
+            raise ToolkitError("caps and generators have different lengths")
         if any(c < 0 for c in cap_vec):
             raise ValueError("caps must be nonnegative")
         return DecompositionProblem(target=target, generators=gens, caps=cap_vec)
@@ -296,15 +293,18 @@ def decompose_effective(
     One of degree 0 adds between cap*min(0, f) and cap*max(0, f); those of
     positive degree and nonzero cap spend at most D, so together they add
     between D*min(0, f/deg) and D*max(0, f/deg) over them.  A node outside
-    an interval returns; the ratios are compared by cross-multiplying.  When
-    D is 0, every generator of positive degree takes 0, so the search jumps
-    to the next one of degree 0, or to the leaf.  A flag whose pivot it jumps
-    over has the interval [0, 0] there, so the check just made zeroed it.
+    an interval returns; the ratios are compared by cross-multiplying.  Both
+    sides of a child's check move linearly with the free coefficient above
+    it, so that coefficient stops at the last value that passes them all: a
+    cap above what the intervals allow costs no calls.  When D is 0, every
+    generator of positive degree takes 0, so the search jumps to the next one
+    of degree 0, or to the leaf.  A flag whose pivot it jumps over has the
+    interval [0, 0] there, so the check just made zeroed it.
     """
     gens = [g.coords for _, g in problem.generators]
     target = problem.target.coords
     if any(len(v) != lat.rank for v in (*gens, target)):
-        raise DimensionMismatch("generators and target must have the lattice's rank")
+        raise ToolkitError("generators and target must have the lattice's rank")
     m, caps = len(gens), problem.caps
     vecs = [*gens[::-1], target]
     rows, pivots, _, _ = linalg.gauss_jordan(list(zip(*vecs)), m)
@@ -357,9 +357,16 @@ def decompose_effective(
                 coeffs[idx] = q
                 rec(idx + 1, tuple(a - q * b for a, b in zip(rem, col)))
             return
-        top = min(caps[idx], rem[0] // col[0]) if col[0] else caps[idx]
-        for c in range(top + 1):
-            coeffs[idx] = c
+        d = col[0]
+        top = min(caps[idx], left // d) if d else caps[idx]
+        for p, lo, a, b, hi, c, e in bounds[idx + 1]:
+            f = col[p]
+            if f * b > d * a:
+                top = min(top, ((rem[p] - lo) * b - left * a) // (f * b - d * a))
+            if d * c > f * e:
+                top = min(top, ((hi - rem[p]) * e + left * c) // (d * c - f * e))
+        for n in range(top + 1):
+            coeffs[idx] = n
             rec(idx + 1, rem)
             rem = tuple(map(sub, rem, col))
 

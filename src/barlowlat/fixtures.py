@@ -35,15 +35,7 @@ from typing import Mapping, Sequence
 
 from . import linalg, roots as rootsmod
 from .roots import CANONICAL_GRAM, CANONICAL_K
-from .errors import (
-    ChiMatrixMismatch,
-    RankError,
-    RelationViolation,
-    SchemaError,
-    SymmetryError,
-    TableInconsistency,
-    UnknownName,
-)
+from .errors import SchemaError, ToolkitError, UnknownName
 from .heights import ExtBoundMatrix
 from .homledger import LedgerMatrix, StarChoice, validate_ledger
 from .lattice import DivisorClass, PicardLattice, make_lattice
@@ -120,12 +112,12 @@ class CurveTable(Record):
         """Symmetry, rank 9 and the diagonal; names and shape are parsed."""
         bad = linalg.asymmetric_cell(self.matrix)
         if bad:
-            raise SymmetryError(
+            raise ToolkitError(
                 f"curve matrix asymmetric at ({self.names[bad[0]]}, {self.names[bad[1]]})"
             )
         rk = linalg.rank_exact(self.matrix)
         if rk != 9:
-            raise RankError(f"curve matrix has rank {rk}, expected 9")
+            raise ToolkitError(f"curve matrix has rank {rk}, expected 9")
         expected_diag = {
             "E": ELLIPTIC_CURVE_DIAGONAL,
             "L": PENTAGON_DIAGONAL,
@@ -135,7 +127,7 @@ class CurveTable(Record):
         for idx, name in enumerate(self.names):
             want = expected_diag[name[0]]
             if self.matrix[idx][idx] != want:
-                raise TableInconsistency(
+                raise ToolkitError(
                     f"diagonal entry for {name} is {self.matrix[idx][idx]}, "
                     f"expected {want}"
                 )
@@ -395,14 +387,14 @@ class FixtureSet(Record):
             if all(_dot(b_row, b) % 2 == 0 for b in basis2):
                 break
         else:
-            raise TableInconsistency(
+            raise ToolkitError(
                 "genus-3 base class is not integral under either glue choice; "
                 "the pairing tables are inconsistent"
             )
         mb2 = [_apply(self.curve_table.matrix, b) for b in basis2]
         gram4 = tuple(tuple(_dot(a, mb) for mb in mb2) for a in basis2)
         if gram4 != tuple(tuple(4 * x for x in row) for row in CANONICAL_GRAM):
-            raise TableInconsistency("canonical gram does not match the extended Cartan form")
+            raise ToolkitError("canonical gram does not match the extended Cartan form")
         lat = make_lattice(9, CANONICAL_GRAM, DivisorClass(CANONICAL_K))
 
         # the inverse of a unimodular integer matrix is an integer matrix
@@ -419,7 +411,7 @@ class FixtureSet(Record):
             pv2 = [_dot(v, mb) for mb in mb2]
             if any(x % 2 for x in pv2):
                 cells = ", ".join(f"{n!r}: Fraction({c}, 1)" for n, c in zip(CURVE_NAMES, v) if c)
-                raise TableInconsistency(
+                raise ToolkitError(
                     f"combination {{{cells}}} is not integral in the canonical basis"
                 )
             pv = [x // 2 for x in pv2]
@@ -439,10 +431,10 @@ class FixtureSet(Record):
         rows = [self.b_table.pairing_row(self.curve_table, *key) for key in keys]
         classes = dict(zip(keys, lat.classes_from_pairings(probes, rows)))
         if len(set(c.coords for c in classes.values())) != 32:
-            raise TableInconsistency("the 32 genus-3 classes are not distinct")
+            raise ToolkitError("the 32 genus-3 classes are not distinct")
         for key, cls in classes.items():
             if lat.pair(cls, cls) != 2 or lat.pair(cls, lat.k) != 2:
-                raise TableInconsistency(
+                raise ToolkitError(
                     f"{b_name(*key)} has (self, degree) = "
                     f"({lat.pair(cls, cls)}, {lat.pair(cls, lat.k)}), expected (2, 2)"
                 )
@@ -451,9 +443,7 @@ class FixtureSet(Record):
                 if lat.pair(cls, self.canonical.classes[n]) > 0
             ]
             if len(meets) != 2:
-                raise TableInconsistency(
-                    f"{b_name(*key)} meets {len(meets)} (-2)-curves, expected 2"
-                )
+                raise ToolkitError(f"{b_name(*key)} meets {len(meets)} (-2)-curves, expected 2")
         # one gram product per class, not one per pair of the 992
         images = {key: _apply(lat.gram, cls.coords) for key, cls in classes.items()}
         for k1, c1 in classes.items():
@@ -463,7 +453,7 @@ class FixtureSet(Record):
                 got = _dot(c1.coords, image)
                 want = self.b_table.expected_pairing(k1, k2)
                 if got != want:
-                    raise TableInconsistency(
+                    raise ToolkitError(
                         f"{b_name(*k1)}.{b_name(*k2)} = {got}, block formula says {want}"
                     )
         return {b_name(*key): cls for key, cls in classes.items()}
@@ -478,7 +468,7 @@ class FixtureSet(Record):
                 got = lat.chi(seq[i] - seq[j])
                 want = self.chi_matrix[i][j]
                 if got != want:
-                    raise ChiMatrixMismatch(
+                    raise ToolkitError(
                         f"chi matrix differs at ({i + 1},{j + 1}): {got} != {want}"
                     )
         return seq
@@ -515,16 +505,16 @@ class FixtureSet(Record):
                 for j in range(8)
                 if gram_int[i][j] != self.d8_gram_expected[i][j]
             )
-            raise TableInconsistency(
+            raise ToolkitError(
                 f"simple-root gram differs at (D{bad[0] + 1}, D{bad[1] + 1}): "
                 f"{gram_int[bad[0]][bad[1]]} != {self.d8_gram_expected[bad[0]][bad[1]]}"
             )
         if gram_int != D8_FORK_GRAM:
-            raise TableInconsistency("input Gram is not the expected fork-at-d6 form")
+            raise ToolkitError("input Gram is not the expected fork-at-d6 form")
         mk = _apply(self.curve_table.matrix, _curve_vector({"K": 1}))
         for i, d in enumerate(ds):
             if _dot(d, mk) != 0:
-                raise TableInconsistency(f"D{i + 1} is not orthogonal to K")
+                raise ToolkitError(f"D{i + 1} is not orthogonal to K")
         return {"gram_verified": True, "degrees_zero": True}
 
     def build_canonical(self) -> dict[str, object]:
@@ -543,9 +533,7 @@ class FixtureSet(Record):
         lhs = self._combination(self.relation_lhs)
         rhs = self._combination(self.relation_rhs)
         if lhs != rhs:
-            raise RelationViolation(
-                f"doubling relation fails: {lhs.coords} != {rhs.coords}"
-            )
+            raise ToolkitError(f"doubling relation fails: {lhs.coords} != {rhs.coords}")
         return {"lhs": dict(self.relation_lhs), "rhs": dict(self.relation_rhs)}
 
     def validate_sequence(self) -> dict[str, object]:
@@ -561,7 +549,7 @@ class FixtureSet(Record):
             for j in range(1, 2 * n + 1):
                 should = max(1, i - n) <= j <= i - 1
                 if m.defined(i, j) != should:
-                    raise TableInconsistency(
+                    raise ToolkitError(
                         f"bound cell ({i},{j}) should be "
                         f"{'defined' if should else 'absent'}"
                     )
@@ -577,22 +565,18 @@ class FixtureSet(Record):
                         for choice in (StarChoice.ZERO, StarChoice.NONZERO)
                     }
                     if got not in allowed:
-                        raise TableInconsistency(
+                        raise ToolkitError(
                             f"bound cell ({i},{j}) = {got} not among {sorted(map(str, allowed))}"
                         )
                 else:
                     want = self.ledger.datum(i, j, StarChoice.ZERO).min_degree()
                     if got != want:
-                        raise TableInconsistency(
-                            f"bound cell ({i},{j}) = {got}, ledger gives {want}"
-                        )
+                        raise ToolkitError(f"bound cell ({i},{j}) = {got}, ledger gives {want}")
         # twisting both objects leaves the relative height unchanged
         for i in range(2, n + 1):
             for j in range(1, i):
                 if m.entry(i + n, j + n) != m.entry(i, j):
-                    raise TableInconsistency(
-                        f"bound cell ({i + n},{j + n}) differs from ({i},{j})"
-                    )
+                    raise ToolkitError(f"bound cell ({i + n},{j + n}) differs from ({i},{j})")
         return {"cells": sum(1 for i in range(1, 2 * n + 1)
                              for j in range(1, 2 * n + 1) if m.defined(i, j))}
 
@@ -641,12 +625,10 @@ class FixtureSet(Record):
         for name in ("E3p", "E3m", "E4p", "E4m", "E5p", "E5m"):
             out.append(self.curve_class(name))
         if len({c.coords for c in out}) != 14:
-            raise TableInconsistency("degree-1 classes are not distinct")
+            raise ToolkitError("degree-1 classes are not distinct")
         for c in out:
             if lat.pair(c, c) != -1 or lat.pair(c, lat.k) != 1:
-                raise TableInconsistency(
-                    f"degree-1 class {c.coords} fails (square, degree) = (-1, 1)"
-                )
+                raise ToolkitError(f"degree-1 class {c.coords} fails (square, degree) = (-1, 1)")
         return tuple(out)
 
     def minus_two_classes(self) -> tuple[DivisorClass, ...]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import SchemaError, UndefinedEntry
+from .errors import SchemaError, ToolkitError
 from .homledger import INF
 from .lattice import DivisorClass
 from .record import Record
@@ -64,9 +64,7 @@ class ExtBoundMatrix(Record):
             raise IndexError(f"indices ({target}, {source}) outside 1..{size}")
         val = self.rows[target - 1][source - 1]
         if val is ABSENT:
-            raise UndefinedEntry(
-                f"cell (target {target}, source {source}) carries no data"
-            )
+            raise ToolkitError(f"cell (target {target}, source {source}) carries no data")
         return val
 
     def defined(self, target: int, source: int) -> bool:

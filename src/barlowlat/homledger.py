@@ -11,7 +11,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ChiInconsistency, SchemaError, StarPositionError
+from .errors import SchemaError, ToolkitError
 from .record import Record
 
 INF = float("inf")
@@ -105,9 +105,9 @@ class LedgerMatrix(Record):
                     raise SchemaError(f"ledger entry {i},{j} is missing")
         for i in range(1, n + 1):
             if entries[(i, i)] != CohomDatum(1, 0, 0):
-                raise StarPositionError(f"diagonal entry {i},{i} must be [1,0,0]")
+                raise SchemaError(f"diagonal entry {i},{i} must be [1,0,0]")
         if expected_stars is not None and stars != set(expected_stars):
-            raise StarPositionError(
+            raise SchemaError(
                 f"star entries at {sorted(stars)}, expected {sorted(expected_stars)}"
             )
         return LedgerMatrix(n=n, entries=dict(entries), star_positions=frozenset(stars))
@@ -138,13 +138,11 @@ def validate_ledger(
             val = ledger.entries[(i, j)]
             if val == STAR:
                 if chi != 0:
-                    raise ChiInconsistency(
-                        f"star cell ({i},{j}) has chi {chi}, expected 0"
-                    )
+                    raise ToolkitError(f"star cell ({i},{j}) has chi {chi}, expected 0")
             else:
                 assert isinstance(val, CohomDatum)
                 if val.euler() != chi:
-                    raise ChiInconsistency(
+                    raise ToolkitError(
                         f"cell ({i},{j}) = {val.triple} has alternating sum "
                         f"{val.euler()}, chi table says {chi}"
                     )
@@ -153,7 +151,7 @@ def validate_ledger(
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             if chi_matrix[i - 1][j - 1] != 0:
-                raise ChiInconsistency(
+                raise ToolkitError(
                     f"upper cell ({i},{j}) has chi {chi_matrix[i - 1][j - 1]}, "
                     "expected 0 for a numerically exceptional sequence"
                 )

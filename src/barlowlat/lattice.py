@@ -10,14 +10,7 @@ from itertools import repeat
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import (
-    DimensionMismatch,
-    InconsistentValues,
-    NonIntegralSolution,
-    NonSymmetricGram,
-    ParityViolation,
-    ProbesDoNotSpan,
-)
+from .errors import ToolkitError
 from . import linalg
 from .record import Record
 
@@ -50,12 +43,12 @@ class DivisorClass(Record):
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         if len(self) != len(other):
-            raise DimensionMismatch(f"{len(self)} != {len(other)}")
+            raise ToolkitError(f"{len(self)} != {len(other)}")
         return DivisorClass(tuple(a + b for a, b in zip(self.coords, other.coords)))
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
         if len(self) != len(other):
-            raise DimensionMismatch(f"{len(self)} != {len(other)}")
+            raise ToolkitError(f"{len(self)} != {len(other)}")
         return DivisorClass(tuple(a - b for a, b in zip(self.coords, other.coords)))
 
     def __neg__(self) -> "DivisorClass":
@@ -76,9 +69,7 @@ class PicardLattice(Record):
 
     def _check_len(self, v: DivisorClass) -> None:
         if len(v) != self.rank:
-            raise DimensionMismatch(
-                f"class has length {len(v)}, lattice has rank {self.rank}"
-            )
+            raise ToolkitError(f"class has length {len(v)}, lattice has rank {self.rank}")
 
     def pair(self, a: DivisorClass, b: DivisorClass) -> int:
         """Intersection pairing a . b."""
@@ -91,9 +82,7 @@ class PicardLattice(Record):
         """Euler characteristic 1 + (d.d - d.k)/2 of a class."""
         s = self.pair(d, d) - self.pair(d, self.k)
         if s % 2:
-            raise ParityViolation(
-                f"d.d - d.k = {s} is odd; lattice data is inconsistent"
-            )
+            raise ToolkitError(f"d.d - d.k = {s} is odd; lattice data is inconsistent")
         return 1 + s // 2
 
     def chi_hom(self, frm: DivisorClass, to: DivisorClass) -> int:
@@ -123,7 +112,7 @@ class PicardLattice(Record):
         coordinates.  The first value row that fails raises its error.
         """
         if any(len(probes) != len(row) for row in values):
-            raise DimensionMismatch("probes and values have different lengths")
+            raise ToolkitError("probes and values have different lengths")
         for p in probes:
             self._check_len(p)
         columns = list(zip(*self.gram))
@@ -131,16 +120,14 @@ class PicardLattice(Record):
         out = []
         for status, x in linalg.solve_overdetermined(rows, values):
             if status == "underdetermined":
-                raise ProbesDoNotSpan(
+                raise ToolkitError(
                     f"probes span a proper subspace of the rank-{self.rank} lattice"
                 )
             if status == "inconsistent":
-                raise InconsistentValues("pairing equations have no common solution")
+                raise ToolkitError("pairing equations have no common solution")
             assert x is not None
             if any(c.denominator != 1 for c in x):
-                raise NonIntegralSolution(
-                    f"solution {[str(c) for c in x]} is rational but not integral"
-                )
+                raise ToolkitError(f"solution {[str(c) for c in x]} is rational but not integral")
             out.append(DivisorClass(tuple(int(c) for c in x)))
         return out
 
@@ -161,11 +148,11 @@ def make_lattice(
     """Validate and freeze a lattice: square symmetric gram, k of matching length."""
     g = tuple(tuple(int(x) for x in row) for row in gram)
     if len(g) != rank or any(len(row) != rank for row in g):
-        raise DimensionMismatch(f"gram is not {rank}x{rank}")
+        raise ToolkitError(f"gram is not {rank}x{rank}")
     bad = linalg.asymmetric_cell(g)
     if bad:
-        raise NonSymmetricGram(f"gram[{bad[0]}][{bad[1]}] != gram[{bad[1]}][{bad[0]}]")
+        raise ToolkitError(f"gram[{bad[0]}][{bad[1]}] != gram[{bad[1]}][{bad[0]}]")
     if len(k) != rank:
-        raise DimensionMismatch(f"k has length {len(k)}, expected {rank}")
+        raise ToolkitError(f"k has length {len(k)}, expected {rank}")
     return PicardLattice(rank=rank, gram=g, k=k)
 

@@ -14,7 +14,7 @@ from functools import cached_property
 from operator import add, mul, sub
 from typing import Mapping, Sequence
 
-from .errors import NonCanonicalLattice, PartitionFailure
+from .errors import ToolkitError
 from .lattice import DivisorClass, PicardLattice
 from .record import Record
 
@@ -57,11 +57,9 @@ class RootSet(Record):
 
 def enumerate_roots(lat: PicardLattice) -> RootSet:
     """The 240 roots of the lattice `CANONICAL_GRAM` with k = `CANONICAL_K`, in
-    lexicographic order; any other lattice raises NonCanonicalLattice."""
+    lexicographic order; any other lattice raises ToolkitError."""
     if lat.gram != CANONICAL_GRAM or lat.k.coords != CANONICAL_K:
-        raise NonCanonicalLattice(
-            "roots are enumerated only on 1 + (-E8) in the basis (K, e, D8..D2)"
-        )
+        raise ToolkitError("roots are enumerated only on 1 + (-E8) in the basis (K, e, D8..D2)")
     # W(E8) is generated by the reflections v -> v + (v.a) a in the simple
     # roots a = e, D8..D2, the unit vectors 1..8, and acts transitively on
     # the roots, so the orbit of the simple roots is every root.  A
@@ -116,7 +114,7 @@ def partition_roots(
     * +-(k - F_i),
     * for every B, the four classes 2k - B - (subsets of the two (-2)-curves
       meeting B).
-    Raises PartitionFailure if a B class meets other than two (-2)-curves,
+    Raises ToolkitError if a B class meets other than two (-2)-curves,
     if the families overlap, or if their union is not the root set.  The
     sizes are not checked here; `verify` requires (84, 28, 128).
     """
@@ -135,9 +133,7 @@ def partition_roots(
     for b in b_classes:
         meets = [c for c in minus_two_curves if lat.pair(b, c) > 0]
         if len(meets) != 2:
-            raise PartitionFailure(
-                f"B class {b.coords} meets {len(meets)} (-2)-curves, expected 2"
-            )
+            raise ToolkitError(f"B class {b.coords} meets {len(meets)} (-2)-curves, expected 2")
         f, g = meets[0].coords, meets[1].coords
         base = tuple(2 * x - y for x, y in zip(kc, b.coords))
         for extra in ((0,) * lat.rank, f, g, tuple(map(add, f, g))):
@@ -148,7 +144,7 @@ def partition_roots(
         for j in range(i + 1, 3):
             overlap = fams[i] & fams[j]
             if overlap:
-                raise PartitionFailure(
+                raise ToolkitError(
                     f"families {i + 1} and {j + 1} overlap, witness "
                     f"{sorted(overlap)[0]}"
                 )
@@ -157,9 +153,7 @@ def partition_roots(
     if union != rootset:
         missing = sorted(rootset - union)[:3]
         extra = sorted(union - rootset)[:3]
-        raise PartitionFailure(
-            f"union mismatch: missing {missing}, extraneous {extra}"
-        )
+        raise ToolkitError(f"union mismatch: missing {missing}, extraneous {extra}")
     return RootPartition(
         elliptic_differences=tuple(DivisorClass(v) for v in sorted(fam1)),
         canonical_minus_elliptic=tuple(DivisorClass(v) for v in sorted(fam2)),
@@ -185,9 +179,7 @@ def vanishing_classification(
         in_h0 = r.coords in h0_set
         in_h2 = tuple(map(sub, kc, r.coords)) in e_set
         if in_h0 and in_h2:
-            raise PartitionFailure(
-                f"root {r.coords} is tagged both H0 and H2"
-            )
+            raise ToolkitError(f"root {r.coords} is tagged both H0 and H2")
         if in_h0:
             tags[r] = VanishingTag.H0
         elif in_h2:

@@ -17,12 +17,17 @@ process, on the same cases:
   2K + 2C1p and Bp000 + 4C1p (a (-2)-curve taken more than once), 3K over
   Bp000,E1,C1p,K,C1m,L,C2p,C2m (degree-0 classes after positive-degree
   ones) at --caps 2, and 2K at --caps 0;
+* decompose K over the 46 defaults at --caps 100000, and chi of an unknown
+  class name;
 * decompose on a document that verifies but whose L1 has negative degree,
   with L1 among the generators;
 * verify and classes on three documents that fail the canonical stage:
   D7 and D8 swapped in d8.defs; D1 + D7 - D8 for D1 with d8.gram
   recomputed, which is no longer the fork; and the genus-3 base class of
   neither glue parity (b_table.c_table.C1p[0][0] + 1);
+* verify on two documents that fail at load: the doubling relation with
+  b_relation.rhs.K + 1, and the ledger star of cell (11,1) moved to (10,1);
+* height --matrix on a bound table whose dynamic program reads a null cell;
 * verify on every variant that bench/inputs.KINDS can draw.  The module is
   read, not edited.
 
@@ -59,6 +64,7 @@ SHIPPED_CASES = [
     ["decompose", "--target", "3K", "--generators", "Bp000,E1,C1p,K,C1m,L,C2p,C2m",
      "--caps", "2"],
     ["decompose", "--target", "2K", "--caps", "0"],
+    ["decompose", "--target", "K", "--caps", "100000"], ["chi", "--cls", "FOO"],
 ]
 
 #: runs (name, argv) pairs read from stdin; a crash is recorded, not raised
@@ -125,7 +131,12 @@ def write_cases(directory: Path) -> list[tuple[str, list[str]]]:
     parity["b_table"]["c_table"]["C1p"][0][0] += 1
     canonical_failures = [("swapped-D7-D8", swapped), ("non-fork-D1", non_fork),
                           ("C1p-parity", parity)]
-    docs = [(name, json.dumps(doc)) for name, doc in canonical_failures]
+    relation, star = (json.loads(json.dumps(raw)) for _ in range(2))
+    relation["b_relation"]["rhs"]["K"] += 1
+    entries = star["ledger"]["entries"]
+    entries["10,1"], entries["11,1"] = entries["11,1"], entries["10,1"]
+    load_failures = [("b_relation-K", relation), ("star-at-10,1", star)]
+    docs = [(name, json.dumps(doc)) for name, doc in canonical_failures + load_failures]
     for kind, (variants, *_) in inputs.KINDS.items():
         for variant in variants(raw):
             name = f"{kind}:{variant}"
@@ -138,6 +149,11 @@ def write_cases(directory: Path) -> list[tuple[str, list[str]]]:
         cases.append((f"verify {name}", ["verify", "--fixtures", str(path)]))
     for i, (name, _) in enumerate(canonical_failures):
         cases.append((f"classes {name}", ["classes", "--fixtures", str(directory / f"doc{i}.json")]))
+    rows = [[None] * 4 for _ in range(4)]
+    rows[2][:2], rows[3][1:3] = [1, 1], [1, 1]  # cell (target 2, source 1) is null
+    path = directory / "null-dp-cell.json"
+    path.write_text(json.dumps({"n": 2, "rows": rows}))
+    cases.append(("height null-dp-cell", ["height", "--matrix", str(path)]))
     path = directory / "negative-degree.json"
     path.write_text(json.dumps(negative_degree_document(raw)))
     cases.append(("decompose negative-degree", ["decompose", "--fixtures", str(path),

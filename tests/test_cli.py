@@ -1,3 +1,4 @@
+import ast
 import collections
 import contextlib
 import copy
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 import barlowlat
 from barlowlat import cli, linalg
 from barlowlat.cli import main, parse_class_expr, run_verification
-from barlowlat.errors import SchemaError, TableInconsistency, ToolkitError, UsageError
+from barlowlat.errors import SchemaError, ToolkitError, UsageError
 from barlowlat.fixtures import FixtureSet, load_fixtures, shipped_fixture_text
 from barlowlat.lattice import DivisorClass
 
@@ -111,7 +112,7 @@ def test_verify_catches_swapped_fork_tips(tmp_path, capsys):
     defs = raw["d8"]["defs"]
     defs["D7"], defs["D8"] = defs["D8"], defs["D7"]
     message = "canonical gram does not match the extended Cartan form"
-    with pytest.raises(TableInconsistency, match=message):
+    with pytest.raises(ToolkitError, match=message):
         load_fixtures(raw)
     path = tmp_path / "swapped.json"
     path.write_text(json.dumps(raw))
@@ -129,7 +130,7 @@ def test_verify_catches_swapped_fork_tips(tmp_path, capsys):
 def test_verify_rejects_a_self_consistent_non_fork_document(tmp_path, capsys):
     message = "input Gram is not the expected fork-at-d6 form"
     raw = non_fork_document(json.loads(shipped_fixture_text()))
-    with pytest.raises(TableInconsistency, match=message):
+    with pytest.raises(ToolkitError, match=message):
         load_fixtures(raw)
     path = tmp_path / "non-fork.json"
     path.write_text(json.dumps(raw))
@@ -309,6 +310,39 @@ def test_chi_unknown_name(capsys):
     code, _, err = run_cli(capsys, "chi", "--cls", "Zork")
     assert code == 2
     assert "unknown" in err.lower()
+
+
+def test_unknown_name_is_one_line_with_exit_2(capsys):
+    code, out, err = run_cli(capsys, "chi", "--cls", "FOO")
+    assert (code, out, err) == (2, "", "unknown name: unknown class name 'FOO'\n")
+
+
+def test_errors_defines_the_four_reported_classes_and_src_raises_only_them():
+    # cli.main tells failures apart by these four classes alone, so a raise
+    # of any other name from barlowlat.errors would be a class nobody reads
+    package = Path(barlowlat.__file__).parent
+    tree = ast.parse((package / "errors.py").read_text(encoding="utf-8"))
+    classes = {node.name: [ast.unparse(b) for b in node.bases]
+               for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert classes == {"ToolkitError": ["Exception"], "UsageError": ["ToolkitError"],
+                       "SchemaError": ["ToolkitError"], "UnknownName": ["ToolkitError"]}
+    modules = ("errors", "barlowlat.errors")
+    raised = set()
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module in modules
+                    for alias in node.names}
+        assert imported <= set(classes), path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Attribute) and ast.unparse(exc.value) in modules:
+                    assert exc.attr in classes, (path.name, exc.attr)
+                    raised.add(exc.attr)
+                elif isinstance(exc, ast.Name) and exc.id in imported:
+                    raised.add(exc.id)
+    assert raised == set(classes)
 
 
 def test_height_command(capsys):

@@ -2,6 +2,8 @@ import hashlib
 import json
 import operator
 import random
+import re
+import time
 from itertools import product
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from barlowlat import exceptional, linalg
 from barlowlat.cli import parse_class_expr
-from barlowlat.errors import ConfigurationInvalid
+from barlowlat.errors import ToolkitError
 from barlowlat.exceptional import (
     ABConfiguration,
     CONFIG_GRAM,
@@ -92,7 +94,7 @@ def test_invalid_config_rejected(fix, lat):
     broken = ABConfiguration(a=cfg.a, b=(cfg.b[0], cfg.b[0]), k=lat.k)
     bad = broken.violations(lat)
     assert any("B1.B2" in msg or "B2" in msg for msg in bad)
-    with pytest.raises(ConfigurationInvalid):
+    with pytest.raises(ToolkitError, match=re.escape("; ".join(bad))):
         sequence_from_config(lat, broken)
 
 
@@ -434,7 +436,7 @@ def test_search_falls_back_to_the_full_check(fix, lat, case):
         "a1_k": (formal_rootset(a1_k=2), None, "member 0 is not a root"),
         "k_square": (formal_rootset(k_square=3), None, NOT_EXCEPTIONAL),
     }[case]
-    with pytest.raises(ConfigurationInvalid) as err:
+    with pytest.raises(ToolkitError) as err:
         search_configs(rs, rs.lattice.k if k is None else k, limit=3)
     assert str(err.value) == message
 
@@ -448,7 +450,7 @@ def test_search_proves_the_pattern_once_per_k_square(fix, lat, counted_proofs):
     assert counted_proofs["proof"] == 1
     rs = formal_rootset(k_square=3)
     for _ in range(2):
-        with pytest.raises(ConfigurationInvalid, match=NOT_EXCEPTIONAL):
+        with pytest.raises(ToolkitError, match=NOT_EXCEPTIONAL):
             search_configs(rs, rs.lattice.k, limit=1)
     assert counted_proofs["proof"] == 2
 
@@ -530,6 +532,21 @@ def test_decompose_matches_capped_digests(fix, lat):
         sols = decompose_effective(lat, problem)
         assert len(sols) == count, label
         assert hashlib.sha256(repr(sorted(sols)).encode()).hexdigest() == digest, label
+
+
+@pytest.mark.parametrize("target", ["K", "5K - E3p - Bp000"])
+def test_decompose_large_caps_cost_no_time(fix, lat, target):
+    # a free coefficient stops at the last value that its child's interval
+    # checks allow, so caps of 10**9 visit the same nodes as caps of 8; the
+    # search that tried every value up to the cap took about an hour
+    names = list(CURVE_NAMES) + sorted(fix.b_classes())
+    gens = [(n, fix.curve_class(n)) for n in names]
+    cls = parse_class_expr(fix, target)
+    small = decompose_effective(lat, DecompositionProblem.create(cls, gens, caps=8))
+    start = time.process_time()
+    large = decompose_effective(lat, DecompositionProblem.create(cls, gens, caps=10**9))
+    assert time.process_time() - start < 2.0
+    assert large == small and len(small) == 1
 
 
 @pytest.mark.parametrize("target", [

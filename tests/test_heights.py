@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from barlowlat.errors import SchemaError, UndefinedEntry
+from barlowlat.errors import SchemaError, ToolkitError
 from barlowlat.heights import (
     Arc,
     ExtBoundMatrix,
@@ -82,7 +82,7 @@ def test_single_segment_equals_entry(fix):
 
 def test_absent_cell_is_hard_error(fix):
     m = fix.ext_bounds
-    with pytest.raises(UndefinedEntry):
+    with pytest.raises(ToolkitError, match=r"cell \(target 1, source 5\) carries no data"):
         m.entry(1, 5)
     # the shipped table is defined on the entire arc window: no legal arc
     # can ever touch a hole
@@ -95,9 +95,10 @@ def test_absent_cell_is_hard_error(fix):
     rows = [list(r) for r in synth.rows]
     rows[2][1] = None   # target 3, source 2
     holed = ExtBoundMatrix(n=3, rows=tuple(tuple(r) for r in rows))
-    with pytest.raises(UndefinedEntry):
+    hole = r"cell \(target 3, source 2\) carries no data"
+    with pytest.raises(ToolkitError, match=hole):
         arc_height(Arc((2, 3, 5), n=3), holed)
-    with pytest.raises(UndefinedEntry):
+    with pytest.raises(ToolkitError, match=hole):
         height(holed)
 
 

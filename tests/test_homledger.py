@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from barlowlat.errors import ChiInconsistency, SchemaError, StarPositionError
+from barlowlat.errors import SchemaError, ToolkitError
 from barlowlat.homledger import (
     INF,
     CohomDatum,
@@ -73,13 +73,13 @@ def test_ledger_shape_validation(fix):
 
 
 def test_ledger_rejects_bad_diagonal():
-    with pytest.raises(StarPositionError):
+    with pytest.raises(SchemaError, match="diagonal entry 2,2 must be"):
         LedgerMatrix.from_dict(2, {"1,1": [1, 0, 0], "2,2": [0, 0, 0], "2,1": [0, 0, 0]})
 
 
 def test_ledger_rejects_unexpected_star():
     entries = {"1,1": [1, 0, 0], "2,2": [1, 0, 0], "2,1": "star"}
-    with pytest.raises(StarPositionError):
+    with pytest.raises(SchemaError, match=r"star entries at \[\(2, 1\)\], expected \[\]"):
         LedgerMatrix.from_dict(2, entries, expected_stars=[])
 
 
@@ -94,7 +94,7 @@ def test_validate_ledger_against_chi(fix):
 def test_validate_ledger_detects_inconsistency(fix):
     bad = [list(r) for r in fix.chi_matrix]
     bad[3][2] = 0   # cell (4,3) really has chi 1
-    with pytest.raises(ChiInconsistency):
+    with pytest.raises(ToolkitError, match=r"cell \(4,3\) = \(0, 0, 1\) has alternating sum 1"):
         validate_ledger(fix.ledger, bad)
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import barlowlat
-from barlowlat.errors import ConfigurationInvalid, SchemaError
+from barlowlat.errors import SchemaError, ToolkitError
 from barlowlat.exceptional import ABConfiguration
 from barlowlat.fixtures import load_fixtures
 from barlowlat.heights import Arc
@@ -80,7 +80,7 @@ def test_post_init_runs():
         CohomDatum(-1, 0, 0)
     with pytest.raises(ValueError):
         Arc((2, 1), 11)
-    with pytest.raises(ConfigurationInvalid):
+    with pytest.raises(ToolkitError, match="need eight chain roots and two extra roots"):
         ABConfiguration(a=(), b=(), k=DivisorClass((1,)))
 
 
