@@ -15,13 +15,15 @@ linalg.gauss_jordan gives a flag per rank-raising generator, which forces
 that coefficient, and the search runs on integer tuples.  Two exact integer
 prunes cut it: an interval per flag that the generators up to its pivot can
 still fill, and a jump past the generators of positive degree once the
-degree is spent.
+degree is spent.  None of that set-up depends on the target: it runs once
+per (lattice, generators, caps), kept in a small memo, and carries an
+identity block U through the elimination, so a target's column is U.target.
 """
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import cache, lru_cache, reduce
 from itertools import accumulate, product, starmap
-from operator import and_, getitem, lshift, mul, sub
+from operator import and_, getitem, index, lshift, mul, sub
 from typing import Callable, Sequence
 
 from . import linalg
@@ -247,11 +249,27 @@ def search_configs(rs: RootSet, k: DivisorClass, limit: int) -> list[ABConfigura
 # ----------------------------------------------------------------- decomposition
 
 class DecompositionProblem(Record):
-    """Bounded nonnegative integer representations of a target class."""
+    """Bounded nonnegative integer representations of a target class.
+
+    Both constructors check the caps: one per generator, each a nonnegative
+    integer, read through operator.index, so a float or a string is a
+    TypeError and True is stored as 1.
+    """
 
     target: DivisorClass
     generators: tuple[tuple[str, DivisorClass], ...]
     caps: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        try:
+            caps = tuple(map(index, self.caps))
+        except TypeError:
+            raise TypeError("caps must be integers") from None
+        if len(caps) != len(self.generators):
+            raise ToolkitError("caps and generators have different lengths")
+        if any(c < 0 for c in caps):
+            raise ValueError("caps must be nonnegative")
+        object.__setattr__(self, "caps", caps)
 
     @staticmethod
     def create(
@@ -260,15 +278,56 @@ class DecompositionProblem(Record):
         caps: int | Sequence[int] = 8,
     ) -> "DecompositionProblem":
         gens = tuple(generators)
-        if isinstance(caps, int):
-            cap_vec = (caps,) * len(gens)
-        else:
-            cap_vec = tuple(caps)
-        if len(cap_vec) != len(gens):
-            raise ToolkitError("caps and generators have different lengths")
-        if any(c < 0 for c in cap_vec):
-            raise ValueError("caps must be nonnegative")
+        cap_vec = (caps,) * len(gens) if isinstance(caps, int) else caps
         return DecompositionProblem(target=target, generators=gens, caps=cap_vec)
+
+
+@lru_cache(maxsize=16)
+def _search_setup(gram: tuple, k: tuple, gens: tuple, caps: tuple) -> tuple:
+    """What decompose_effective needs that does not depend on the target.
+
+    (start_rows, span_rows, cols, place, bounds, skip), all tuples: a
+    target t starts the search at start_rows.t (its degree, then its flag
+    values) and lies in the span when span_rows.t is zero; cols[idx] is the
+    degree and flag values of generator idx and place[idx] its flag's
+    position in them (0 if none); bounds and skip are the prune tables.
+    """
+    m, n = len(gens), len(gram)
+    # row a holds coordinate a of g_{m-1}, ..., g_0, then row a of the
+    # identity; built per coordinate, so rows remain when there is no generator
+    rows = [[*(g[a] for g in reversed(gens)), *(int(a == b) for b in range(n))]
+            for a in range(n)]
+    rows, pivots, _, _ = linalg.gauss_jordan(rows, m)
+    rank = len(pivots)
+    # the degree, then the flags; cols[idx] is what generator idx takes of them
+    kg = tuple(sum(map(mul, row, k)) for row in gram)
+    degrees = [sum(map(mul, kg, g)) for g in reversed(gens)]
+    cols = tuple(zip(degrees, *rows[:rank]))[::-1]
+    if any(col[0] < 0 for col in cols):
+        raise ValueError("generators must have nonnegative degree")
+    place = [0] * m  # flag coordinates
+    # bounds[idx]: per flag with pivot j >= idx, generators idx..j add to it
+    # between lo + D*a/b and hi + D*c/e with D degree left (a/b <= 0 <= c/e)
+    bounds: list[list[tuple[int, ...]]] = [[] for _ in range(m + 1)]
+    for pos, piv in enumerate(pivots, 1):
+        j = m - 1 - piv
+        place[j] = pos
+        lo = hi = a = c = 0
+        b = e = 1
+        for idx in range(j, -1, -1):
+            d, f, cap = cols[idx][0], cols[idx][pos], caps[idx]
+            if not d:
+                lo, hi = lo + cap * min(0, f), hi + cap * max(0, f)
+            elif cap:
+                a, b = (f, d) if f * b < a * d else (a, b)
+                c, e = (f, d) if f * e > c * d else (c, e)
+            bounds[idx].append((pos, lo, a, b, hi, c, e))
+    skip = [m] * (m + 1)  # the first generator of degree 0 from idx on, or m
+    for idx in range(m - 1, -1, -1):
+        skip[idx] = skip[idx + 1] if cols[idx][0] else idx
+    start_rows = (kg, *(tuple(row[m:]) for row in rows[:rank]))
+    span_rows = tuple(tuple(row[m:]) for row in rows[rank:])
+    return start_rows, span_rows, cols, tuple(place), tuple(map(tuple, bounds)), tuple(skip)
 
 
 def decompose_effective(
@@ -276,17 +335,22 @@ def decompose_effective(
 ) -> list[tuple[int, ...]]:
     """All c with sum c_g * g = target and 0 <= c <= caps, in lexicographic order.
 
-    One linalg.gauss_jordan over the columns g_{m-1}, ..., g_0, target, with
-    pivots in the generator columns, sets up the search.  Pivot row i is the
-    flag of generator m-1-pivots[i], with value d there and 0 at every later
-    generator, and a nonzero target entry below the rank puts the target
-    outside the span.  Depth first in generator order on the remainder's
-    degree (pairing with k) and flag values: a flag forces its coefficient
-    (flag value over d), kept if an integer within the cap and the degree
-    left; other coefficients take each value the cap and degree allow.  A
-    leaf needs no zero check: its remainder lies in the span, where the flags,
-    each zeroed at its own index and untouched after, are d times the dual
-    basis of the pivot generators.
+    The set-up does not depend on the target and runs once per lattice,
+    generator coordinates and caps (_search_setup, a small memo): one
+    linalg.gauss_jordan over the columns g_{m-1}, ..., g_0, pivots there,
+    with an identity block carried in place of a target column.  Each step is
+    linear in the carried columns and divides exactly, so the block becomes
+    U with U.target exactly the column the elimination would give the
+    target; a further target costs that product plus the search.  Pivot row
+    i is the flag of generator m-1-pivots[i], with value d there and 0 at
+    every later generator, and a nonzero entry of U.target below the rank
+    puts the target outside the span.  Depth first in generator order on the
+    remainder's degree (pairing with k) and flag values: a flag forces its
+    coefficient (flag value over d), kept if an integer within the cap and
+    the degree left; other coefficients take each value the cap and degree
+    allow.  A leaf needs no zero check: its remainder lies in the span, where
+    the flags, each zeroed at its own index and untouched after, are d times
+    the dual basis of the pivot generators.
 
     Two prunes, exact in integers, with D the degree left.  A flag is 0 after
     its pivot j, so generators idx..j must add exactly its remainder value.
@@ -301,40 +365,16 @@ def decompose_effective(
     of degree 0, or to the leaf.  A flag whose pivot it jumps over has the
     interval [0, 0] there, so the check just made zeroed it.
     """
-    gens = [g.coords for _, g in problem.generators]
+    gens = tuple(g.coords for _, g in problem.generators)
     target = problem.target.coords
     if any(len(v) != lat.rank for v in (*gens, target)):
         raise ToolkitError("generators and target must have the lattice's rank")
     m, caps = len(gens), problem.caps
-    vecs = [*gens[::-1], target]
-    rows, pivots, _, _ = linalg.gauss_jordan(list(zip(*vecs)), m)
-    rank = len(pivots)
-    # the degree, then the flags; cols[idx] is what generator idx takes of them
-    kg = [sum(map(mul, row, lat.k.coords)) for row in lat.gram]
-    *cols, start = zip([sum(map(mul, kg, v)) for v in vecs], *rows[:rank])
-    cols.reverse()
-    if any(col[0] < 0 for col in cols):
-        raise ValueError("generators must have nonnegative degree")
-    if any(row[m] for row in rows[rank:]):
+    start_rows, span_rows, cols, place, bounds, skip = _search_setup(
+        lat.gram, lat.k.coords, gens, caps
+    )
+    if any(sum(map(mul, row, target)) for row in span_rows):
         return []
-    place = {m - 1 - c: pos for pos, c in enumerate(pivots, 1)}  # flag coordinates
-    # bounds[idx]: per flag with pivot j >= idx, generators idx..j add to it
-    # between lo + D*a/b and hi + D*c/e with D degree left (a/b <= 0 <= c/e)
-    bounds: list[list[tuple[int, ...]]] = [[] for _ in range(m + 1)]
-    for j, pos in place.items():
-        lo = hi = a = c = 0
-        b = e = 1
-        for idx in range(j, -1, -1):
-            d, f, cap = cols[idx][0], cols[idx][pos], caps[idx]
-            if not d:
-                lo, hi = lo + cap * min(0, f), hi + cap * max(0, f)
-            elif cap:
-                a, b = (f, d) if f * b < a * d else (a, b)
-                c, e = (f, d) if f * e > c * d else (c, e)
-            bounds[idx].append((pos, lo, a, b, hi, c, e))
-    skip = [m] * (m + 1)  # the first generator of degree 0 from idx on, or m
-    for idx in range(m - 1, -1, -1):
-        skip[idx] = skip[idx + 1] if cols[idx][0] else idx
     out: list[tuple[int, ...]] = []
     coeffs = [0] * m  # rec sets coeffs[idx] before it goes deeper
 
@@ -350,7 +390,7 @@ def decompose_effective(
             out.append(tuple(coeffs))
             return
         col = cols[idx]
-        pos = place.get(idx)
+        pos = place[idx]
         if pos:
             q, r = divmod(rem[pos], col[pos])
             if not r and 0 <= q <= caps[idx] and q * col[0] <= rem[0]:
@@ -370,5 +410,5 @@ def decompose_effective(
             rec(idx + 1, rem)
             rem = tuple(map(sub, rem, col))
 
-    rec(0, start)
+    rec(0, tuple(sum(map(mul, row, target)) for row in start_rows))
     return out

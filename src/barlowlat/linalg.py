@@ -5,7 +5,11 @@ used anywhere.  Rank, determinant, inverse, linear solves and the set-up of
 `exceptional.decompose_effective` share one fraction-free Gauss-Jordan
 elimination, `gauss_jordan` (Bareiss 1968): each step divides exactly by
 the previous pivot, so every intermediate entry is an integer minor of the
-input.  `invert_exact` and `solve_overdetermined` build `Fraction`s only
+input.  The decomposition set-up carries an identity block in place of a
+right-hand side; every step is linear in the carried columns, so the block
+becomes a matrix U such that U.t is the column a target t would have given,
+and one elimination serves every target on a generator list.
+`invert_exact` and `solve_overdetermined` build `Fraction`s only
 for the values they return; no other routine uses them.
 `signature_symmetric` (an integer congruence) eliminates on its own.
 `ldl_positive` (the same elimination without pivoting) and `integer_kernel`

@@ -11,8 +11,11 @@ process, on the same cases:
   malformed arguments: --generators naming none or one twice, an unsigned
   second term and an empty --target;
 * decompose for a target outside its generators' span (E1 over the four
-  (-2)-curves), E1 + C1p over E1,C1p,C1m,K at --caps 3, 2K and Bm013 over
-  the 46 defaults, and K over e,D1,D2,K (generators of degree zero);
+  (-2)-curves), then C1p + C2m inside that span on the same list and
+  2C1p + C2m on it at --caps 3 (one worker runs every case of a tree, so
+  these reuse the solver's set-up memo on both answers and then miss it on
+  the caps), E1 + C1p over E1,C1p,C1m,K at --caps 3, 2K and Bm013 over the
+  46 defaults, and K over e,D1,D2,K (generators of degree zero);
 * decompose over the 46 defaults for 3K and 4K (6 and 22 solutions) and for
   2K + 2C1p and Bp000 + 4C1p (a (-2)-curve taken more than once), 3K over
   Bp000,E1,C1p,K,C1m,L,C2p,C2m (degree-0 classes after positive-degree
@@ -56,6 +59,8 @@ SHIPPED_CASES = [
     ["decompose", "--target", "E1", "--generators", "E1,E1"],
     ["chi", "--cls", "K K"], ["decompose", "--target", ""],
     ["decompose", "--target", "E1", "--generators", "C1p,C1m,C2p,C2m"],
+    ["decompose", "--target", "C1p + C2m", "--generators", "C1p,C1m,C2p,C2m"],
+    ["decompose", "--target", "2C1p + C2m", "--generators", "C1p,C1m,C2p,C2m", "--caps", "3"],
     ["decompose", "--target", "E1 + C1p", "--generators", "E1,C1p,C1m,K", "--caps", "3"],
     ["decompose", "--target", "2K"], ["decompose", "--target", "Bm013"],
     ["decompose", "--target", "K", "--generators", "e,D1,D2,K"],

@@ -713,6 +713,10 @@ def test_decompose_matches_grid_oracle_small_lattices(data, rank):
     ("E1", ["C1p", "C1m", "C2p", "C2m"], 0),  # outside the span
 ])
 def test_decompose_runs_one_elimination(fix, lat, monkeypatch, target, names, count):
+    # the set-up is memoized per (lattice, generator coordinates, caps): one
+    # elimination on a fresh list, none for further targets on it, inside its
+    # span or outside (E2 misses the span of the four (-2)-curves), and one
+    # again when the caps change.  A memo hit answers as a fresh set-up does
     calls = []
     inner = linalg.gauss_jordan
 
@@ -721,8 +725,95 @@ def test_decompose_runs_one_elimination(fix, lat, monkeypatch, target, names, co
         return inner(*args)
 
     monkeypatch.setattr(linalg, "gauss_jordan", counted)
+    exceptional._search_setup.cache_clear()
     names = names or list(CURVE_NAMES) + sorted(fix.b_classes())
     gens = [(n, fix.curve_class(n)) for n in names]
-    problem = DecompositionProblem.create(parse_class_expr(fix, target), gens, caps=8)
-    assert len(decompose_effective(lat, problem)) == count
+
+    def solve(expr, caps=8):
+        problem = DecompositionProblem.create(parse_class_expr(fix, expr), gens, caps)
+        return decompose_effective(lat, problem)
+
+    assert len(solve(target)) == count
     assert len(calls) == 1
+    later = [solve(t) for t in ("E2", "C1p + C2m", target)]
+    assert len(calls) == 1
+    assert len(solve(target, caps=3)) == count
+    assert len(calls) == 2
+    exceptional._search_setup.cache_clear()
+    assert [solve(t) for t in ("E2", "C1p + C2m", target)] == later
+
+
+def test_decompose_memo_keys_on_lattice_generators_and_caps(fix, lat):
+    # one process, interleaved: the same generator coordinates at two caps,
+    # in two orders, on lattices that differ only in Gram or only in k.  A
+    # memo key missing one of them would hand a call the tables of another;
+    # the lattices under which a generator has negative degree would then
+    # answer instead of raising, and the grid would catch a wrong order or cap
+    exceptional._search_setup.cache_clear()
+    ones = DivisorClass((1,) * 9)
+    identity = [[int(i == j) for j in range(9)] for i in range(9)]
+    flipped = [[(1 - 2 * (i == 8)) * int(i == j) for j in range(9)] for i in range(9)]
+    good = [lat, make_lattice(9, lat.gram, 3 * lat.k), make_lattice(9, identity, ones)]
+    # k = -e0 under the canonical Gram gives E1 and K negative degree, and k
+    # = ones under diag(1, ..., 1, -1) gives C2m: the Gram of good[0], the k
+    # of good[2]
+    bad = [make_lattice(9, lat.gram, -lat.k), make_lattice(9, flipped, ones)]
+    gens = [(n, fix.curve_class(n)) for n in ("E1", "C1p", "C1m", "C2m", "K")]
+    targets = [parse_class_expr(fix, t) for t in ("E1 + C1p", "K + C2m", "E1 + C1m + C2m", "E2")]
+    for _ in range(2):
+        for order in (gens, gens[::-1]):
+            # the lower caps first: their tables would prune answers at caps 2
+            for caps in ([1, 2, 0, 2, 1], [2] * 5):
+                for target in targets:
+                    problem = DecompositionProblem.create(target, order, caps)
+                    want = grid_decompose(lat, target, order, caps)
+                    for each in good:
+                        assert decompose_effective(each, problem) == want
+                    for each in bad:
+                        with pytest.raises(ValueError, match="nonnegative degree"):
+                            decompose_effective(each, problem)
+    # a caller may mutate what it gets back without touching the next answer
+    problem = DecompositionProblem.create(targets[2], gens, 2)
+    first = decompose_effective(lat, problem)
+    want = list(first)
+    first.append(first[0])
+    first[0] = ()
+    assert decompose_effective(lat, problem) == want == [(1, 0, 1, 1, 0)]
+
+
+@pytest.mark.parametrize("target", ["0", "E1", "C2m"])
+def test_decompose_without_generators(fix, lat, target):
+    # no generators: the empty combination is the one answer for 0, and every
+    # other target has none; the elimination rows still exist, one per
+    # coordinate, with the identity block alone
+    cls = parse_class_expr(fix, target)
+    problem = DecompositionProblem.create(cls, [], caps=8)
+    want = [()] if target == "0" else []
+    assert decompose_effective(lat, problem) == want == grid_decompose(lat, cls, [], [])
+
+
+@pytest.mark.parametrize("caps, error, message", [
+    ([2.5, 2, 2], TypeError, "caps must be integers"),
+    ([2.0, 2, 2], TypeError, "caps must be integers"),
+    (["2", 1, 1], TypeError, "caps must be integers"),
+    ([2, 2], ToolkitError, "caps and generators have different lengths"),
+    ([2, -1, 2], ValueError, "caps must be nonnegative"),
+])
+def test_decompose_problem_checks_caps_in_both_constructors(fix, caps, error, message):
+    # create and the direct constructor run the same checks; a cap is read
+    # through operator.index, so no float or string reaches the search
+    gens = tuple((n, fix.curve_class(n)) for n in ("E1", "C1p", "K"))
+    target = fix.curve_class("E1")
+    with pytest.raises(error, match=message):
+        DecompositionProblem.create(target, gens, caps)
+    with pytest.raises(error, match=message):
+        DecompositionProblem(target=target, generators=gens, caps=caps)
+
+
+def test_decompose_problem_stores_caps_as_ints(fix):
+    gens = tuple((n, fix.curve_class(n)) for n in ("E1", "C1p", "K"))
+    target = fix.curve_class("E1")
+    problem = DecompositionProblem(target=target, generators=gens, caps=[True, 2, 0])
+    assert problem.caps == (1, 2, 0)
+    assert all(type(c) is int for c in problem.caps)
+    assert DecompositionProblem.create(target, gens, True).caps == (1, 1, 1)
