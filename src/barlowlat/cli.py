@@ -2,8 +2,8 @@
 
 Subcommands run the verification pipeline or individual computations and
 emit machine-readable JSON (or a plain-text summary for `verify --format
-text`).  Exit codes: 0 all good, 1 a check failed, 2 unusable input
-(missing or malformed fixture, malformed argument or expression).
+text`).  Exit codes: 0 all good, 1 a check failed, 2 unusable input (see
+`errors`).  Commands raise; only `main` turns an error into an exit code.
 """
 from __future__ import annotations
 
@@ -103,10 +103,10 @@ def verification_checks(
 ) -> list[tuple[str, str, Callable[[], dict], bool]]:
     """Ordered (id, claim, runner, needs_lattice) tuples for the pipeline.
 
-    A check that needs the lattice is skipped when the canonical stage
-    failed; canonical-basis itself runs and reports that failure.  Methods
-    are bound and module functions looked up at call time, so a patched
-    method or function is the one that runs.
+    A row fails when its runner raises `ToolkitError`; each model stage is
+    first read inside a runner.  Once canonical-basis has failed, the rows
+    that need the lattice are skipped with its error as the reason.  Bound
+    methods and call-time lookups make a patched function the one that runs.
     """
 
     def root_count() -> dict:
@@ -234,10 +234,6 @@ def run_verification(fix: FixtureSet, stars_flag: str) -> dict:
     results = []
     counts = {"pass": 0, "fail": 0, "skipped": 0}
     build_error: str | None = None
-    try:
-        fix.canonical
-    except (ToolkitError, AssertionError) as exc:
-        build_error = str(exc)
     for check_id, claim, runner, needs_lattice in verification_checks(fix, stars_flag):
         if needs_lattice and build_error is not None:
             status = "skipped"
@@ -245,8 +241,10 @@ def run_verification(fix: FixtureSet, stars_flag: str) -> dict:
         else:
             try:
                 status, witness = "pass", runner()
-            except (ToolkitError, AssertionError) as exc:
+            except ToolkitError as exc:
                 status, witness = "fail", {"error": str(exc)}
+                if check_id == "canonical-basis":
+                    build_error = str(exc)
         counts[status] += 1
         results.append({
             "id": check_id,
@@ -303,8 +301,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         try:
             Path(args.report).write_text(payload + "\n")
         except OSError as exc:
-            print(f"report error: {exc}", file=sys.stderr)
-            return 2
+            raise UsageError(f"report error: {exc}") from exc
     print(payload)
     return 0 if report["summary"]["fail"] == 0 else 1
 
@@ -363,8 +360,7 @@ def cmd_height(args: argparse.Namespace) -> int:
             bounds = ExtBoundMatrix.from_rows(raw["n"], raw["rows"])
             h = height(bounds)
         except (OSError, KeyError, TypeError, ValueError, RecursionError, ToolkitError) as exc:
-            print(f"cannot read bound matrix: {exc}", file=sys.stderr)
-            return 2
+            raise UsageError(f"cannot read bound matrix: {exc}") from exc
     else:
         bounds = _load(args).ext_bounds
         h = height(bounds)

@@ -2,8 +2,8 @@
 
 * ToolkitError: a claim or a computation failed.  The CLI exits 1 and
   prints "check failed: <message>"; inside `verify` the check's row fails.
-* UsageError: a command-line argument or expression is malformed.  Exit 2,
-  the message alone on one line.
+* UsageError: a malformed argument or expression, or an unreadable --matrix
+  or unwritable --report file.  Exit 2, the message alone on one line.
 * SchemaError: a fixture document is malformed.  Exit 2, printed as
   "fixture error: <message>".
 * UnknownName: a class name is not in the registry.  Exit 2, printed as

@@ -28,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import json
 from functools import cached_property
-from importlib import resources
 from operator import mul
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -643,7 +642,7 @@ class FixtureSet(Record):
 
 
 def shipped_fixture_text() -> str:
-    return resources.files("barlowlat").joinpath("data/barlow.json").read_text()
+    return (Path(__file__).parent / "data" / "barlow.json").read_text(encoding="utf-8")
 
 
 def load_fixtures(

@@ -86,10 +86,11 @@ class LedgerMatrix(Record):
         stars: set[tuple[int, int]] = set()
         for key, val in raw.items():
             try:
-                i_s, j_s = key.split(",")
-                i, j = int(i_s), int(j_s)
+                i, j = map(int, key.split(","))
             except ValueError as exc:
                 raise SchemaError(f"bad ledger key {key!r}") from exc
+            if key != f"{i},{j}":  # int() also reads "05", "+5", " 5", "0_5", "\u0665"
+                raise SchemaError(f"bad ledger key {key!r}")
             if not (1 <= j <= i <= n):
                 raise SchemaError(f"ledger key {key!r} outside the lower triangle")
             if val == STAR:

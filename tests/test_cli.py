@@ -158,6 +158,123 @@ def test_verify_reports_a_base_class_of_neither_glue_parity(tmp_path, capsys):
     )
 
 
+def _ext_cross_block_cell(raw):
+    raw["ext_bounds"]["rows"][11][0] = 1   # cell (12,1), 2 as shipped
+
+
+def _ext_star_cell_and_shift(raw):
+    rows = raw["ext_bounds"]["rows"]
+    rows[10][4] = rows[21][15] = 2          # star cell (11,5) and its shift (22,16)
+
+
+def _chi_star_cell(raw):
+    raw["chi_matrix"][10][4] = 1            # Euler pairing of star cell (11,5)
+
+
+def _cross_block_b_cell(raw):
+    raw["b_table"]["cross_block_b_cells"][0] = [0, 1]
+
+
+def _write_edited(tmp_path, mutate):
+    raw = json.loads(shipped_fixture_text())
+    mutate(raw)
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+B_CELL_ERROR = "Bp000.Bp101 = 3, block formula says 4"
+
+
+@pytest.mark.parametrize("mutate, failed", [
+    (_ext_cross_block_cell,
+     [("height", "height 1, single-segment bound 1, expected 2, 2")]),
+    (_ext_star_cell_and_shift,
+     [("ext-bounds", "bound cell (11,5) = 2 not among ['1', 'inf']")]),
+    (_chi_star_cell,
+     [("sequence-chi", "chi matrix differs at (11,5): 0 != 1"),
+      ("num-exceptional", "chi matrix differs at (11,5): 0 != 1"),
+      ("ledger-chi", "star cell (11,5) has chi 1, expected 0")]),
+    (_cross_block_b_cell,
+     [(row, B_CELL_ERROR) for row in ("b-reconstruction", "b-relation", "root-partition",
+                                      "sequence-chi", "num-exceptional")]),
+], ids=["ext-cross-block-cell", "ext-star-cell", "chi-star-cell", "cross-block-b-cell"])
+def test_verify_fails_the_rows_a_table_edit_breaks(tmp_path, capsys, mutate, failed):
+    # the ext_bounds check compares only the first block with the ledger, so
+    # a cross-block cell is seen by the height alone
+    code, out, err = run_cli(capsys, "verify", "--fixtures", _write_edited(tmp_path, mutate))
+    report = json.loads(out)
+    assert (code, err) == (1, "")
+    assert [(c["id"], c["witness"]["error"])
+            for c in report["checks"] if c["status"] == "fail"] == failed
+    assert report["summary"] == {"pass": 16 - len(failed), "fail": len(failed), "skipped": 0}
+
+
+def test_verify_text_format_prints_the_error_under_its_row(tmp_path, capsys):
+    path = _write_edited(tmp_path, _ext_cross_block_cell)
+    code, out, _ = run_cli(capsys, "verify", "--format", "text", "--fixtures", path)
+    lines = out.splitlines()
+    row = lines.index("[fail] height: anticanonical height of the extended collection equals 2")
+    assert code == 1
+    assert lines[row + 1] == "       height 1, single-segment bound 1, expected 2, 2"
+    assert lines[-1] == "15 passed, 1 failed, 0 skipped"
+
+
+def test_formality_exits_1_when_the_star_choices_disagree(tmp_path, capsys):
+    def mutate(raw):
+        raw["ledger"]["entries"]["10,1"] = [1, 0, 0]
+    path = _write_edited(tmp_path, mutate)
+    code, out, err = run_cli(capsys, "formality", "--stars", "both", "--fixtures", path)
+    assert (code, err) == (1, "verdicts differ between star choices\n")
+    assert set(json.loads(out)) == {"zero", "nonzero"}
+
+
+@pytest.mark.parametrize("edit", [None, "swapped-fork-tips"])
+def test_verify_reads_the_canonical_stage_only_in_its_row(monkeypatch, edit):
+    # the stage's time and its error belong to the canonical-basis row, which
+    # is also the row whose failure skips the lattice rows
+    inner_build = FixtureSet.build_canonical
+    stage = FixtureSet.__dict__["canonical"].func
+    inside, reads = [], []
+
+    def build_canonical(self):
+        inside.append(True)
+        try:
+            return inner_build(self)
+        finally:
+            inside.pop()
+
+    def canonical(self):
+        reads.append(bool(inside))
+        return stage(self)
+
+    prop = functools.cached_property(canonical)
+    prop.__set_name__(FixtureSet, "canonical")
+    monkeypatch.setattr(FixtureSet, "build_canonical", build_canonical)
+    monkeypatch.setattr(FixtureSet, "canonical", prop)
+    raw = json.loads(shipped_fixture_text())
+    if edit:
+        defs = raw["d8"]["defs"]
+        defs["D7"], defs["D8"] = defs["D8"], defs["D7"]
+    report = run_verification(load_fixtures(raw, validate=False), "both")
+    assert reads == [True]
+    assert report["summary"]["skipped"] == (7 if edit else 0)
+
+
+def test_only_main_turns_an_error_into_an_exit_code():
+    # a check fails by ToolkitError alone (asserts vanish under python -O),
+    # and no command prints its own usage line and returns 2
+    package = Path(barlowlat.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        assert "AssertionError" not in path.read_text(encoding="utf-8"), path.name
+    tree = ast.parse((package / "cli.py").read_text(encoding="utf-8"))
+    for func in tree.body:
+        if isinstance(func, ast.FunctionDef) and func.name != "main":
+            returned = [ast.unparse(node.value) for node in ast.walk(func)
+                        if isinstance(node, ast.Return) and node.value is not None]
+            assert "2" not in returned, func.name
+
+
 @pytest.mark.parametrize("argv,err", [
     (["chi", "--from", "L1"], "chi requires either --cls or both --from and --to"),
     (["chi", "--to", "L3"], "chi requires either --cls or both --from and --to"),
@@ -431,13 +548,20 @@ def _ledger_misplaced_star(raw):
     raw["ledger"]["entries"]["11,3"] = "star"
 
 
+def _ledger_alias_key(raw):
+    # int() reads "05" as 5: the key would replace cell (5,3) by its own value
+    raw["ledger"]["entries"]["05,3"] = raw["ledger"]["entries"]["5,3"]
+
+
 @pytest.mark.parametrize("argv", [("verify",), ("roots", "--count")])
 @pytest.mark.parametrize("mutate, message", [
     (_ledger_n12, "ledger.n and ext_bounds.n must be 11, not 12, 11"),
     (_ext_bounds_n12, "ledger.n and ext_bounds.n must be 11, not 11, 12"),
     (_ledger_diagonal, "diagonal entry 3,3 must be [1,0,0]"),
     (_ledger_misplaced_star, "star entries at"),
-], ids=["ledger-n-12", "ext-bounds-n-12", "ledger-diagonal", "ledger-misplaced-star"])
+    (_ledger_alias_key, "bad ledger key '05,3'"),
+], ids=["ledger-n-12", "ext-bounds-n-12", "ledger-diagonal", "ledger-misplaced-star",
+        "ledger-alias-key"])
 def test_fixture_shape_rule_broken_exits_2(tmp_path, capsys, argv, mutate, message):
     # n = 11, the star cells and the [1,0,0] diagonal are shape rules
     raw = json.loads(shipped_fixture_text())

@@ -83,6 +83,42 @@ def test_ledger_rejects_unexpected_star():
         LedgerMatrix.from_dict(2, entries, expected_stars=[])
 
 
+SHIPPED_STARS = [(11, j) for j in (1, 2, 4, 5, 6, 8, 9, 10)]
+
+
+@pytest.mark.parametrize("alias, value", [
+    ("0_5,3", [0, 0, 0]),
+    (" 11 , 5 ", [0, 0, 0]),
+    ("+5,3", [0, 0, 0]),
+    ("05,3", [0, 0, 0]),
+    ("05,3", [0, 0, 1]),            # the same value as cell (5,3) carries
+    ("\u0665,3", [0, 0, 0]),        # ARABIC-INDIC DIGIT FIVE
+], ids=["underscore", "spaces", "plus", "leading-zero", "leading-zero-same-value",
+        "non-ascii-digit"])
+def test_ledger_rejects_a_key_that_aliases_a_cell(raw_copy, alias, value):
+    # int() reads each of these as 5 or 11, so the key would overwrite a cell
+    entries = raw_copy["ledger"]["entries"]
+    entries[alias] = value
+    with pytest.raises(SchemaError) as exc:
+        LedgerMatrix.from_dict(11, entries, expected_stars=SHIPPED_STARS)
+    assert str(exc.value) == f"bad ledger key {alias!r}"
+
+
+@pytest.mark.parametrize("key, message", [
+    ("0,0", "ledger key '0,0' outside the lower triangle"),
+    ("12,1", "ledger key '12,1' outside the lower triangle"),
+    ("3,5", "ledger key '3,5' outside the lower triangle"),
+    ("a,b", "bad ledger key 'a,b'"),
+    ("1;1", "bad ledger key '1;1'"),
+])
+def test_ledger_key_messages(raw_copy, key, message):
+    entries = raw_copy["ledger"]["entries"]
+    entries[key] = [0, 0, 0]
+    with pytest.raises(SchemaError) as exc:
+        LedgerMatrix.from_dict(11, entries, expected_stars=SHIPPED_STARS)
+    assert str(exc.value) == message
+
+
 def test_validate_ledger_against_chi(fix):
     out = validate_ledger(fix.ledger, fix.chi_matrix)
     assert out["cells_checked"] == 66
