@@ -24,7 +24,14 @@ from .exceptional import (
     is_num_exceptional,
     search_configs,
 )
-from .fixtures import BASIS_NAMES, CURVE_NAMES, SEQUENCE_NAMES, FixtureSet, load_fixtures
+from .fixtures import (
+    BASIS_NAMES,
+    CURVE_NAMES,
+    SEQUENCE_NAMES,
+    FixtureSet,
+    load_fixtures,
+    parse_json,
+)
 from .heights import (
     ExtBoundMatrix,
     Fullness,
@@ -356,7 +363,7 @@ def cmd_chi(args: argparse.Namespace) -> int:
 def cmd_height(args: argparse.Namespace) -> int:
     if args.matrix:
         try:
-            raw = json.loads(Path(args.matrix).read_text())
+            raw = parse_json(Path(args.matrix).read_text())
             bounds = ExtBoundMatrix.from_rows(raw["n"], raw["rows"])
             h = height(bounds)
         except (OSError, KeyError, TypeError, ValueError, RecursionError, ToolkitError) as exc:
@@ -389,8 +396,7 @@ def cmd_formality(args: argparse.Namespace) -> int:
     print(json.dumps(out, indent=2, sort_keys=True))
     verdicts = [{d: v["forced_zero"] for d, v in r.items()} for r in out.values()]
     if any(v != verdicts[0] for v in verdicts):
-        print("verdicts differ between star choices", file=sys.stderr)
-        return 1
+        raise ToolkitError("verdicts differ between star choices")
     return 0
 
 

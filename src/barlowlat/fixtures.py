@@ -30,7 +30,7 @@ import json
 from functools import cached_property
 from operator import mul
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from . import linalg, roots as rootsmod
 from .roots import CANONICAL_GRAM, CANONICAL_K
@@ -395,9 +395,7 @@ class FixtureSet(Record):
         if gram4 != tuple(tuple(4 * x for x in row) for row in CANONICAL_GRAM):
             raise ToolkitError("canonical gram does not match the extended Cartan form")
         lat = make_lattice(9, CANONICAL_GRAM, DivisorClass(CANONICAL_K))
-
-        # the inverse of a unimodular integer matrix is an integer matrix
-        ginv = [[int(x) for x in row] for row in linalg.invert_exact(CANONICAL_GRAM)]
+        ginv = linalg.invert_exact(CANONICAL_GRAM)
 
         # The coordinates of a curve vector a are G^-1 B^T M a, where the
         # columns of B are the real basis and B^T M B = G is unimodular.  MB
@@ -645,12 +643,29 @@ def shipped_fixture_text() -> str:
     return (Path(__file__).parent / "data" / "barlow.json").read_text(encoding="utf-8")
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValueError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
+
+
+def parse_json(text: str) -> Any:
+    """`json.loads`, except that an object repeating a key raises ValueError
+    (plain `json.loads` keeps the last value, so an edit could hide)."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
 def load_fixtures(
     source: str | Path | Mapping | None = None, validate: bool = True
 ) -> FixtureSet:
     """Load a fixture document (shipped one by default) and validate it."""
     if source is None:
-        raw = json.loads(shipped_fixture_text())
+        raw = parse_json(shipped_fixture_text())
     elif isinstance(source, Mapping):
         raw = dict(source)
     else:
@@ -658,10 +673,10 @@ def load_fixtures(
         if not path.exists():
             raise SchemaError(f"fixture file {path} does not exist")
         try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
+            raw = parse_json(path.read_text(encoding="utf-8"))
         except (OSError, UnicodeDecodeError) as exc:
             raise SchemaError(f"fixture file {path} cannot be read: {exc}") from exc
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:   # JSONDecodeError, or a repeated key
             raise SchemaError(f"fixture file {path} is not valid JSON: {exc}") from exc
     fix = FixtureSet.from_dict(raw)
     if validate:

@@ -7,6 +7,7 @@ reconstruction of classes from their pairings against a spanning probe set.
 from __future__ import annotations
 
 from itertools import repeat
+from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -119,17 +120,19 @@ class PicardLattice(Record):
         columns = list(zip(*self.gram))
         rows = [[sum(map(mul, p.coords, col)) for col in columns] for p in probes]
         out = []
-        for status, x in linalg.solve_overdetermined(rows, values):
+        for status, solution in linalg.solve_overdetermined(rows, values):
             if status == "underdetermined":
                 raise ToolkitError(
                     f"probes span a proper subspace of the rank-{self.rank} lattice"
                 )
             if status == "inconsistent":
                 raise ToolkitError("pairing equations have no common solution")
-            assert x is not None
-            if any(c.denominator != 1 for c in x):
-                raise ToolkitError(f"solution {[str(c) for c in x]} is rational but not integral")
-            out.append(DivisorClass(tuple(int(c) for c in x)))
+            v, d = solution
+            if any(x % d for x in v):
+                shown = [f"{x // g}/{d // g}" if d // g > 1 else str(x // g)
+                         for x, g in ((x, gcd(x, d)) for x in v)]
+                raise ToolkitError(f"solution {shown} is rational but not integral")
+            out.append(DivisorClass(tuple(x // d for x in v)))
         return out
 
     def class_from_pairings(

@@ -1,16 +1,16 @@
-"""Exact linear algebra over the integers and the rationals.
+"""Exact linear algebra over the integers.
 
-Everything here works on plain lists of Python ints; no floating point is
-used anywhere.  Rank, determinant, inverse, linear solves and the set-up of
-`exceptional.decompose_effective` share one fraction-free Gauss-Jordan
-elimination, `gauss_jordan` (Bareiss 1968): each step divides exactly by
-the previous pivot, so every intermediate entry is an integer minor of the
-input.  The decomposition set-up carries an identity block in place of a
-right-hand side; every step is linear in the carried columns, so the block
-becomes a matrix U such that U.t is the column a target t would have given,
-and one elimination serves every target on a generator list.
-`invert_exact` and `solve_overdetermined` build `Fraction`s only
-for the values they return; no other routine uses them.
+Everything here works on plain lists of Python ints and returns ints; no
+floating point and no `Fraction` are used anywhere.  Rank, determinant,
+inverse, linear solves and the set-up of `exceptional.decompose_effective`
+share one fraction-free Gauss-Jordan elimination, `gauss_jordan` (Bareiss
+1968): each step divides exactly by the previous pivot, so every
+intermediate entry is an integer minor of the input.  The decomposition
+set-up carries an identity block in place of a right-hand side; every step
+is linear in the carried columns, so the block becomes a matrix U such that
+U.t is the column a target t would have given, and one elimination serves
+every target on a generator list.  `invert_exact` inverts only unimodular
+matrices; `solve_overdetermined` gives numerators over one denominator.
 `signature_symmetric` (an integer congruence) eliminates on its own.
 `ldl_positive` (the same elimination without pivoting) and `integer_kernel`
 (unimodular column operations) serve only the Fincke-Pohst root oracle of
@@ -18,7 +18,6 @@ the tests; they stay here because `bench/tracing.py` resolves them by name.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import index
 from typing import Sequence
 
@@ -85,25 +84,28 @@ def det_exact(mat: IntMatrix) -> int:
     return 0 if len(pivots) < n else -d if swaps % 2 else d
 
 
-def invert_exact(mat: IntMatrix) -> list[list[Fraction]]:
-    """Inverse of a nonsingular square matrix (raises ZeroDivisionError if singular)."""
+def invert_exact(mat: IntMatrix) -> list[list[int]]:
+    """Integer inverse of a unimodular matrix (ZeroDivisionError if singular,
+    ValueError if |det| > 1, when the inverse is not integral)."""
     n = len(mat)
     m, pivots, d, _ = gauss_jordan(
         [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(mat)], n
     )
     if len(pivots) < n:
         raise ZeroDivisionError("matrix is singular")
-    return [[Fraction(x, d) for x in row[n:]] for row in m]
+    if d not in (1, -1):
+        raise ValueError(f"matrix is not unimodular: |det| = {abs(d)}")
+    return [[d * x for x in row[n:]] for row in m]   # 1/d = d
 
 
 def solve_overdetermined(
     rows: IntMatrix, rhs: IntMatrix
-) -> list[tuple[str, list[Fraction] | None]]:
+) -> list[tuple[str, tuple[list[int], int] | None]]:
     """Solve rows @ x = b for every right-hand side b in rhs, in one elimination.
 
     x has len(rows[0]) unknowns and each b one value per row.  Returns, per
     right-hand side and in order, one of
-      ("unique", x)        -- full column rank, all equations satisfied
+      ("unique", (v, d))   -- full column rank, all equations satisfied; x = v/d, d > 0
       ("inconsistent", None)
       ("underdetermined", None)
     An inconsistent system is reported as such even without full rank.
@@ -115,14 +117,15 @@ def solve_overdetermined(
         [[*row, *(b[i] for b in rhs)] for i, row in enumerate(rows)], n
     )
     r = len(pivots)
-    out: list[tuple[str, list[Fraction] | None]] = []
+    sign = -1 if d < 0 else 1
+    out: list[tuple[str, tuple[list[int], int] | None]] = []
     for col in range(n, n + len(rhs)):
         if any(row[col] for row in m[r:]):
             out.append(("inconsistent", None))
         elif r < n:
             out.append(("underdetermined", None))
         else:
-            out.append(("unique", [Fraction(row[col], d) for row in m[:n]]))
+            out.append(("unique", ([sign * row[col] for row in m[:n]], sign * d)))
     return out
 
 

@@ -175,6 +175,13 @@ def _cross_block_b_cell(raw):
     raw["b_table"]["cross_block_b_cells"][0] = [0, 1]
 
 
+def _ext_cell(i, j, value):
+    """Set bound cell (i, j), 1-based, to value."""
+    def mutate(raw):
+        raw["ext_bounds"]["rows"][i - 1][j - 1] = value
+    return mutate
+
+
 def _write_edited(tmp_path, mutate):
     raw = json.loads(shipped_fixture_text())
     mutate(raw)
@@ -198,7 +205,15 @@ B_CELL_ERROR = "Bp000.Bp101 = 3, block formula says 4"
     (_cross_block_b_cell,
      [(row, B_CELL_ERROR) for row in ("b-reconstruction", "b-relation", "root-partition",
                                       "sequence-chi", "num-exceptional")]),
-], ids=["ext-cross-block-cell", "ext-star-cell", "chi-star-cell", "cross-block-b-cell"])
+    (_ext_cell(1, 1, 0), [("ext-bounds", "bound cell (1,1) should be absent")]),
+    (_ext_cell(2, 1, None),
+     [("ext-bounds", "bound cell (2,1) should be defined"),
+      ("height", "cell (target 2, source 1) carries no data"),
+      ("fullness", "cell (target 2, source 1) carries no data")]),
+    (_ext_cell(5, 3, 5), [("ext-bounds", "bound cell (5,3) = 5, ledger gives 2")]),
+    (_ext_cell(16, 14, 5), [("ext-bounds", "bound cell (16,14) differs from (5,3)")]),
+], ids=["ext-cross-block-cell", "ext-star-cell", "chi-star-cell", "cross-block-b-cell",
+        "ext-diagonal-cell", "ext-missing-cell", "ext-ledger-cell", "ext-shifted-cell"])
 def test_verify_fails_the_rows_a_table_edit_breaks(tmp_path, capsys, mutate, failed):
     # the ext_bounds check compares only the first block with the ledger, so
     # a cross-block cell is seen by the height alone
@@ -225,7 +240,7 @@ def test_formality_exits_1_when_the_star_choices_disagree(tmp_path, capsys):
         raw["ledger"]["entries"]["10,1"] = [1, 0, 0]
     path = _write_edited(tmp_path, mutate)
     code, out, err = run_cli(capsys, "formality", "--stars", "both", "--fixtures", path)
-    assert (code, err) == (1, "verdicts differ between star choices\n")
+    assert (code, err) == (1, "check failed: verdicts differ between star choices\n")
     assert set(json.loads(out)) == {"zero", "nonzero"}
 
 
@@ -339,6 +354,23 @@ def test_verify_deeply_nested_fixture_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("fixture error:") and "is not valid JSON" in proc.stderr
     assert proc.stderr.count("\n") == 1
+
+
+def _repeat_key(text, key, first):
+    """The JSON text with `key` given once more, first, with the value `first`."""
+    return text.replace(f'"{key}": ', f'"{key}": {json.dumps(first)}, "{key}": ', 1)
+
+
+@pytest.mark.parametrize("first", [[0, 0, 1], [9, 9, 9]], ids=["same-value", "other-value"])
+def test_verify_fixture_repeating_a_key_exits_2(tmp_path, capsys, first):
+    # json.loads alone would keep the last value, and the document would pass
+    text = json.dumps(json.loads(shipped_fixture_text()))
+    assert json.loads(text)["ledger"]["entries"]["5,3"] == [0, 0, 1]
+    path = tmp_path / "twice.json"
+    path.write_text(_repeat_key(text, "5,3", first))
+    code, out, err = run_cli(capsys, "verify", "--fixtures", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"fixture error: fixture file {path} is not valid JSON: duplicate key '5,3'\n"
 
 
 def test_verify_unwritable_report_exits_2(tmp_path):
@@ -506,6 +538,34 @@ def test_height_unusable_matrix_exits_2(tmp_path, text):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("cannot read bound matrix:")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("first", [2, 3], ids=["same-value", "other-value"])
+def test_height_matrix_repeating_a_key_exits_2(tmp_path, capsys, first):
+    rows = [[None] * 4 for _ in range(4)]
+    for i in range(2, 5):
+        for j in range(max(1, i - 2), i):
+            rows[i - 1][j - 1] = 1
+    path = tmp_path / "m.json"
+    path.write_text(_repeat_key(json.dumps({"n": 2, "rows": rows}), "n", first))
+    code, out, err = run_cli(capsys, "height", "--matrix", str(path))
+    assert (code, out, err) == (2, "", "cannot read bound matrix: duplicate key 'n'\n")
+
+
+def test_a_verify_process_imports_neither_fractions_nor_decimal():
+    # every exact result is an int, so the CLI does not pay for these imports
+    env = dict(os.environ, PYTHONPATH=str(Path(barlowlat.__file__).parent.parent))
+    env.pop("FIXTURES_DIR", None)
+    probe = (
+        "import sys\n"
+        "from barlowlat.cli import main\n"
+        "code = main(['verify'])\n"
+        "print(code, sorted({'fractions', 'decimal'} & set(sys.modules)), file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True, env=env)
+    assert proc.stderr == "0 []\n"
+    assert json.loads(proc.stdout)["summary"] == {"pass": 16, "fail": 0, "skipped": 0}
 
 
 @pytest.mark.parametrize("path, value", [

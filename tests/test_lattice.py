@@ -191,4 +191,9 @@ def test_class_from_pairings_non_integral():
     lat = make_lattice(1, [[2]], DivisorClass((0,)))
     with pytest.raises(ToolkitError, match=r"solution \['1/2'\] is rational but not integral"):
         lat.class_from_pairings([DivisorClass((1,))], [1])
+    # each entry reduced on its own, the sign on the numerator, an integer bare
+    lat = make_lattice(3, [[-4, 0, 0], [0, 6, 0], [0, 0, 1]], DivisorClass((0, 0, 0)))
+    units = [DivisorClass(v) for v in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    with pytest.raises(ToolkitError, match=r"solution \['1/2', '-1/3', '-5'\] is rational"):
+        lat.class_from_pairings(units, [-2, -2, -5])
 

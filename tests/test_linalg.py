@@ -20,16 +20,21 @@ def test_rank_and_det():
 
 
 def test_invert_exact():
-    m = [[2, 1], [1, 1]]
-    inv = linalg.invert_exact(m)
-    assert inv == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
+    assert linalg.invert_exact([[2, 1], [1, 1]]) == [[1, -1], [-1, 2]]
+    assert linalg.invert_exact([[0, 1], [1, 0]]) == [[0, 1], [1, 0]]     # det -1
     with pytest.raises(ZeroDivisionError):
         linalg.invert_exact([[1, 2], [2, 4]])
+    with pytest.raises(ValueError, match=r"not unimodular: \|det\| = 2"):
+        linalg.invert_exact([[2, 0], [0, 1]])
 
 
 def test_solve_overdetermined_cases():
     (status, x), = linalg.solve_overdetermined([[1, 0], [0, 1], [1, 1]], [[2, 3, 5]])
-    assert status == "unique" and x == [2, 3]
+    assert status == "unique" and x == ([2, 3], 1)
+    # the one denominator is positive even where the last pivot is negative
+    assert linalg.solve_overdetermined([[-2]], [[1], [4]]) == [
+        ("unique", ([-1], 2)), ("unique", ([-4], 2)),
+    ]
     (status, _), = linalg.solve_overdetermined([[1, 0], [0, 1], [1, 1]], [[2, 3, 6]])
     assert status == "inconsistent"
     (status, _), = linalg.solve_overdetermined([[1, 1]], [[2]])
@@ -92,8 +97,19 @@ def int_matrices(draw, rows=None, cols=None):
 
 @st.composite
 def square_matrices(draw):
+    """Square matrices, a third of them unimodular: the identity, its rows
+    permuted and with signs, then changed by adding multiples of rows."""
     n = draw(st.integers(1, 5))
-    return draw(int_matrices(rows=n, cols=n))
+    if draw(st.integers(0, 2)):
+        return draw(int_matrices(rows=n, cols=n))
+    m = [[draw(st.sampled_from((1, -1))) * int(i == j) for j in range(n)]
+         for i in draw(st.permutations(range(n)))]
+    for _ in range(draw(st.integers(0, 2 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if i != j:
+            f = draw(small_int)
+            m[i] = [a + f * b for a, b in zip(m[i], m[j])]
+    return m
 
 
 @given(m=int_matrices())
@@ -112,10 +128,14 @@ def test_det_and_inverse_match_oracle(m):
         with pytest.raises(ZeroDivisionError):
             linalg.invert_exact(m)
         return
+    if abs(det) != 1:
+        with pytest.raises(ValueError, match="not unimodular"):
+            linalg.invert_exact(m)
+        return
     inv = linalg.invert_exact(m)
     ref, _ = _rref([row + [int(i == j) for j in range(n)] for i, row in enumerate(m)], n)
     assert inv == [row[n:] for row in ref]
-    assert all(type(x) is Fraction for row in inv for x in row)
+    assert all(type(x) is int for row in inv for x in row)
 
 
 @given(data=st.data(), m=int_matrices())
@@ -131,7 +151,12 @@ def test_solve_overdetermined_matches_oracle(data, m):
         else:
             rhs.append(data.draw(st.lists(small_int, min_size=rows, max_size=rows)))
     got = linalg.solve_overdetermined(m, rhs)
-    assert got == [_solve_oracle(m, b) for b in rhs]
+    for status, x in got:
+        if status == "unique":
+            v, d = x
+            assert type(d) is int and d > 0 and all(type(c) is int for c in v)
+    as_fractions = [(s, x and [Fraction(c, x[1]) for c in x[0]]) for s, x in got]
+    assert as_fractions == [_solve_oracle(m, b) for b in rhs]
     assert got == [linalg.solve_overdetermined(m, [b])[0] for b in rhs]
 
 
@@ -218,29 +243,15 @@ def test_signature_matches_descartes_oracle(m):
     assert linalg.signature_symmetric(m) == _inertia_by_descartes(m)
 
 
-def test_fraction_is_built_only_for_returned_solutions():
-    # no Fraction elimination may come back: Fraction is imported by linalg
-    # alone and called once in each of the two solves, as the element of the
-    # comprehension that wraps the finished integers into the returned values
-    calls = []
+def test_no_module_under_src_imports_fractions():
+    # every exact result is an int: the solves hand back numerators over one
+    # denominator, so no module needs (or pays the import of) fractions
     for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
-        for node in ast.walk(tree):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
-                assert all(alias.name != "fractions" for alias in node.names), path.name
-            if isinstance(node, ast.ImportFrom) and node.module == "fractions":
-                assert path.name == "linalg.py"
-                assert [(a.name, a.asname) for a in node.names] == [("Fraction", None)]
-            if not isinstance(node, ast.Call):
-                continue
-            if getattr(node.func, "id", getattr(node.func, "attr", None)) == "Fraction":
-                owner = parent[node]
-                assert isinstance(owner, ast.ListComp) and owner.elt is node, path.name
-                while not isinstance(owner, (ast.FunctionDef, ast.Module)):
-                    owner = parent[owner]
-                calls.append((path.name, getattr(owner, "name", "<module>")))
-    assert sorted(calls) == [("linalg.py", "invert_exact"), ("linalg.py", "solve_overdetermined")]
+                assert all(a.name.split(".")[0] != "fractions" for a in node.names), path.name
+            if isinstance(node, ast.ImportFrom):
+                assert node.module != "fractions", path.name
 
 
 @given(
