@@ -42,7 +42,7 @@ def is_num_exceptional(
     vanishes (backward Euler pairings are zero).
     """
     n = len(seq)
-    matrix = [[lat.chi(seq[i] - seq[j]) for j in range(n)] for i in range(n)]
+    matrix = lat.euler_matrix(seq)
     ok = all(matrix[i][i] == 1 for i in range(n)) and all(
         matrix[i][j] == 0 for i in range(n) for j in range(i + 1, n)
     )

@@ -25,7 +25,6 @@ methods trigger a stage or run a cross-check and return a witness dict.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 from functools import cached_property
 from operator import mul
@@ -39,6 +38,14 @@ from .heights import ExtBoundMatrix
 from .homledger import LedgerMatrix, StarChoice, validate_ledger
 from .lattice import DivisorClass, PicardLattice, make_lattice
 from .record import Record
+
+try:  # the builtin sha256: hashlib would load OpenSSL for one digest
+    from _sha2 import sha256  # CPython 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.11 and earlier
+    except ImportError:
+        from hashlib import sha256
 
 CURVE_NAMES = (
     "E1", "E2", "E3p", "E3m", "E4p", "E4m", "E5p", "E5m",
@@ -429,25 +436,22 @@ class FixtureSet(Record):
         classes = dict(zip(keys, lat.classes_from_pairings(probes, rows)))
         if len(set(c.coords for c in classes.values())) != 32:
             raise ToolkitError("the 32 genus-3 classes are not distinct")
-        for key, cls in classes.items():
-            if lat.pair(cls, cls) != 2 or lat.pair(cls, lat.k) != 2:
+        # one table: each class against the 32, K and the four (-2)-curves
+        nodes = [self.canonical.classes[n] for n in MINUS_TWO_CURVES]
+        table = lat.pairings(list(classes.values()), [*classes.values(), lat.k, *nodes])
+        for i, (key, row) in enumerate(zip(classes, table)):
+            if (row[i], row[32]) != (2, 2):
                 raise ToolkitError(
                     f"{b_name(*key)} has (self, degree) = "
-                    f"({lat.pair(cls, cls)}, {lat.pair(cls, lat.k)}), expected (2, 2)"
+                    f"({row[i]}, {row[32]}), expected (2, 2)"
                 )
-            meets = [
-                n for n in MINUS_TWO_CURVES
-                if lat.pair(cls, self.canonical.classes[n]) > 0
-            ]
-            if len(meets) != 2:
-                raise ToolkitError(f"{b_name(*key)} meets {len(meets)} (-2)-curves, expected 2")
-        # one gram product per class, not one per pair of the 992
-        images = {key: _apply(lat.gram, cls.coords) for key, cls in classes.items()}
-        for k1, c1 in classes.items():
-            for k2, image in images.items():
+            meets = sum(1 for x in row[33:] if x > 0)
+            if meets != 2:
+                raise ToolkitError(f"{b_name(*key)} meets {meets} (-2)-curves, expected 2")
+        for k1, row in zip(classes, table):
+            for k2, got in zip(classes, row):
                 if k1 == k2:
                     continue
-                got = _dot(c1.coords, image)
                 want = self.b_table.expected_pairing(k1, k2)
                 if got != want:
                     raise ToolkitError(
@@ -458,11 +462,9 @@ class FixtureSet(Record):
     @cached_property
     def sequence(self) -> tuple[DivisorClass, ...]:
         """The classes L1..L11; their Euler matrix must equal the frozen one."""
-        lat = self.lattice
         seq = tuple(self._combination(self.sequence_defs[name]) for name in SEQUENCE_NAMES)
-        for i in range(11):
-            for j in range(11):
-                got = lat.chi(seq[i] - seq[j])
+        for i, row in enumerate(self.lattice.euler_matrix(seq)):
+            for j, got in enumerate(row):
                 want = self.chi_matrix[i][j]
                 if got != want:
                     raise ToolkitError(
@@ -623,8 +625,8 @@ class FixtureSet(Record):
             out.append(self.curve_class(name))
         if len({c.coords for c in out}) != 14:
             raise ToolkitError("degree-1 classes are not distinct")
-        for c in out:
-            if lat.pair(c, c) != -1 or lat.pair(c, lat.k) != 1:
+        for i, (c, row) in enumerate(zip(out, lat.pairings(out, [*out, lat.k]))):
+            if (row[i], row[-1]) != (-1, 1):
                 raise ToolkitError(f"degree-1 class {c.coords} fails (square, degree) = (-1, 1)")
         return tuple(out)
 
@@ -636,7 +638,7 @@ class FixtureSet(Record):
 
     def fixture_hash(self) -> str:
         blob = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return sha256(blob.encode()).hexdigest()
 
 
 def shipped_fixture_text() -> str:

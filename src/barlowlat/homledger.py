@@ -4,7 +4,9 @@ The ledger stores, for every forward pair (j -> i with j <= i), the triple
 [h0, h1, h2] of Ext dimensions, with eight entries in the last row left
 undetermined ("stars": either [0,0,0] or [0,1,1]).  The degree argument only
 needs minimal degrees of chains of composable forward maps, computed here by
-dynamic programming over the strictly-increasing-index DAG.
+dynamic programming over the strictly-increasing-index DAG.  One layered DP
+up to length n gives the minimum at every length d at once; the formality
+report reads all of them, and `min_chain_degree` the one it asks for.
 """
 from __future__ import annotations
 
@@ -159,17 +161,9 @@ def validate_ledger(
     return {"cells_checked": checked, "stars": sorted(ledger.star_positions)}
 
 
-def min_chain_degree(
-    ledger: LedgerMatrix, stars: StarChoice, d: int
-) -> int | float:
-    """Minimal total degree of d composable nonzero forward maps.
-
-    Minimum over strictly increasing chains i_0 < ... < i_d of the sum of
-    minimal Ext degrees of each step; INF when every chain meets a zero
-    datum.  Layered DP: best[s][i] = cheapest s-step chain ending at i.
-    """
-    if d < 1:
-        raise ValueError("chain length must be at least 1")
+def _chain_minima(ledger: LedgerMatrix, stars: StarChoice, upto: int) -> list[int | float]:
+    """[min over d-step chains for d = 0..upto]: one layered DP, where
+    best[i] is the cheapest chain of the current length ending at i."""
     n = ledger.n
     weight: dict[tuple[int, int], int | float] = {}
     for j in range(1, n + 1):
@@ -178,13 +172,24 @@ def min_chain_degree(
             if w is not INF:
                 weight[(j, i)] = w
     best: list[int | float] = [0] * (n + 1)
-    for _ in range(d):
+    out = [min(best[1:], default=INF)]
+    for _ in range(upto):
         nxt: list[int | float] = [INF] * (n + 1)
         for (j, i), w in weight.items():
             if best[j] != INF and best[j] + w < nxt[i]:
                 nxt[i] = best[j] + w
         best = nxt
-    return min(best[1:], default=INF)
+        out.append(min(best[1:], default=INF))
+    return out
+
+
+def min_chain_degree(ledger: LedgerMatrix, stars: StarChoice, d: int) -> int | float:
+    """Minimal total degree of d composable nonzero forward maps: the minimum
+    over strictly increasing chains i_0 < ... < i_d of the sum of minimal Ext
+    degrees of each step; INF when every chain meets a zero datum."""
+    if d < 1:
+        raise ValueError("chain length must be at least 1")
+    return _chain_minima(ledger, stars, d)[d]
 
 
 class FormalityVerdict(Record):
@@ -202,8 +207,7 @@ def formality_report(ledger: LedgerMatrix, stars: StarChoice) -> dict[int, Forma
     maximal Ext degree of a surface.
     """
     out: dict[int, FormalityVerdict] = {}
-    for d in range(2, ledger.n + 1):
-        m = min_chain_degree(ledger, stars, d)
+    for d, m in enumerate(_chain_minima(ledger, stars, ledger.n)[2:], 2):
         landing = m - (d - 2) if m != INF else INF
         out[d] = FormalityVerdict(
             d=d,

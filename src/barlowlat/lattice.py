@@ -3,10 +3,13 @@
 Classes are integer coordinate vectors in a fixed basis; the lattice supplies
 the symmetric pairing, the Euler characteristic of a class, the root test and
 reconstruction of classes from their pairings against a spanning probe set.
+Tables of pairings are bilinear, so `pairings` builds one Gram image per
+right-hand class and `euler_matrix` reads every chi(l_i - l_j) off one such
+table, instead of one 9x9 pairing per cell.
 """
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import product, repeat
 from math import gcd
 from operator import mul
 from typing import Iterable, Sequence
@@ -21,8 +24,8 @@ class DivisorClass(Record):
 
     coords: tuple[int, ...]
 
-    # hand-written, same semantics as Record's: verify builds about 1,100
-    # classes per run, and the generic path made it about 10 % slower
+    # hand-written, same semantics as Record's: verify builds about 600
+    # classes per run, and the generic path made it about 10 % slower at 1,100
     def __init__(self, coords: Sequence[int]) -> None:
         if not all(map(isinstance, coords, repeat(int))):
             raise TypeError("coordinates must be integers")
@@ -80,12 +83,33 @@ class PicardLattice(Record):
         bc = b.coords
         return sum(x * sum(map(mul, row, bc)) for x, row in zip(a.coords, self.gram) if x)
 
+    def pairings(
+        self, left: Sequence[DivisorClass], right: Sequence[DivisorClass]
+    ) -> list[list[int]]:
+        """The matrix left[i] . right[j], from one Gram image per right class."""
+        for v in (*left, *right):
+            self._check_len(v)
+        images = [[sum(map(mul, row, b.coords)) for row in self.gram] for b in right]
+        return [[sum(map(mul, a.coords, image)) for image in images] for a in left]
+
     def chi(self, d: DivisorClass) -> int:
         """Euler characteristic 1 + (d.d - d.k)/2 of a class."""
-        s = self.pair(d, d) - self.pair(d, self.k)
-        if s % 2:
-            raise ToolkitError(f"d.d - d.k = {s} is odd; lattice data is inconsistent")
-        return 1 + s // 2
+        return _chi_from(self.pair(d, d) - self.pair(d, self.k))
+
+    def euler_matrix(self, seq: Sequence[DivisorClass]) -> list[list[int]]:
+        """M[i][j] = chi(seq_i - seq_j), by bilinearity from one pairing table.
+
+        With d = a - b, d.d - d.k = (a.a - a.k) + (b.b + b.k) - 2 a.b.  The
+        first cell in row-major order whose chi raises raises the same error.
+        """
+        if any(len(v) != self.rank for v in seq):   # a cell raises; chi finds the first
+            for a, b in product(seq, repeat=2):
+                self.chi(a - b)
+        rows = self.pairings(seq, [*seq, self.k])
+        left = [row[i] - row[-1] for i, row in enumerate(rows)]    # a.a - a.k
+        right = [row[i] + row[-1] for i, row in enumerate(rows)]   # b.b + b.k
+        return [[_chi_from(left[i] + right[j] - 2 * row[j]) for j in range(len(seq))]
+                for i, row in enumerate(rows)]
 
     def chi_hom(self, frm: DivisorClass, to: DivisorClass) -> int:
         """Euler pairing of two line-bundle classes: chi(to - frm)."""
@@ -142,6 +166,13 @@ class PicardLattice(Record):
     ) -> DivisorClass:
         """The unique integral class x with x . probe_i = value_i."""
         return self.classes_from_pairings(probes, [values])[0]
+
+
+def _chi_from(s: int) -> int:
+    """1 + s/2 for s = d.d - d.k, which is even when k is characteristic."""
+    if s % 2:
+        raise ToolkitError(f"d.d - d.k = {s} is odd; lattice data is inconsistent")
+    return 1 + s // 2
 
 
 def make_lattice(

@@ -124,14 +124,14 @@ def partition_roots(
 
     fam1 = {
         tuple(map(sub, a.coords, b.coords))
-        for a in elliptic
-        for b in elliptic
-        if a != b and lat.pair(a, b) == 0
+        for a, row in zip(elliptic, lat.pairings(elliptic, elliptic))
+        for b, ab in zip(elliptic, row)
+        if a != b and ab == 0
     }
     fam2 = {tuple(map(sub, kc, f)) for f in ell} | {tuple(map(sub, f, kc)) for f in ell}
     fam3 = set()
-    for b in b_classes:
-        meets = [c for c in minus_two_curves if lat.pair(b, c) > 0]
+    for b, row in zip(b_classes, lat.pairings(b_classes, minus_two_curves)):
+        meets = [c for c, bc in zip(minus_two_curves, row) if bc > 0]
         if len(meets) != 2:
             raise ToolkitError(f"B class {b.coords} meets {len(meets)} (-2)-curves, expected 2")
         f, g = meets[0].coords, meets[1].coords

@@ -68,6 +68,16 @@ def test_reversed_pair_fails(fix, lat):
     assert matrix[0][1] == -1   # the backward pairing lands above the diagonal
 
 
+@pytest.mark.parametrize("lengths, message", [
+    ((9, 8), "9 != 8"),                                     # cell (1,2): l_1 - l_2
+    ((8, 9), "class has length 8, lattice has rank 9"),     # cell (1,1): chi of l_1 - l_1
+])
+def test_mixed_lengths_raise_at_the_first_cell(lat, lengths, message):
+    seq = [DivisorClass.zero(n) for n in lengths]
+    with pytest.raises(ToolkitError, match=f"^{message}$"):
+        is_num_exceptional(lat, seq)
+
+
 def test_fixture_config_valid_and_builds(fix, lat):
     cfg = fixture_config(fix, lat)
     assert cfg.violations(lat) == []

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -6,6 +8,7 @@ from barlowlat import linalg
 from barlowlat.cli import main
 from barlowlat.errors import SchemaError, ToolkitError, UnknownName
 from barlowlat.fixtures import BASIS_NAMES, FixtureSet, b_keys, b_name, load_fixtures
+from barlowlat.lattice import PicardLattice
 
 EXPECTED_D8_GRAM = (
     (-2, 1, 0, 0, 0, 0, 0, 0),
@@ -297,6 +300,39 @@ def test_degree1_elliptic_classes(fix, lat):
     assert fix.curve_class("E3p") in classes
 
 
+def test_genus3_reports_a_class_of_the_wrong_degree(monkeypatch):
+    # the solver is patched to hand back -Bp000; it is distinct from the other
+    # 31 classes and has square 2, so the (self, degree) check is what fails
+    solve = PicardLattice.classes_from_pairings
+
+    def negate_first(self, probes, values):
+        first, *rest = solve(self, probes, values)
+        return [-first, *rest]
+
+    monkeypatch.setattr(PicardLattice, "classes_from_pairings", negate_first)
+    fresh = load_fixtures(validate=False)
+    message = "Bp000 has (self, degree) = (2, -2), expected (2, 2)"
+    for _ in range(2):   # a failed stage caches nothing and fails again
+        with pytest.raises(ToolkitError, match=re.escape(message)):
+            fresh.genus3
+
+
+def test_degree1_classes_report_a_class_of_the_wrong_degree(monkeypatch):
+    curve_class = FixtureSet.curve_class
+
+    def negate_e3p(self, name):
+        cls = curve_class(self, name)
+        return -cls if name == "E3p" else cls
+
+    monkeypatch.setattr(FixtureSet, "curve_class", negate_e3p)
+    fresh = load_fixtures(validate=False)
+    e3p = -fresh.canonical.classes["E3p"]
+    with pytest.raises(ToolkitError, match=re.escape(
+        f"degree-1 class {e3p.coords} fails (square, degree) = (-1, 1)"
+    )):
+        fresh.degree1_elliptic_classes()
+
+
 def test_every_named_class_roundtrips(fix, lat):
     probes = [fix.curve_class(n) for n in fix.curve_table.names]
     names = (
@@ -316,3 +352,16 @@ def test_fixture_hash_stable(fix, raw_fixture):
     again = FixtureSet.from_dict(raw_fixture)
     assert fix.fixture_hash() == again.fixture_hash()
     assert len(fix.fixture_hash()) == 64
+
+
+def test_fixture_hash_is_the_sha256_of_the_canonical_dump(fix, raw_fixture, tmp_path):
+    # the digest may come from a builtin sha256 module; it must equal hashlib's
+    def hashlib_digest(raw):
+        blob = json.dumps(raw, sort_keys=True, separators=(",", ":"))
+        return hashlib.sha256(blob.encode()).hexdigest()
+
+    path = tmp_path / "reserialized.json"
+    path.write_text(json.dumps(raw_fixture, indent=3))
+    again = load_fixtures(path, validate=False)
+    assert fix.fixture_hash() == hashlib_digest(raw_fixture)
+    assert again.fixture_hash() == hashlib_digest(again.raw) == fix.fixture_hash()

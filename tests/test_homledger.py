@@ -1,6 +1,8 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barlowlat.errors import SchemaError, ToolkitError
 from barlowlat.homledger import (
@@ -185,6 +187,36 @@ def test_min_chain_monotone_when_finite(fix):
         values = [min_chain_degree(fix.ledger, stars, d) for d in range(2, 12)]
         finite = [v for v in values if v != INF]
         assert finite == sorted(finite)
+
+
+@st.composite
+def drawn_ledgers(draw):
+    """A ledger of size 2-7 with zero, nonzero and star cells below the diagonal."""
+    n = draw(st.integers(2, 7))
+    h = st.integers(0, 2)
+    cell = st.one_of(st.just([0, 0, 0]), st.just(STAR), st.lists(h, min_size=3, max_size=3))
+    return small_ledger(n, {(i, j): draw(cell) for i in range(1, n + 1) for j in range(1, i)})
+
+
+def _report_agrees_with_min_chain_degree(led):
+    for stars in BOTH:
+        report = formality_report(led, stars)
+        assert sorted(report) == list(range(2, led.n + 1))
+        for d, verdict in report.items():
+            assert verdict.min_degree == min_chain_degree(led, stars, d)
+
+
+def test_formality_report_reads_min_chain_degree_on_the_shipped_ledger(fix):
+    _report_agrees_with_min_chain_degree(fix.ledger)
+
+
+@given(led=drawn_ledgers())
+@settings(max_examples=150, deadline=None)
+def test_formality_report_reads_min_chain_degree_on_drawn_ledgers(led):
+    _report_agrees_with_min_chain_degree(led)
+    for stars in BOTH:
+        for d in range(1, led.n + 2):
+            assert min_chain_degree(led, stars, d) == brute_min_chain(led, stars, d)
 
 
 def test_formality_forced_zero(fix):

@@ -151,6 +151,67 @@ def test_root_negation_closure(lat, v):
     assert lat.is_root(v) == lat.is_root(-v)
 
 
+# --- pairing tables ------------------------------------------------------------
+
+@st.composite
+def small_lattices(draw):
+    """A symmetric Gram of rank 1-6 and a k of either parity, with classes."""
+    n = draw(st.integers(1, 6))
+    entry = st.integers(-4, 4)
+    upper = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    gram = [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    vec = st.tuples(*[entry] * n).map(DivisorClass)
+    lat = make_lattice(n, gram, draw(vec))
+    return lat, draw(st.lists(vec, max_size=5)), draw(st.lists(vec, max_size=5))
+
+
+def _chi_cells(lat, seq):
+    """The reference: chi(a - b) cell by cell, or the first cell's error."""
+    try:
+        return [[lat.chi(a - b) for b in seq] for a in seq], None
+    except ToolkitError as exc:
+        return None, str(exc)
+
+
+@given(drawn=small_lattices())
+@settings(max_examples=300, deadline=None)
+def test_pairings_equal_pair_cell_for_cell(drawn):
+    lat, left, right = drawn
+    assert lat.pairings(left, right) == [[lat.pair(a, b) for b in right] for a in left]
+
+
+@given(drawn=small_lattices())
+@settings(max_examples=300, deadline=None)
+def test_euler_matrix_equals_chi_cell_for_cell(drawn):
+    # every prefix, so an odd d.d - d.k must raise at the same first cell
+    lat, left, right = drawn
+    seq = left + right
+    for m in range(len(seq) + 1):
+        want, error = _chi_cells(lat, seq[:m])
+        if error is None:
+            assert lat.euler_matrix(seq[:m]) == want
+        else:
+            with pytest.raises(ToolkitError) as exc:
+                lat.euler_matrix(seq[:m])
+            assert str(exc.value) == error
+
+
+def test_euler_matrix_raises_on_an_odd_cell():
+    # k = 0 is not characteristic for the unit form: (1, 0) - 0 has d.d - d.k = 1
+    lat = make_lattice(2, [[1, 0], [0, 1]], DivisorClass((0, 0)))
+    seq = [DivisorClass((0, 0)), DivisorClass((1, 0))]
+    with pytest.raises(ToolkitError, match="d.d - d.k = 1 is odd"):
+        lat.euler_matrix(seq)
+    assert lat.euler_matrix([seq[0], DivisorClass((1, 1))]) == [[1, 2], [2, 1]]
+
+
+def test_pairings_reject_a_class_of_the_wrong_length(lat):
+    k = lat.k
+    with pytest.raises(ToolkitError, match="class has length 8, lattice has rank 9"):
+        lat.pairings([k], [k, DivisorClass.zero(8)])
+    assert lat.pairings([], [k]) == [] and lat.pairings([k], []) == [[]]
+
+
 # --- class reconstruction ------------------------------------------------------
 
 def test_class_from_pairings_base_genus3(fix, lat):

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 from math import isqrt
 from operator import mul
@@ -306,3 +307,16 @@ def test_canonical_gram_is_negated_cartan_up_to_glue_sign(fix, lat):
     for i in range(8):
         for j in range(8):
             assert gram[1 + i][1 + j] == expected[i][j]
+
+
+def test_partition_rejects_a_b_class_meeting_no_minus_two_curve(fix, lat):
+    k = fix.curve_class("K")   # degree-0 curves: K meets none of them
+    with pytest.raises(ToolkitError, match=re.escape(
+        f"B class {k.coords} meets 0 (-2)-curves, expected 2"
+    )):
+        partition_roots(
+            enumerate_roots(lat),
+            fix.degree1_elliptic_classes(),
+            [*list(fix.b_classes().values())[:3], k],
+            fix.minus_two_classes(),
+        )
