@@ -120,8 +120,7 @@ def verification_checks(
         rs = fix.roots
         if len(rs) != 240:
             raise ToolkitError(f"found {len(rs)} roots, expected 240")
-        coords = {r.coords for r in rs.roots}
-        if any(tuple(-x for x in c) not in coords for c in coords):
+        if not rs.closed_under_negation():
             raise ToolkitError("root set is not closed under negation")
         return {"count": len(rs)}
 

@@ -436,9 +436,10 @@ class FixtureSet(Record):
         classes = dict(zip(keys, lat.classes_from_pairings(probes, rows)))
         if len(set(c.coords for c in classes.values())) != 32:
             raise ToolkitError("the 32 genus-3 classes are not distinct")
-        # one table: each class against the 32, K and the four (-2)-curves
-        nodes = [self.canonical.classes[n] for n in MINUS_TWO_CURVES]
-        table = lat.pairings(list(classes.values()), [*classes.values(), lat.k, *nodes])
+        # one table: each class against the 32, K and the four (-2)-curves; the
+        # solver returns classes of the lattice's rank, so no length check fails
+        right = [*classes.values(), lat.k, *self.minus_two_classes()]
+        table = list(lat.pairings(classes.values(), right))
         for i, (key, row) in enumerate(zip(classes, table)):
             if (row[i], row[32]) != (2, 2):
                 raise ToolkitError(

@@ -4,9 +4,8 @@ The ledger stores, for every forward pair (j -> i with j <= i), the triple
 [h0, h1, h2] of Ext dimensions, with eight entries in the last row left
 undetermined ("stars": either [0,0,0] or [0,1,1]).  The degree argument only
 needs minimal degrees of chains of composable forward maps, computed here by
-dynamic programming over the strictly-increasing-index DAG.  One layered DP
-up to length n gives the minimum at every length d at once; the formality
-report reads all of them, and `min_chain_degree` the one it asks for.
+dynamic programming over the strictly-increasing-index DAG: one layered DP up
+to length n gives the minimum at every length, as the formality report reads them.
 """
 from __future__ import annotations
 

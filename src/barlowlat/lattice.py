@@ -3,16 +3,15 @@
 Classes are integer coordinate vectors in a fixed basis; the lattice supplies
 the symmetric pairing, the Euler characteristic of a class, the root test and
 reconstruction of classes from their pairings against a spanning probe set.
-Tables of pairings are bilinear, so `pairings` builds one Gram image per
-right-hand class and `euler_matrix` reads every chi(l_i - l_j) off one such
-table, instead of one 9x9 pairing per cell.
+Pairings are bilinear: `pairings` yields a table row by row from one Gram image
+per right-hand class, and `euler_matrix` reads every chi(l_i - l_j) off one.
 """
 from __future__ import annotations
 
 from itertools import product, repeat
 from math import gcd
 from operator import mul
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ToolkitError
 from . import linalg
@@ -83,29 +82,31 @@ class PicardLattice(Record):
         bc = b.coords
         return sum(x * sum(map(mul, row, bc)) for x, row in zip(a.coords, self.gram) if x)
 
-    def pairings(
-        self, left: Sequence[DivisorClass], right: Sequence[DivisorClass]
-    ) -> list[list[int]]:
-        """The matrix left[i] . right[j], from one Gram image per right class."""
-        for v in (*left, *right):
-            self._check_len(v)
-        images = [[sum(map(mul, row, b.coords)) for row in self.gram] for b in right]
-        return [[sum(map(mul, a.coords, image)) for image in images] for a in left]
+    def pairings(self, left: Iterable[DivisorClass],
+                 right: Sequence[DivisorClass]) -> Iterator[list[int]]:
+        """Yield [a . b for b in right] for each a in left, from one Gram image per
+        right class.  Lengths are checked in the order cell-by-cell `pair` calls
+        check them: left[0], the right classes, then each left[i] at its row."""
+        images: list[list[int]] = []
+        for i, a in enumerate(left):
+            self._check_len(a)
+            if not i:
+                for b in right:
+                    self._check_len(b)
+                images = [[sum(map(mul, row, b.coords)) for row in self.gram] for b in right]
+            yield [sum(map(mul, a.coords, image)) for image in images]
 
     def chi(self, d: DivisorClass) -> int:
         """Euler characteristic 1 + (d.d - d.k)/2 of a class."""
         return _chi_from(self.pair(d, d) - self.pair(d, self.k))
 
     def euler_matrix(self, seq: Sequence[DivisorClass]) -> list[list[int]]:
-        """M[i][j] = chi(seq_i - seq_j), by bilinearity from one pairing table.
-
-        With d = a - b, d.d - d.k = (a.a - a.k) + (b.b + b.k) - 2 a.b.  The
-        first cell in row-major order whose chi raises raises the same error.
-        """
+        """M[i][j] = chi(seq_i - seq_j) by bilinearity: for d = a - b, d.d - d.k =
+        (a.a - a.k) + (b.b + b.k) - 2 a.b.  The first failing cell raises chi's error."""
         if any(len(v) != self.rank for v in seq):   # a cell raises; chi finds the first
             for a, b in product(seq, repeat=2):
                 self.chi(a - b)
-        rows = self.pairings(seq, [*seq, self.k])
+        rows = list(self.pairings(seq, [*seq, self.k]))
         left = [row[i] - row[-1] for i, row in enumerate(rows)]    # a.a - a.k
         right = [row[i] + row[-1] for i, row in enumerate(rows)]   # b.b + b.k
         return [[_chi_from(left[i] + right[j] - 2 * row[j]) for j in range(len(seq))]

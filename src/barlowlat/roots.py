@@ -54,6 +54,9 @@ class RootSet(Record):
     def _index(self) -> frozenset[tuple[int, ...]]:
         return frozenset(r.coords for r in self.roots)
 
+    def closed_under_negation(self) -> bool:
+        return all(tuple(-x for x in c) in self._index for c in self._index)
+
 
 def enumerate_roots(lat: PicardLattice) -> RootSet:
     """The 240 roots of the lattice `CANONICAL_GRAM` with k = `CANONICAL_K`, in

@@ -177,7 +177,7 @@ def _chi_cells(lat, seq):
 @settings(max_examples=300, deadline=None)
 def test_pairings_equal_pair_cell_for_cell(drawn):
     lat, left, right = drawn
-    assert lat.pairings(left, right) == [[lat.pair(a, b) for b in right] for a in left]
+    assert list(lat.pairings(left, right)) == [[lat.pair(a, b) for b in right] for a in left]
 
 
 @given(drawn=small_lattices())
@@ -208,8 +208,23 @@ def test_euler_matrix_raises_on_an_odd_cell():
 def test_pairings_reject_a_class_of_the_wrong_length(lat):
     k = lat.k
     with pytest.raises(ToolkitError, match="class has length 8, lattice has rank 9"):
-        lat.pairings([k], [k, DivisorClass.zero(8)])
-    assert lat.pairings([], [k]) == [] and lat.pairings([k], []) == [[]]
+        list(lat.pairings([k], [k, DivisorClass.zero(8)]))
+    assert list(lat.pairings([], [k])) == [] and list(lat.pairings([k], [])) == [[]]
+
+
+def test_pairings_check_lengths_in_the_order_pair_does():
+    # left[0] first, then the right classes, then each left[i] at its own row
+    lat = make_lattice(2, [[1, 0], [0, 1]], DivisorClass((1, 1)))
+    short, long_ = DivisorClass((1,)), DivisorClass((1, 2, 3))
+    for left, right, length in [([short], [long_], 1), ([lat.k], [long_], 3)]:
+        with pytest.raises(ToolkitError, match=f"class has length {length},"):
+            lat.pair(left[0], right[0])
+        with pytest.raises(ToolkitError, match=f"class has length {length},"):
+            next(lat.pairings(left, right))
+    rows = lat.pairings([lat.k, short], [lat.k])
+    assert next(rows) == [2]
+    with pytest.raises(ToolkitError, match="class has length 1,"):
+        next(rows)
 
 
 # --- class reconstruction ------------------------------------------------------

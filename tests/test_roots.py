@@ -14,6 +14,7 @@ from barlowlat.lattice import DivisorClass, make_lattice
 from barlowlat.roots import (
     CANONICAL_GRAM,
     CANONICAL_K,
+    RootSet,
     VanishingTag,
     enumerate_roots,
     extended_cartan_expected,
@@ -320,3 +321,31 @@ def test_partition_rejects_a_b_class_meeting_no_minus_two_curve(fix, lat):
             [*list(fix.b_classes().values())[:3], k],
             fix.minus_two_classes(),
         )
+
+
+def test_partition_reports_b_classes_in_order_before_a_later_wrong_length(fix, lat):
+    # E1 + C1p meets C1m but not C1p, whose square is -2; the short class after
+    # it must not be reported first, as cell-by-cell pairings would not reach it
+    one = fix.curve_class("E1") + fix.curve_class("C1p")
+    with pytest.raises(ToolkitError, match=re.escape(
+        f"B class {one.coords} meets 1 (-2)-curves, expected 2"
+    )):
+        partition_roots(
+            enumerate_roots(lat),
+            fix.degree1_elliptic_classes(),
+            [one, DivisorClass.zero(8)],
+            fix.minus_two_classes(),
+        )
+    with pytest.raises(ToolkitError, match="class has length 8, lattice has rank 9"):
+        partition_roots(
+            enumerate_roots(lat),
+            fix.degree1_elliptic_classes(),
+            [*list(fix.b_classes().values())[:2], DivisorClass.zero(8), one],
+            fix.minus_two_classes(),
+        )
+
+
+def test_root_set_is_closed_under_negation(lat):
+    rs = enumerate_roots(lat)
+    assert rs.closed_under_negation()
+    assert not RootSet(lattice=lat, roots=rs.roots[:-1]).closed_under_negation()
