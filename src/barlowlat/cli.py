@@ -40,7 +40,7 @@ from .heights import (
     height,
     single_segment_bound,
 )
-from .homledger import StarChoice, formality_report, validate_ledger
+from .homledger import SURFACE_DIMENSION, StarChoice, formality_report, validate_ledger
 from .lattice import DivisorClass
 # enumerate_roots is not called here (fix.roots enumerates once), but it stays
 # bound in this namespace: bench/ wraps and checks the binding by name
@@ -50,8 +50,6 @@ from .roots import (  # noqa: F401
     vanishing_classification,
     VanishingTag,
 )
-
-SURFACE_DIMENSION = 2
 
 _TERM = re.compile(r"([+-]?)\s*([0-9]*)\s*\*?\s*([A-Za-z][A-Za-z0-9]*)")
 
@@ -282,9 +280,8 @@ def _report_text(report: dict) -> str:
 # ------------------------------------------------------------------ commands
 
 def _fixture_source(args: argparse.Namespace) -> str | None:
-    explicit = getattr(args, "fixtures", None)
-    if explicit:
-        return explicit
+    if args.fixtures:
+        return args.fixtures
     env_dir = os.environ.get("FIXTURES_DIR")
     if env_dir:
         return str(Path(env_dir) / "barlow.json")
@@ -471,51 +468,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    fixtures = argparse.ArgumentParser(add_help=False)
+    fixtures.add_argument("--fixtures", help="path to a fixture JSON (default: shipped)")
+    add = functools.partial(sub.add_parser, parents=[fixtures])
 
-    def add_fixtures(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--fixtures", help="path to a fixture JSON (default: shipped)")
-
-    p = sub.add_parser("verify", help="run the full verification pipeline")
-    add_fixtures(p)
+    p = add("verify", help="run the full verification pipeline")
     p.add_argument("--stars", choices=["zero", "nonzero", "both"], default="both")
     p.add_argument("--report", help="also write the report to this path")
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("roots", help="enumerate the 240 roots")
-    add_fixtures(p)
+    p = add("roots", help="enumerate the 240 roots")
     p.add_argument("--count", action="store_true", help="print only the count")
     p.set_defaults(func=cmd_roots)
 
-    p = sub.add_parser("classes", help="dump every named class in basis coordinates")
-    add_fixtures(p)
+    p = add("classes", help="dump every named class in basis coordinates")
     p.set_defaults(func=cmd_classes)
 
-    p = sub.add_parser("chi", help="Euler characteristic / Euler pairing")
-    add_fixtures(p)
+    p = add("chi", help="Euler characteristic / Euler pairing")
     p.add_argument("--from", dest="src", help="source class name or expression")
     p.add_argument("--to", dest="dst", help="target class name or expression")
     p.add_argument("--cls", help="single class expression for a plain chi")
     p.set_defaults(func=cmd_chi)
 
-    p = sub.add_parser("height", help="height of the extended collection")
-    add_fixtures(p)
+    p = add("height", help="height of the extended collection")
     p.add_argument("--matrix", help="path to an external bound-matrix JSON")
     p.add_argument("--dim", type=_int_at_least(1), default=SURFACE_DIMENSION)
     p.set_defaults(func=cmd_height)
 
-    p = sub.add_parser("formality", help="chain-degree report for the ledger")
-    add_fixtures(p)
+    p = add("formality", help="chain-degree report for the ledger")
     p.add_argument("--stars", choices=["zero", "nonzero", "both"], default="both")
     p.set_defaults(func=cmd_formality)
 
-    p = sub.add_parser("search", help="search root configurations")
-    add_fixtures(p)
+    p = add("search", help="search root configurations")
     p.add_argument("--limit", type=_int_at_least(1), default=1)
     p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("decompose", help="nonnegative decompositions of a class")
-    add_fixtures(p)
+    p = add("decompose", help="nonnegative decompositions of a class")
     p.add_argument("--target", required=True, help="class expression, e.g. '5K-E3p-Bp000'")
     p.add_argument("--caps", type=_int_at_least(0), default=8)
     p.add_argument("--generators", help="comma-separated generator names")

@@ -53,7 +53,9 @@ CURVE_NAMES = (
 )
 _CURVE_INDEX = {name: i for i, name in enumerate(CURVE_NAMES)}
 MINUS_TWO_CURVES = ("C1p", "C1m", "C2p", "C2m")
-IRREDUCIBLE_ELLIPTIC = ("E1", "E2", "E3p", "E3m", "E4p", "E4m", "E5p", "E5m")
+#: the elliptic curves outside the two node families, in +/- pairs
+PAIRED_ELLIPTIC = ("E3p", "E3m", "E4p", "E4m", "E5p", "E5m")
+IRREDUCIBLE_ELLIPTIC = ("E1", "E2", *PAIRED_ELLIPTIC)
 ELLIPTIC_CURVE_DIAGONAL = -1
 PENTAGON_DIAGONAL = -3
 CANONICAL_DIAGONAL = 1
@@ -160,7 +162,7 @@ class BTable(Record):
         for name, grid in self.c_table.items():
             if len(grid) != 2 or any(len(row) != 2 for row in grid):
                 raise SchemaError(f"c_table[{name}] must be 2x2")
-        if set(self.e_hit_ks) != {"E3p", "E3m", "E4p", "E4m", "E5p", "E5m"}:
+        if set(self.e_hit_ks) != set(PAIRED_ELLIPTIC):
             raise SchemaError("e_hit_ks must cover the six paired elliptic curves")
         for name, per_i in self.e_hit_ks.items():
             if set(per_i) != {"0", "1"}:
@@ -622,8 +624,7 @@ class FixtureSet(Record):
             cp = self.curve_class(f"C{i}p")
             cm = self.curve_class(f"C{i}m")
             out.extend([e, e + cp, e + cm, e + cp + cm])
-        for name in ("E3p", "E3m", "E4p", "E4m", "E5p", "E5m"):
-            out.append(self.curve_class(name))
+        out.extend(self.curve_class(name) for name in PAIRED_ELLIPTIC)
         if len({c.coords for c in out}) != 14:
             raise ToolkitError("degree-1 classes are not distinct")
         for i, (c, row) in enumerate(zip(out, lat.pairings(out, [*out, lat.k]))):

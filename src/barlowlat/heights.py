@@ -32,9 +32,7 @@ class ExtBoundMatrix(Record):
     rows: tuple[tuple[int | float | None, ...], ...]
 
     @staticmethod
-    def from_rows(
-        n: int, raw_rows: Sequence[Sequence[int | float | str | None]]
-    ) -> "ExtBoundMatrix":
+    def from_rows(n: int, raw_rows: Sequence[Sequence[int | str | None]]) -> "ExtBoundMatrix":
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise SchemaError(f"n must be a positive integer, got {n!r}")
         size = 2 * n
@@ -48,7 +46,7 @@ class ExtBoundMatrix(Record):
             for x in raw:
                 if x is None:
                     row.append(ABSENT)
-                elif x == "inf" or x == INF:
+                elif x == "inf":
                     row.append(INF)
                 elif isinstance(x, int) and not isinstance(x, bool) and x >= 0:
                     row.append(x)

@@ -17,9 +17,9 @@ from .record import Record
 
 INF = float("inf")
 
-#: maximal Ext degree on a surface; a composition can only land in degrees
-#: 0..2, so a forced total degree above this kills the multiplication.
-MAX_EXT_DEGREE = 2
+#: dim S, also the top Ext degree between sheaves on S: a composition can only
+#: land in degrees 0..2, so a forced total degree above this kills it
+SURFACE_DIMENSION = 2
 
 
 class CohomDatum(Record):
@@ -212,6 +212,6 @@ def formality_report(ledger: LedgerMatrix, stars: StarChoice) -> dict[int, Forma
             d=d,
             min_degree=m,
             landing_degree=landing,
-            forced_zero=landing > MAX_EXT_DEGREE,
+            forced_zero=landing > SURFACE_DIMENSION,
         )
     return out

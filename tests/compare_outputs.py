@@ -30,6 +30,13 @@ process, on the same cases:
   neither glue parity (b_table.c_table.C1p[0][0] + 1);
 * verify on two documents that fail at load: the doubling relation with
   b_relation.rhs.K + 1, and the ledger star of cell (11,1) moved to (10,1);
+* verify on four documents that fail rows without skipping any or fail
+  canonical-basis: L1 and L3 swapped with chi_matrix permuted to match,
+  every defined bound cell 0, E1 and C1p swapped in the curve table, and
+  a curve "X" in d8.defs.D1;
+* verify on a document whose bound cell (2,1) is the JSON number Infinity,
+  and height --matrix on a bound table with 1e999 in its one cell; both
+  exit 2, since a bound cell is an integer, "inf" or null;
 * height --matrix on a bound table whose dynamic program reads a null cell;
 * verify on every variant that bench/inputs.KINDS can draw.  The module is
   read, not edited.
@@ -123,6 +130,42 @@ def negative_degree_document(raw: dict) -> dict:
     return doc
 
 
+def swap_l1_l3(raw: dict) -> None:
+    """L1 and L3 trade places in sequence, with chi_matrix permuted to match.
+
+    sequence-chi still passes; the order is no longer exceptional, and the
+    ledger no longer alternates to the Euler pairing.
+    """
+    seq, chi = raw["sequence"], raw["chi_matrix"]
+    seq["L1"], seq["L3"] = seq["L3"], seq["L1"]
+    order = [2, 1, 0, *range(3, len(chi))]
+    raw["chi_matrix"] = [[chi[i][j] for j in order] for i in order]
+
+
+def zero_bounds(raw: dict) -> None:
+    """Every defined bound cell set to 0: height -10, and no verdict."""
+    raw["ext_bounds"]["rows"] = [[None if x is None else 0 for x in row]
+                                 for row in raw["ext_bounds"]["rows"]]
+
+
+def swap_e1_c1p(raw: dict) -> None:
+    """The rows and columns of E1 and C1p swapped in the curve table."""
+    table = raw["curve_table"]
+    a, b = table["names"].index("E1"), table["names"].index("C1p")
+    order = list(range(len(table["names"])))
+    order[a], order[b] = b, a
+    table["matrix"] = [[table["matrix"][i][j] for j in order] for i in order]
+
+
+def unknown_curve_in_d1(raw: dict) -> None:
+    raw["d8"]["defs"]["D1"]["X"] = 1
+
+
+def infinite_bound(raw: dict) -> None:
+    """Bound cell (2,1) as the non-standard JSON number Infinity."""
+    raw["ext_bounds"]["rows"][1][0] = float("inf")
+
+
 def write_cases(directory: Path) -> list[tuple[str, list[str]]]:
     """The (name, argv) cases; fixture documents are written to directory."""
     sys.path.insert(0, str(ROOT / "bench"))
@@ -142,6 +185,10 @@ def write_cases(directory: Path) -> list[tuple[str, list[str]]]:
     entries["10,1"], entries["11,1"] = entries["11,1"], entries["10,1"]
     load_failures = [("b_relation-K", relation), ("star-at-10,1", star)]
     docs = [(name, json.dumps(doc)) for name, doc in canonical_failures + load_failures]
+    for edit in (swap_l1_l3, zero_bounds, swap_e1_c1p, unknown_curve_in_d1, infinite_bound):
+        doc = json.loads(json.dumps(raw))
+        edit(doc)
+        docs.append((edit.__name__, json.dumps(doc)))
     for kind, (variants, *_) in inputs.KINDS.items():
         for variant in variants(raw):
             name = f"{kind}:{variant}"
@@ -159,6 +206,9 @@ def write_cases(directory: Path) -> list[tuple[str, list[str]]]:
     path = directory / "null-dp-cell.json"
     path.write_text(json.dumps({"n": 2, "rows": rows}))
     cases.append(("height null-dp-cell", ["height", "--matrix", str(path)]))
+    path = directory / "infinite-cell.json"
+    path.write_text('{"n": 1, "rows": [[null, null], [1e999, null]]}')
+    cases.append(("height infinite-cell", ["height", "--matrix", str(path)]))
     path = directory / "negative-degree.json"
     path.write_text(json.dumps(negative_degree_document(raw)))
     cases.append(("decompose negative-degree", ["decompose", "--fixtures", str(path),

@@ -9,6 +9,7 @@ import io
 import json
 import operator
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,7 +25,10 @@ from barlowlat.errors import SchemaError, ToolkitError, UsageError
 from barlowlat.fixtures import FixtureSet, load_fixtures, shipped_fixture_text
 from barlowlat.lattice import DivisorClass, PicardLattice
 
-from compare_outputs import negative_degree_document, non_fork_document
+from compare_outputs import (
+    infinite_bound, negative_degree_document, non_fork_document, swap_e1_c1p, swap_l1_l3,
+    unknown_curve_in_d1, zero_bounds,
+)
 
 #: an array nested deeper than the JSON decoder's recursion limit
 DEEPLY_NESTED = "[" * 200000 + "]" * 200000
@@ -144,6 +148,28 @@ def test_verify_catches_swapped_fork_tips(tmp_path, capsys):
     assert (code, out, err) == (1, "", f"check failed: {message}\n")
 
 
+@pytest.mark.parametrize("mutate, failed", [
+    (swap_e1_c1p, [("fixture-tables", "diagonal entry for E1 is -2, expected -1"),
+                   ("simple-roots-gram", "simple-root gram differs at (D1, D3): -1 != 0"),
+                   ("canonical-basis", "diagonal entry for E1 is -2, expected -1")]),
+    (unknown_curve_in_d1, [("simple-roots-gram", "'X' is not a curve name"),
+                           ("canonical-basis", "'X' is not a curve name")]),
+], ids=["swapped-E1-C1p", "unknown-curve-in-D1"])
+def test_verify_catches_a_curve_table_or_fork_edit_at_canonical_basis(
+    tmp_path, capsys, mutate, failed
+):
+    raw = json.loads(shipped_fixture_text())
+    mutate(raw)
+    with pytest.raises(ToolkitError, match=re.escape(failed[-1][1])):
+        load_fixtures(raw)
+    code, out, err = run_cli(capsys, "verify", "--fixtures", _write_edited(tmp_path, mutate))
+    report = json.loads(out)
+    assert (code, err) == (1, "")
+    assert [(c["id"], c["witness"]["error"])
+            for c in report["checks"] if c["status"] == "fail"] == failed
+    assert report["summary"]["skipped"] == 7
+
+
 def test_verify_rejects_a_self_consistent_non_fork_document(tmp_path, capsys):
     message = "input Gram is not the expected fork-at-d6 form"
     raw = non_fork_document(json.loads(shipped_fixture_text()))
@@ -229,8 +255,16 @@ B_CELL_ERROR = "Bp000.Bp101 = 3, block formula says 4"
       ("fullness", "cell (target 2, source 1) carries no data")]),
     (_ext_cell(5, 3, 5), [("ext-bounds", "bound cell (5,3) = 5, ledger gives 2")]),
     (_ext_cell(16, 14, 5), [("ext-bounds", "bound cell (16,14) differs from (5,3)")]),
+    (swap_l1_l3,
+     [("num-exceptional", "shipped sequence is not numerically exceptional"),
+      ("ledger-chi", "cell (3,1) = (0, 1, 0) has alternating sum -1, chi table says 0")]),
+    (zero_bounds,
+     [("ext-bounds", "bound cell (2,1) = 0, ledger gives inf"),
+      ("height", "height -10, single-segment bound 0, expected 2, 2"),
+      ("fullness", "verdict inconclusive, expected not_full")]),
 ], ids=["ext-cross-block-cell", "ext-star-cell", "chi-star-cell", "cross-block-b-cell",
-        "ext-diagonal-cell", "ext-missing-cell", "ext-ledger-cell", "ext-shifted-cell"])
+        "ext-diagonal-cell", "ext-missing-cell", "ext-ledger-cell", "ext-shifted-cell",
+        "swapped-L1-L3", "zero-bounds"])
 def test_verify_fails_the_rows_a_table_edit_breaks(tmp_path, capsys, mutate, failed):
     # the ext_bounds check compares only the first block with the ledger, so
     # a cross-block cell is seen by the height alone
@@ -388,6 +422,23 @@ def test_verify_fixture_repeating_a_key_exits_2(tmp_path, capsys, first):
     code, out, err = run_cli(capsys, "verify", "--fixtures", str(path))
     assert (code, out) == (2, "")
     assert err == f"fixture error: fixture file {path} is not valid JSON: duplicate key '5,3'\n"
+
+
+def test_verify_infinite_bound_cell_exits_2(tmp_path, capsys):
+    # json reads the non-standard number Infinity as a float; a bound cell is
+    # an integer, "inf" or null
+    path = _write_edited(tmp_path, infinite_bound)
+    assert "Infinity" in Path(path).read_text()
+    code, out, err = run_cli(capsys, "verify", "--fixtures", path)
+    assert (code, out, err) == (2, "", "fixture error: bad bound entry inf in row 2\n")
+
+
+def test_height_matrix_infinite_cell_exits_2(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text('{"n": 1, "rows": [[null, null], [1e999, null]]}')
+    code, out, err = run_cli(capsys, "height", "--matrix", str(path))
+    assert (code, out) == (2, "")
+    assert err == "cannot read bound matrix: bad bound entry inf in row 2\n"
 
 
 def test_verify_unwritable_report_exits_2(tmp_path):
@@ -588,6 +639,38 @@ def test_a_verify_process_imports_neither_fractions_nor_decimal():
                           capture_output=True, text=True, env=env)
     assert proc.stderr == "0 []\n"
     assert json.loads(proc.stdout)["summary"] == {"pass": 16, "fail": 0, "skipped": 0}
+
+
+def test_import_barlowlat_loads_no_submodule():
+    env = dict(os.environ, PYTHONPATH=str(Path(barlowlat.__file__).parent.parent))
+    probe = "import sys, barlowlat; print([m for m in sys.modules if m.startswith('barlowlat.')])"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env)
+    assert (proc.stdout, proc.stderr) == ("[]\n", "")
+
+
+def test_each_public_name_is_read_from_its_defining_module(monkeypatch):
+    assert set(barlowlat.__all__) <= set(dir(barlowlat))
+    for name in barlowlat.__all__:
+        value = getattr(barlowlat, name)
+        assert getattr(sys.modules[value.__module__], name) is value
+        assert name not in vars(barlowlat)
+    # no copy is kept, so a patched function is the one the package returns
+    patched = object()
+    monkeypatch.setattr(sys.modules["barlowlat.roots"], "enumerate_roots", patched)
+    assert barlowlat.enumerate_roots is patched
+    with pytest.raises(AttributeError, match="has no attribute 'fixture'"):
+        barlowlat.fixture
+
+
+def test_readme_library_example_runs_as_written():
+    # in a fresh interpreter, so the package has imported nothing before it
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    library = readme[readme.index("## Library"):]
+    snippet = library.split("```python\n", 1)[1].split("```", 1)[0]
+    env = dict(os.environ, PYTHONPATH=str(Path(barlowlat.__file__).parent.parent))
+    env.pop("FIXTURES_DIR", None)
+    proc = subprocess.run([sys.executable, "-c", snippet], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 @pytest.mark.parametrize("path, value", [

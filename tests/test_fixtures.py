@@ -50,8 +50,8 @@ def test_perturbed_cell_rejected(raw_copy):
         load_fixtures(raw_copy)
 
 
-def test_perturbed_diagonal_rejected(raw_copy):
-    # keep the matrix symmetric but break a frozen diagonal value
+def test_base_class_of_neither_glue_parity_rejected(raw_copy):
+    # a c_table cell moves the genus-3 base class off both glue parities
     raw_copy["b_table"]["c_table"]["C1p"][0][0] = 1
     with pytest.raises(ToolkitError, match="genus-3 base class is not integral"):
         load_fixtures(raw_copy)
