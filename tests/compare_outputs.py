@@ -30,10 +30,10 @@ process, on the same cases:
   neither glue parity (b_table.c_table.C1p[0][0] + 1);
 * verify on two documents that fail at load: the doubling relation with
   b_relation.rhs.K + 1, and the ledger star of cell (11,1) moved to (10,1);
-* verify on four documents that fail rows without skipping any or fail
-  canonical-basis: L1 and L3 swapped with chi_matrix permuted to match,
-  every defined bound cell 0, E1 and C1p swapped in the curve table, and
-  a curve "X" in d8.defs.D1;
+* verify on two documents that fail rows and skip none (L1 and L3 swapped
+  with chi_matrix permuted to match, and every defined bound cell 0), and
+  on two that fail canonical-basis (E1 and C1p swapped in the curve table,
+  and a curve "X" in d8.defs.D1);
 * verify on a document whose bound cell (2,1) is the JSON number Infinity,
   and height --matrix on a bound table with 1e999 in its one cell; both
   exit 2, since a bound cell is an integer, "inf" or null;
