@@ -30,7 +30,7 @@ from . import linalg
 from .errors import ToolkitError
 from .lattice import DivisorClass, PicardLattice, make_lattice
 from .record import Record
-from .roots import RootSet
+from .roots import RootSet, diagram_gram
 
 
 def is_num_exceptional(
@@ -56,10 +56,8 @@ CONFIG_MEMBERS = ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "B1", "B2")
 
 #: the ten roots are (-2)-classes; consecutive chain members meet once, B1
 #: meets A3, B2 meets A6, B1.B2 = -1, and every other pair is orthogonal
-_MEETS = {(s, s + 1): 1 for s in range(7)} | {(2, 8): 1, (5, 9): 1, (8, 9): -1}
-CONFIG_GRAM = tuple(
-    tuple(-2 if s == t else _MEETS.get((min(s, t), max(s, t)), 0) for t in range(10))
-    for s in range(10)
+CONFIG_GRAM = diagram_gram(
+    10, {(s, s + 1): 1 for s in range(7)} | {(2, 8): 1, (5, 9): 1, (8, 9): -1}
 )
 _GRAM_ENTRIES = sum(CONFIG_GRAM, ())
 

@@ -32,7 +32,7 @@ from pathlib import Path
 from typing import Any, Mapping, Sequence
 
 from . import linalg, roots as rootsmod
-from .roots import CANONICAL_GRAM, CANONICAL_K
+from .roots import CANONICAL_GRAM, CANONICAL_K, diagram_gram
 from .errors import SchemaError, ToolkitError, UnknownName
 from .heights import ExtBoundMatrix
 from .homledger import LedgerMatrix, StarChoice, validate_ledger
@@ -56,10 +56,9 @@ MINUS_TWO_CURVES = ("C1p", "C1m", "C2p", "C2m")
 #: the elliptic curves outside the two node families, in +/- pairs
 PAIRED_ELLIPTIC = ("E3p", "E3m", "E4p", "E4m", "E5p", "E5m")
 IRREDUCIBLE_ELLIPTIC = ("E1", "E2", *PAIRED_ELLIPTIC)
-ELLIPTIC_CURVE_DIAGONAL = -1
-PENTAGON_DIAGONAL = -3
-CANONICAL_DIAGONAL = 1
-NODE_CURVE_DIAGONAL = -2
+#: each curve's square, by the first letter of its name: the elliptic curves,
+#: the pentagon L, the canonical curve K and the (-2)-curves
+CURVE_DIAGONAL = {"E": -1, "L": -3, "K": 1, "C": -2}
 
 FIXTURE_FORMAT = "barlowlat-fixture-v1"
 
@@ -69,16 +68,7 @@ STAR_POSITIONS = tuple((11, j) for j in (1, 2, 4, 5, 6, 8, 9, 10))
 SEQUENCE_NAMES = tuple(f"L{i}" for i in range(1, 12))
 
 #: the Gram of D1..D8: the chain D1..D6 with both fork tips D7, D8 on D6
-D8_FORK_GRAM = (
-    (-2, 1, 0, 0, 0, 0, 0, 0),
-    (1, -2, 1, 0, 0, 0, 0, 0),
-    (0, 1, -2, 1, 0, 0, 0, 0),
-    (0, 0, 1, -2, 1, 0, 0, 0),
-    (0, 0, 0, 1, -2, 1, 0, 0),
-    (0, 0, 0, 0, 1, -2, 1, 1),
-    (0, 0, 0, 0, 0, 1, -2, 0),
-    (0, 0, 0, 0, 0, 1, 0, -2),
-)
+D8_FORK_GRAM = diagram_gram(8, {(s, s + 1): 1 for s in range(6)} | {(5, 7): 1})
 #: twice the glue root e is the sum of D1..D6 with these weights and the
 #: tips D7, D8 with (3, 4) or (4, 3), one for each glue class of the index-2
 #: embedding of D8 in E8
@@ -110,35 +100,24 @@ B_NAMES = frozenset(b_name(*key) for key in b_keys())
 # --------------------------------------------------------------------------- tables
 
 class CurveTable(Record):
-    names: tuple[str, ...]
-    matrix: tuple[tuple[int, ...], ...]
+    """The 14x14 intersection table of the curves in `CURVE_NAMES` order."""
 
-    def value(self, a: str, b: str) -> int:
-        return self.matrix[_CURVE_INDEX[a]][_CURVE_INDEX[b]]
+    matrix: tuple[tuple[int, ...], ...]
 
     def validate(self) -> dict[str, object]:
         """Symmetry, rank 9 and the diagonal; names and shape are parsed."""
         bad = linalg.asymmetric_cell(self.matrix)
         if bad:
             raise ToolkitError(
-                f"curve matrix asymmetric at ({self.names[bad[0]]}, {self.names[bad[1]]})"
+                f"curve matrix asymmetric at ({CURVE_NAMES[bad[0]]}, {CURVE_NAMES[bad[1]]})"
             )
         rk = linalg.rank_exact(self.matrix)
         if rk != 9:
             raise ToolkitError(f"curve matrix has rank {rk}, expected 9")
-        expected_diag = {
-            "E": ELLIPTIC_CURVE_DIAGONAL,
-            "L": PENTAGON_DIAGONAL,
-            "K": CANONICAL_DIAGONAL,
-            "C": NODE_CURVE_DIAGONAL,
-        }
-        for idx, name in enumerate(self.names):
-            want = expected_diag[name[0]]
-            if self.matrix[idx][idx] != want:
-                raise ToolkitError(
-                    f"diagonal entry for {name} is {self.matrix[idx][idx]}, "
-                    f"expected {want}"
-                )
+        for i, name in enumerate(CURVE_NAMES):
+            got, want = self.matrix[i][i], CURVE_DIAGONAL[name[0]]
+            if got != want:
+                raise ToolkitError(f"diagonal entry for {name} is {got}, expected {want}")
         return {"rank": rk, "symmetric": True}
 
 
@@ -174,8 +153,7 @@ class BTable(Record):
         """Values B . curve for the 14 curves, assembled from the rules."""
         sign = "plus" if q == 1 else "minus"
         row = []
-        for name in CURVE_NAMES:
-            k_dot = table.value("K", name)
+        for name, k_dot in zip(CURVE_NAMES, table.matrix[_CURVE_INDEX["K"]]):
             if name in ("E1", "E2"):
                 row.append(self.e12_values[sign] + 2 * k_dot)
             elif name in self.e_hit_ks:
@@ -283,10 +261,8 @@ class FixtureSet(Record):
             raise SchemaError(f'fixture document must carry "format": "{FIXTURE_FORMAT}"')
         try:
             curve = raw["curve_table"]
-            table = CurveTable(
-                names=tuple(curve["names"]),
-                matrix=_int_rows(curve["matrix"], "curve_table.matrix"),
-            )
+            curve_names = tuple(curve["names"])
+            table = CurveTable(matrix=_int_rows(curve["matrix"], "curve_table.matrix"))
             bt_raw = raw["b_table"]
             btable = BTable(
                 k_value=_int(bt_raw["k_value"], "b_table.k_value"),
@@ -332,7 +308,7 @@ class FixtureSet(Record):
             rel_rhs = _combo_dict(raw["b_relation"]["rhs"], "b_relation.rhs")
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"fixture document malformed: {exc}") from exc
-        if table.names != CURVE_NAMES:
+        if curve_names != CURVE_NAMES:
             raise SchemaError(f"curve names must be {CURVE_NAMES}")
         if not _square(table.matrix, len(CURVE_NAMES)):
             raise SchemaError("curve matrix must be 14x14")
@@ -413,18 +389,15 @@ class FixtureSet(Record):
         # M = MB X.  Applying B^T gives X = G^-1 B^T M, so M = MB G^-1 B^T M:
         # the coordinates reproduce every cell of the curve table, with no
         # round trip to check.
-        def coords_of(v: Sequence[int]) -> DivisorClass:
+        def coords_of(name: str, v: Sequence[int]) -> DivisorClass:
             pv2 = [_dot(v, mb) for mb in mb2]
             if any(x % 2 for x in pv2):
-                cells = ", ".join(f"{n!r}: Fraction({c}, 1)" for n, c in zip(CURVE_NAMES, v) if c)
-                raise ToolkitError(
-                    f"combination {{{cells}}} is not integral in the canonical basis"
-                )
+                raise ToolkitError(f"{name} is not integral in the canonical basis")
             pv = [x // 2 for x in pv2]
             return DivisorClass(tuple(_dot(row, pv) for row in ginv))
 
-        classes = {name: coords_of(_curve_vector({name: 1})) for name in CURVE_NAMES}
-        classes.update((f"D{i}", coords_of(d)) for i, d in enumerate(ds, 1))
+        classes = {name: coords_of(name, _curve_vector({name: 1})) for name in CURVE_NAMES}
+        classes.update((f"D{i}", coords_of(f"D{i}", d)) for i, d in enumerate(ds, 1))
         classes["e"] = DivisorClass((0, 1) + (0,) * 7)   # basis (K, e, D8..D2)
         return Canonical(lattice=lat, glue_tips=tips, classes=classes)
 

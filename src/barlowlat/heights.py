@@ -119,15 +119,10 @@ def height(m: ExtBoundMatrix) -> int | float:
                 continue
             for v in range(u + 1, n + 1):
                 w = m.entry(v, u)
-                if w == INF:
-                    continue
                 if du + w - 1 < dist.get(v, INF):
                     dist[v] = du + w - 1
         for u, du in dist.items():
-            w = m.entry(a0 + n, u)
-            if w == INF or du == INF:
-                continue
-            total = du + w - 1 + 1
+            total = du + m.entry(a0 + n, u) - 1 + 1
             if total < best:
                 best = total
     return best
@@ -155,6 +150,6 @@ def fullness_verdict(h: int | float, dim: int) -> str:
     """NOT_FULL iff h >= 1 - dim (INF counts as not full)."""
     if dim < 1:
         raise ValueError("dimension must be positive")
-    if h == INF or h >= 1 - dim:
+    if h >= 1 - dim:
         return Fullness.NOT_FULL
     return Fullness.INCONCLUSIVE

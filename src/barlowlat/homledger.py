@@ -15,6 +15,8 @@ from typing import Iterable, Mapping, Sequence
 from .errors import SchemaError, ToolkitError
 from .record import Record
 
+#: the degree of a zero datum, +infinity: a sum or difference with it is INF and
+#: it exceeds every integer, so the DPs add and compare it with no case of its own
 INF = float("inf")
 
 #: dim S, also the top Ext degree between sheaves on S: a composition can only
@@ -175,7 +177,7 @@ def _chain_minima(ledger: LedgerMatrix, stars: StarChoice, upto: int) -> list[in
     for _ in range(upto):
         nxt: list[int | float] = [INF] * (n + 1)
         for (j, i), w in weight.items():
-            if best[j] != INF and best[j] + w < nxt[i]:
+            if best[j] + w < nxt[i]:
                 nxt[i] = best[j] + w
         best = nxt
         out.append(min(best[1:], default=INF))
@@ -207,7 +209,7 @@ def formality_report(ledger: LedgerMatrix, stars: StarChoice) -> dict[int, Forma
     """
     out: dict[int, FormalityVerdict] = {}
     for d, m in enumerate(_chain_minima(ledger, stars, ledger.n)[2:], 2):
-        landing = m - (d - 2) if m != INF else INF
+        landing = m - (d - 2)
         out[d] = FormalityVerdict(
             d=d,
             min_degree=m,

@@ -19,16 +19,22 @@ from .lattice import DivisorClass, PicardLattice
 from .record import Record
 
 
+def diagram_gram(n: int, edges: Mapping[tuple[int, int], int]) -> tuple[tuple[int, ...], ...]:
+    """The Gram of n (-2)-classes on a diagram: -2 on the diagonal, each
+    edge's value at (i, j) and (j, i), and 0 off the edges."""
+    m = [[-2 if i == j else 0 for j in range(n)] for i in range(n)]
+    for (i, j), value in edges.items():
+        m[i][j] = m[j][i] = value
+    return tuple(map(tuple, m))
+
+
 def extended_cartan_expected() -> tuple[tuple[int, ...], ...]:
     """The negated E8 Cartan form of (e, d8, d7, d6, d5, d4, d3, d2).
 
     e attaches to d7, the tip of weight 4, and pairs -1 with it: the sign the
     half-sum produces.  Every other edge of the diagram pairs +1.
     """
-    m = [[-2 if i == j else 0 for j in range(8)] for i in range(8)]
-    for i, j in ((0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)):
-        m[i][j] = m[j][i] = -1 if i == 0 else 1
-    return tuple(map(tuple, m))
+    return diagram_gram(8, {(0, 2): -1, (1, 3): 1} | {(s, s + 1): 1 for s in range(2, 7)})
 
 
 #: the Gram of the canonical basis (K, e, D8..D2), 1 ⊥ (-E8): K, then e

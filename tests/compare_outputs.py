@@ -24,10 +24,11 @@ process, on the same cases:
   class name;
 * decompose on a document that verifies but whose L1 has negative degree,
   with L1 among the generators;
-* verify and classes on three documents that fail the canonical stage:
+* verify and classes on four documents that fail the canonical stage:
   D7 and D8 swapped in d8.defs; D1 + D7 - D8 for D1 with d8.gram
-  recomputed, which is no longer the fork; and the genus-3 base class of
-  neither glue parity (b_table.c_table.C1p[0][0] + 1);
+  recomputed, which is no longer the fork; the genus-3 base class of
+  neither glue parity (b_table.c_table.C1p[0][0] + 1); and E4p's curve-table
+  row made half-integral in the canonical basis;
 * verify on two documents that fail at load: the doubling relation with
   b_relation.rhs.K + 1, and the ledger star of cell (11,1) moved to (10,1);
 * verify on two documents that fail rows and skip none (L1 and L3 swapped
@@ -37,6 +38,10 @@ process, on the same cases:
 * verify on a document whose bound cell (2,1) is the JSON number Infinity,
   and height --matrix on a bound table with 1e999 in its one cell; both
   exit 2, since a bound cell is an integer, "inf" or null;
+* verify on seven documents that break a shape rule (SHAPE_EDITS): c_table
+  without C2m, e_hit_ks without E5m, e_hit_ks.E3p with a key "2", d8.defs
+  without D8, sequence without L11, ledger entry 5,3 removed, and
+  ext_bounds.n = 0; each exits 2;
 * height --matrix on a bound table whose dynamic program reads a null cell;
 * verify on every variant that bench/inputs.KINDS can draw.  The module is
   read, not edited.
@@ -166,6 +171,31 @@ def infinite_bound(raw: dict) -> None:
     raw["ext_bounds"]["rows"][1][0] = float("inf")
 
 
+def half_integral_e4p(raw: dict) -> None:
+    """E4p's row and column of the curve table set to those of E4p + v/2,
+    v = (-2, 0, 1, 1, 2, 0, 0, 0, 0) in (K, e, D8..D2).
+
+    The new row pairs integrally with every curve and keeps E4p.E4p = -1, so
+    the curve table and the fork pass; E4p is not a class of the lattice.
+    """
+    table = raw["curve_table"]
+    i = table["names"].index("E4p")
+    for j, x in enumerate((-1,) * 8 + (2, 0, 0, 0, 0, 0)):
+        table["matrix"][i][j] = table["matrix"][j][i] = x
+
+
+#: edits that each break one shape rule of the document, so that it exits 2
+SHAPE_EDITS = {
+    "c_table-without-C2m": lambda raw: raw["b_table"]["c_table"].pop("C2m"),
+    "e_hit_ks-without-E5m": lambda raw: raw["b_table"]["e_hit_ks"].pop("E5m"),
+    "e_hit_ks-E3p-key-2": lambda raw: raw["b_table"]["e_hit_ks"]["E3p"].update({"2": [0]}),
+    "d8.defs-without-D8": lambda raw: raw["d8"]["defs"].pop("D8"),
+    "sequence-without-L11": lambda raw: raw["sequence"].pop("L11"),
+    "ledger-without-5,3": lambda raw: raw["ledger"]["entries"].pop("5,3"),
+    "ext_bounds-n-0": lambda raw: raw["ext_bounds"].update(n=0),
+}
+
+
 def write_cases(directory: Path) -> list[tuple[str, list[str]]]:
     """The (name, argv) cases; fixture documents are written to directory."""
     sys.path.insert(0, str(ROOT / "bench"))
@@ -177,8 +207,10 @@ def write_cases(directory: Path) -> list[tuple[str, list[str]]]:
     defs["D7"], defs["D8"] = defs["D8"], defs["D7"]
     non_fork = non_fork_document(raw)
     parity["b_table"]["c_table"]["C1p"][0][0] += 1
+    e4p = json.loads(json.dumps(raw))
+    half_integral_e4p(e4p)
     canonical_failures = [("swapped-D7-D8", swapped), ("non-fork-D1", non_fork),
-                          ("C1p-parity", parity)]
+                          ("C1p-parity", parity), ("half-integral-E4p", e4p)]
     relation, star = (json.loads(json.dumps(raw)) for _ in range(2))
     relation["b_relation"]["rhs"]["K"] += 1
     entries = star["ledger"]["entries"]
@@ -189,6 +221,10 @@ def write_cases(directory: Path) -> list[tuple[str, list[str]]]:
         doc = json.loads(json.dumps(raw))
         edit(doc)
         docs.append((edit.__name__, json.dumps(doc)))
+    for name, edit in SHAPE_EDITS.items():
+        doc = json.loads(json.dumps(raw))
+        edit(doc)
+        docs.append((name, json.dumps(doc)))
     for kind, (variants, *_) in inputs.KINDS.items():
         for variant in variants(raw):
             name = f"{kind}:{variant}"

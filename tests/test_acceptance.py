@@ -17,7 +17,7 @@ from barlowlat.exceptional import (
     search_configs,
     sequence_from_config,
 )
-from barlowlat.fixtures import BASIS_NAMES, b_keys, b_name
+from barlowlat.fixtures import BASIS_NAMES, CURVE_NAMES, b_keys, b_name
 from barlowlat.heights import (
     INF,
     Arc,
@@ -288,7 +288,7 @@ def test_acceptance_10_oracle_suites(fix, lat):
         # decomposition vs grid search, caps <= 2, <= 6 generators
         for seed in range(3):
             r2 = random.Random(seed)
-            names = r2.sample(list(fix.curve_table.names), 6)
+            names = r2.sample(list(CURVE_NAMES), 6)
             gens = [(n, fix.curve_class(n)) for n in names]
             target = DivisorClass.zero(9)
             for c, (_, g) in zip([r2.randint(0, 2) for _ in range(6)], gens):
@@ -308,7 +308,7 @@ def test_acceptance_10_oracle_suites(fix, lat):
             assert got == grid
 
         # reconstruction round-trip and Serre symmetry on 1000 random classes
-        probes = [fix.curve_class(n) for n in fix.curve_table.names]
+        probes = [fix.curve_class(n) for n in CURVE_NAMES]
         r3 = random.Random(31337)
         for _ in range(1000):
             v = DivisorClass(tuple(r3.randint(-20, 20) for _ in range(9)))

@@ -26,8 +26,8 @@ from barlowlat.fixtures import FixtureSet, load_fixtures, shipped_fixture_text
 from barlowlat.lattice import DivisorClass, PicardLattice
 
 from compare_outputs import (
-    infinite_bound, negative_degree_document, non_fork_document, swap_e1_c1p, swap_l1_l3,
-    unknown_curve_in_d1, zero_bounds,
+    SHAPE_EDITS, half_integral_e4p, infinite_bound, negative_degree_document, non_fork_document,
+    swap_e1_c1p, swap_l1_l3, unknown_curve_in_d1, zero_bounds,
 )
 
 #: an array nested deeper than the JSON decoder's recursion limit
@@ -154,7 +154,8 @@ def test_verify_catches_swapped_fork_tips(tmp_path, capsys):
                    ("canonical-basis", "diagonal entry for E1 is -2, expected -1")]),
     (unknown_curve_in_d1, [("simple-roots-gram", "'X' is not a curve name"),
                            ("canonical-basis", "'X' is not a curve name")]),
-], ids=["swapped-E1-C1p", "unknown-curve-in-D1"])
+    (half_integral_e4p, [("canonical-basis", "E4p is not integral in the canonical basis")]),
+], ids=["swapped-E1-C1p", "unknown-curve-in-D1", "half-integral-E4p"])
 def test_verify_catches_a_curve_table_or_fork_edit_at_canonical_basis(
     tmp_path, capsys, mutate, failed
 ):
@@ -168,6 +169,12 @@ def test_verify_catches_a_curve_table_or_fork_edit_at_canonical_basis(
     assert [(c["id"], c["witness"]["error"])
             for c in report["checks"] if c["status"] == "fail"] == failed
     assert report["summary"]["skipped"] == 7
+
+
+def test_chi_names_a_curve_that_is_not_integral_in_the_canonical_basis(tmp_path, capsys):
+    path = _write_edited(tmp_path, half_integral_e4p)
+    assert run_cli(capsys, "chi", "--cls", "K", "--fixtures", path) == (
+        1, "", "check failed: E4p is not integral in the canonical basis\n")
 
 
 def test_verify_rejects_a_self_consistent_non_fork_document(tmp_path, capsys):
@@ -718,6 +725,18 @@ def _ledger_alias_key(raw):
     raw["ledger"]["entries"]["05,3"] = raw["ledger"]["entries"]["5,3"]
 
 
+#: the message of each document in compare_outputs.SHAPE_EDITS
+SHAPE_MESSAGES = {
+    "c_table-without-C2m": "c_table must cover the four (-2)-curves",
+    "e_hit_ks-without-E5m": "e_hit_ks must cover the six paired elliptic curves",
+    "e_hit_ks-E3p-key-2": "e_hit_ks[E3p] must have keys '0' and '1'",
+    "d8.defs-without-D8": "d8.defs must define D1..D8",
+    "sequence-without-L11": "sequence must define L1..L11",
+    "ledger-without-5,3": "ledger entry 5,3 is missing",
+    "ext_bounds-n-0": "n must be a positive integer, got 0",
+}
+
+
 @pytest.mark.parametrize("argv", [("verify",), ("roots", "--count")])
 @pytest.mark.parametrize("mutate, message", [
     (_ledger_n12, "ledger.n and ext_bounds.n must be 11, not 12, 11"),
@@ -725,8 +744,9 @@ def _ledger_alias_key(raw):
     (_ledger_diagonal, "diagonal entry 3,3 must be [1,0,0]"),
     (_ledger_misplaced_star, "star entries at"),
     (_ledger_alias_key, "bad ledger key '05,3'"),
+    *((SHAPE_EDITS[name], message) for name, message in SHAPE_MESSAGES.items()),
 ], ids=["ledger-n-12", "ext-bounds-n-12", "ledger-diagonal", "ledger-misplaced-star",
-        "ledger-alias-key"])
+        "ledger-alias-key", *SHAPE_MESSAGES])
 def test_fixture_shape_rule_broken_exits_2(tmp_path, capsys, argv, mutate, message):
     # n = 11, the star cells and the [1,0,0] diagonal are shape rules
     raw = json.loads(shipped_fixture_text())

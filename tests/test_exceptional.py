@@ -488,14 +488,14 @@ def test_decompose_unit_solution(fix, lat):
 
 
 def test_decompose_zero_target(fix, lat):
-    names = list(fix.curve_table.names)
+    names = list(CURVE_NAMES)
     gens = [(n, fix.curve_class(n)) for n in names]
     problem = DecompositionProblem.create(DivisorClass.zero(9), gens, caps=8)
     assert decompose_effective(lat, problem) == [(0,) * 14]
 
 
 def test_decompose_linked_class(fix, lat):
-    names = list(fix.curve_table.names) + sorted(fix.b_classes())
+    names = list(CURVE_NAMES) + sorted(fix.b_classes())
     gens = [(n, fix.curve_class(n)) for n in names]
     target = (
         5 * fix.curve_class("K")
@@ -608,7 +608,7 @@ def test_decompose_degree_runs_out_before_a_positive_flag(fix, lat, target, name
 
 
 def test_decompose_resubstitution(fix, lat):
-    names = list(fix.curve_table.names)
+    names = list(CURVE_NAMES)
     gens = [(n, fix.curve_class(n)) for n in names]
     target = 3 * fix.curve_class("K")
     problem = DecompositionProblem.create(target, gens, caps=4)
@@ -626,7 +626,7 @@ def test_decompose_matches_grid_oracle(fix, lat, seed):
     import random
 
     rng = random.Random(seed)
-    names = rng.sample(list(fix.curve_table.names), 6)
+    names = rng.sample(list(CURVE_NAMES), 6)
     gens = [(n, fix.curve_class(n)) for n in names]
     caps = [2] * 6
     coeffs = [rng.randint(0, 2) for _ in range(6)]

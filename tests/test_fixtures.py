@@ -7,8 +7,12 @@ import pytest
 from barlowlat import linalg
 from barlowlat.cli import main
 from barlowlat.errors import SchemaError, ToolkitError, UnknownName
-from barlowlat.fixtures import BASIS_NAMES, FixtureSet, b_keys, b_name, load_fixtures
+from barlowlat.exceptional import CONFIG_GRAM
+from barlowlat.fixtures import (
+    BASIS_NAMES, CURVE_NAMES, D8_FORK_GRAM, FixtureSet, b_keys, b_name, load_fixtures,
+)
 from barlowlat.lattice import PicardLattice
+from barlowlat.roots import CANONICAL_GRAM, extended_cartan_expected
 
 EXPECTED_D8_GRAM = (
     (-2, 1, 0, 0, 0, 0, 0, 0),
@@ -32,6 +36,28 @@ EXPECTED_CANONICAL_GRAM = (
     (0, 0, 0, 0, 0, 0, 1, -2, 1),
     (0, 0, 0, 0, 0, 0, 0, 1, -2),
 )
+
+#: the ten-root pattern of `exceptional`: the chain A1..A8, B1 on A3, B2 on A6
+EXPECTED_CONFIG_GRAM = (
+    (-2, 1, 0, 0, 0, 0, 0, 0, 0, 0),
+    (1, -2, 1, 0, 0, 0, 0, 0, 0, 0),
+    (0, 1, -2, 1, 0, 0, 0, 0, 1, 0),
+    (0, 0, 1, -2, 1, 0, 0, 0, 0, 0),
+    (0, 0, 0, 1, -2, 1, 0, 0, 0, 0),
+    (0, 0, 0, 0, 1, -2, 1, 0, 0, 1),
+    (0, 0, 0, 0, 0, 1, -2, 1, 0, 0),
+    (0, 0, 0, 0, 0, 0, 1, -2, 0, 0),
+    (0, 0, 1, 0, 0, 0, 0, 0, -2, -1),
+    (0, 0, 0, 0, 0, 1, 0, 0, -1, -2),
+)
+
+
+def test_diagram_grams_are_the_written_out_tables():
+    # the three (-2)-Grams are built from edge lists; these are the tables
+    assert D8_FORK_GRAM == EXPECTED_D8_GRAM
+    assert CONFIG_GRAM == EXPECTED_CONFIG_GRAM
+    assert extended_cartan_expected() == tuple(row[1:] for row in EXPECTED_CANONICAL_GRAM[1:])
+    assert CANONICAL_GRAM == EXPECTED_CANONICAL_GRAM
 
 
 def test_shipped_fixture_loads_and_validates(fix):
@@ -182,10 +208,9 @@ def test_curve_coordinates_frozen(fix):
 
 
 def test_curve_table_roundtrip(fix, lat):
-    for a in fix.curve_table.names:
-        for b in fix.curve_table.names:
-            assert lat.pair(fix.curve_class(a), fix.curve_class(b)) == \
-                fix.curve_table.value(a, b)
+    for a, row in zip(CURVE_NAMES, fix.curve_table.matrix):
+        for b, ab in zip(CURVE_NAMES, row):
+            assert lat.pair(fix.curve_class(a), fix.curve_class(b)) == ab
 
 
 def test_unknown_name(fix):
@@ -225,7 +250,7 @@ def test_b_pentagon_rule(fix, lat):
 
 def test_b_base_row_matches_frozen_values(fix, lat):
     b = fix.curve_class("Bp000")
-    row = [lat.pair(b, fix.curve_class(n)) for n in fix.curve_table.names]
+    row = [lat.pair(b, fix.curve_class(n)) for n in CURVE_NAMES]
     assert row == [2, 2, 3, 2, 3, 2, 3, 2, 1, 2, 0, 1, 1, 0]
 
 
@@ -334,9 +359,9 @@ def test_degree1_classes_report_a_class_of_the_wrong_degree(monkeypatch):
 
 
 def test_every_named_class_roundtrips(fix, lat):
-    probes = [fix.curve_class(n) for n in fix.curve_table.names]
+    probes = [fix.curve_class(n) for n in CURVE_NAMES]
     names = (
-        list(fix.curve_table.names)
+        list(CURVE_NAMES)
         + [f"D{i}" for i in range(1, 9)]
         + ["e"]
         + sorted(fix.b_classes())

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barlowlat.errors import ToolkitError
+from barlowlat.fixtures import CURVE_NAMES
 from barlowlat.lattice import DivisorClass, make_lattice
 
 coords9 = st.tuples(*[st.integers(-9, 9)] * 9).map(DivisorClass)
@@ -230,7 +231,7 @@ def test_pairings_check_lengths_in_the_order_pair_does():
 # --- class reconstruction ------------------------------------------------------
 
 def test_class_from_pairings_base_genus3(fix, lat):
-    probes = [fix.curve_class(n) for n in fix.curve_table.names]
+    probes = [fix.curve_class(n) for n in CURVE_NAMES]
     values = [2, 2, 3, 2, 3, 2, 3, 2, 1, 2, 0, 1, 1, 0]
     b = lat.class_from_pairings(probes, values)
     assert lat.pair(b, b) == 2
@@ -238,24 +239,24 @@ def test_class_from_pairings_base_genus3(fix, lat):
 
 
 def test_class_from_pairings_zero_and_roundtrip(fix, lat):
-    probes = [fix.curve_class(n) for n in fix.curve_table.names]
+    probes = [fix.curve_class(n) for n in CURVE_NAMES]
     zero = lat.class_from_pairings(probes, [0] * 14)
     assert zero == DivisorClass.zero(9)
     k = fix.curve_class("K")
-    k_col = [fix.curve_table.value(n, "K") for n in fix.curve_table.names]
+    k_col = [row[CURVE_NAMES.index("K")] for row in fix.curve_table.matrix]
     assert lat.class_from_pairings(probes, k_col) == k
 
 
 @given(v=coords9)
 @settings(max_examples=200, deadline=None)
 def test_class_from_pairings_roundtrip_random(fix, lat, v):
-    probes = [fix.curve_class(n) for n in fix.curve_table.names]
+    probes = [fix.curve_class(n) for n in CURVE_NAMES]
     values = [lat.pair(v, p) for p in probes]
     assert lat.class_from_pairings(probes, values) == v
 
 
 def test_class_from_pairings_errors(fix, lat):
-    probes = [fix.curve_class(n) for n in fix.curve_table.names]
+    probes = [fix.curve_class(n) for n in CURVE_NAMES]
     bad = [2, 2, 3, 2, 3, 2, 3, 2, 1, 2, 0, 1, 1, 7]   # breaks consistency
     with pytest.raises(ToolkitError, match="pairing equations have no common solution"):
         lat.class_from_pairings(probes, bad)
