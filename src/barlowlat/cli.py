@@ -193,7 +193,7 @@ def verification_checks(
 
     checks: list[tuple[str, str, Callable[[], dict], bool]] = [
         ("fixture-tables", "curve table is symmetric with rational rank 9",
-         fix.curve_table.validate, False),
+         fix.validate_curves, False),
         ("simple-roots-gram", "eight simple roots realize the fork Gram, degree 0",
          fix.validate_d8, False),
         ("canonical-basis",
@@ -280,7 +280,7 @@ def _report_text(report: dict) -> str:
 # ------------------------------------------------------------------ commands
 
 def _fixture_source(args: argparse.Namespace) -> str | None:
-    if args.fixtures:
+    if args.fixtures is not None:
         return args.fixtures
     env_dir = os.environ.get("FIXTURES_DIR")
     if env_dir:
@@ -300,7 +300,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if args.format == "json"
         else _report_text(report)
     )
-    if args.report:
+    if args.report is not None:
         try:
             Path(args.report).write_text(payload + "\n")
         except OSError as exc:
@@ -357,7 +357,7 @@ def cmd_chi(args: argparse.Namespace) -> int:
 
 
 def cmd_height(args: argparse.Namespace) -> int:
-    if args.matrix:
+    if args.matrix is not None:
         try:
             raw = parse_json(Path(args.matrix).read_text())
             bounds = ExtBoundMatrix.from_rows(raw["n"], raw["rows"])

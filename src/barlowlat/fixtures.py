@@ -9,7 +9,8 @@ matrix, the forward Ext ledger and the 22x22 height bound table.
 chain of stages, each a cached property that is a pure function of the
 tables and the earlier stages:
 
-* `d8_fork`: D1..D8 as curve vectors, and their images under the curve matrix;
+* `d8_fork`: D1..D8 as classes of `curves`, the formal lattice on the 14
+  curves whose Gram is the curve table;
 * `canonical`: the canonical coordinate basis (k, e, d8..d2), with the
   lattice and the coordinates of the 14 curves, D1..D8 and e.  It is the
   only code that builds the glue root e: the fork D1..D8 must have the Gram
@@ -99,28 +100,6 @@ B_NAMES = frozenset(b_name(*key) for key in b_keys())
 
 # --------------------------------------------------------------------------- tables
 
-class CurveTable(Record):
-    """The 14x14 intersection table of the curves in `CURVE_NAMES` order."""
-
-    matrix: tuple[tuple[int, ...], ...]
-
-    def validate(self) -> dict[str, object]:
-        """Symmetry, rank 9 and the diagonal; names and shape are parsed."""
-        bad = linalg.asymmetric_cell(self.matrix)
-        if bad:
-            raise ToolkitError(
-                f"curve matrix asymmetric at ({CURVE_NAMES[bad[0]]}, {CURVE_NAMES[bad[1]]})"
-            )
-        rk = linalg.rank_exact(self.matrix)
-        if rk != 9:
-            raise ToolkitError(f"curve matrix has rank {rk}, expected 9")
-        for i, name in enumerate(CURVE_NAMES):
-            got, want = self.matrix[i][i], CURVE_DIAGONAL[name[0]]
-            if got != want:
-                raise ToolkitError(f"diagonal entry for {name} is {got}, expected {want}")
-        return {"rank": rk, "symmetric": True}
-
-
 class BTable(Record):
     """Parametrized pairing rules for the 32 genus-3 classes."""
 
@@ -148,12 +127,12 @@ class BTable(Record):
                 raise SchemaError(f"e_hit_ks[{name}] must have keys '0' and '1'")
 
     def pairing_row(
-        self, table: CurveTable, q: int, i: int, j: int, k: int
+        self, curves: PicardLattice, q: int, i: int, j: int, k: int
     ) -> list[int]:
         """Values B . curve for the 14 curves, assembled from the rules."""
         sign = "plus" if q == 1 else "minus"
         row = []
-        for name, k_dot in zip(CURVE_NAMES, table.matrix[_CURVE_INDEX["K"]]):
+        for name, k_dot in zip(CURVE_NAMES, curves.gram[_CURVE_INDEX["K"]]):
             if name in ("E1", "E2"):
                 row.append(self.e12_values[sign] + 2 * k_dot)
             elif name in self.e_hit_ks:
@@ -209,25 +188,21 @@ def _square(rows: Sequence[Sequence[int]], n: int) -> bool:
     return len(rows) == n and all(len(r) == n for r in rows)
 
 
-# Combinations of the 14 curves are integer coefficient vectors in
-# CURVE_NAMES order; the formal pairing of a and b is a . (M b), M the curve
-# matrix.
+# Combinations of the 14 curves are classes of the formal lattice
+# `FixtureSet.curves`: coefficient vectors in CURVE_NAMES order, paired by the
+# curve matrix.
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(mul, a, b))
 
 
-def _apply(matrix: Sequence[Sequence[int]], v: Sequence[int]) -> list[int]:
-    return [_dot(row, v) for row in matrix]
-
-
-def _curve_vector(combo: Mapping[str, int]) -> list[int]:
+def _curve_vector(combo: Mapping[str, int]) -> DivisorClass:
     out = [0] * len(CURVE_NAMES)
     for name, coeff in combo.items():
         if name not in _CURVE_INDEX:
             raise UnknownName(f"{name!r} is not a curve name")
         out[_CURVE_INDEX[name]] += coeff
-    return out
+    return DivisorClass(out)
 
 
 class Canonical(Record):
@@ -242,7 +217,7 @@ class FixtureSet(Record):
     """The parsed tables; the model stages are cached properties over them."""
 
     raw: dict
-    curve_table: CurveTable
+    curves: PicardLattice   # formal: Gram the curve table, k the curve K
     b_table: BTable
     d8_defs: dict[str, dict[str, int]]
     d8_gram_expected: tuple[tuple[int, ...], ...]
@@ -262,7 +237,11 @@ class FixtureSet(Record):
         try:
             curve = raw["curve_table"]
             curve_names = tuple(curve["names"])
-            table = CurveTable(matrix=_int_rows(curve["matrix"], "curve_table.matrix"))
+            curves = PicardLattice(
+                rank=len(CURVE_NAMES),
+                gram=_int_rows(curve["matrix"], "curve_table.matrix"),
+                k=_curve_vector({"K": 1}),
+            )
             bt_raw = raw["b_table"]
             btable = BTable(
                 k_value=_int(bt_raw["k_value"], "b_table.k_value"),
@@ -310,7 +289,7 @@ class FixtureSet(Record):
             raise SchemaError(f"fixture document malformed: {exc}") from exc
         if curve_names != CURVE_NAMES:
             raise SchemaError(f"curve names must be {CURVE_NAMES}")
-        if not _square(table.matrix, len(CURVE_NAMES)):
+        if not _square(curves.gram, len(CURVE_NAMES)):
             raise SchemaError("curve matrix must be 14x14")
         if not _square(d8_gram, 8):
             raise SchemaError("d8.gram must be 8x8")
@@ -325,7 +304,7 @@ class FixtureSet(Record):
         btable.validate()
         return FixtureSet(
             raw=dict(raw),
-            curve_table=table,
+            curves=curves,
             b_table=btable,
             d8_defs=d8_defs,
             d8_gram_expected=d8_gram,
@@ -340,10 +319,9 @@ class FixtureSet(Record):
     # ------------------------------------------------------------------ stages
 
     @cached_property
-    def d8_fork(self) -> tuple[list[list[int]], list[list[int]]]:
-        """D1..D8 as curve vectors, and their images under the curve matrix."""
-        ds = [_curve_vector(self.d8_defs[f"D{i}"]) for i in range(1, 9)]
-        return ds, [_apply(self.curve_table.matrix, d) for d in ds]
+    def d8_fork(self) -> tuple[DivisorClass, ...]:
+        """D1..D8 as classes of the formal curve lattice."""
+        return tuple(_curve_vector(self.d8_defs[f"D{i}"]) for i in range(1, 9))
 
     @cached_property
     def canonical(self) -> Canonical:
@@ -355,28 +333,32 @@ class FixtureSet(Record):
         integrally with it.  The Gram of the basis must be `CANONICAL_GRAM`,
         which fixes det 1 and signature (1, 8, 0) as well.
         """
-        self.curve_table.validate()
+        self.validate_curves()
         self.validate_d8()
-        ds = self.d8_fork[0]
-        k2 = [2 * x for x in _curve_vector({"K": 1})]
-        b_row = self.b_table.pairing_row(self.curve_table, 1, 0, 0, 0)
+        curves, ds = self.curves, self.d8_fork
+        b_row = self.b_table.pairing_row(curves, 1, 0, 0, 0)
 
         # Every basis vector is doubled, so the half-sum e has integer
         # coefficients; a pairing of doubled vectors is four times the real
         # one.  The tips are those under which the base class B pairs
         # integrally with e.
         for tips in TIP_WEIGHTS:
-            e2 = [_dot(HALF_SUM_WEIGHTS + tips, col) for col in zip(*ds)]
-            basis2 = [k2, e2] + [[2 * x for x in ds[i]] for i in (7, 6, 5, 4, 3, 2, 1)]
-            if all(_dot(b_row, b) % 2 == 0 for b in basis2):
+            e2 = DivisorClass([_dot(HALF_SUM_WEIGHTS + tips, col)
+                               for col in zip(*(d.coords for d in ds))])
+            basis2 = [2 * curves.k, e2, *(2 * ds[i] for i in (7, 6, 5, 4, 3, 2, 1))]
+            if all(_dot(b_row, b.coords) % 2 == 0 for b in basis2):
                 break
         else:
             raise ToolkitError(
                 "genus-3 base class is not integral under either glue choice; "
                 "the pairing tables are inconsistent"
             )
-        mb2 = [_apply(self.curve_table.matrix, b) for b in basis2]
-        gram4 = tuple(tuple(_dot(a, mb) for mb in mb2) for a in basis2)
+        # one table: the doubled basis, then the 14 curves and D1..D8, each
+        # against the doubled basis
+        names = (*CURVE_NAMES, *(f"D{i}" for i in range(1, 9)))
+        units = [_curve_vector({n: 1}) for n in CURVE_NAMES]
+        rows = curves.pairings([*basis2, *units, *ds], basis2)
+        gram4 = tuple(tuple(next(rows)) for _ in basis2)
         if gram4 != tuple(tuple(4 * x for x in row) for row in CANONICAL_GRAM):
             raise ToolkitError("canonical gram does not match the extended Cartan form")
         lat = make_lattice(9, CANONICAL_GRAM, DivisorClass(CANONICAL_K))
@@ -388,16 +370,12 @@ class FixtureSet(Record):
         # colspace(M), of rank 9 too; so colspace(MB) = colspace(M) and
         # M = MB X.  Applying B^T gives X = G^-1 B^T M, so M = MB G^-1 B^T M:
         # the coordinates reproduce every cell of the curve table, with no
-        # round trip to check.
-        def coords_of(name: str, v: Sequence[int]) -> DivisorClass:
-            pv2 = [_dot(v, mb) for mb in mb2]
+        # round trip to check.  A row of the table is 2 B^T M a.
+        classes = {}
+        for name, pv2 in zip(names, rows):
             if any(x % 2 for x in pv2):
                 raise ToolkitError(f"{name} is not integral in the canonical basis")
-            pv = [x // 2 for x in pv2]
-            return DivisorClass(tuple(_dot(row, pv) for row in ginv))
-
-        classes = {name: coords_of(name, _curve_vector({name: 1})) for name in CURVE_NAMES}
-        classes.update((f"D{i}", coords_of(f"D{i}", d)) for i, d in enumerate(ds, 1))
+            classes[name] = DivisorClass([_dot(row, pv2) // 2 for row in ginv])
         classes["e"] = DivisorClass((0, 1) + (0,) * 7)   # basis (K, e, D8..D2)
         return Canonical(lattice=lat, glue_tips=tips, classes=classes)
 
@@ -407,7 +385,7 @@ class FixtureSet(Record):
         lat = self.lattice
         probes = [self.canonical.classes[n] for n in CURVE_NAMES]
         keys = b_keys()
-        rows = [self.b_table.pairing_row(self.curve_table, *key) for key in keys]
+        rows = [self.b_table.pairing_row(self.curves, *key) for key in keys]
         classes = dict(zip(keys, lat.classes_from_pairings(probes, rows)))
         if len(set(c.coords for c in classes.values())) != 32:
             raise ToolkitError("the 32 genus-3 classes are not distinct")
@@ -439,13 +417,13 @@ class FixtureSet(Record):
     def sequence(self) -> tuple[DivisorClass, ...]:
         """The classes L1..L11; their Euler matrix must equal the frozen one."""
         seq = tuple(self._combination(self.sequence_defs[name]) for name in SEQUENCE_NAMES)
-        for i, row in enumerate(self.lattice.euler_matrix(seq)):
-            for j, got in enumerate(row):
-                want = self.chi_matrix[i][j]
-                if got != want:
-                    raise ToolkitError(
-                        f"chi matrix differs at ({i + 1},{j + 1}): {got} != {want}"
-                    )
+        got, want = self.lattice.euler_matrix(seq), self.chi_matrix
+        bad = linalg.first_difference(got, want)
+        if bad:
+            i, j = bad
+            raise ToolkitError(
+                f"chi matrix differs at ({i + 1},{j + 1}): {got[i][j]} != {want[i][j]}"
+            )
         return seq
 
     @cached_property
@@ -469,26 +447,40 @@ class FixtureSet(Record):
 
     # ------------------------------------------------------------------ checks
 
+    def validate_curves(self) -> dict[str, object]:
+        """The curve table: symmetry, rank 9 and the diagonal; names and shape
+        are parsed."""
+        gram = self.curves.gram
+        bad = linalg.first_difference(gram, tuple(zip(*gram)))
+        if bad:
+            raise ToolkitError(
+                f"curve matrix asymmetric at ({CURVE_NAMES[bad[0]]}, {CURVE_NAMES[bad[1]]})"
+            )
+        rk = linalg.rank_exact(gram)
+        if rk != 9:
+            raise ToolkitError(f"curve matrix has rank {rk}, expected 9")
+        for i, name in enumerate(CURVE_NAMES):
+            got, want = gram[i][i], CURVE_DIAGONAL[name[0]]
+            if got != want:
+                raise ToolkitError(f"diagonal entry for {name} is {got}, expected {want}")
+        return {"rank": rk, "symmetric": True}
+
     def validate_d8(self) -> dict[str, object]:
         """The eight combinations have the expected fork Gram and degree 0."""
-        ds, mds = self.d8_fork
-        gram_int = tuple(tuple(_dot(a, md) for md in mds) for a in ds)
-        if gram_int != self.d8_gram_expected:
-            bad = next(
-                (i, j)
-                for i in range(8)
-                for j in range(8)
-                if gram_int[i][j] != self.d8_gram_expected[i][j]
-            )
+        ds = self.d8_fork
+        rows = list(self.curves.pairings(ds, [*ds, self.curves.k]))
+        gram = tuple(tuple(row[:8]) for row in rows)
+        bad = linalg.first_difference(gram, self.d8_gram_expected)
+        if bad:
+            i, j = bad
             raise ToolkitError(
-                f"simple-root gram differs at (D{bad[0] + 1}, D{bad[1] + 1}): "
-                f"{gram_int[bad[0]][bad[1]]} != {self.d8_gram_expected[bad[0]][bad[1]]}"
+                f"simple-root gram differs at (D{i + 1}, D{j + 1}): "
+                f"{gram[i][j]} != {self.d8_gram_expected[i][j]}"
             )
-        if gram_int != D8_FORK_GRAM:
+        if gram != D8_FORK_GRAM:
             raise ToolkitError("input Gram is not the expected fork-at-d6 form")
-        mk = _apply(self.curve_table.matrix, _curve_vector({"K": 1}))
-        for i, d in enumerate(ds):
-            if _dot(d, mk) != 0:
+        for i, row in enumerate(rows):
+            if row[8]:
                 raise ToolkitError(f"D{i + 1} is not orthogonal to K")
         return {"gram_verified": True, "degrees_zero": True}
 

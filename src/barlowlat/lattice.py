@@ -4,7 +4,8 @@ Classes are integer coordinate vectors in a fixed basis; the lattice supplies
 the symmetric pairing, the Euler characteristic of a class, the root test and
 reconstruction of classes from their pairings against a spanning probe set.
 Pairings are bilinear: `pairings` yields a table row by row from one Gram image
-per right-hand class, and `euler_matrix` reads every chi(l_i - l_j) off one.
+per right-hand class and is the one product with the Gram; `pair` is its
+one-cell table, and `euler_matrix` reads every chi(l_i - l_j) off one.
 """
 from __future__ import annotations
 
@@ -76,11 +77,8 @@ class PicardLattice(Record):
             raise ToolkitError(f"class has length {len(v)}, lattice has rank {self.rank}")
 
     def pair(self, a: DivisorClass, b: DivisorClass) -> int:
-        """Intersection pairing a . b."""
-        self._check_len(a)
-        self._check_len(b)
-        bc = b.coords
-        return sum(x * sum(map(mul, row, bc)) for x, row in zip(a.coords, self.gram) if x)
+        """Intersection pairing a . b: the one-cell table of `pairings`."""
+        return next(self.pairings([a], [b]))[0]
 
     def pairings(self, left: Iterable[DivisorClass],
                  right: Sequence[DivisorClass]) -> Iterator[list[int]]:
@@ -140,10 +138,8 @@ class PicardLattice(Record):
         """
         if any(len(probes) != len(row) for row in values):
             raise ToolkitError("probes and values have different lengths")
-        for p in probes:
-            self._check_len(p)
-        columns = list(zip(*self.gram))
-        rows = [[sum(map(mul, p.coords, col)) for col in columns] for p in probes]
+        units = [DivisorClass([int(i == j) for j in range(self.rank)]) for i in range(self.rank)]
+        rows = list(self.pairings(probes, units))
         out = []
         for status, solution in linalg.solve_overdetermined(rows, values):
             if status == "underdetermined":
@@ -185,7 +181,7 @@ def make_lattice(
     g = tuple(tuple(int(x) for x in row) for row in gram)
     if len(g) != rank or any(len(row) != rank for row in g):
         raise ToolkitError(f"gram is not {rank}x{rank}")
-    bad = linalg.asymmetric_cell(g)
+    bad = linalg.first_difference(g, tuple(zip(*g)))
     if bad:
         raise ToolkitError(f"gram[{bad[0]}][{bad[1]}] != gram[{bad[1]}][{bad[0]}]")
     if len(k) != rank:

@@ -25,12 +25,12 @@ from typing import Sequence
 IntMatrix = Sequence[Sequence[int]]
 
 
-def asymmetric_cell(mat: IntMatrix) -> tuple[int, int] | None:
-    """The first cell (i, j), i < j in row order, where a square matrix
-    differs from its transpose; None if it is symmetric."""
-    n = len(mat)
-    return next(((i, j) for i in range(n) for j in range(i + 1, n)
-                 if mat[i][j] != mat[j][i]), None)
+def first_difference(a: IntMatrix, b: IntMatrix) -> tuple[int, int] | None:
+    """The first cell (i, j) in row order where two tables of the same shape
+    differ; None if they are equal.  Against its transpose, a square matrix
+    first differs at a cell with i < j."""
+    return next(((i, j) for i, (ra, rb) in enumerate(zip(a, b))
+                 for j, (x, y) in enumerate(zip(ra, rb)) if x != y), None)
 
 
 def gauss_jordan(

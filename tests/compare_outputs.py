@@ -9,7 +9,9 @@ process, on the same cases:
   roots --count, classes, height, formality, search --limit 100, the
   paper's decompose and chi with --cls and --from together, and four
   malformed arguments: --generators naming none or one twice, an unsigned
-  second term and an empty --target;
+  second term and an empty --target; and an empty path given to
+  verify --fixtures, height --matrix and verify --report (each names the
+  directory ".", so each exits 2);
 * decompose for a target outside its generators' span (E1 over the four
   (-2)-curves), then C1p + C2m inside that span on the same list and
   2C1p + C2m on it at --caps 3 (one worker runs every case of a tree, so
@@ -35,6 +37,8 @@ process, on the same cases:
   with chi_matrix permuted to match, and every defined bound cell 0), and
   on two that fail canonical-basis (E1 and C1p swapped in the curve table,
   and a curve "X" in d8.defs.D1);
+* verify on two documents that pass: every JSON object's keys in a seeded
+  random order, and C1p - 3K added to each of the eleven sequence classes;
 * verify on a document whose bound cell (2,1) is the JSON number Infinity,
   and height --matrix on a bound table with 1e999 in its one cell; both
   exit 2, since a bound cell is an integer, "inf" or null;
@@ -54,6 +58,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -82,6 +87,7 @@ SHIPPED_CASES = [
      "--caps", "2"],
     ["decompose", "--target", "2K", "--caps", "0"],
     ["decompose", "--target", "K", "--caps", "100000"], ["chi", "--cls", "FOO"],
+    ["verify", "--fixtures", ""], ["height", "--matrix", ""], ["verify", "--report", ""],
 ]
 
 #: runs (name, argv) pairs read from stdin; a crash is recorded, not raised
@@ -123,15 +129,33 @@ def non_fork_document(raw: dict) -> dict:
     return doc
 
 
+def twist_sequence(raw: dict, twist: dict[str, int]) -> None:
+    """The class sum(coeff * name) added to each of the eleven sequence
+    classes: every difference L_i - L_j, and so every verify row, is kept."""
+    for combo in raw["sequence"].values():
+        for name, coeff in twist.items():
+            combo[name] = combo.get(name, 0) + coeff
+
+
+def shuffled_keys(node, rng: random.Random):
+    """A copy of node with the keys of every JSON object in a random order."""
+    if isinstance(node, dict):
+        keys = list(node)
+        rng.shuffle(keys)
+        return {k: shuffled_keys(node[k], rng) for k in keys}
+    if isinstance(node, list):
+        return [shuffled_keys(x, rng) for x in node]
+    return node
+
+
 def negative_degree_document(raw: dict) -> dict:
     """A copy of raw with K - 5 in each of the eleven sequence classes.
 
-    Every difference L_i - L_j is unchanged, so the document verifies, but
-    L1 and L11 have degree -5 and cannot be decomposition generators.
+    The document verifies, but L1 and L11 have degree -5 and cannot be
+    decomposition generators.
     """
     doc = json.loads(json.dumps(raw))
-    for combo in doc["sequence"].values():
-        combo["K"] = combo.get("K", 0) - 5
+    twist_sequence(doc, {"K": -5})
     return doc
 
 
@@ -216,7 +240,12 @@ def write_cases(directory: Path) -> list[tuple[str, list[str]]]:
     entries = star["ledger"]["entries"]
     entries["10,1"], entries["11,1"] = entries["11,1"], entries["10,1"]
     load_failures = [("b_relation-K", relation), ("star-at-10,1", star)]
-    docs = [(name, json.dumps(doc)) for name, doc in canonical_failures + load_failures]
+    twisted = json.loads(json.dumps(raw))
+    twist_sequence(twisted, {"C1p": 1, "K": -3})
+    passing = [("key-order-seed-0", shuffled_keys(raw, random.Random(0))),
+               ("twist-C1p-3K", twisted)]
+    docs = [(name, json.dumps(doc))
+            for name, doc in canonical_failures + load_failures + passing]
     for edit in (swap_l1_l3, zero_bounds, swap_e1_c1p, unknown_curve_in_d1, infinite_bound):
         doc = json.loads(json.dumps(raw))
         edit(doc)

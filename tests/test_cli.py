@@ -9,6 +9,7 @@ import io
 import json
 import operator
 import os
+import random
 import re
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from barlowlat.lattice import DivisorClass, PicardLattice
 
 from compare_outputs import (
     SHAPE_EDITS, half_integral_e4p, infinite_bound, negative_degree_document, non_fork_document,
-    swap_e1_c1p, swap_l1_l3, unknown_curve_in_d1, zero_bounds,
+    shuffled_keys, swap_e1_c1p, swap_l1_l3, twist_sequence, unknown_curve_in_d1, zero_bounds,
 )
 
 #: an array nested deeper than the JSON decoder's recursion limit
@@ -455,6 +456,25 @@ def test_verify_unwritable_report_exits_2(tmp_path):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert proc.stderr.count("\n") == 1 and str(target) in proc.stderr
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["verify", "--fixtures", ""], "fixture error: fixture file . cannot be read: "),
+    (["height", "--matrix", ""], "cannot read bound matrix: "),
+    (["verify", "--report", ""], "report error: "),
+], ids=["verify-fixtures", "height-matrix", "verify-report"])
+def test_an_empty_path_argument_names_the_current_directory(capsys, argv, prefix):
+    # an empty path is the path ".", not an absent option: a script passing
+    # an unset variable must not get the shipped document's verdict
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
+def test_an_empty_fixtures_dir_means_unset(capsys, monkeypatch):
+    monkeypatch.setenv("FIXTURES_DIR", "")
+    code, out, _ = run_cli(capsys, "roots", "--count")
+    assert (code, out) == (0, "240\n")
 
 
 def test_verify_text_format(capsys):
@@ -1032,6 +1052,39 @@ def test_verify_reports_match_golden():
         del report["version"]
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         assert text == (GOLDEN / f"report_{name}.json").read_text(), name
+
+
+def _report_of(raw):
+    return run_verification(load_fixtures(raw, validate=False), "both")
+
+
+@functools.cache
+def _shipped_report():
+    return _report_of(SHIPPED_RAW)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_key_order_of_the_document_leaves_the_report_unchanged(seed):
+    shuffled = shuffled_keys(SHIPPED_RAW, random.Random(seed))
+    assert list(shuffled) != list(SHIPPED_RAW)
+    want, got = (json.dumps(report, indent=2, sort_keys=True)
+                 for report in (_shipped_report(), _report_of(shuffled)))
+    assert got == want
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.fixed_dictionaries({
+    name: st.integers(-3, 3) for name in ("K", "E1", "C1p", "Bp000")
+}))
+@example({"K": 1, "E1": 0, "C1p": 0, "Bp000": 0})
+def test_twisting_every_sequence_member_leaves_the_checks_unchanged(twist):
+    # the checks read only the differences L_i - L_j, which a common twist
+    # M keeps; only the document's hash moves
+    raw = copy.deepcopy(SHIPPED_RAW)
+    twist_sequence(raw, twist)
+    got = _report_of(raw)
+    del got["fixture_hash"]
+    assert got == {k: v for k, v in _shipped_report().items() if k != "fixture_hash"}
 
 
 #: SHA-256 of the stdout of each argv on the shipped fixture

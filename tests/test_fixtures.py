@@ -11,7 +11,7 @@ from barlowlat.exceptional import CONFIG_GRAM
 from barlowlat.fixtures import (
     BASIS_NAMES, CURVE_NAMES, D8_FORK_GRAM, FixtureSet, b_keys, b_name, load_fixtures,
 )
-from barlowlat.lattice import PicardLattice
+from barlowlat.lattice import DivisorClass, PicardLattice
 from barlowlat.roots import CANONICAL_GRAM, extended_cartan_expected
 
 EXPECTED_D8_GRAM = (
@@ -66,7 +66,7 @@ def test_shipped_fixture_loads_and_validates(fix):
 
 
 def test_curve_table_rank(fix):
-    assert linalg.rank_exact(fix.curve_table.matrix) == 9
+    assert linalg.rank_exact(fix.curves.gram) == 9
 
 
 def test_perturbed_cell_rejected(raw_copy):
@@ -208,9 +208,16 @@ def test_curve_coordinates_frozen(fix):
 
 
 def test_curve_table_roundtrip(fix, lat):
-    for a, row in zip(CURVE_NAMES, fix.curve_table.matrix):
+    for a, row in zip(CURVE_NAMES, fix.curves.gram):
         for b, ab in zip(CURVE_NAMES, row):
             assert lat.pair(fix.curve_class(a), fix.curve_class(b)) == ab
+
+
+def test_the_formal_curve_lattice_pairs_by_the_curve_table(fix, raw_fixture):
+    units = [DivisorClass([int(i == j) for j in range(14)]) for i in range(14)]
+    got = [list(row) for row in fix.curves.pairings(units, units)]
+    assert got == raw_fixture["curve_table"]["matrix"]
+    assert fix.curves.k == units[CURVE_NAMES.index("K")]
 
 
 def test_unknown_name(fix):

@@ -243,7 +243,7 @@ def test_class_from_pairings_zero_and_roundtrip(fix, lat):
     zero = lat.class_from_pairings(probes, [0] * 14)
     assert zero == DivisorClass.zero(9)
     k = fix.curve_class("K")
-    k_col = [row[CURVE_NAMES.index("K")] for row in fix.curve_table.matrix]
+    k_col = [row[CURVE_NAMES.index("K")] for row in fix.curves.gram]
     assert lat.class_from_pairings(probes, k_col) == k
 
 

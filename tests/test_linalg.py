@@ -168,6 +168,14 @@ def test_solve_reports_inconsistent_before_underdetermined():
     assert linalg.solve_overdetermined([], [[], []]) == [("underdetermined", None)] * 2
 
 
+def test_first_difference_is_the_first_cell_in_row_order():
+    m = [[1, 2, 3], [2, 5, 6], [0, 6, 9]]
+    assert linalg.first_difference(m, m) is None
+    assert linalg.first_difference(m, [[1, 2, 3], [2, 0, 6], [0, 0, 9]]) == (1, 1)
+    # against its transpose a matrix first differs above the diagonal
+    assert linalg.first_difference(m, [list(r) for r in zip(*m)]) == (0, 2)
+
+
 @given(m=st.lists(st.lists(small_int, min_size=3, max_size=3), min_size=3, max_size=3))
 @settings(max_examples=100, deadline=None)
 def test_signature_counts_sum_to_rank(m):
