@@ -12,6 +12,7 @@ import functools
 import json
 import os
 import re
+import reprlib
 import sys
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -72,7 +73,10 @@ def parse_class_expr(fix: FixtureSet, expr: str) -> DivisorClass:
         if m is None or (pos and not m.group(1)):
             raise UsageError(f"cannot parse class expression at {text[pos:]!r}")
         sign = -1 if m.group(1) == "-" else 1
-        coeff = int(m.group(2)) if m.group(2) else 1
+        try:
+            coeff = int(m.group(2) or 1)
+        except ValueError as exc:  # past sys.get_int_max_str_digits()
+            raise UsageError(f"coefficient too long in {reprlib.repr(text)}") from exc
         name = m.group(3)
         out = out + (sign * coeff) * fix.curve_class(name)
         pos = m.end()
@@ -345,14 +349,15 @@ def cmd_chi(args: argparse.Namespace) -> int:
     if args.cls is None and (args.src is None or args.dst is None):
         raise UsageError("chi requires either --cls or both --from and --to")
     fix = _load(args)
-    lat = fix.lattice
-    if args.cls is not None:
-        value = lat.chi(parse_class_expr(fix, args.cls))
-    else:
-        value = lat.chi_hom(
-            parse_class_expr(fix, args.src), parse_class_expr(fix, args.dst)
-        )
-    print(value)
+    exprs = [args.cls] if args.cls is not None else [args.src, args.dst]
+    classes = [parse_class_expr(fix, expr) for expr in exprs]
+    value = fix.lattice.chi(*classes) if len(classes) == 1 else fix.lattice.chi_hom(*classes)
+    try:
+        text = str(value)
+    except ValueError as exc:  # past sys.get_int_max_str_digits()
+        shown = " to ".join(map(reprlib.repr, exprs))
+        raise UsageError(f"chi of {shown} is too long to print") from exc
+    print(text)
     return 0
 
 

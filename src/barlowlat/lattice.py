@@ -26,7 +26,8 @@ class DivisorClass(Record):
 
     # hand-written, same semantics as Record's: verify builds about 600
     # classes per run, and the generic path made it about 10 % slower at 1,100
-    def __init__(self, coords: Sequence[int]) -> None:
+    def __init__(self, coords: Iterable[int]) -> None:
+        coords = tuple(coords)
         if not all(map(isinstance, coords, repeat(int))):
             raise TypeError("coordinates must be integers")
         object.__setattr__(self, "coords", tuple(map(int, coords)))
@@ -122,6 +123,7 @@ class PicardLattice(Record):
         return linalg.det_exact(self.gram)
 
     def signature(self) -> tuple[int, int, int]:
+        """Inertia of the Gram; ValueError if a leading minor vanishes."""
         return linalg.signature_symmetric(self.gram)
 
     def classes_from_pairings(

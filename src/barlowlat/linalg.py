@@ -11,7 +11,8 @@ is linear in the carried columns, so the block becomes a matrix U such that
 U.t is the column a target t would have given, and one elimination serves
 every target on a generator list.  `invert_exact` inverts only unimodular
 matrices; `solve_overdetermined` gives numerators over one denominator.
-`signature_symmetric` (an integer congruence) eliminates on its own.
+`signature_symmetric` reads the inertia off the leading minors that
+`gauss_jordan` gives (Jacobi's rule), so production has no other elimination.
 `ldl_positive` (the same elimination without pivoting) and `integer_kernel`
 (unimodular column operations) serve only the Fincke-Pohst root oracle of
 the tests; they stay here because `bench/tracing.py` resolves them by name.
@@ -130,58 +131,22 @@ def solve_overdetermined(
 
 
 def signature_symmetric(gram: IntMatrix) -> tuple[int, int, int]:
-    """(positive, negative, zero) inertia of a symmetric integer matrix.
+    """(positive, negative, zero) inertia of a symmetric integer matrix whose
+    leading principal minors D_1, ..., D_n are all nonzero.
 
-    Integer congruence diagonalization.  A step with pivot p = m[k][k] sets
-    row i to p * row i - f * row k, f = m[i][k], for each i > k with f != 0,
-    then column i the same way: row and column k clear, and the Schur
-    complement of p is left with those rows and columns scaled by p, so its
-    inertia is kept.  A zero pivot is repaired by a symmetric swap with a
-    nonzero diagonal entry, or else by a symmetric row-plus-column addition.
+    Jacobi's rule: the negative count is the number of sign changes in
+    1, D_1, ..., D_n.  D_k is the last pivot of `gauss_jordan` on the leading
+    k x k block: while the earlier minors are nonzero no step exchanges rows,
+    so the pivot of step c is D_(c+1).  ValueError names the first D_k = 0.
     """
-    m = [[index(x) for x in row] for row in gram]
-    n = len(m)
-    pos = neg = zero = 0
-
-    def sym_swap(i: int, j: int) -> None:
-        m[i], m[j] = m[j], m[i]
-        for row in m:
-            row[i], row[j] = row[j], row[i]
-
-    def sym_add(i: int, j: int) -> None:
-        # row i += row j, then column i += column j
-        for t in range(n):
-            m[i][t] += m[j][t]
-        for row in m:
-            row[i] += row[j]
-
-    for k in range(n):
-        if m[k][k] == 0:
-            i = next((i for i in range(k + 1, n) if m[i][i] != 0), None)
-            if i is not None:
-                sym_swap(k, i)
-            else:
-                pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
-                             if m[i][j] != 0), None)
-                if pair is None:
-                    zero += n - k
-                    break
-                i, j = pair
-                sym_add(i, j)  # makes m[i][i] = 2 m[i][j] != 0
-                if i != k:
-                    sym_swap(k, i)
-        p = m[k][k]
-        if p > 0:
-            pos += 1
-        else:
-            neg += 1
-        for i in range(k + 1, n):
-            f = m[i][k]
-            if f:
-                m[i] = [p * a - f * b for a, b in zip(m[i], m[k])]
-                for row in m:
-                    row[i] = p * row[i] - f * row[k]
-    return pos, neg, zero
+    minors = [1]
+    for k in range(1, len(gram) + 1):
+        _, pivots, d, _ = gauss_jordan([row[:k] for row in gram[:k]], k)
+        if len(pivots) < k:
+            raise ValueError(f"leading principal minor D_{k} vanishes")
+        minors.append(d)
+    neg = sum((a > 0) != (b > 0) for a, b in zip(minors, minors[1:]))
+    return len(gram) - neg, neg, 0
 
 
 def integer_kernel(mat: IntMatrix) -> list[tuple[int, ...]]:

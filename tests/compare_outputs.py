@@ -24,6 +24,9 @@ process, on the same cases:
   ones) at --caps 2, and 2K at --caps 0;
 * decompose K over the 46 defaults at --caps 100000, and chi of an unknown
   class name;
+* chi of K and of 5K - E3p - Bp000, chi from L1 to L11 and back, and chi of
+  a K whose coefficient has 4301 digits (past Python's default limit on int
+  string conversion) or 2200 digits (chi then has about 4400); both exit 2;
 * decompose on a document that verifies but whose L1 has negative degree,
   with L1 among the generators;
 * verify and classes on four documents that fail the canonical stage:
@@ -34,7 +37,8 @@ process, on the same cases:
 * verify on two documents that fail at load: the doubling relation with
   b_relation.rhs.K + 1, and the ledger star of cell (11,1) moved to (10,1);
 * verify on two documents that fail rows and skip none (L1 and L3 swapped
-  with chi_matrix permuted to match, and every defined bound cell 0), and
+  with chi_matrix permuted to match, and every defined bound cell 0, the
+  latter also under --format text), and
   on two that fail canonical-basis (E1 and C1p swapped in the curve table,
   and a curve "X" in d8.defs.D1);
 * verify on two documents that pass: every JSON object's keys in a seeded
@@ -87,6 +91,8 @@ SHIPPED_CASES = [
      "--caps", "2"],
     ["decompose", "--target", "2K", "--caps", "0"],
     ["decompose", "--target", "K", "--caps", "100000"], ["chi", "--cls", "FOO"],
+    ["chi", "--cls", "K"], ["chi", "--cls", "5K - E3p - Bp000"],
+    ["chi", "--from", "L1", "--to", "L11"], ["chi", "--from", "L11", "--to", "L1"],
     ["verify", "--fixtures", ""], ["height", "--matrix", ""], ["verify", "--report", ""],
 ]
 
@@ -260,10 +266,15 @@ def write_cases(directory: Path) -> list[tuple[str, list[str]]]:
             docs.append((name, inputs.make_mutant(raw, kind, variant, name).text))
 
     cases = [(" ".join(argv), argv) for argv in SHIPPED_CASES]
+    for digits in (4301, 2200):  # past the default int digit limit: the coefficient, then chi
+        cases.append((f"chi --cls {digits}-digit K", ["chi", "--cls", "9" * digits + "K"]))
     for i, (name, text) in enumerate(docs):
         path = directory / f"doc{i}.json"
         path.write_text(text)
         cases.append((f"verify {name}", ["verify", "--fixtures", str(path)]))
+    i = [name for name, _ in docs].index("zero_bounds")
+    cases.append(("verify --format text zero_bounds",
+                  ["verify", "--format", "text", "--fixtures", str(directory / f"doc{i}.json")]))
     for i, (name, _) in enumerate(canonical_failures):
         cases.append((f"classes {name}", ["classes", "--fixtures", str(directory / f"doc{i}.json")]))
     rows = [[None] * 4 for _ in range(4)]

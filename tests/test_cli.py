@@ -556,6 +556,39 @@ def test_chi_unknown_name(capsys):
     assert "unknown" in err.lower()
 
 
+#: Python's limit on the digits of an int read from or written to a string;
+#: 0 where there is none (before 3.10.7, or switched off)
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(not DIGIT_LIMIT, reason="no int string digit limit")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("argv", [
+    ["chi", "--cls", "HUGE K"], ["chi", "--from", "HUGE K", "--to", "L1"],
+    ["chi", "--from", "L1", "--to", "K - HUGE E1"], ["decompose", "--target", "HUGE K"],
+], ids=["chi-cls", "chi-from", "chi-to", "decompose-target"])
+def test_a_coefficient_past_the_digit_limit_exits_2(capsys, argv):
+    huge = "9" * (DIGIT_LIMIT + 1)
+    code, out, err = run_cli(capsys, *(arg.replace("HUGE ", huge) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("coefficient too long in '") and err.count("\n") == 1
+    assert "999..." in err and len(err) < 100
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("argv, named", [
+    (["chi", "--cls", "HALF K"], "chi of '999"),
+    (["chi", "--from", "L1", "--to", "HALF K"], "chi of 'L1' to '999"),
+], ids=["chi-cls", "chi-from-to"])
+def test_a_chi_past_the_digit_limit_exits_2(capsys, argv, named):
+    # the coefficient parses, but chi grows as its square
+    half = "9" * (DIGIT_LIMIT // 2 + 50)
+    code, out, err = run_cli(capsys, *(arg.replace("HALF ", half) for arg in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith(named) and err.endswith("K' is too long to print\n")
+    assert err.count("\n") == 1 and len(err) < 100
+
+
 def test_unknown_name_is_one_line_with_exit_2(capsys):
     code, out, err = run_cli(capsys, "chi", "--cls", "FOO")
     assert (code, out, err) == (2, "", "unknown name: unknown class name 'FOO'\n")

@@ -7,10 +7,13 @@ import pytest
 from barlowlat import linalg
 from barlowlat.cli import main
 from barlowlat.errors import SchemaError, ToolkitError, UnknownName
-from barlowlat.exceptional import CONFIG_GRAM
+from barlowlat.exceptional import CONFIG_GRAM, is_num_exceptional
 from barlowlat.fixtures import (
-    BASIS_NAMES, CURVE_NAMES, D8_FORK_GRAM, FixtureSet, b_keys, b_name, load_fixtures,
+    BASIS_NAMES, CURVE_NAMES, D8_FORK_GRAM, STAR_POSITIONS, FixtureSet, b_keys, b_name,
+    load_fixtures,
 )
+from barlowlat.heights import ABSENT, ExtBoundMatrix, height, single_segment_bound
+from barlowlat.homledger import STAR, LedgerMatrix, StarChoice, formality_report, validate_ledger
 from barlowlat.lattice import DivisorClass, PicardLattice
 from barlowlat.roots import CANONICAL_GRAM, extended_cartan_expected
 
@@ -311,6 +314,31 @@ def test_sequence_chi_matrix_cells(fix, lat):
 def test_sequence_degrees(fix, lat):
     degrees = [lat.pair(c, lat.k) for c in fix.sequence]
     assert degrees == [0, 0, 1, 0, 0, 0, 1, 0, 0, 0, 0]
+
+
+def test_the_dual_collection_reverses_every_table(fix, lat):
+    # E'_k = -L_(12-k), whose orthogonal complement is the other phantom: chi
+    # and ledger cell (i, j) go to (12 - j, 12 - i), bound cell (a, b) to
+    # (23 - b, 23 - a); the stars land in column 1, off STAR_POSITIONS
+    seq, ledger, rows = fix.sequence, fix.ledger, fix.ext_bounds.rows
+    dual = [-seq[10 - k] for k in range(11)]
+    chi, dual_chi = lat.euler_matrix(seq), lat.euler_matrix(dual)
+    assert dual_chi == [[chi[10 - j][10 - i] for j in range(11)] for i in range(11)]
+    assert is_num_exceptional(lat, dual)[0]
+
+    bounds = ExtBoundMatrix(n=11, rows=tuple(tuple(rows[21 - b][21 - a] for b in range(22))
+                                             for a in range(22)))
+    assert ([[x is ABSENT for x in row] for row in bounds.rows]
+            == [[x is ABSENT for x in row] for row in rows])
+    assert (height(bounds), single_segment_bound(bounds)) == (2, 2)
+
+    cells = {(i, j): ledger.entries[(12 - j, 12 - i)] for i, j in ledger.entries}
+    dual_ledger = LedgerMatrix.from_dict(
+        11, {f"{i},{j}": v if v == STAR else list(v.triple) for (i, j), v in cells.items()})
+    assert dual_ledger.star_positions == {(12 - j, 12 - i) for i, j in STAR_POSITIONS}
+    validate_ledger(dual_ledger, dual_chi)
+    for stars in StarChoice:
+        assert formality_report(dual_ledger, stars) == formality_report(ledger, stars)
 
 
 def test_chi_matrix_mismatch_detected(raw_copy):

@@ -29,6 +29,13 @@ def test_divisor_class_normalises_ints():
     assert DivisorClass(()).coords == ()
 
 
+def test_divisor_class_reads_an_iterator_once():
+    # the integer check must not use up a generator before the coordinates are read
+    assert DivisorClass(x for x in (1, 2, 3)) == DivisorClass([1, 2, 3]) == DivisorClass((1, 2, 3))
+    with pytest.raises(TypeError):
+        DivisorClass(x for x in (1, 1.5, 3))
+
+
 def test_make_lattice_minimal():
     lat = make_lattice(1, [[1]], DivisorClass((1,)))
     assert lat.pair(lat.k, lat.k) == 1

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from barlowlat import linalg
+from barlowlat.roots import CANONICAL_GRAM
 
 small_int = st.integers(-6, 6)
 
@@ -180,19 +181,25 @@ def test_first_difference_is_the_first_cell_in_row_order():
 @settings(max_examples=100, deadline=None)
 def test_signature_counts_sum_to_rank(m):
     sym = [[m[i][j] + m[j][i] for j in range(3)] for i in range(3)]
+    k = _first_vanishing_leading_minor(sym)
+    if k is not None:
+        with pytest.raises(ValueError, match=f"D_{k} "):
+            linalg.signature_symmetric(sym)
+        return
     pos, neg, zero = linalg.signature_symmetric(sym)
-    assert pos + neg + zero == 3
-    assert pos + neg == linalg.rank_exact(sym)
-    if linalg.det_exact(sym) != 0:
-        sign = (-1) ** neg
-        det = linalg.det_exact(sym)
-        assert (det > 0) == (sign > 0)
+    assert pos + neg == 3 == linalg.rank_exact(sym) and zero == 0
+    assert (linalg.det_exact(sym) > 0) == (neg % 2 == 0)
 
 
 def test_signature_known_values():
     assert linalg.signature_symmetric([[1, 0], [0, -2]]) == (1, 1, 0)
-    assert linalg.signature_symmetric([[0, 1], [1, 0]]) == (1, 1, 0)
-    assert linalg.signature_symmetric([[0, 0], [0, 0]]) == (0, 0, 2)
+    # leading minors 2, -7, -67: one sign change
+    assert linalg.signature_symmetric([[2, 1, 0], [1, -3, 4], [0, 4, 5]]) == (2, 1, 0)
+    assert linalg.signature_symmetric(CANONICAL_GRAM) == (1, 8, 0)
+    # nondegenerate or not, a vanishing leading minor has no inertia here
+    for m in ([[0, 1], [1, 0]], [[0, 0], [0, 0]]):
+        with pytest.raises(ValueError, match="D_1 "):
+            linalg.signature_symmetric(m)
 
 
 # --- oracle: Descartes' rule of signs on the characteristic polynomial --------
@@ -226,10 +233,18 @@ def _inertia_by_descartes(m):
     return _sign_changes(rest), _sign_changes(flipped), zero
 
 
+def _first_vanishing_leading_minor(m):
+    """The least k whose leading k x k block is singular (the oracle counts a
+    zero eigenvalue there); None if every leading minor is nonzero."""
+    return next((k for k in range(1, len(m) + 1)
+                 if _inertia_by_descartes([row[:k] for row in m[:k]])[2]), None)
+
+
 @st.composite
 def symmetric_matrices(draw):
     """Symmetric integer matrices of size 1-6; in about half of them some
-    diagonal entries are forced to zero, which needs the pivot repairs."""
+    diagonal entries are forced to zero, which often makes a leading minor
+    vanish."""
     n = draw(st.integers(1, 6))
     m = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -243,12 +258,17 @@ def symmetric_matrices(draw):
 
 
 @given(m=symmetric_matrices())
-@example(m=[[1, 1, 0], [1, 1, 0], [0, 0, 0]])
-@example(m=[[0, 2, 0], [2, 0, 0], [0, 0, 0]])
-@example(m=[[0, 0, 3], [0, 0, 0], [3, 0, 0]])
+@example(m=[[1, 1, 0], [1, 1, 0], [0, 0, 0]])   # D_2 = 0
+@example(m=[[0, 2, 0], [2, 0, 0], [0, 0, 0]])   # D_1 = 0
+@example(m=[[0, 0, 3], [0, 0, 0], [3, 0, 0]])   # D_1 = 0
 @settings(max_examples=300, deadline=None)
 def test_signature_matches_descartes_oracle(m):
-    assert linalg.signature_symmetric(m) == _inertia_by_descartes(m)
+    k = _first_vanishing_leading_minor(m)
+    if k is None:
+        assert linalg.signature_symmetric(m) == _inertia_by_descartes(m)
+    else:
+        with pytest.raises(ValueError, match=f"D_{k} "):
+            linalg.signature_symmetric(m)
 
 
 def test_no_module_under_src_imports_fractions():
