@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from . import __version__
-from .errors import SchemaError, ToolkitError, UnknownName, UsageError
+from .errors import ToolkitError, UsageError
 from .exceptional import (
     DecompositionProblem,
     decompose_effective,
@@ -195,7 +195,7 @@ def verification_checks(
             raise ToolkitError(f"verdict {verdict}, expected {Fullness.NOT_FULL}")
         return {"verdict": verdict, "dim": SURFACE_DIMENSION}
 
-    checks: list[tuple[str, str, Callable[[], dict], bool]] = [
+    return [
         ("fixture-tables", "curve table is symmetric with rational rank 9",
          fix.validate_curves, False),
         ("simple-roots-gram", "eight simple roots realize the fork Gram, degree 0",
@@ -222,20 +222,14 @@ def verification_checks(
          lambda: validate_ledger(fix.ledger, fix.chi_matrix), False),
         ("ext-bounds", "height bound table matches the ledger and shift symmetry",
          fix.validate_ext_bounds, False),
-    ]
-    for choice in _star_choices(stars_flag):
-        checks.append((
-            f"formality-{choice.name.lower()}",
-            "no composition of three or more maps survives the degree count",
-            make_formality(choice), False,
-        ))
-    checks.extend([
+        *((f"formality-{choice.name.lower()}",
+           "no composition of three or more maps survives the degree count",
+           make_formality(choice), False) for choice in _star_choices(stars_flag)),
         ("height", "anticanonical height of the extended collection equals 2",
          height_check, False),
         ("fullness", "height criterion shows the collection is not full",
          fullness, False),
-    ])
-    return checks
+    ]
 
 
 def run_verification(fix: FixtureSet, stars_flag: str) -> dict:
@@ -283,17 +277,12 @@ def _report_text(report: dict) -> str:
 
 # ------------------------------------------------------------------ commands
 
-def _fixture_source(args: argparse.Namespace) -> str | None:
-    if args.fixtures is not None:
-        return args.fixtures
-    env_dir = os.environ.get("FIXTURES_DIR")
-    if env_dir:
-        return str(Path(env_dir) / "barlow.json")
-    return None
-
-
 def _load(args: argparse.Namespace) -> FixtureSet:
-    return load_fixtures(_fixture_source(args), validate=False)
+    """--fixtures, else barlow.json in a non-empty FIXTURES_DIR, else the shipped copy."""
+    path, env_dir = args.fixtures, os.environ.get("FIXTURES_DIR")
+    if path is None and env_dir:
+        path = str(Path(env_dir) / "barlow.json")
+    return load_fixtures(path, validate=False)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -335,6 +324,11 @@ def cmd_roots(args: argparse.Namespace) -> int:
 def cmd_classes(args: argparse.Namespace) -> int:
     fix = _load(args)
     named = {**fix.canonical.classes, **fix.genus3, **dict(zip(SEQUENCE_NAMES, fix.sequence))}
+    for name in sorted(named):
+        try:
+            str(named[name].coords)
+        except ValueError as exc:  # past sys.get_int_max_str_digits()
+            raise UsageError(f"class {name} has a coordinate too long to print") from exc
     out = {
         "basis": list(BASIS_NAMES),
         "entries": {n: list(c.coords) for n, c in named.items()},
@@ -475,10 +469,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     fixtures = argparse.ArgumentParser(add_help=False)
     fixtures.add_argument("--fixtures", help="path to a fixture JSON (default: shipped)")
+    stars = argparse.ArgumentParser(add_help=False, parents=[fixtures])
+    stars.add_argument("--stars", choices=["zero", "nonzero", "both"], default="both")
     add = functools.partial(sub.add_parser, parents=[fixtures])
 
-    p = add("verify", help="run the full verification pipeline")
-    p.add_argument("--stars", choices=["zero", "nonzero", "both"], default="both")
+    p = add("verify", parents=[stars], help="run the full verification pipeline")
     p.add_argument("--report", help="also write the report to this path")
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.set_defaults(func=cmd_verify)
@@ -501,8 +496,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=_int_at_least(1), default=SURFACE_DIMENSION)
     p.set_defaults(func=cmd_height)
 
-    p = add("formality", help="chain-degree report for the ledger")
-    p.add_argument("--stars", choices=["zero", "nonzero", "both"], default="both")
+    p = add("formality", parents=[stars], help="chain-degree report for the ledger")
     p.set_defaults(func=cmd_formality)
 
     p = add("search", help="search root configurations")
@@ -522,18 +516,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    except SchemaError as exc:
-        print(f"fixture error: {exc}", file=sys.stderr)
-        return 2
-    except UnknownName as exc:
-        print(f"unknown name: {exc}", file=sys.stderr)
-        return 2
     except ToolkitError as exc:
-        print(f"check failed: {exc}", file=sys.stderr)
-        return 1
+        print(f"{exc.prefix}{exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

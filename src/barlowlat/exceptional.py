@@ -284,9 +284,10 @@ class DecompositionProblem(Record):
 def _search_setup(gram: tuple, k: tuple, gens: tuple, caps: tuple) -> tuple:
     """What decompose_effective needs that does not depend on the target.
 
-    (start_rows, span_rows, cols, place, bounds, skip), all tuples: a
-    target t starts the search at start_rows.t (its degree, then its flag
-    values) and lies in the span when span_rows.t is zero; cols[idx] is the
+    (start_rows, span_rows, reach, cols, place, bounds, skip): a target t
+    starts the search at start_rows.t (its degree, then its flag values),
+    lies in the span when span_rows.t is zero and is out of reach when its
+    degree exceeds reach, the sum of caps times degrees; cols[idx] is the
     degree and flag values of generator idx and place[idx] its flag's
     position in them (0 if none); bounds and skip are the prune tables.
     """
@@ -325,7 +326,9 @@ def _search_setup(gram: tuple, k: tuple, gens: tuple, caps: tuple) -> tuple:
         skip[idx] = skip[idx + 1] if cols[idx][0] else idx
     start_rows = (kg, *(tuple(row[m:]) for row in rows[:rank]))
     span_rows = tuple(tuple(row[m:]) for row in rows[rank:])
-    return start_rows, span_rows, cols, tuple(place), tuple(map(tuple, bounds)), tuple(skip)
+    reach = sum(cap * col[0] for cap, col in zip(caps, cols))
+    return (start_rows, span_rows, reach, cols, tuple(place), tuple(map(tuple, bounds)),
+            tuple(skip))
 
 
 def decompose_effective(
@@ -342,13 +345,15 @@ def decompose_effective(
     target; a further target costs that product plus the search.  Pivot row
     i is the flag of generator m-1-pivots[i], with value d there and 0 at
     every later generator, and a nonzero entry of U.target below the rank
-    puts the target outside the span.  Depth first in generator order on the
-    remainder's degree (pairing with k) and flag values: a flag forces its
-    coefficient (flag value over d), kept if an integer within the cap and
-    the degree left; other coefficients take each value the cap and degree
-    allow.  A leaf needs no zero check: its remainder lies in the span, where
-    the flags, each zeroed at its own index and untouched after, are d times
-    the dual basis of the pivot generators.
+    puts the target outside the span.  No generator has negative degree, so
+    a target of degree above reach is out of reach; neither case searches.
+    Depth first in generator order on the remainder's degree (pairing with
+    k) and flag values: a flag forces its coefficient (flag value over d),
+    kept if an integer within the cap and the degree left; other
+    coefficients take each value the cap and degree allow.  A leaf needs no
+    zero check: its remainder lies in the span, where the flags, each zeroed
+    at its own index and untouched after, are d times the dual basis of the
+    pivot generators.
 
     Two prunes, exact in integers, with D the degree left.  A flag is 0 after
     its pivot j, so generators idx..j must add exactly its remainder value.
@@ -368,10 +373,11 @@ def decompose_effective(
     if any(len(v) != lat.rank for v in (*gens, target)):
         raise ToolkitError("generators and target must have the lattice's rank")
     m, caps = len(gens), problem.caps
-    start_rows, span_rows, cols, place, bounds, skip = _search_setup(
+    start_rows, span_rows, reach, cols, place, bounds, skip = _search_setup(
         lat.gram, lat.k.coords, gens, caps
     )
-    if any(sum(map(mul, row, target)) for row in span_rows):
+    start = tuple(sum(map(mul, row, target)) for row in start_rows)
+    if start[0] > reach or any(sum(map(mul, row, target)) for row in span_rows):
         return []
     out: list[tuple[int, ...]] = []
     coeffs = [0] * m  # rec sets coeffs[idx] before it goes deeper
@@ -408,5 +414,5 @@ def decompose_effective(
             rec(idx + 1, rem)
             rem = tuple(map(sub, rem, col))
 
-    rec(0, tuple(sum(map(mul, row, target)) for row in start_rows))
+    rec(0, start)
     return out

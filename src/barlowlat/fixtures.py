@@ -422,7 +422,8 @@ class FixtureSet(Record):
         if bad:
             i, j = bad
             raise ToolkitError(
-                f"chi matrix differs at ({i + 1},{j + 1}): {got[i][j]} != {want[i][j]}"
+                f"chi matrix differs at ({i + 1},{j + 1}): "
+                f"{linalg.int_text(got[i][j])} != {want[i][j]}"
             )
         return seq
 
@@ -475,7 +476,7 @@ class FixtureSet(Record):
             i, j = bad
             raise ToolkitError(
                 f"simple-root gram differs at (D{i + 1}, D{j + 1}): "
-                f"{gram[i][j]} != {self.d8_gram_expected[i][j]}"
+                f"{linalg.int_text(gram[i][j])} != {self.d8_gram_expected[i][j]}"
             )
         if gram != D8_FORK_GRAM:
             raise ToolkitError("input Gram is not the expected fork-at-d6 form")
@@ -500,7 +501,8 @@ class FixtureSet(Record):
         lhs = self._combination(self.relation_lhs)
         rhs = self._combination(self.relation_rhs)
         if lhs != rhs:
-            raise ToolkitError(f"doubling relation fails: {lhs.coords} != {rhs.coords}")
+            raise ToolkitError(f"doubling relation fails: "
+                               f"{linalg.int_text(lhs.coords)} != {linalg.int_text(rhs.coords)}")
         return {"lhs": dict(self.relation_lhs), "rhs": dict(self.relation_rhs)}
 
     def validate_sequence(self) -> dict[str, object]:

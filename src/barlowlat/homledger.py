@@ -13,6 +13,7 @@ from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
 from .errors import SchemaError, ToolkitError
+from .linalg import int_text
 from .record import Record
 
 #: the degree of a zero datum, +infinity: a sum or difference with it is INF and
@@ -148,7 +149,7 @@ def validate_ledger(
                 if val.euler() != chi:
                     raise ToolkitError(
                         f"cell ({i},{j}) = {val.triple} has alternating sum "
-                        f"{val.euler()}, chi table says {chi}"
+                        f"{int_text(val.euler())}, chi table says {chi}"
                     )
             checked += 1
     # everything above the diagonal must be chi-zero as well

@@ -34,6 +34,18 @@ def first_difference(a: IntMatrix, b: IntMatrix) -> tuple[int, int] | None:
                  for j, (x, y) in enumerate(zip(ra, rb)) if x != y), None)
 
 
+def int_text(value: int | Sequence[int]) -> str:
+    """An integer, or a tuple of them as repr writes it, in decimal; one past
+    Python's int-to-string digit limit is named by its bit count instead, so
+    a message about it can always be printed."""
+    if not isinstance(value, int):
+        return f"({', '.join(map(int_text, value))})"
+    try:
+        return str(value)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return f"<{value.bit_length()}-bit integer>"
+
+
 def gauss_jordan(
     rows: IntMatrix, width: int
 ) -> tuple[list[list[int]], list[int], int, int]:

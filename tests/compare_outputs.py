@@ -52,7 +52,13 @@ process, on the same cases:
   ext_bounds.n = 0; each exits 2;
 * height --matrix on a bound table whose dynamic program reads a null cell;
 * verify on every variant that bench/inputs.KINDS can draw.  The module is
-  read, not edited.
+  read, not edited;
+* verify on five documents with a 4300-digit integer n in one cell
+  (LONG_INTEGER_EDITS): sequence.L1.K, d8.defs.D1.K, b_relation.rhs.E1,
+  ledger entry 5,3 as (n, 0, n), and n L added to each sequence class.  A
+  check computes from each an integer too long to print; the first four
+  fail their row, and the fifth verifies.  classes on the first and the
+  fifth: the first fails its check, the fifth has a class too long to print.
 
 The output of a case is its exit code, stdout and stderr.  The script
 prints the number of outputs compared and the name of each one that
@@ -214,6 +220,16 @@ def half_integral_e4p(raw: dict) -> None:
         table["matrix"][i][j] = table["matrix"][j][i] = x
 
 
+#: edits that each put an integer n in one cell, from which a check computes an
+#: integer too long to print (n is the longest run of nines that parses)
+LONG_INTEGER_EDITS = {
+    "sequence.L1.K": lambda raw, n: raw["sequence"]["L1"].update(K=n),
+    "d8.defs.D1.K": lambda raw, n: raw["d8"]["defs"]["D1"].update(K=n),
+    "b_relation.rhs.E1": lambda raw, n: raw["b_relation"]["rhs"].update(E1=n),
+    "ledger.entries.5,3": lambda raw, n: raw["ledger"]["entries"].update({"5,3": [n, 0, n]}),
+    "twist-nL": lambda raw, n: twist_sequence(raw, {"L": n}),
+}
+
 #: edits that each break one shape rule of the document, so that it exits 2
 SHAPE_EDITS = {
     "c_table-without-C2m": lambda raw: raw["b_table"]["c_table"].pop("C2m"),
@@ -264,6 +280,10 @@ def write_cases(directory: Path) -> list[tuple[str, list[str]]]:
         for variant in variants(raw):
             name = f"{kind}:{variant}"
             docs.append((name, inputs.make_mutant(raw, kind, variant, name).text))
+    for name, edit in LONG_INTEGER_EDITS.items():
+        doc = json.loads(json.dumps(raw))
+        edit(doc, 10 ** 4300 - 1)  # 4300 digits: Python's default limit
+        docs.append((f"long-integer {name}", json.dumps(doc)))
 
     cases = [(" ".join(argv), argv) for argv in SHIPPED_CASES]
     for digits in (4301, 2200):  # past the default int digit limit: the coefficient, then chi
@@ -272,11 +292,14 @@ def write_cases(directory: Path) -> list[tuple[str, list[str]]]:
         path = directory / f"doc{i}.json"
         path.write_text(text)
         cases.append((f"verify {name}", ["verify", "--fixtures", str(path)]))
-    i = [name for name, _ in docs].index("zero_bounds")
+    names = [name for name, _ in docs]
+    path = directory / f"doc{names.index('zero_bounds')}.json"
     cases.append(("verify --format text zero_bounds",
-                  ["verify", "--format", "text", "--fixtures", str(directory / f"doc{i}.json")]))
-    for i, (name, _) in enumerate(canonical_failures):
-        cases.append((f"classes {name}", ["classes", "--fixtures", str(directory / f"doc{i}.json")]))
+                  ["verify", "--format", "text", "--fixtures", str(path)]))
+    for name in (*(n for n, _ in canonical_failures),
+                 "long-integer sequence.L1.K", "long-integer twist-nL"):
+        path = directory / f"doc{names.index(name)}.json"
+        cases.append((f"classes {name}", ["classes", "--fixtures", str(path)]))
     rows = [[None] * 4 for _ in range(4)]
     rows[2][:2], rows[3][1:3] = [1, 1], [1, 1]  # cell (target 2, source 1) is null
     path = directory / "null-dp-cell.json"

@@ -20,15 +20,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import barlowlat
-from barlowlat import cli, linalg
+from barlowlat import cli, errors, linalg
 from barlowlat.cli import main, parse_class_expr, run_verification
 from barlowlat.errors import SchemaError, ToolkitError, UsageError
 from barlowlat.fixtures import FixtureSet, load_fixtures, shipped_fixture_text
 from barlowlat.lattice import DivisorClass, PicardLattice
 
 from compare_outputs import (
-    SHAPE_EDITS, half_integral_e4p, infinite_bound, negative_degree_document, non_fork_document,
-    shuffled_keys, swap_e1_c1p, swap_l1_l3, twist_sequence, unknown_curve_in_d1, zero_bounds,
+    LONG_INTEGER_EDITS, SHAPE_EDITS, half_integral_e4p, infinite_bound, negative_degree_document,
+    non_fork_document, shuffled_keys, swap_e1_c1p, swap_l1_l3, twist_sequence,
+    unknown_curve_in_d1, zero_bounds,
 )
 
 #: an array nested deeper than the JSON decoder's recursion limit
@@ -521,6 +522,49 @@ def test_fixtures_dir_env(tmp_path, capsys, monkeypatch):
     assert code == 2 and "fixture" in err
 
 
+def _twisted_dir(tmp_path):
+    """A directory whose barlow.json is the shipped document with C1p - 3K
+    added to each sequence class: it verifies, under its own hash."""
+    raw = json.loads(shipped_fixture_text())
+    twist_sequence(raw, {"C1p": 1, "K": -3})
+    (tmp_path / "twisted").mkdir()
+    path = tmp_path / "twisted" / "barlow.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def test_fixtures_dir_names_the_document_that_is_verified(tmp_path, capsys, monkeypatch):
+    path = _twisted_dir(tmp_path)
+    monkeypatch.setenv("FIXTURES_DIR", str(path.parent))
+    code, out, _ = run_cli(capsys, "verify")
+    report = json.loads(out)
+    assert (code, report["summary"]["pass"]) == (0, 16)
+    assert report["fixture_hash"] == load_fixtures(str(path), validate=False).fixture_hash()
+    assert report["fixture_hash"] != load_fixtures(validate=False).fixture_hash()
+
+
+def test_the_fixtures_option_wins_over_fixtures_dir(tmp_path, capsys, monkeypatch):
+    path = _twisted_dir(tmp_path)
+    shipped = tmp_path / "shipped.json"
+    shipped.write_text(shipped_fixture_text())
+    monkeypatch.setenv("FIXTURES_DIR", str(path.parent))
+    code, out, _ = run_cli(capsys, "verify", "--fixtures", str(shipped))
+    assert code == 0
+    assert json.loads(out)["fixture_hash"] == load_fixtures(validate=False).fixture_hash()
+    # a FIXTURES_DIR with no document is not read when --fixtures is given
+    monkeypatch.setenv("FIXTURES_DIR", str(tmp_path / "missing"))
+    code, out, _ = run_cli(capsys, "verify", "--fixtures", str(path))
+    twisted = load_fixtures(str(path), validate=False)
+    assert (code, json.loads(out)["fixture_hash"]) == (0, twisted.fixture_hash())
+
+
+def test_a_fixtures_dir_without_barlow_json_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("FIXTURES_DIR", str(tmp_path))
+    code, out, err = run_cli(capsys, "verify")
+    assert (code, out) == (2, "")
+    assert err == f"fixture error: fixture file {tmp_path / 'barlow.json'} does not exist\n"
+
+
 def test_chi_hom_flags(capsys):
     code, out, _ = run_cli(capsys, "chi", "--from", "L1", "--to", "L3")
     assert code == 0
@@ -589,9 +633,55 @@ def test_a_chi_past_the_digit_limit_exits_2(capsys, argv, named):
     assert err.count("\n") == 1 and len(err) < 100
 
 
+@needs_digit_limit
+@pytest.mark.parametrize("edit, row, message, classes_code", [
+    ("sequence.L1.K", "sequence-chi", r"chi matrix differs at \(1,2\): <\d+-bit integer> != 0", 1),
+    ("d8.defs.D1.K", "simple-roots-gram",
+     r"simple-root gram differs at \(D1, D1\): <\d+-bit integer> != -2", 1),
+    ("b_relation.rhs.E1", "b-relation",
+     r"doubling relation fails: \(4, 2, 0, -2, -2, -2, -2, 0, 0\) != "
+     r"\((<\d+-bit integer>, ){8}9+\)", 0),
+    ("ledger.entries.5,3", "ledger-chi",
+     r"cell \(5,3\) = \((9+), 0, \1\) has alternating sum <\d+-bit integer>, "
+     r"chi table says 1", 0),
+    ("twist-nL", None, None, 2),
+], ids=list(LONG_INTEGER_EDITS))
+def test_an_integer_too_long_to_print_is_named_by_its_size(
+        tmp_path, capsys, edit, row, message, classes_code):
+    # n has as many digits as the limit allows, so the document parses; a
+    # check computes from it an integer past the limit, which used to end
+    # verify (and classes) in a traceback
+    raw = json.loads(shipped_fixture_text())
+    LONG_INTEGER_EDITS[edit](raw, int("9" * DIGIT_LIMIT))
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "verify", "--fixtures", str(path))
+    report = json.loads(out)
+    failed = {c["id"]: c["witness"]["error"] for c in report["checks"] if c["status"] == "fail"}
+    assert err == ""
+    if row is None:
+        assert (code, failed) == (0, {})
+    else:
+        assert code == 1 and re.fullmatch(message, failed[row])
+    code, out, err = run_cli(capsys, "classes", "--fixtures", str(path))
+    assert code == classes_code
+    if classes_code == 1:
+        assert out == "" and re.fullmatch(f"check failed: {message}\n", err)
+    elif classes_code == 2:
+        # the names print in sorted order, and L1 is the first twisted one
+        assert (out, err) == ("", "class L1 has a coordinate too long to print\n")
+
+
 def test_unknown_name_is_one_line_with_exit_2(capsys):
     code, out, err = run_cli(capsys, "chi", "--cls", "FOO")
     assert (code, out, err) == (2, "", "unknown name: unknown class name 'FOO'\n")
+
+
+#: (class, exit code, stderr prefix) of each reported error class
+EXIT_CONTRACT = [
+    ("ToolkitError", 1, "check failed: "), ("UsageError", 2, ""),
+    ("SchemaError", 2, "fixture error: "), ("UnknownName", 2, "unknown name: "),
+]
 
 
 def test_errors_defines_the_four_reported_classes_and_src_raises_only_them():
@@ -603,6 +693,9 @@ def test_errors_defines_the_four_reported_classes_and_src_raises_only_them():
                for node in tree.body if isinstance(node, ast.ClassDef)}
     assert classes == {"ToolkitError": ["Exception"], "UsageError": ["ToolkitError"],
                        "SchemaError": ["ToolkitError"], "UnknownName": ["ToolkitError"]}
+    # each class carries how cli.main reports it
+    assert {name: (getattr(errors, name).exit_code, getattr(errors, name).prefix)
+            for name in classes} == {name: (code, prefix) for name, code, prefix in EXIT_CONTRACT}
     modules = ("errors", "barlowlat.errors")
     raised = set()
     for path in sorted(package.glob("*.py")):
@@ -620,6 +713,17 @@ def test_errors_defines_the_four_reported_classes_and_src_raises_only_them():
                 elif isinstance(exc, ast.Name) and exc.id in imported:
                     raised.add(exc.id)
     assert raised == set(classes)
+
+
+@pytest.mark.parametrize("name, exit_code, prefix", EXIT_CONTRACT,
+                         ids=[row[0] for row in EXIT_CONTRACT])
+def test_main_prints_the_prefix_and_returns_the_exit_code_of_the_class(
+        capsys, monkeypatch, name, exit_code, prefix):
+    def fail(args):
+        raise getattr(errors, name)("the message")
+
+    monkeypatch.setattr(cli, "cmd_roots", fail)
+    assert run_cli(capsys, "roots") == (exit_code, "", f"{prefix}the message\n")
 
 
 def test_height_command(capsys):

@@ -559,6 +559,28 @@ def test_decompose_large_caps_cost_no_time(fix, lat, target):
     assert large == small and len(small) == 1
 
 
+@pytest.mark.parametrize("target", ["593K", "700K", "999K"])
+def test_decompose_target_out_of_reach_returns_at_once(fix, lat, target):
+    # no combination of the 46 defaults at caps 8 has degree above 592, the
+    # sum of caps times degrees; the search for 593K ran past two minutes
+    names = list(CURVE_NAMES) + sorted(fix.b_classes())
+    gens = [(n, fix.curve_class(n)) for n in names]
+    assert sum(8 * lat.pair(g, lat.k) for _, g in gens) == 592
+    problem = DecompositionProblem.create(parse_class_expr(fix, target), gens, caps=8)
+    start = time.process_time()
+    assert decompose_effective(lat, problem) == []
+    assert time.process_time() - start < 0.5
+
+
+def test_decompose_target_of_degree_exactly_reach_is_searched(fix, lat):
+    # every generator at its cap spends all the degree there is
+    gens = [(n, fix.curve_class(n)) for n in ("E1", "K", "C1p")]
+    cls = parse_class_expr(fix, "2E1 + 3K + C1p")
+    problem = DecompositionProblem.create(cls, gens, [2, 3, 1])
+    assert decompose_effective(lat, problem) == [(2, 3, 1)]
+    assert grid_decompose(lat, cls, gens, [2, 3, 1]) == [(2, 3, 1)]
+
+
 @pytest.mark.parametrize("target", [
     "3K", "3K + C1p", "3K + C2p", "3K - E1", "2K + 2C1p", "K + 2C2p + C2m",
     "Bp000 + 2C1m + C2p", "Bp000 + E1 + K", "2C1p + 2C2m", "K - C1p", "E1 + C2m - C1p", "0",
