@@ -22,7 +22,7 @@ identity block U through the elimination, so a target's column is U.target.
 from __future__ import annotations
 
 from functools import cache, lru_cache, reduce
-from itertools import accumulate, product, starmap
+from itertools import accumulate, combinations_with_replacement, starmap
 from operator import and_, getitem, index, lshift, mul, sub
 from typing import Callable, Sequence
 
@@ -59,7 +59,10 @@ CONFIG_MEMBERS = ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "B1", "B2")
 CONFIG_GRAM = diagram_gram(
     10, {(s, s + 1): 1 for s in range(7)} | {(2, 8): 1, (5, 9): 1, (8, 9): -1}
 )
-_GRAM_ENTRIES = sum(CONFIG_GRAM, ())
+#: the entries CONFIG_GRAM[s][t] with s <= t, in combinations_with_replacement order
+_UPPER_ENTRIES = tuple(
+    CONFIG_GRAM[s][t] for s, t in combinations_with_replacement(range(10), 2)
+)
 
 #: the pairs violations() compares, in report order: A-A, B1.A*, B2.A*, B1.B2
 _CHECKED_PAIRS = [(s, t) for s in range(8) for t in range(s + 1, 8)]
@@ -70,6 +73,15 @@ class ABConfiguration(Record):
     a: tuple[DivisorClass, ...]  # eight chain roots
     b: tuple[DivisorClass, ...]  # two marked roots
     k: DivisorClass
+
+    # hand-written, same semantics as Record's: search_configs builds one per leaf
+    def __init__(
+        self, a: tuple[DivisorClass, ...], b: tuple[DivisorClass, ...], k: DivisorClass
+    ) -> None:
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "k", k)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if len(self.a) != 8 or len(self.b) != 2:
@@ -194,11 +206,12 @@ def search_configs(rs: RootSet, k: DivisorClass, limit: int) -> list[ABConfigura
     order, whose pairing with each placed member s is CONFIG_GRAM[s][m]; the
     candidates are an intersection of neighbour masks keyed by pairing value.
     Results are deterministic and deduplicated only as identical tuples.  A
-    configuration is certified when k is lat.k, its Gram (9-dots with images
-    G.y, each at most once per call) is CONFIG_GRAM and its members are
-    orthogonal to k: check_formal_pattern, run once per process for each k.k,
-    proves the pattern exceptional over those pairings.  Otherwise the full
-    check, sequence_from_config, decides.  Stops after `limit` results.
+    configuration is certified when k is lat.k, its Gram's 55 pairings s <= t
+    (9-dots with images G.y, each at most once per call), on a Gram checked
+    symmetric, are those of CONFIG_GRAM and its members are orthogonal to k:
+    check_formal_pattern, run once per process for each k.k, proves the
+    pattern exceptional over those pairings.  Otherwise the full check,
+    sequence_from_config, decides.  Stops after `limit` results.
     """
     if limit < 1:
         raise ValueError("limit must be positive")
@@ -206,14 +219,16 @@ def search_configs(rs: RootSet, k: DivisorClass, limit: int) -> list[ABConfigura
     roots = rs.roots
     w, high, rows = _neighbour_rows(lat, roots)
 
-    proved = k == lat.k and _pattern_proved(lat.pair(k, k))
+    g = lat.gram
+    proved = (k == lat.k and linalg.first_difference(g, tuple(zip(*g))) is None
+              and _pattern_proved(lat.pair(k, k)))
     image = cache(lambda y: tuple(sum(map(mul, row, roots[y].coords)) for row in lat.gram))
     pairing = cache(lambda x, y: sum(map(mul, roots[x].coords, image(y))))
     k_pairing = cache(lambda x: sum(map(mul, image(x), k.coords)))
 
     def certified(idx: list[int]) -> bool:
-        gram = tuple(starmap(pairing, product(idx, repeat=2)))
-        return proved and gram == _GRAM_ENTRIES and not any(map(k_pairing, idx))
+        upper = tuple(starmap(pairing, combinations_with_replacement(idx, 2)))
+        return proved and upper == _UPPER_ENTRIES and not any(map(k_pairing, idx))
 
     results: list[ABConfiguration] = []
     placed: list[int] = []
@@ -222,7 +237,7 @@ def search_configs(rs: RootSet, k: DivisorClass, limit: int) -> list[ABConfigura
         """Place members m.. in every way; True once `limit` is reached."""
         if m == len(CONFIG_MEMBERS):
             members = tuple(roots[i] for i in placed)
-            cfg = ABConfiguration(a=members[:8], b=members[8:], k=k)
+            cfg = ABConfiguration(members[:8], members[8:], k)
             if not certified(placed):
                 sequence_from_config(lat, cfg)
             results.append(cfg)

@@ -119,12 +119,14 @@ def height(m: ExtBoundMatrix) -> int | float:
                 continue
             for v in range(u + 1, n + 1):
                 w = m.entry(v, u)
-                if du + w - 1 < dist.get(v, INF):
+                # an INF edge is skipped before adding: a long integer plus
+                # the float INF does not fit in a float
+                if w != INF and du + w - 1 < dist.get(v, INF):
                     dist[v] = du + w - 1
         for u, du in dist.items():
-            total = du + m.entry(a0 + n, u) - 1 + 1
-            if total < best:
-                best = total
+            w = m.entry(a0 + n, u)
+            if w != INF and du + w < best:
+                best = du + w
     return best
 
 

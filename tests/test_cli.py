@@ -633,6 +633,22 @@ def test_a_chi_past_the_digit_limit_exits_2(capsys, argv, named):
     assert err.count("\n") == 1 and len(err) < 100
 
 
+def test_a_bound_too_long_for_a_float_fails_ext_bounds(tmp_path, capsys):
+    # the height DP used to add this bound to the float INF and end verify
+    # and height in an OverflowError
+    raw = json.loads(shipped_fixture_text())
+    raw["ext_bounds"]["rows"][5][2] = 10**400
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(raw))
+    code, out, err = run_cli(capsys, "verify", "--fixtures", str(path))
+    failed = {c["id"]: c["witness"]["error"]
+              for c in json.loads(out)["checks"] if c["status"] == "fail"}
+    assert (code, err) == (1, "")
+    assert failed == {"ext-bounds": f"bound cell (6,3) = {10**400}, ledger gives 2"}
+    code, out, err = run_cli(capsys, "height", "--fixtures", str(path))
+    assert (code, json.loads(out)["height"], err) == (0, 2, "")
+
+
 @needs_digit_limit
 @pytest.mark.parametrize("edit, row, message, classes_code", [
     ("sequence.L1.K", "sequence-chi", r"chi matrix differs at \(1,2\): <\d+-bit integer> != 0", 1),
@@ -916,7 +932,7 @@ def test_fixture_shape_rule_broken_exits_2(tmp_path, capsys, argv, mutate, messa
 
 
 #: replacement values a fuzzed cell draws from; DELETE removes the key instead
-FUZZ_VALUES = [0, 1, -1, 11, 12, 10**6, -10**6, True, None, "x", "inf", "star",
+FUZZ_VALUES = [0, 1, -1, 11, 12, 10**6, -10**6, 10**400, True, None, "x", "inf", "star",
                [], {}, [1, 0, 0], 1.5]
 DELETE = object()
 
@@ -979,7 +995,8 @@ FUZZ_COMMANDS = [
     ["height", "--dim", "0"], ["search", "--limit", "two"], ["chi", "--cls", EXPR, "--to", "L1"],
 ]
 FUZZ_EXPRS = st.one_of(
-    st.sampled_from(["5K - E3p - Bp000", "2*L1 - e", "0", "K K", "", "٣K", "Zork", "+"]),
+    st.sampled_from(["5K - E3p - Bp000", "2*L1 - e", "0", "K K", "", "٣K", "Zork", "+",
+                     "1" * 4301 + "K"]),
     st.text(alphabet="KELBpe0123456789+-* ٣", max_size=10),
 )
 

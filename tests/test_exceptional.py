@@ -451,6 +451,61 @@ def test_search_falls_back_to_the_full_check(fix, lat, case):
     assert str(err.value) == message
 
 
+#: the error the full check raises when the row of the root placed as
+#: A1, A2 or A3 in the first shipped configuration lets every root pair it
+#: with every value
+LYING_ROW_ERRORS = {
+    0: "A1.A2 = -1, expected 1; A1.A3 = -1, expected 0; A1.A4 = 1, expected 0; "
+       "B1.A1 = 1, expected 0",
+    1: "A2.A3 = -1, expected 1",
+    2: "A3.A4 = -1, expected 1; A3.A8 = 1, expected 0; B1.A3 = 0, expected 1",
+}
+
+
+@pytest.mark.parametrize("member", list(LYING_ROW_ERRORS))
+def test_search_certificate_rejects_a_leaf_a_lying_row_admits(fix, lat, monkeypatch, member):
+    # the DFS trusts the neighbour rows; a row that admits every root at every
+    # pairing value places members whose true pairings are wrong, and the
+    # certificate must send that leaf to the full check, which names them
+    first = search_configs(fix.roots, lat.k, 1)[0]
+    liar = fix.roots.roots.index((*first.a, *first.b)[member])
+    helper = exceptional._neighbour_rows
+
+    def lying(lat, roots):
+        w, high, rows = helper(lat, roots)
+        everyone = dict.fromkeys((-1, 0, 1), high & ~(1 << (w * liar + w - 1)))
+        return w, high, lambda x: everyone if x == liar else rows(x)
+
+    monkeypatch.setattr(exceptional, "_neighbour_rows", lying)
+    with pytest.raises(ToolkitError) as err:
+        search_configs(fix.roots, lat.k, 5)
+    assert str(err.value) == LYING_ROW_ERRORS[member]
+
+
+@pytest.mark.parametrize("cell, value, found", [
+    ((1, 0), 5, None),
+    ((0, 1), 5, None),
+    ((9, 8), 0, [list(range(10))]),
+    ((10, 0), 1, None),
+])
+def test_search_on_an_asymmetric_gram_takes_the_full_check(cell, value, found):
+    # PicardLattice itself does not check symmetry; one asymmetric cell of the
+    # formal lattice must fail the certificate, and the full check decides:
+    # it reads each member pair in one order only, so (9, 8) passes it
+    gram = [list(row) + [0] for row in CONFIG_GRAM] + [[0] * 10 + [1]]
+    gram[cell[0]][cell[1]] = value
+    unit = [DivisorClass(tuple(int(i == j) for j in range(11))) for i in range(11)]
+    formal = PicardLattice(rank=11, gram=tuple(map(tuple, gram)), k=unit[10])
+    rs = RootSet(lattice=formal, roots=tuple(unit[:10]))
+    if found is None:
+        with pytest.raises(ToolkitError) as err:
+            search_configs(rs, formal.k, 3)
+        assert str(err.value) == NOT_EXCEPTIONAL
+    else:
+        configs = search_configs(rs, formal.k, 3)
+        assert [[m.coords.index(1) for m in (*c.a, *c.b)] for c in configs] == found
+
+
 def test_search_proves_the_pattern_once_per_k_square(fix, lat, counted_proofs):
     # the shipped lattice and the formal one both have k.k = 1 and share a
     # proof; a formal lattice with k.k = 3 runs its own, which fails

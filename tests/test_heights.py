@@ -148,6 +148,26 @@ def test_height_monotone_in_entries(seed):
     assert height(bumped) >= base
 
 
+def test_height_takes_bounds_too_long_for_a_float(fix):
+    # a long integer plus the float INF overflows, so each INF edge must be
+    # skipped before it is added.  Each integer cell of the shipped table at
+    # 10**400 in turn leaves a circle of height 2 that avoids it; all of them
+    # at once are checked against the oracle
+    m = fix.ext_bounds
+    cells = [(i, j) for i, row in enumerate(m.rows) for j, x in enumerate(row)
+             if isinstance(x, int)]
+
+    def raised(edited):
+        rows = [list(r) for r in m.rows]
+        for i, j in edited:
+            rows[i][j] = 10**400
+        return ExtBoundMatrix(n=m.n, rows=tuple(map(tuple, rows)))
+
+    assert [height(raised([cell])) for cell in cells] == [2] * len(cells)
+    big = raised(cells)
+    assert height(big) == brute_height(big) == 10**400
+
+
 def test_height_single_segment_is_upper_bound(fix):
     rng = random.Random(7)
     for _ in range(5):
