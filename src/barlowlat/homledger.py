@@ -124,6 +124,11 @@ class LedgerMatrix(Record):
         val = self.entries[(i, j)]
         return stars.datum if val == STAR else val  # type: ignore[return-value]
 
+    def min_degrees(self, i: int, j: int) -> frozenset[int | float]:
+        """The minimal Ext degrees cell (i, j) admits: one if determined; at a
+        star 1 (nonzero option) or INF (a section count gives full vanishing)."""
+        return frozenset(self.datum(i, j, choice).min_degree() for choice in StarChoice)
+
 
 def validate_ledger(
     ledger: LedgerMatrix,
@@ -195,9 +200,7 @@ def min_chain_degree(ledger: LedgerMatrix, stars: StarChoice, d: int) -> int | f
 
 
 class FormalityVerdict(Record):
-    d: int
     min_degree: int | float
-    landing_degree: int | float  # min_degree - (d - 2)
     forced_zero: bool
 
 
@@ -208,13 +211,5 @@ def formality_report(ledger: LedgerMatrix, stars: StarChoice) -> dict[int, Forma
     vanish when even the cheapest chain of d nonzero maps lands above the
     maximal Ext degree of a surface.
     """
-    out: dict[int, FormalityVerdict] = {}
-    for d, m in enumerate(_chain_minima(ledger, stars, ledger.n)[2:], 2):
-        landing = m - (d - 2)
-        out[d] = FormalityVerdict(
-            d=d,
-            min_degree=m,
-            landing_degree=landing,
-            forced_zero=landing > SURFACE_DIMENSION,
-        )
-    return out
+    return {d: FormalityVerdict(min_degree=m, forced_zero=m - (d - 2) > SURFACE_DIMENSION)
+            for d, m in enumerate(_chain_minima(ledger, stars, ledger.n)[2:], 2)}

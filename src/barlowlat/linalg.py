@@ -34,11 +34,11 @@ def first_difference(a: IntMatrix, b: IntMatrix) -> tuple[int, int] | None:
                  for j, (x, y) in enumerate(zip(ra, rb)) if x != y), None)
 
 
-def int_text(value: int | Sequence[int]) -> str:
-    """An integer, or a tuple of them as repr writes it, in decimal; one past
-    Python's int-to-string digit limit is named by its bit count instead, so
-    a message about it can always be printed."""
-    if not isinstance(value, int):
+def int_text(value: int | float | Sequence[int]) -> str:
+    """An integer (or INF, as inf), or a tuple of them as repr writes it, in
+    decimal; one past Python's int-to-string digit limit is named by its bit
+    count instead, so a message about it can always be printed."""
+    if not isinstance(value, (int, float)):
         return f"({', '.join(map(int_text, value))})"
     try:
         return str(value)

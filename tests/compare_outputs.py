@@ -51,6 +51,14 @@ process, on the same cases:
   without D8, sequence without L11, ledger entry 5,3 removed, and
   ext_bounds.n = 0; each exits 2;
 * height --matrix on a bound table whose dynamic program reads a null cell;
+* verify on three documents that each reach an error branch of a model
+  stage: "X": 1 in sequence.L1 (an unknown class name), every
+  b_table.e_hit_ks list holding k = 1 exactly when it holds k = 0 (two
+  genus-3 classes coincide), and E3p's curve-table row and column set to
+  K's minus C1p's with -1 on the diagonal (a root tagged both H0 and H2);
+* verify on the three bound-table edits of BOUND_ORDER_EDITS, which show
+  the order of the ext-bounds rules: cell (20,3) = 0 with (5,3) = 5, (5,3)
+  = 5 with (20,15) = 7, and star cell (11,5) = 1 with its twist left "inf";
 * verify on every variant that bench/inputs.KINDS can draw.  The module is
   read, not edited;
 * verify on five documents with a 4300-digit integer n in one cell
@@ -58,7 +66,12 @@ process, on the same cases:
   ledger entry 5,3 as (n, 0, n), and n L added to each sequence class.  A
   check computes from each an integer too long to print; the first four
   fail their row, and the fifth verifies.  classes on the first and the
-  fifth: the first fails its check, the fifth has a class too long to print.
+  fifth: the first fails its check, the fifth has a class too long to print;
+* verify and height on a document whose height is 2n - 1, n of 4300 digits
+  (every single-segment bound cell "inf", every other integer cell n), and
+  height --matrix on an n = 2 table of the same kind (long_height_matrix).
+  verify fails ext-bounds and height, naming the height by its size; height
+  exits 2.
 
 The output of a case is its exit code, stdout and stderr.  The script
 prints the number of outputs compared and the name of each one that
@@ -220,6 +233,64 @@ def half_integral_e4p(raw: dict) -> None:
         table["matrix"][i][j] = table["matrix"][j][i] = x
 
 
+def unknown_name_in_l1(raw: dict) -> None:
+    raw["sequence"]["L1"]["X"] = 1
+
+
+def e_hit_k1_as_k0(raw: dict) -> None:
+    """In every b_table.e_hit_ks list, k = 1 a member exactly when k = 0 is:
+    two genus-3 classes get the same pairing rows."""
+    for lists in raw["b_table"]["e_hit_ks"].values():
+        for ks in lists.values():
+            ks[:] = sorted(set(ks) - {1} | ({1} if 0 in ks else set()))
+
+
+def e3p_as_k_minus_c1p(raw: dict) -> None:
+    """E3p's row and column of the curve table set to K's minus C1p's, with
+    -1 on the diagonal: the root C1p is then a (-2)-curve and K minus an
+    irreducible elliptic class at once."""
+    table = raw["curve_table"]
+    names, m = table["names"], table["matrix"]
+    i, k, c = (names.index(n) for n in ("E3p", "K", "C1p"))
+    row = [a - b for a, b in zip(m[k], m[c])]
+    row[i] = -1
+    for j, x in enumerate(row):
+        m[i][j] = m[j][i] = x
+
+
+#: bound-table edits, {(i, j): value} with 1-based cells, whose verify report
+#: shows the order of the ext-bounds rules: the window before any value, a
+#: first-block cell before any last-block cell, and a last-block cell that
+#: must repeat the star option its first-block cell chose
+BOUND_ORDER_EDITS = {
+    "absent-20,3-and-ledger-5,3": {(20, 3): 0, (5, 3): 5},
+    "ledger-5,3-and-shift-20,15": {(5, 3): 5, (20, 15): 7},
+    "star-11,5-to-1": {(11, 5): 1},
+}
+
+
+def set_bound_cells(raw: dict, cells: dict[tuple[int, int], object]) -> None:
+    for (i, j), value in cells.items():
+        raw["ext_bounds"]["rows"][i - 1][j - 1] = value
+
+
+def long_height_matrix(x: int) -> dict:
+    """A bound table for n = 2 whose height is 2x - 1: each circle sums two
+    bounds x, since both single-segment cells are "inf"."""
+    return {"n": 2, "rows": [[None] * 4, [x, None, None, None],
+                             ["inf", x, None, None], [None, "inf", x, None]]}
+
+
+def long_height_bounds(raw: dict, x: int) -> None:
+    """Every single-segment bound cell (i + 11, i) "inf" and every other
+    integer bound cell x: the height is 2x - 1."""
+    rows = raw["ext_bounds"]["rows"]
+    for i, row in enumerate(rows):
+        rows[i] = [x if isinstance(v, int) else v for v in row]
+    for i in range(11):
+        rows[i + 11][i] = "inf"
+
+
 #: edits that each put an integer n in one cell, from which a check computes an
 #: integer too long to print (n is the longest run of nines that parses)
 LONG_INTEGER_EDITS = {
@@ -268,10 +339,15 @@ def write_cases(directory: Path) -> list[tuple[str, list[str]]]:
                ("twist-C1p-3K", twisted)]
     docs = [(name, json.dumps(doc))
             for name, doc in canonical_failures + load_failures + passing]
-    for edit in (swap_l1_l3, zero_bounds, swap_e1_c1p, unknown_curve_in_d1, infinite_bound):
+    for edit in (swap_l1_l3, zero_bounds, swap_e1_c1p, unknown_curve_in_d1, infinite_bound,
+                 unknown_name_in_l1, e_hit_k1_as_k0, e3p_as_k_minus_c1p):
         doc = json.loads(json.dumps(raw))
         edit(doc)
         docs.append((edit.__name__, json.dumps(doc)))
+    for name, cells in BOUND_ORDER_EDITS.items():
+        doc = json.loads(json.dumps(raw))
+        set_bound_cells(doc, cells)
+        docs.append((f"bounds {name}", json.dumps(doc)))
     for name, edit in SHAPE_EDITS.items():
         doc = json.loads(json.dumps(raw))
         edit(doc)
@@ -284,6 +360,9 @@ def write_cases(directory: Path) -> list[tuple[str, list[str]]]:
         doc = json.loads(json.dumps(raw))
         edit(doc, 10 ** 4300 - 1)  # 4300 digits: Python's default limit
         docs.append((f"long-integer {name}", json.dumps(doc)))
+    doc = json.loads(json.dumps(raw))
+    long_height_bounds(doc, 10 ** 4300 - 1)
+    docs.append(("long-height", json.dumps(doc)))
 
     cases = [(" ".join(argv), argv) for argv in SHIPPED_CASES]
     for digits in (4301, 2200):  # past the default int digit limit: the coefficient, then chi
@@ -308,6 +387,11 @@ def write_cases(directory: Path) -> list[tuple[str, list[str]]]:
     path = directory / "infinite-cell.json"
     path.write_text('{"n": 1, "rows": [[null, null], [1e999, null]]}')
     cases.append(("height infinite-cell", ["height", "--matrix", str(path)]))
+    path = directory / f"doc{names.index('long-height')}.json"
+    cases.append(("height long-height", ["height", "--fixtures", str(path)]))
+    path = directory / "long-height-matrix.json"
+    path.write_text(json.dumps(long_height_matrix(10 ** 4300 - 1)))
+    cases.append(("height long-height-matrix", ["height", "--matrix", str(path)]))
     path = directory / "negative-degree.json"
     path.write_text(json.dumps(negative_degree_document(raw)))
     cases.append(("decompose negative-degree", ["decompose", "--fixtures", str(path),

@@ -27,9 +27,10 @@ from barlowlat.fixtures import FixtureSet, load_fixtures, shipped_fixture_text
 from barlowlat.lattice import DivisorClass, PicardLattice
 
 from compare_outputs import (
-    LONG_INTEGER_EDITS, SHAPE_EDITS, half_integral_e4p, infinite_bound, negative_degree_document,
-    non_fork_document, shuffled_keys, swap_e1_c1p, swap_l1_l3, twist_sequence,
-    unknown_curve_in_d1, zero_bounds,
+    BOUND_ORDER_EDITS, LONG_INTEGER_EDITS, SHAPE_EDITS, e3p_as_k_minus_c1p, e_hit_k1_as_k0,
+    half_integral_e4p, infinite_bound, long_height_bounds, long_height_matrix,
+    negative_degree_document, non_fork_document, set_bound_cells, shuffled_keys, swap_e1_c1p,
+    swap_l1_l3, twist_sequence, unknown_curve_in_d1, unknown_name_in_l1, zero_bounds,
 )
 
 #: an array nested deeper than the JSON decoder's recursion limit
@@ -242,7 +243,13 @@ def _write_edited(tmp_path, mutate):
     return str(path)
 
 
+def _bound_order_edit(name):
+    return functools.partial(set_bound_cells, cells=BOUND_ORDER_EDITS[name])
+
+
 B_CELL_ERROR = "Bp000.Bp101 = 3, block formula says 4"
+NOT_DISTINCT = "the 32 genus-3 classes are not distinct"
+NO_SOLUTION = "pairing equations have no common solution"
 
 
 @pytest.mark.parametrize("mutate, failed", [
@@ -271,9 +278,30 @@ B_CELL_ERROR = "Bp000.Bp101 = 3, block formula says 4"
      [("ext-bounds", "bound cell (2,1) = 0, ledger gives inf"),
       ("height", "height -10, single-segment bound 0, expected 2, 2"),
       ("fullness", "verdict inconclusive, expected not_full")]),
+    (unknown_name_in_l1,
+     [(row, "unknown class name 'X'") for row in ("sequence-chi", "num-exceptional")]),
+    (e_hit_k1_as_k0,
+     [(row, NOT_DISTINCT) for row in ("b-reconstruction", "b-relation", "root-partition",
+                                      "sequence-chi", "num-exceptional")]),
+    (e3p_as_k_minus_c1p,
+     [("b-reconstruction", NO_SOLUTION), ("b-relation", NO_SOLUTION),
+      ("root-partition", NO_SOLUTION),
+      ("vanishing-classification", "root (0, 0, 1, 0, 1, 1, 1, 0, 0) is tagged both H0 and H2"),
+      ("sequence-chi", NO_SOLUTION), ("num-exceptional", NO_SOLUTION)]),
+    # the window before any value, even one in an earlier row
+    (_bound_order_edit("absent-20,3-and-ledger-5,3"),
+     [("ext-bounds", "bound cell (20,3) should be absent")]),
+    # every first-block cell before any last-block cell
+    (_bound_order_edit("ledger-5,3-and-shift-20,15"),
+     [("ext-bounds", "bound cell (5,3) = 5, ledger gives 2")]),
+    # both star values are admissible, but the twist repeats the one chosen
+    (_bound_order_edit("star-11,5-to-1"),
+     [("ext-bounds", "bound cell (22,16) differs from (11,5)")]),
 ], ids=["ext-cross-block-cell", "ext-star-cell", "chi-star-cell", "cross-block-b-cell",
         "ext-diagonal-cell", "ext-missing-cell", "ext-ledger-cell", "ext-shifted-cell",
-        "swapped-L1-L3", "zero-bounds"])
+        "swapped-L1-L3", "zero-bounds",
+        "unknown-name-in-L1", "e-hit-k1-as-k0", "E3p-as-K-minus-C1p",
+        "ext-absent-before-ledger", "ext-ledger-before-shift", "ext-star-shift"])
 def test_verify_fails_the_rows_a_table_edit_breaks(tmp_path, capsys, mutate, failed):
     # the ext_bounds check compares only the first block with the ledger, so
     # a cross-block cell is seen by the height alone
@@ -686,6 +714,34 @@ def test_an_integer_too_long_to_print_is_named_by_its_size(
     elif classes_code == 2:
         # the names print in sorted order, and L1 is the first twisted one
         assert (out, err) == ("", "class L1 has a coordinate too long to print\n")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("command", ["verify", "height", "height --matrix"])
+def test_a_height_past_the_digit_limit_is_named_by_its_size(tmp_path, capsys, command):
+    # each circle sums two bounds of as many digits as the limit allows; the
+    # height prints one digit more, which used to end verify and height in a
+    # traceback
+    x = int("9" * DIGIT_LIMIT)
+    size = f"<{(2 * x - 1).bit_length()}-bit integer>"
+    path = tmp_path / "long.json"
+    if command == "height --matrix":
+        path.write_text(json.dumps(long_height_matrix(x)))
+        argv = ["height", "--matrix", str(path)]
+    else:
+        raw = json.loads(shipped_fixture_text())
+        long_height_bounds(raw, x)
+        path.write_text(json.dumps(raw))
+        argv = [command, "--fixtures", str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    if command != "verify":
+        assert (code, out, err) == (2, "", f"height {size} is too long to print\n")
+        return
+    failed = {c["id"]: c["witness"]["error"]
+              for c in json.loads(out)["checks"] if c["status"] == "fail"}
+    assert (code, err) == (1, "")
+    assert failed == {"ext-bounds": f"bound cell (3,1) = {x}, ledger gives 1",
+                      "height": f"height {size}, single-segment bound inf, expected 2, 2"}
 
 
 def test_unknown_name_is_one_line_with_exit_2(capsys):

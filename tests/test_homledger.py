@@ -225,7 +225,7 @@ def test_formality_forced_zero(fix):
         for d in range(3, 12):
             assert report[d].forced_zero, f"d={d} under {stars}"
         assert report[2].forced_zero            # two-step compositions land in degree 3
-        assert report[5].landing_degree in (4, INF)
+        assert report[5].min_degree in (7, INF)
 
 
 def test_formality_identical_verdicts_under_both_choices(fix):
