@@ -21,9 +21,9 @@ identity block U through the elimination, so a target's column is U.target.
 """
 from __future__ import annotations
 
-from functools import cache, lru_cache, reduce
-from itertools import accumulate, combinations_with_replacement, starmap
-from operator import and_, getitem, index, lshift, mul, sub
+from functools import cache, lru_cache
+from itertools import accumulate, combinations_with_replacement, starmap, zip_longest
+from operator import and_, index, mul, sub
 from typing import Callable, Sequence
 
 from . import linalg
@@ -162,6 +162,16 @@ def _pattern_proved(k_square: int) -> bool:
     return check_formal_pattern(CONFIG_GRAM, k_square=k_square)
 
 
+def _pack(col: Sequence[int], w: int) -> int:
+    """sum(c << w*y for y, c in enumerate(col)) by halving: each round joins
+    neighbours into lo + (hi << span) and doubles span, O(n log n) digit work."""
+    col, span = list(col) or [0], w
+    while len(col) > 1:
+        pairs = zip_longest(col[::2], col[1::2], fillvalue=0)
+        col, span = [lo + (hi << span) for lo, hi in pairs], 2 * span
+    return col[0]
+
+
 def _neighbour_rows(
     lat: PicardLattice, roots: Sequence[DivisorClass]
 ) -> tuple[int, int, Callable[[int], dict[int, int]]]:
@@ -171,7 +181,7 @@ def _neighbour_rows(
     the top bit of every lane set.  rows(x)[v], built on first read, has the
     top bit of lane y set exactly when x.y = v and y != x, for v in -1, 0, 1;
     integers, unlike sets, leave the garbage collector nothing to traverse.
-    Coordinate column j of the roots is packed into one integer R_j, a lane
+    _pack packs coordinate column j of the roots into one integer R_j, a lane
     per root, so lane y of the 9-term sum of (x^T G)_j * R_j is x.y.  bound is
     at least every |x.y| and fits in w - 2 bits, so each pairing raised by
     2**(w - 1), and each 2**(w - 1) + v, fits in a lane: none carries.
@@ -180,11 +190,10 @@ def _neighbour_rows(
     top = [max(map(abs, col)) for col in cols]
     bound = sum(s * abs(g) * t for s, row in zip(top, lat.gram) for g, t in zip(row, top))
     w = bound.bit_length() + 2
-    shifts = range(0, w * len(roots), w)
-    ones = sum(1 << s for s in shifts)
+    ones = ((1 << w * len(roots)) - 1) // ((1 << w) - 1)  # 1 in every lane
     high = ones << (w - 1)
     low = high - ones
-    packed = [sum(map(lshift, col, shifts)) for col in cols]
+    packed = [_pack(col, w) for col in cols]
 
     @cache
     def row(x: int) -> dict[int, int]:
@@ -202,21 +211,25 @@ def _neighbour_rows(
 def search_configs(rs: RootSet, k: DivisorClass, limit: int) -> list[ABConfiguration]:
     """Depth-first backtracking for configurations inside a root set.
 
-    place(m) puts member m of CONFIG_MEMBERS at every root, in the root set's
-    order, whose pairing with each placed member s is CONFIG_GRAM[s][m]; the
-    candidates are an intersection of neighbour masks keyed by pairing value.
-    Results are deterministic and deduplicated only as identical tuples.  A
-    configuration is certified when k is lat.k, its Gram's 55 pairings s <= t
-    (9-dots with images G.y, each at most once per call), on a Gram checked
-    symmetric, are those of CONFIG_GRAM and its members are orthogonal to k:
-    check_formal_pattern, run once per process for each k.k, proves the
-    pattern exceptional over those pairings.  Otherwise the full check,
-    sequence_from_config, decides.  Stops after `limit` results.
+    place(m, cands) puts member m of CONFIG_MEMBERS at every root of cands[0],
+    in the root set's order; cands holds a candidate mask per member not yet
+    placed.  Placing x ANDs each later member t's mask with
+    rows(x)[CONFIG_GRAM[m][t]] (forward checking) and skips x at once if one
+    becomes empty; the last member reads no row.  Results are deterministic
+    and deduplicated only as identical tuples.  A configuration is certified
+    when k is lat.k, its Gram's 55 pairings s <= t (9-dots with images G.y,
+    each at most once per call), on a Gram checked symmetric, are those of
+    CONFIG_GRAM and its members are orthogonal to k: check_formal_pattern, run
+    once per process for each k.k, proves the pattern exceptional over those
+    pairings.  Otherwise the full check, sequence_from_config, decides.  Stops
+    after `limit` results, an integer (operator.index) of at least 1.
     """
-    if limit < 1:
+    if (limit := index(limit)) < 1:
         raise ValueError("limit must be positive")
-    lat = rs.lattice
-    roots = rs.roots
+    lat, roots = rs.lattice, rs.roots
+    for v in (*roots, k):
+        if len(v.coords) != lat.rank:
+            lat._check_len(v)
     w, high, rows = _neighbour_rows(lat, roots)
 
     g = lat.gram
@@ -233,29 +246,31 @@ def search_configs(rs: RootSet, k: DivisorClass, limit: int) -> list[ABConfigura
     results: list[ABConfiguration] = []
     placed: list[int] = []
 
-    def place(m: int) -> bool:
+    def place(m: int, cands: list[int]) -> bool:
         """Place members m.. in every way; True once `limit` is reached."""
-        if m == len(CONFIG_MEMBERS):
-            members = tuple(roots[i] for i in placed)
-            cfg = ABConfiguration(members[:8], members[8:], k)
-            if not certified(placed):
-                sequence_from_config(lat, cfg)
-            results.append(cfg)
-            return len(results) >= limit
         # the candidates are the lanes with their top bit set, lowest (first
-        # in root order) first; CONFIG_GRAM[m][s] is CONFIG_GRAM[s][m]
-        masks = map(getitem, map(rows, placed), CONFIG_GRAM[m])
-        free = reduce(and_, masks, high)
+        # in root order) first
+        free, later, ahead = cands[0], cands[1:], CONFIG_GRAM[m][m + 1:]
         while free:
             idx = (free & -free).bit_length() // w - 1
             free &= free - 1
             placed.append(idx)
-            if place(m + 1):
-                return True
+            if not later:
+                members = tuple(roots[i] for i in placed)
+                cfg = ABConfiguration(members[:8], members[8:], k)
+                if not certified(placed):
+                    sequence_from_config(lat, cfg)
+                results.append(cfg)
+                if len(results) >= limit:
+                    return True
+            else:
+                masks = [*map(and_, later, map(rows(idx).__getitem__, ahead))]
+                if all(masks) and place(m + 1, masks):
+                    return True
             placed.pop()
         return False
 
-    place(0)
+    place(0, [high] * len(CONFIG_MEMBERS))
     return results
 
 

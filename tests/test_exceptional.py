@@ -6,6 +6,7 @@ import re
 import time
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -226,6 +227,60 @@ def test_search_matches_naive_dfs_on_shuffled_roots(fix, lat, seed):
     assert got == naive_configs(lat, roots, 5)
 
 
+@pytest.mark.parametrize("seed", [0, 2, 3, 5, 6, 7, 9])
+def test_search_matches_naive_dfs_on_root_subsets(fix, lat, seed):
+    # on 60-120 of the 240 roots most partial chains dead-end, where forward
+    # checking prunes; the oracle runs on root indices over one pairing table
+    rng = random.Random(seed)
+    roots = rng.sample(fix.roots.roots, rng.randint(60, 120))
+    table = list(lat.pairings(roots, roots))
+    indexed = SimpleNamespace(pair=lambda i, j: table[i][j])
+    at = {r: i for i, r in enumerate(roots)}
+    for limit in (1, 5):
+        configs = search_configs(RootSet(lattice=lat, roots=tuple(roots)), lat.k, limit)
+        got = [(tuple(at[r] for r in c.a), tuple(at[r] for r in c.b)) for c in configs]
+        assert got == naive_configs(indexed, range(len(roots)), limit)
+
+
+@pytest.mark.parametrize("change, length", [
+    ("roots", 10),
+    ("roots", 8),
+    ("k", 10),
+    ("k", 8),
+])
+def test_search_checks_every_class_length(fix, lat, change, length):
+    # zip and map truncate, so unchecked, roots of length 10 were certified and
+    # roots of length 8 searched for longer than 20 s; each stops the call now
+    def resized(v):
+        return DivisorClass((*v.coords, 0)[:length])
+
+    roots, k = fix.roots.roots, lat.k
+    if change == "roots":
+        roots = tuple(map(resized, roots))
+    else:
+        k = resized(k)
+    with pytest.raises(ToolkitError, match=f"^class has length {length}, lattice has rank 9$"):
+        search_configs(RootSet(lattice=lat, roots=roots), k, 3)
+
+
+@pytest.mark.parametrize("limit, error", [
+    (2.5, TypeError),
+    (3.0, TypeError),
+    ("3", TypeError),
+    (None, TypeError),
+    (0, ValueError),
+    (-1, ValueError),
+])
+def test_search_reads_limit_as_an_integer(fix, lat, limit, error):
+    with pytest.raises(error):
+        search_configs(fix.roots, lat.k, limit)
+
+
+def test_search_takes_an_index_as_its_limit(fix, lat):
+    # True is the integer 1, as operator.index reads it
+    assert search_configs(fix.roots, lat.k, True) == search_configs(fix.roots, lat.k, 1)
+
+
 SEARCH_DIGESTS = json.loads(
     (Path(__file__).parent / "data" / "search_digests.json").read_text()
 )
@@ -327,6 +382,17 @@ def test_neighbour_mask_examples_reach_wide_lanes():
     assert width(HYPERBOLIC, (0, 0), (0, 0), (0, 0)) == 2
     assert width(ASYMMETRIC, (9, 1), (0, 9), (-9, 9)) > 8
     assert width(ASYMMETRIC, (1, 0), (0, 1), (300, -300)) > 16
+
+
+@given(col=st.lists(st.integers(-(2**80), 2**80), max_size=300), w=st.integers(2, 70))
+@example(col=[], w=2)
+@example(col=[-1], w=2)
+@example(col=[-(2**69), 2**69 - 1, -1], w=70)
+@example(col=[-3, 1] * 150, w=3)
+@example(col=[1, -1] * 149 + [-1], w=5)
+@settings(max_examples=100, deadline=None)
+def test_pack_is_the_shifted_sum(col, w):
+    assert exceptional._pack(col, w) == sum(c << w * y for y, c in enumerate(col))
 
 
 def test_search_configs_pass_the_full_check(fix, lat):
