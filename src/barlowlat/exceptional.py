@@ -5,11 +5,11 @@ chi(l_i, l_i) = 1 and chi(l_i, l_j) = 0 for i > j.  The ten-root pattern
 (a chain A1..A8, B1 on A3 and B2 on A6, B1.B2 = -1) produces such a
 sequence of length 11.  Its pairing table CONFIG_GRAM drives both the
 validation of a configuration and the search, which places the ten members
-one by one among the roots by depth-first backtracking.  Each pattern term
-is an integer combination of the ten members and k, so the search certifies
-a configuration by its actual Gram plus one formal proof of the pattern
-(check_formal_pattern); sequence_from_config, the full check, is the
-fallback.  The effective-decomposition solver enumerates all bounded
+one by one among the roots by depth-first backtracking.  Every chi of the
+pattern is one integer polynomial in the members' pairings and k.k, and the
+formal configuration (pairings CONFIG_GRAM) passes sequence_from_config, so
+the search certifies a configuration by its pairings, with that full check
+as the fallback.  The effective-decomposition solver enumerates all bounded
 nonnegative integer representations of a class over a generator list: one
 linalg.gauss_jordan gives a flag per rank-raising generator, which forces
 that coefficient, and the search runs on integer tuples.  Two exact integer
@@ -133,33 +133,20 @@ def sequence_from_config(
     return tuple(seq)
 
 
-def check_formal_pattern(gram10: Sequence[Sequence[int]], k_square: int = 1) -> bool:
-    """Exceptionality of the pattern from bilinear data alone, no embedding.
-
-    gram10 is a 10x10 pairing table of (A1..A8, B1, B2), such as CONFIG_GRAM,
-    and k_square is k.k.  The pattern is built in the formal lattice on the
-    generators (A1..A8, B1, B2, k), whose Gram is gram10 bordered by zeros
-    (every member is orthogonal to k) and k_square.  An asymmetric gram10, or
-    one giving a class of odd d.d - d.k, is not exceptional.
-    """
-    if len(gram10) != 10 or any(len(r) != 10 for r in gram10):
-        raise ToolkitError("gram10 must be 10x10")
-    gram = [[*row, 0] for row in gram10] + [[0] * 10 + [k_square]]
-    unit = [DivisorClass(tuple(int(i == j) for j in range(11))) for i in range(11)]
-    # the shape is checked above, so only an asymmetric Gram or an odd
-    # d.d - d.k can raise here
-    try:
-        lat = make_lattice(11, gram, unit[10])
-        ok, _ = is_num_exceptional(lat, _pattern(unit[:8], unit[8], unit[9], unit[10]))
-    except ToolkitError:
-        return False
-    return ok
-
-
 @cache
 def _pattern_proved(k_square: int) -> bool:
-    """check_formal_pattern over CONFIG_GRAM, a function of k.k alone."""
-    return check_formal_pattern(CONFIG_GRAM, k_square=k_square)
+    """Whether the formal configuration passes sequence_from_config: the ten
+    members (A1..A8, B1, B2) and k are the unit vectors of a rank-11 lattice
+    whose Gram is CONFIG_GRAM bordered by zeros, with k.k = k_square.  The
+    check says no by raising ToolkitError."""
+    gram = [[*row, 0] for row in CONFIG_GRAM] + [[0] * 10 + [k_square]]
+    unit = [DivisorClass(tuple(int(i == j) for j in range(11))) for i in range(11)]
+    try:
+        sequence_from_config(make_lattice(11, gram, unit[10]),
+                             ABConfiguration(tuple(unit[:8]), tuple(unit[8:10]), unit[10]))
+    except ToolkitError:
+        return False
+    return True
 
 
 def _pack(col: Sequence[int], w: int) -> int:
@@ -219,10 +206,12 @@ def search_configs(rs: RootSet, k: DivisorClass, limit: int) -> list[ABConfigura
     and deduplicated only as identical tuples.  A configuration is certified
     when k is lat.k, its Gram's 55 pairings s <= t (9-dots with images G.y,
     each at most once per call), on a Gram checked symmetric, are those of
-    CONFIG_GRAM and its members are orthogonal to k: check_formal_pattern, run
-    once per process for each k.k, proves the pattern exceptional over those
-    pairings.  Otherwise the full check, sequence_from_config, decides.  Stops
-    after `limit` results, an integer (operator.index) of at least 1.
+    CONFIG_GRAM and its members are orthogonal to k.  Every chi of the pattern
+    is the same integer polynomial in those pairings and k.k, and the formal
+    configuration passes sequence_from_config (_pattern_proved, once per
+    process for each k.k), so the leaf does too.  Otherwise the full check,
+    sequence_from_config, decides.  Stops after `limit` results, an integer
+    (operator.index) of at least 1.
     """
     if (limit := index(limit)) < 1:
         raise ValueError("limit must be positive")

@@ -216,7 +216,7 @@ class Canonical(Record):
 class FixtureSet(Record):
     """The parsed tables; the model stages are cached properties over them."""
 
-    raw: dict
+    digest: str   # fixture_hash(), taken when the document was read
     curves: PicardLattice   # formal: Gram the curve table, k the curve K
     b_table: BTable
     d8_defs: dict[str, dict[str, int]]
@@ -285,6 +285,7 @@ class FixtureSet(Record):
             )
             rel_lhs = _combo_dict(raw["b_relation"]["lhs"], "b_relation.lhs")
             rel_rhs = _combo_dict(raw["b_relation"]["rhs"], "b_relation.rhs")
+            blob = json.dumps(raw, sort_keys=True, separators=(",", ":"))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"fixture document malformed: {exc}") from exc
         if curve_names != CURVE_NAMES:
@@ -303,7 +304,7 @@ class FixtureSet(Record):
             raise SchemaError(f"ledger.n and ext_bounds.n must be 11, not {ledger.n}, {bounds.n}")
         btable.validate()
         return FixtureSet(
-            raw=dict(raw),
+            digest=sha256(blob.encode()).hexdigest(),
             curves=curves,
             b_table=btable,
             d8_defs=d8_defs,
@@ -594,8 +595,8 @@ class FixtureSet(Record):
         return tuple(self.curve_class(n) for n in IRREDUCIBLE_ELLIPTIC)
 
     def fixture_hash(self) -> str:
-        blob = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
-        return sha256(blob.encode()).hexdigest()
+        """The SHA-256 of the document's canonical dump, as it was when read."""
+        return self.digest
 
 
 def shipped_fixture_text() -> str:

@@ -37,13 +37,13 @@ def first_difference(a: IntMatrix, b: IntMatrix) -> tuple[int, int] | None:
 def int_text(value: int | float | Sequence[int]) -> str:
     """An integer (or INF, as inf), or a tuple of them as repr writes it, in
     decimal; one past Python's int-to-string digit limit is named by its bit
-    count instead, so a message about it can always be printed."""
+    count instead, after its sign, so a message about it can always be printed."""
     if not isinstance(value, (int, float)):
         return f"({', '.join(map(int_text, value))})"
     try:
         return str(value)
     except ValueError:  # past sys.get_int_max_str_digits()
-        return f"<{value.bit_length()}-bit integer>"
+        return f"{'-' * (value < 0)}<{value.bit_length()}-bit integer>"
 
 
 def gauss_jordan(

@@ -61,12 +61,12 @@ process, on the same cases:
   = 5 with (20,15) = 7, and star cell (11,5) = 1 with its twist left "inf";
 * verify on every variant that bench/inputs.KINDS can draw.  The module is
   read, not edited;
-* verify on five documents with a 4300-digit integer n in one cell
-  (LONG_INTEGER_EDITS): sequence.L1.K, d8.defs.D1.K, b_relation.rhs.E1,
-  ledger entry 5,3 as (n, 0, n), and n L added to each sequence class.  A
-  check computes from each an integer too long to print; the first four
-  fail their row, and the fifth verifies.  classes on the first and the
-  fifth: the first fails its check, the fifth has a class too long to print;
+* verify on six documents with a 4300-digit integer n in one cell
+  (LONG_INTEGER_EDITS): sequence.L1.K, d8.defs.D1.K, b_relation.rhs.E1 as n
+  and as -n, ledger entry 5,3 as (n, 0, n), and n L added to each sequence
+  class.  A check computes from each an integer too long to print; the first
+  five fail their row, and the sixth verifies.  classes on the first and the
+  sixth: the first fails its check, the sixth has a class too long to print;
 * verify and height on a document whose height is 2n - 1, n of 4300 digits
   (every single-segment bound cell "inf", every other integer cell n), and
   height --matrix on an n = 2 table of the same kind (long_height_matrix).
@@ -297,6 +297,7 @@ LONG_INTEGER_EDITS = {
     "sequence.L1.K": lambda raw, n: raw["sequence"]["L1"].update(K=n),
     "d8.defs.D1.K": lambda raw, n: raw["d8"]["defs"]["D1"].update(K=n),
     "b_relation.rhs.E1": lambda raw, n: raw["b_relation"]["rhs"].update(E1=n),
+    "b_relation.rhs.E1-negative": lambda raw, n: raw["b_relation"]["rhs"].update(E1=-n),
     "ledger.entries.5,3": lambda raw, n: raw["ledger"]["entries"].update({"5,3": [n, 0, n]}),
     "twist-nL": lambda raw, n: twist_sequence(raw, {"L": n}),
 }

@@ -684,7 +684,10 @@ def test_a_bound_too_long_for_a_float_fails_ext_bounds(tmp_path, capsys):
      r"simple-root gram differs at \(D1, D1\): <\d+-bit integer> != -2", 1),
     ("b_relation.rhs.E1", "b-relation",
      r"doubling relation fails: \(4, 2, 0, -2, -2, -2, -2, 0, 0\) != "
-     r"\((<\d+-bit integer>, ){8}9+\)", 0),
+     r"\(<\d+-bit integer>, -<\d+-bit integer>, (<\d+-bit integer>, ){6}9+\)", 0),
+    ("b_relation.rhs.E1-negative", "b-relation",
+     r"doubling relation fails: \(4, 2, 0, -2, -2, -2, -2, 0, 0\) != "
+     r"\(-9+5, <\d+-bit integer>, (-<\d+-bit integer>, ){6}-9+\)", 0),
     ("ledger.entries.5,3", "ledger-chi",
      r"cell \(5,3\) = \((9+), 0, \1\) has alternating sum <\d+-bit integer>, "
      r"chi table says 1", 0),

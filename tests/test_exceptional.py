@@ -20,7 +20,6 @@ from barlowlat.exceptional import (
     CONFIG_GRAM,
     CONFIG_MEMBERS,
     DecompositionProblem,
-    check_formal_pattern,
     decompose_effective,
     is_num_exceptional,
     search_configs,
@@ -150,23 +149,25 @@ def test_config_gram_is_the_pattern_gram():
 
 
 def test_formal_pattern_holds():
-    assert check_formal_pattern(pattern_gram()) is True
+    exceptional._pattern_proved.cache_clear()
+    assert exceptional._pattern_proved(1) is True
 
 
-def test_formal_pattern_broken_chain():
+def test_formal_pattern_broken_chain(monkeypatch):
     g = pattern_gram()
     g[3][4] = g[4][3] = 0   # A4 . A5
-    assert check_formal_pattern(g) is False
+    monkeypatch.setattr(exceptional, "CONFIG_GRAM", g)
+    exceptional._pattern_proved.cache_clear()
+    try:
+        assert exceptional._pattern_proved(1) is False
+    finally:
+        exceptional._pattern_proved.cache_clear()
 
 
 def test_formal_pattern_wrong_k_square():
-    assert check_formal_pattern(pattern_gram(), k_square=2) is False
-
-
-def test_formal_pattern_asymmetric_is_false():
-    g = pattern_gram()
-    g[0][1] = 5
-    assert check_formal_pattern(g) is False
+    # the formal lattice's d.d - d.k is even at every k.k; the pattern fails
+    # exceptionality at each k.k but 1
+    assert [k for k in range(-5, 6) if exceptional._pattern_proved(k)] == [1]
 
 
 # --- search -----------------------------------------------------------------------
@@ -440,30 +441,29 @@ def test_search_commutes_with_lattice_automorphisms(fix, lat, seed):
 
 
 @pytest.fixture
-def counted_proofs(monkeypatch):
-    """Count check_formal_pattern calls from an empty proof cache, and empty
-    it again afterwards so no proof run under the patch stays cached."""
-    calls = {"proof": 0, "full": 0}
-    proof = exceptional.check_formal_pattern
-
-    def counted_proof(*args, **kwargs):
-        calls["proof"] += 1
-        return proof(*args, **kwargs)
-
+def counted_proofs():
+    """The proof runs so far (misses of the proof cache), from an empty cache
+    that is emptied again afterwards."""
     exceptional._pattern_proved.cache_clear()
-    monkeypatch.setattr(exceptional, "check_formal_pattern", counted_proof)
-    yield calls
+    yield lambda: exceptional._pattern_proved.cache_info().misses
     exceptional._pattern_proved.cache_clear()
 
 
 def test_search_runs_one_proof_and_no_full_check(fix, lat, monkeypatch, counted_proofs):
-    def counted_full(lat, cfg):
-        counted_proofs["full"] += 1
+    # the proof runs the full check on its formal lattice; count only the
+    # full checks on the searched one
+    full = 0
+    check = exceptional.sequence_from_config
+
+    def counted_full(on, cfg):
+        nonlocal full
+        full += on is lat
+        return check(on, cfg)
 
     monkeypatch.setattr(exceptional, "sequence_from_config", counted_full)
     for _ in range(2):
         assert len(search_configs(fix.roots, lat.k, limit=10)) == 10
-    assert counted_proofs == {"proof": 1, "full": 0}
+    assert {"proof": counted_proofs(), "full": full} == {"proof": 1, "full": 0}
 
 
 def formal_rootset(a1_square=-2, a1_k=0, k_square=1):
@@ -484,6 +484,19 @@ def test_search_certifies_the_formal_configuration():
         list(range(10)),
         [7, 6, 5, 4, 3, 2, 1, 0, 9, 8],
     ]
+
+
+def test_every_searched_configuration_has_the_formal_euler_matrix(fix, lat):
+    # the premise of the leaf certificate: each chi of the pattern is one
+    # polynomial in the members' pairings and k.k, which every certified leaf
+    # shares with the formal configuration
+    rs = formal_rootset()
+    formal = ABConfiguration(rs.roots[:8], rs.roots[8:], rs.lattice.k)
+    _, want = is_num_exceptional(rs.lattice, sequence_from_config(rs.lattice, formal))
+    configs = search_configs(fix.roots, lat.k, 100)
+    assert len(configs) == 100
+    for cfg in configs:
+        assert is_num_exceptional(lat, sequence_from_config(lat, cfg)) == (True, want)
 
 
 NOT_EXCEPTIONAL = "built sequence is not numerically exceptional"
@@ -578,12 +591,12 @@ def test_search_proves_the_pattern_once_per_k_square(fix, lat, counted_proofs):
     search_configs(fix.roots, lat.k, limit=1)
     rs = formal_rootset()
     assert len(search_configs(rs, rs.lattice.k, limit=1)) == 1
-    assert counted_proofs["proof"] == 1
+    assert counted_proofs() == 1
     rs = formal_rootset(k_square=3)
     for _ in range(2):
         with pytest.raises(ToolkitError, match=NOT_EXCEPTIONAL):
             search_configs(rs, rs.lattice.k, limit=1)
-    assert counted_proofs["proof"] == 2
+    assert counted_proofs() == 2
 
 
 # --- decomposition ---------------------------------------------------------------

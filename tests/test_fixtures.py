@@ -424,4 +424,13 @@ def test_fixture_hash_is_the_sha256_of_the_canonical_dump(fix, raw_fixture, tmp_
     path.write_text(json.dumps(raw_fixture, indent=3))
     again = load_fixtures(path, validate=False)
     assert fix.fixture_hash() == hashlib_digest(raw_fixture)
-    assert again.fixture_hash() == hashlib_digest(again.raw) == fix.fixture_hash()
+    written = json.loads(path.read_text())
+    assert again.fixture_hash() == hashlib_digest(written) == fix.fixture_hash()
+
+
+def test_fixture_hash_ignores_edits_after_loading(fix, raw_copy):
+    # the hash is of the document as read; an edit to a nested table of the
+    # caller's dict afterwards changes neither the parsed tables nor the hash
+    again = FixtureSet.from_dict(raw_copy)
+    raw_copy["sequence"]["L1"]["K"] = 12345
+    assert again.fixture_hash() == fix.fixture_hash()

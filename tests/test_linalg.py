@@ -1,4 +1,5 @@
 import ast
+import sys
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -11,6 +12,17 @@ from barlowlat import linalg
 from barlowlat.roots import CANONICAL_GRAM
 
 small_int = st.integers(-6, 6)
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="no int string digit limit")
+def test_int_text_names_an_integer_past_the_digit_limit_by_sign_and_size():
+    last = 10 ** DIGIT_LIMIT - 1   # the longest that prints
+    size = f"<{(last + 1).bit_length()}-bit integer>"
+    assert linalg.int_text(-last) == str(-last)
+    assert linalg.int_text(last + 1) == size
+    assert linalg.int_text(-last - 1) == "-" + size
+    assert linalg.int_text((-last - 1, 0, -4, last + 1)) == f"(-{size}, 0, -4, {size})"
 
 
 def test_rank_and_det():
