@@ -9,7 +9,9 @@ one by one among the roots by depth-first backtracking.  Every chi of the
 pattern is one integer polynomial in the members' pairings and k.k, and the
 formal configuration (pairings CONFIG_GRAM) passes sequence_from_config, so
 the search certifies a configuration by its pairings, with that full check
-as the fallback.  The effective-decomposition solver enumerates all bounded
+as the fallback.  Both read the member pairs s <= t in one order, _UPPER
+(combinations_with_replacement of the ten members, so A1.A1, A1.A2, ..., A3.B1,
+..., B1.B2, B2.B2).  The effective-decomposition solver enumerates all bounded
 nonnegative integer representations of a class over a generator list: one
 linalg.gauss_jordan gives a flag per rank-raising generator, which forces
 that coefficient, and the search runs on integer tuples.  Two exact integer
@@ -59,14 +61,10 @@ CONFIG_MEMBERS = ("A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "B1", "B2")
 CONFIG_GRAM = diagram_gram(
     10, {(s, s + 1): 1 for s in range(7)} | {(2, 8): 1, (5, 9): 1, (8, 9): -1}
 )
-#: the entries CONFIG_GRAM[s][t] with s <= t, in combinations_with_replacement order
-_UPPER_ENTRIES = tuple(
-    CONFIG_GRAM[s][t] for s, t in combinations_with_replacement(range(10), 2)
-)
-
-#: the pairs violations() compares, in report order: A-A, B1.A*, B2.A*, B1.B2
-_CHECKED_PAIRS = [(s, t) for s in range(8) for t in range(s + 1, 8)]
-_CHECKED_PAIRS += [(b, s) for b in (8, 9) for s in range(8)] + [(8, 9)]
+#: the member pairs s <= t in combinations_with_replacement order, which both
+#: the search's certificate and violations() read, and their CONFIG_GRAM entries
+_UPPER = tuple(combinations_with_replacement(range(10), 2))
+_UPPER_ENTRIES = tuple(CONFIG_GRAM[s][t] for s, t in _UPPER)
 
 
 class ABConfiguration(Record):
@@ -88,25 +86,15 @@ class ABConfiguration(Record):
             raise ToolkitError("need eight chain roots and two extra roots")
 
     def violations(self, lat: PicardLattice) -> list[str]:
+        """The members that are not roots, then each pair s < t whose pairing
+        is not CONFIG_GRAM's, in _UPPER order; read off one pairing table."""
         members = [*self.a, *self.b]
-        out = [
-            f"member {idx} is not a root"
-            for idx, r in enumerate(members)
-            if not lat.is_root(r)
-        ]
-        for s, t in _CHECKED_PAIRS:
-            got = lat.pair(members[s], members[t])
-            want = CONFIG_GRAM[s][t]
-            if got != want:
-                out.append(
-                    f"{CONFIG_MEMBERS[s]}.{CONFIG_MEMBERS[t]} = {got}, expected {want}"
-                )
-        return out
-
-    def validate(self, lat: PicardLattice) -> None:
-        bad = self.violations(lat)
-        if bad:
-            raise ToolkitError("; ".join(bad))
+        rows = list(lat.pairings(members, [*members, lat.k]))
+        out = [f"member {i} is not a root" for i, row in enumerate(rows)
+               if row[i] != -2 or row[-1]]
+        return out + [f"{CONFIG_MEMBERS[s]}.{CONFIG_MEMBERS[t]} = {rows[s][t]}, expected {want}"
+                      for (s, t), want in zip(_UPPER, _UPPER_ENTRIES)
+                      if s < t and rows[s][t] != want]
 
 
 def _pattern(
@@ -125,7 +113,8 @@ def sequence_from_config(
 
     Always numerically exceptional when the configuration is valid.
     """
-    cfg.validate(lat)
+    if bad := cfg.violations(lat):
+        raise ToolkitError("; ".join(bad))
     seq = _pattern(cfg.a, *cfg.b, cfg.k)
     ok, _ = is_num_exceptional(lat, seq)
     if not ok:

@@ -73,9 +73,12 @@ process, on the same cases:
   verify fails ext-bounds and height, naming the height by its size; height
   exits 2.
 
-The output of a case is its exit code, stdout and stderr.  The script
-prints the number of outputs compared and the name of each one that
-differs, and exits 1 if any differs.  It needs no test dependency.
+The output of a case is its exit code, stdout and stderr.  The first tree's
+worker runs under PYTHONHASHSEED=0 and the second's under 1, so a report
+that depends on the string hash seed differs even when both trees are the
+same (python tests/compare_outputs.py src src).  The script prints the
+number of outputs compared and the name of each one that differs, and
+exits 1 if any differs.  It needs no test dependency.
 """
 from __future__ import annotations
 
@@ -412,9 +415,10 @@ def main(argv: list[str]) -> int:
         workers = [
             subprocess.Popen(
                 [sys.executable, "-c", WORKER, str(Path(src).resolve())],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=env,
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True,
+                env=dict(env, PYTHONHASHSEED=str(seed)),
             )
-            for src in argv
+            for seed, src in enumerate(argv)
         ]
         outputs = [w.communicate(payload)[0] for w in workers]
     if any(w.returncode for w in workers):

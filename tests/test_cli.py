@@ -24,6 +24,7 @@ from barlowlat import cli, errors, linalg
 from barlowlat.cli import main, parse_class_expr, run_verification
 from barlowlat.errors import SchemaError, ToolkitError, UsageError
 from barlowlat.fixtures import FixtureSet, load_fixtures, shipped_fixture_text
+from barlowlat.homledger import SURFACE_DIMENSION, StarChoice
 from barlowlat.lattice import DivisorClass, PicardLattice
 
 from compare_outputs import (
@@ -1123,6 +1124,17 @@ def test_formality_command(capsys):
     for d in range(3, 12):
         assert data["zero"][str(d)]["forced_zero"]
         assert data["nonzero"][str(d)]["forced_zero"]
+
+
+@pytest.mark.parametrize("choice", list(StarChoice))
+def test_every_expected_min_degree_forces_zero_from_length_3(choice):
+    # the formality row checks only the minimal degrees and claims that the
+    # compositions vanish from d = 3 on: that holds only if each degree the
+    # map allows at the shipped ledger's lengths (INF where it lists none) is
+    # forced_zero's
+    expected = cli.EXPECTED_MIN_DEGREES[choice]
+    for d in range(3, 12):
+        assert expected.get(d, cli.INF) - (d - 2) > SURFACE_DIMENSION, d
 
 
 def test_search_command(capsys):

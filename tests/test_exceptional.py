@@ -109,7 +109,7 @@ def test_invalid_config_rejected(fix, lat):
 
 
 def test_violations_exact_list(fix, lat):
-    # roots first, then A-A pairs, B1.A*, B2.A* and B1.B2, each in order
+    # roots first, then each pair s < t in the certificate's order (_UPPER)
     cfg = fixture_config(fix, lat)
     a, b = cfg.a, cfg.b
     broken = ABConfiguration(
@@ -118,15 +118,82 @@ def test_violations_exact_list(fix, lat):
     assert broken.violations(lat) == [
         "member 7 is not a root",
         "A1.A3 = 1, expected 0",
+        "A1.B2 = 1, expected 0",
         "A2.A3 = 0, expected 1",
+        "A2.B2 = -2, expected 0",
+        "A3.B1 = 0, expected 1",
+        "A6.B1 = 1, expected 0",
+        "A6.B2 = 0, expected 1",
         "A7.A8 = 2, expected 1",
-        "B1.A3 = 0, expected 1",
-        "B1.A6 = 1, expected 0",
-        "B2.A1 = 1, expected 0",
-        "B2.A2 = -2, expected 0",
-        "B2.A6 = 0, expected 1",
         "B1.B2 = 0, expected -1",
     ]
+
+
+def cellwise_violations(lat, cfg):
+    """The oracle: each member through lat.is_root, then each pair s < t
+    through lat.pair, row by row."""
+    members = [*cfg.a, *cfg.b]
+    out = [f"member {i} is not a root" for i, m in enumerate(members) if not lat.is_root(m)]
+    for s in range(10):
+        for t in range(s + 1, 10):
+            got, want = lat.pair(members[s], members[t]), CONFIG_GRAM[s][t]
+            if got != want:
+                out.append(f"{CONFIG_MEMBERS[s]}.{CONFIG_MEMBERS[t]} = {got}, expected {want}")
+    return out
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_violations_match_a_cellwise_oracle(fix, lat, data):
+    # the shipped configuration with up to four edits: two members swapped,
+    # one repeated in another's place, one doubled, or one replaced by
+    # E1 + E2 (square -2, but degree 2) or by any root
+    cfg = fixture_config(fix, lat)
+    members = [*cfg.a, *cfg.b]
+    index = st.integers(0, 9)
+    for _ in range(data.draw(st.integers(0, 4), label="edits")):
+        kind = data.draw(st.sampled_from(["swap", "repeat", "double", "off_k", "replace"]))
+        i, j = data.draw(index), data.draw(index)
+        if kind == "swap":
+            members[i], members[j] = members[j], members[i]
+        elif kind == "repeat":
+            members[j] = members[i]
+        elif kind == "double":
+            members[i] = 2 * members[i]
+        elif kind == "off_k":
+            members[i] = fix.curve_class("E1") + fix.curve_class("E2")
+        else:
+            members[i] = data.draw(st.sampled_from(fix.roots.roots))
+    drawn = ABConfiguration(tuple(members[:8]), tuple(members[8:]), lat.k)
+    assert drawn.violations(lat) == cellwise_violations(lat, drawn)
+
+
+@pytest.mark.parametrize("check", [
+    lambda lat, cfg: cfg.violations(lat),
+    sequence_from_config,
+], ids=["violations", "sequence_from_config"])
+@pytest.mark.parametrize("member", [0, 7, 9])
+def test_a_member_of_the_wrong_length_names_its_length(fix, lat, check, member):
+    cfg = fixture_config(fix, lat)
+    members = [*cfg.a, *cfg.b]
+    members[member] = DivisorClass(members[member].coords[:8])
+    short = ABConfiguration(tuple(members[:8]), tuple(members[8:]), lat.k)
+    with pytest.raises(ToolkitError, match="^class has length 8, lattice has rank 9$"):
+        check(lat, short)
+
+
+@pytest.mark.parametrize("cell, found", [
+    ((8, 2), []),
+    ((2, 8), ["A3.B1 = 0, expected 1"]),
+])
+def test_violations_read_each_pair_as_the_certificate_does(cell, found):
+    # on an asymmetric Gram only the orientation s < t (A3.B1, not B1.A3) is read
+    rs = formal_rootset()
+    gram = [list(row) for row in rs.lattice.gram]
+    gram[cell[0]][cell[1]] = 0
+    formal = PicardLattice(rank=11, gram=tuple(map(tuple, gram)), k=rs.lattice.k)
+    cfg = ABConfiguration(rs.roots[:8], rs.roots[8:], formal.k)
+    assert cfg.violations(formal) == found
 
 
 # --- formal pattern -------------------------------------------------------------
@@ -535,9 +602,9 @@ def test_search_falls_back_to_the_full_check(fix, lat, case):
 #: with every value
 LYING_ROW_ERRORS = {
     0: "A1.A2 = -1, expected 1; A1.A3 = -1, expected 0; A1.A4 = 1, expected 0; "
-       "B1.A1 = 1, expected 0",
+       "A1.B1 = 1, expected 0",
     1: "A2.A3 = -1, expected 1",
-    2: "A3.A4 = -1, expected 1; A3.A8 = 1, expected 0; B1.A3 = 0, expected 1",
+    2: "A3.A4 = -1, expected 1; A3.A8 = 1, expected 0; A3.B1 = 0, expected 1",
 }
 
 

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barlowlat.errors import ToolkitError
+from barlowlat.exceptional import DecompositionProblem, decompose_effective
 from barlowlat.fixtures import CURVE_NAMES
+from barlowlat.homledger import StarChoice, min_chain_degree
 from barlowlat.lattice import DivisorClass, make_lattice
 
 coords9 = st.tuples(*[st.integers(-9, 9)] * 9).map(DivisorClass)
@@ -281,3 +283,21 @@ def test_class_from_pairings_non_integral():
     with pytest.raises(ToolkitError, match=r"solution \['1/2', '-1/3', '-5'\] is rational"):
         lat.class_from_pairings(units, [-2, -2, -5])
 
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda fix: decompose_effective(fix.lattice, DecompositionProblem.create(
+        fix.curve_class("K"), [("short", DivisorClass.zero(8))])),
+     ToolkitError, "generators and target must have the lattice's rank"),
+    (lambda fix: DivisorClass.zero(9) + DivisorClass.zero(8), ToolkitError, "9 != 8"),
+    (lambda fix: 2.0 * fix.curve_class("K"), TypeError, "scalar must be an integer"),
+    (lambda fix: fix.lattice.classes_from_pairings(
+        [fix.curve_class(n) for n in CURVE_NAMES], [[0] * 13]),
+     ToolkitError, "probes and values have different lengths"),
+    (lambda fix: fix.ext_bounds.entry(23, 1), IndexError, r"indices \(23, 1\) outside 1\.\.22"),
+    (lambda fix: min_chain_degree(fix.ledger, StarChoice.ZERO, 0),
+     ValueError, "chain length must be at least 1"),
+], ids=["decompose-short-generator", "add-9-and-8", "float-scalar", "short-value-row",
+        "entry-outside-table", "chain-length-0"])
+def test_library_argument_errors(fix, call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call(fix)
