@@ -72,15 +72,6 @@ class ABConfiguration(Record):
     b: tuple[DivisorClass, ...]  # two marked roots
     k: DivisorClass
 
-    # hand-written, same semantics as Record's: search_configs builds one per leaf
-    def __init__(
-        self, a: tuple[DivisorClass, ...], b: tuple[DivisorClass, ...], k: DivisorClass
-    ) -> None:
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "k", k)
-        self.__post_init__()
-
     def __post_init__(self) -> None:
         if len(self.a) != 8 or len(self.b) != 2:
             raise ToolkitError("need eight chain roots and two extra roots")

@@ -1,7 +1,7 @@
 """Exact arithmetic on a Picard lattice.
 
 Classes are integer coordinate vectors in a fixed basis; the lattice supplies
-the symmetric pairing, the Euler characteristic of a class, the root test and
+the symmetric pairing, the Euler characteristic of a class and
 reconstruction of classes from their pairings against a spanning probe set.
 Pairings are bilinear: `pairings` yields a table row by row from one Gram image
 per right-hand class and is the one product with the Gram; `pair` is its
@@ -24,10 +24,8 @@ class DivisorClass(Record):
 
     coords: tuple[int, ...]
 
-    # hand-written, same semantics as Record's: verify builds about 600
-    # classes per run, and the generic path made it about 10 % slower at 1,100
-    def __init__(self, coords: Iterable[int]) -> None:
-        coords = tuple(coords)
+    def __post_init__(self) -> None:
+        coords = tuple(self.coords)   # any iterable of integers; True is stored as 1
         if not all(map(isinstance, coords, repeat(int))):
             raise TypeError("coordinates must be integers")
         object.__setattr__(self, "coords", tuple(map(int, coords)))
@@ -114,10 +112,6 @@ class PicardLattice(Record):
     def chi_hom(self, frm: DivisorClass, to: DivisorClass) -> int:
         """Euler pairing of two line-bundle classes: chi(to - frm)."""
         return self.chi(to - frm)
-
-    def is_root(self, v: DivisorClass) -> bool:
-        """True iff v.k = 0 and v.v = -2."""
-        return self.pair(v, self.k) == 0 and self.pair(v, v) == -2
 
     def det(self) -> int:
         return linalg.det_exact(self.gram)

@@ -8,11 +8,13 @@ class Record:
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         names = self._fields
-        values = dict(zip(names, args), **kwargs)
-        if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
-            raise TypeError(f"{type(self).__name__} takes the fields {names}")
-        for name in names:   # not via __dict__: a materialised dict slows every read
-            object.__setattr__(self, name, values[name])
+        if kwargs or len(args) != len(names):
+            values = dict(zip(names, args), **kwargs)
+            if len(args) + len(kwargs) != len(names) or values.keys() != set(names):
+                raise TypeError(f"{type(self).__name__} takes the fields {names}")
+            args = [values[name] for name in names]
+        for name, value in zip(names, args):   # not via __dict__, which slows every read
+            object.__setattr__(self, name, value)
         self.__post_init__()
 
     def __post_init__(self) -> None:

@@ -1,5 +1,7 @@
 """Exact root enumeration on any lattice: the oracle for `roots.enumerate_roots`.
 
+`is_root` is the root test by definition, two pairings through `lat.pair`.
+
 `fincke_pohst_roots` restricts the negated pairing to the integer kernel of
 the pairing-with-k map (`linalg.integer_kernel`) and runs an exact
 Fincke-Pohst search at bound 2 over the fraction-free LDL^T of
@@ -11,6 +13,11 @@ from operator import mul
 
 from barlowlat import linalg
 from barlowlat.lattice import DivisorClass
+
+
+def is_root(lat, v):
+    """True iff v.k = 0 and v.v = -2."""
+    return lat.pair(v, lat.k) == 0 and lat.pair(v, v) == -2
 
 
 def short_vectors(q, bound):

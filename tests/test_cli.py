@@ -314,6 +314,26 @@ def test_verify_fails_the_rows_a_table_edit_breaks(tmp_path, capsys, mutate, fai
     assert report["summary"] == {"pass": 16 - len(failed), "fail": len(failed), "skipped": 0}
 
 
+def _flip_star_cell_and_shift(raw):
+    rows = raw["ext_bounds"]["rows"]
+    if not rows[10][4] == rows[21][15] == "inf":
+        raise ValueError("star cell (11,5) and its shift (22,16) read inf as shipped")
+    rows[10][4] = rows[21][15] = 1
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 1: a shift-consistent flip of a `neither` star still "
+    "verifies 16/16 with height 2; no check ties the star bounds to the lattice",
+)
+def test_verify_fails_a_shift_consistent_star_flip(tmp_path, capsys):
+    path = _write_edited(tmp_path, _flip_star_cell_and_shift)
+    code, out, _ = run_cli(capsys, "verify", "--fixtures", path)
+    failed = [c["id"] for c in json.loads(out)["checks"] if c["status"] == "fail"]
+    assert code == 1
+    assert "ext-bounds" in failed
+
+
 def test_verify_text_format_prints_the_error_under_its_row(tmp_path, capsys):
     path = _write_edited(tmp_path, _ext_cross_block_cell)
     code, out, _ = run_cli(capsys, "verify", "--format", "text", "--fixtures", path)

@@ -29,7 +29,7 @@ from barlowlat.fixtures import CURVE_NAMES
 from barlowlat.lattice import DivisorClass, PicardLattice, make_lattice
 from barlowlat.roots import RootSet, enumerate_roots
 
-from root_oracle import fincke_pohst_roots
+from root_oracle import fincke_pohst_roots, is_root
 
 
 def fixture_config(fix, lat):
@@ -130,10 +130,10 @@ def test_violations_exact_list(fix, lat):
 
 
 def cellwise_violations(lat, cfg):
-    """The oracle: each member through lat.is_root, then each pair s < t
+    """The oracle: each member through the root oracle, then each pair s < t
     through lat.pair, row by row."""
     members = [*cfg.a, *cfg.b]
-    out = [f"member {i} is not a root" for i, m in enumerate(members) if not lat.is_root(m)]
+    out = [f"member {i} is not a root" for i, m in enumerate(members) if not is_root(lat, m)]
     for s in range(10):
         for t in range(s + 1, 10):
             got, want = lat.pair(members[s], members[t]), CONFIG_GRAM[s][t]

@@ -1,4 +1,7 @@
+import importlib
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -7,12 +10,46 @@ import pytest
 
 import barlowlat
 from barlowlat.errors import SchemaError, ToolkitError
-from barlowlat.exceptional import ABConfiguration
+from barlowlat.exceptional import ABConfiguration, DecompositionProblem, search_configs
 from barlowlat.fixtures import load_fixtures
 from barlowlat.heights import Arc
-from barlowlat.homledger import CohomDatum
+from barlowlat.homledger import CohomDatum, StarChoice, formality_report
 from barlowlat.lattice import DivisorClass
 from barlowlat.record import Record
+from barlowlat.roots import partition_roots
+
+#: one instance of every Record subclass of the package, built from the shipped fixture
+SAMPLES = {
+    "ABConfiguration": lambda fix: search_configs(fix.roots, fix.lattice.k, limit=1)[0],
+    "Arc": lambda fix: Arc((1, 12), 11),
+    "BTable": lambda fix: fix.b_table,
+    "Canonical": lambda fix: fix.canonical,
+    "CohomDatum": lambda fix: CohomDatum(0, 1, 1),
+    "DecompositionProblem": lambda fix: DecompositionProblem.create(
+        fix.lattice.k, [("D1", fix.curve_class("D1"))], caps=[2]),
+    "DivisorClass": lambda fix: fix.curve_class("D1"),
+    "ExtBoundMatrix": lambda fix: fix.ext_bounds,
+    "FixtureSet": lambda fix: fix,
+    "FormalityVerdict": lambda fix: formality_report(fix.ledger, StarChoice.ZERO)[2],
+    "LedgerMatrix": lambda fix: fix.ledger,
+    "PicardLattice": lambda fix: fix.lattice,
+    "RootPartition": lambda fix: partition_roots(
+        fix.roots, fix.degree1_elliptic_classes(), list(fix.b_classes().values()),
+        fix.minus_two_classes()),
+    "RootSet": lambda fix: fix.roots,
+}
+
+
+def _package_records():
+    for info in pkgutil.iter_modules(barlowlat.__path__):
+        importlib.import_module(f"barlowlat.{info.name}")
+    found, todo = set(), [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("barlowlat."):
+                found.add(cls)
+            todo.append(cls)
+    return found
 
 
 def test_fields_cannot_be_assigned_or_deleted():
@@ -108,3 +145,43 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
         [sys.executable, "-S", "-c", code], capture_output=True, text=True, check=True, env=env,
     )
     assert proc.stdout.strip() == "[]"
+
+
+def test_every_package_record_has_a_sample():
+    assert {cls.__name__ for cls in _package_records()} == set(SAMPLES)
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLES))
+def test_one_constructor_for_every_record(fix, name):
+    obj = SAMPLES[name](fix)
+    cls, fields, values = type(obj), obj._fields, obj._values()
+    assert cls.__name__ == name
+    # positional and keyword construction give equal records
+    assert cls(*values) == obj == cls(**dict(zip(fields, values)))
+    # a wrong arity is one TypeError naming the fields
+    message = re.escape(f"{name} takes the fields {fields}")
+    for args in (values[:-1], (*values, None)):
+        with pytest.raises(TypeError, match=message):
+            cls(*args)
+    # the fields stay read-only
+    for field in fields:
+        with pytest.raises(AttributeError, match="cannot assign"):
+            setattr(obj, field, None)
+
+
+@pytest.mark.parametrize("build", [DivisorClass, lambda coords: DivisorClass(coords=coords)],
+                         ids=["positional", "keyword"])
+def test_divisor_class_normalises_its_coordinates(build):
+    v = build((True, 0, -2))
+    assert v == build(c for c in (1, 0, -2)) == DivisorClass((1, 0, -2))
+    assert [type(c) for c in v.coords] == [int] * 3
+    with pytest.raises(TypeError, match="coordinates must be integers"):
+        build((1.0, 0))
+
+
+def test_ab_configuration_checks_its_chain_on_both_paths(lat):
+    k = lat.k
+    with pytest.raises(ToolkitError, match="need eight chain roots"):
+        ABConfiguration((k,) * 7, (k, k), k)
+    with pytest.raises(ToolkitError, match="need eight chain roots"):
+        ABConfiguration(a=(k,) * 7, b=(k, k), k=k)
