@@ -254,7 +254,7 @@ def run_verification(fix: FixtureSet, stars_flag: str) -> dict:
     return {
         "tool": "barlowlat",
         "version": __version__,
-        "fixture_hash": fix.fixture_hash(),
+        "fixture_hash": fix.digest,
         "stars": stars_flag,
         "checks": results,
         "summary": counts,

@@ -80,7 +80,7 @@ class ABConfiguration(Record):
         """The members that are not roots, then each pair s < t whose pairing
         is not CONFIG_GRAM's, in _UPPER order; read off one pairing table."""
         members = [*self.a, *self.b]
-        rows = list(lat.pairings(members, [*members, lat.k]))
+        rows = lat.pairings(members, [*members, lat.k])
         out = [f"member {i} is not a root" for i, row in enumerate(rows)
                if row[i] != -2 or row[-1]]
         return out + [f"{CONFIG_MEMBERS[s]}.{CONFIG_MEMBERS[t]} = {rows[s][t]}, expected {want}"
@@ -367,10 +367,11 @@ def decompose_effective(
     of degree 0, or to the leaf.  A flag whose pivot it jumps over has the
     interval [0, 0] there, so the check just made zeroed it.
     """
+    for v in (*(g for _, g in problem.generators), problem.target):
+        if len(v.coords) != lat.rank:
+            lat._check_len(v)
     gens = tuple(g.coords for _, g in problem.generators)
     target = problem.target.coords
-    if any(len(v) != lat.rank for v in (*gens, target)):
-        raise ToolkitError("generators and target must have the lattice's rank")
     m, caps = len(gens), problem.caps
     start_rows, span_rows, reach, cols, place, bounds, skip = _search_setup(
         lat.gram, lat.k.coords, gens, caps

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
+from itertools import product
 from operator import mul
 from pathlib import Path
 from typing import Any, Mapping, Sequence
@@ -85,17 +86,9 @@ def b_name(q: int, i: int, j: int, k: int) -> str:
     return ("Bp" if q == 1 else "Bm") + f"{i}{j}{k}"
 
 
-def b_keys() -> list[tuple[int, int, int, int]]:
-    return [
-        (q, i, j, k)
-        for q in (1, -1)
-        for i in (0, 1)
-        for j in (0, 1)
-        for k in range(4)
-    ]
-
-
-B_NAMES = frozenset(b_name(*key) for key in b_keys())
+#: the keys (q, i, j, k) of the 32 genus-3 classes, in the order of the table
+B_KEYS = tuple(product((1, -1), (0, 1), (0, 1), range(4)))
+B_NAMES = frozenset(b_name(*key) for key in B_KEYS)
 
 
 # --------------------------------------------------------------------------- tables
@@ -216,7 +209,7 @@ class Canonical(Record):
 class FixtureSet(Record):
     """The parsed tables; the model stages are cached properties over them."""
 
-    digest: str   # fixture_hash(), taken when the document was read
+    digest: str   # SHA-256 of the canonical dump, taken when the document was read
     curves: PicardLattice   # formal: Gram the curve table, k the curve K
     b_table: BTable
     d8_defs: dict[str, dict[str, int]]
@@ -359,7 +352,7 @@ class FixtureSet(Record):
         names = (*CURVE_NAMES, *(f"D{i}" for i in range(1, 9)))
         units = [_curve_vector({n: 1}) for n in CURVE_NAMES]
         rows = curves.pairings([*basis2, *units, *ds], basis2)
-        gram4 = tuple(tuple(next(rows)) for _ in basis2)
+        gram4 = tuple(map(tuple, rows[:9]))
         if gram4 != tuple(tuple(4 * x for x in row) for row in CANONICAL_GRAM):
             raise ToolkitError("canonical gram does not match the extended Cartan form")
         lat = make_lattice(9, CANONICAL_GRAM, DivisorClass(CANONICAL_K))
@@ -373,7 +366,7 @@ class FixtureSet(Record):
         # the coordinates reproduce every cell of the curve table, with no
         # round trip to check.  A row of the table is 2 B^T M a.
         classes = {}
-        for name, pv2 in zip(names, rows):
+        for name, pv2 in zip(names, rows[9:]):
             if any(x % 2 for x in pv2):
                 raise ToolkitError(f"{name} is not integral in the canonical basis")
             classes[name] = DivisorClass([_dot(row, pv2) // 2 for row in ginv])
@@ -385,15 +378,14 @@ class FixtureSet(Record):
         """The 32 genus-3 classes by name, every pairing rule re-verified."""
         lat = self.lattice
         probes = [self.canonical.classes[n] for n in CURVE_NAMES]
-        keys = b_keys()
-        rows = [self.b_table.pairing_row(self.curves, *key) for key in keys]
-        classes = dict(zip(keys, lat.classes_from_pairings(probes, rows)))
+        rows = [self.b_table.pairing_row(self.curves, *key) for key in B_KEYS]
+        classes = dict(zip(B_KEYS, lat.classes_from_pairings(probes, rows)))
         if len(set(c.coords for c in classes.values())) != 32:
             raise ToolkitError("the 32 genus-3 classes are not distinct")
         # one table: each class against the 32, K and the four (-2)-curves; the
         # solver returns classes of the lattice's rank, so no length check fails
         right = [*classes.values(), lat.k, *self.minus_two_classes()]
-        table = list(lat.pairings(classes.values(), right))
+        table = lat.pairings(classes.values(), right)
         for i, (key, row) in enumerate(zip(classes, table)):
             if (row[i], row[32]) != (2, 2):
                 raise ToolkitError(
@@ -470,7 +462,7 @@ class FixtureSet(Record):
     def validate_d8(self) -> dict[str, object]:
         """The eight combinations have the expected fork Gram and degree 0."""
         ds = self.d8_fork
-        rows = list(self.curves.pairings(ds, [*ds, self.curves.k]))
+        rows = self.curves.pairings(ds, [*ds, self.curves.k])
         gram = tuple(tuple(row[:8]) for row in rows)
         bad = linalg.first_difference(gram, self.d8_gram_expected)
         if bad:
@@ -488,9 +480,9 @@ class FixtureSet(Record):
 
     def build_canonical(self) -> dict[str, object]:
         """The canonical stage; witness: determinant, glue tips and signature."""
-        lat = self.lattice
-        return {"det": lat.det(), "glue_tips": list(self.canonical.glue_tips),
-                "signature": list(lat.signature())}
+        gram = self.lattice.gram
+        return {"det": linalg.det_exact(gram), "glue_tips": list(self.canonical.glue_tips),
+                "signature": list(linalg.signature_symmetric(gram))}
 
     def validate_b_classes(self) -> dict[str, object]:
         """The genus-3 stage: the 32 classes reconstruct and match every rule."""
@@ -593,10 +585,6 @@ class FixtureSet(Record):
 
     def irreducible_elliptic_classes(self) -> tuple[DivisorClass, ...]:
         return tuple(self.curve_class(n) for n in IRREDUCIBLE_ELLIPTIC)
-
-    def fixture_hash(self) -> str:
-        """The SHA-256 of the document's canonical dump, as it was when read."""
-        return self.digest
 
 
 def shipped_fixture_text() -> str:

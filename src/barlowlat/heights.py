@@ -57,15 +57,15 @@ class ExtBoundMatrix(Record):
 
     def entry(self, target: int, source: int) -> int | float:
         """Bound for e(source -> target), 1-based indices."""
+        if not self.defined(target, source):
+            raise ToolkitError(f"cell (target {target}, source {source}) carries no data")
+        return self.rows[target - 1][source - 1]
+
+    def defined(self, target: int, source: int) -> bool:
+        """Whether the cell carries data; IndexError outside the table."""
         size = 2 * self.n
         if not (1 <= target <= size and 1 <= source <= size):
             raise IndexError(f"indices ({target}, {source}) outside 1..{size}")
-        val = self.rows[target - 1][source - 1]
-        if val is ABSENT:
-            raise ToolkitError(f"cell (target {target}, source {source}) carries no data")
-        return val
-
-    def defined(self, target: int, source: int) -> bool:
         return self.rows[target - 1][source - 1] is not ABSENT
 
 

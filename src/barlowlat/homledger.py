@@ -119,6 +119,8 @@ class LedgerMatrix(Record):
 
     def datum(self, i: int, j: int, stars: StarChoice) -> CohomDatum:
         """Forward datum for maps j -> i; zero for backward pairs."""
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise IndexError(f"indices ({i}, {j}) outside 1..{self.n}")
         if i < j:
             return ZERO_DATUM
         val = self.entries[(i, j)]

@@ -3,16 +3,17 @@
 Classes are integer coordinate vectors in a fixed basis; the lattice supplies
 the symmetric pairing, the Euler characteristic of a class and
 reconstruction of classes from their pairings against a spanning probe set.
-Pairings are bilinear: `pairings` yields a table row by row from one Gram image
-per right-hand class and is the one product with the Gram; `pair` is its
-one-cell table, and `euler_matrix` reads every chi(l_i - l_j) off one.
+Pairings are bilinear: `pairings` checks the length of every class, then
+returns the whole table from one Gram image per right-hand class, and is the
+one product with the Gram; `pair` is its one-cell table, and `euler_matrix`
+reads every chi(l_i - l_j) off one.
 """
 from __future__ import annotations
 
-from itertools import product, repeat
+from itertools import repeat
 from math import gcd
 from operator import mul
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ToolkitError
 from . import linalg
@@ -77,21 +78,18 @@ class PicardLattice(Record):
 
     def pair(self, a: DivisorClass, b: DivisorClass) -> int:
         """Intersection pairing a . b: the one-cell table of `pairings`."""
-        return next(self.pairings([a], [b]))[0]
+        return self.pairings([a], [b])[0][0]
 
     def pairings(self, left: Iterable[DivisorClass],
-                 right: Sequence[DivisorClass]) -> Iterator[list[int]]:
-        """Yield [a . b for b in right] for each a in left, from one Gram image per
-        right class.  Lengths are checked in the order cell-by-cell `pair` calls
-        check them: left[0], the right classes, then each left[i] at its row."""
-        images: list[list[int]] = []
-        for i, a in enumerate(left):
-            self._check_len(a)
-            if not i:
-                for b in right:
-                    self._check_len(b)
-                images = [[sum(map(mul, row, b.coords)) for row in self.gram] for b in right]
-            yield [sum(map(mul, a.coords, image)) for image in images]
+                 right: Iterable[DivisorClass]) -> list[list[int]]:
+        """[[a . b for b in right] for a in left], from one Gram image per right
+        class.  Every left class, then every right class, is checked for
+        length before any cell is computed."""
+        left, right = tuple(left), tuple(right)
+        for v in (*left, *right):
+            self._check_len(v)
+        images = [[sum(map(mul, row, b.coords)) for row in self.gram] for b in right]
+        return [[sum(map(mul, a.coords, image)) for image in images] for a in left]
 
     def chi(self, d: DivisorClass) -> int:
         """Euler characteristic 1 + (d.d - d.k)/2 of a class."""
@@ -99,11 +97,9 @@ class PicardLattice(Record):
 
     def euler_matrix(self, seq: Sequence[DivisorClass]) -> list[list[int]]:
         """M[i][j] = chi(seq_i - seq_j) by bilinearity: for d = a - b, d.d - d.k =
-        (a.a - a.k) + (b.b + b.k) - 2 a.b.  The first failing cell raises chi's error."""
-        if any(len(v) != self.rank for v in seq):   # a cell raises; chi finds the first
-            for a, b in product(seq, repeat=2):
-                self.chi(a - b)
-        rows = list(self.pairings(seq, [*seq, self.k]))
+        (a.a - a.k) + (b.b + b.k) - 2 a.b.  A class of the wrong length is refused
+        by `pairings`; the first odd cell in row order raises chi's error."""
+        rows = self.pairings(seq, [*seq, self.k])
         left = [row[i] - row[-1] for i, row in enumerate(rows)]    # a.a - a.k
         right = [row[i] + row[-1] for i, row in enumerate(rows)]   # b.b + b.k
         return [[_chi_from(left[i] + right[j] - 2 * row[j]) for j in range(len(seq))]
@@ -112,13 +108,6 @@ class PicardLattice(Record):
     def chi_hom(self, frm: DivisorClass, to: DivisorClass) -> int:
         """Euler pairing of two line-bundle classes: chi(to - frm)."""
         return self.chi(to - frm)
-
-    def det(self) -> int:
-        return linalg.det_exact(self.gram)
-
-    def signature(self) -> tuple[int, int, int]:
-        """Inertia of the Gram; ValueError if a leading minor vanishes."""
-        return linalg.signature_symmetric(self.gram)
 
     def classes_from_pairings(
         self,
@@ -135,7 +124,7 @@ class PicardLattice(Record):
         if any(len(probes) != len(row) for row in values):
             raise ToolkitError("probes and values have different lengths")
         units = [DivisorClass([int(i == j) for j in range(self.rank)]) for i in range(self.rank)]
-        rows = list(self.pairings(probes, units))
+        rows = self.pairings(probes, units)
         out = []
         for status, solution in linalg.solve_overdetermined(rows, values):
             if status == "underdetermined":

@@ -28,18 +28,13 @@ def diagram_gram(n: int, edges: Mapping[tuple[int, int], int]) -> tuple[tuple[in
     return tuple(map(tuple, m))
 
 
-def extended_cartan_expected() -> tuple[tuple[int, ...], ...]:
-    """The negated E8 Cartan form of (e, d8, d7, d6, d5, d4, d3, d2).
-
-    e attaches to d7, the tip of weight 4, and pairs -1 with it: the sign the
-    half-sum produces.  Every other edge of the diagram pairs +1.
-    """
-    return diagram_gram(8, {(0, 2): -1, (1, 3): 1} | {(s, s + 1): 1 for s in range(2, 7)})
-
-
+#: the negated E8 Cartan form of (e, d8, d7, d6, d5, d4, d3, d2): e attaches
+#: to d7, the tip of weight 4, and pairs -1 with it, the sign the half-sum
+#: produces; every other edge of the diagram pairs +1
+EXTENDED_CARTAN = diagram_gram(8, {(0, 2): -1, (1, 3): 1} | {(s, s + 1): 1 for s in range(2, 7)})
 #: the Gram of the canonical basis (K, e, D8..D2), 1 ⊥ (-E8): K, then e
 #: extending D8..D2 to the E8 Cartan form
-CANONICAL_GRAM = ((1,) + (0,) * 8,) + tuple((0,) + r for r in extended_cartan_expected())
+CANONICAL_GRAM = ((1,) + (0,) * 8,) + tuple((0,) + r for r in EXTENDED_CARTAN)
 #: K, the first vector of the canonical basis
 CANONICAL_K = (1,) + (0,) * 8
 

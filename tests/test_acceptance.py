@@ -17,7 +17,7 @@ from barlowlat.exceptional import (
     search_configs,
     sequence_from_config,
 )
-from barlowlat.fixtures import BASIS_NAMES, CURVE_NAMES, b_keys, b_name
+from barlowlat.fixtures import B_KEYS, BASIS_NAMES, CURVE_NAMES, b_name
 from barlowlat.heights import (
     INF,
     Arc,
@@ -35,7 +35,7 @@ from barlowlat.homledger import (
     validate_ledger,
 )
 from barlowlat.lattice import DivisorClass, make_lattice
-from barlowlat.roots import enumerate_roots, extended_cartan_expected, partition_roots
+from barlowlat.roots import EXTENDED_CARTAN, enumerate_roots, partition_roots
 
 from root_oracle import fincke_pohst_roots, is_root
 
@@ -108,7 +108,7 @@ def test_acceptance_02_highest_root_extension(fix, lat):
         gram_norm = [[lat.pair(a, b) for b in flipped] for a in flipped]
         expected = [
             [(-1 if (i == 0) != (j == 0) else 1) * v for j, v in enumerate(row)]
-            for i, row in enumerate(extended_cartan_expected())
+            for i, row in enumerate(EXTENDED_CARTAN)
         ]
         assert gram_norm[0][0] == 1
         assert all(gram_norm[0][j] == 0 for j in range(1, 9))
@@ -134,15 +134,15 @@ def test_acceptance_04_b_reconstruction(fix, lat):
     with timer() as t:
         bs = fix.b_classes()   # raises unless all 32 solve integrally
         assert len(bs) == 32
-        for k1 in b_keys():
-            for k2 in b_keys():
+        for k1 in B_KEYS:
+            for k2 in B_KEYS:
                 if k1 == k2:
                     continue
                 got = lat.pair(bs[b_name(*k1)], bs[b_name(*k2)])
                 assert got == fix.b_table.expected_pairing(k1, k2)
         l_curve = fix.curve_class("L")
         two_k = 2 * fix.curve_class("K")
-        for key in b_keys():
+        for key in B_KEYS:
             assert lat.pair(bs[b_name(*key)] - two_k, l_curve) == -key[0]
         c = fix.curve_class
         assert 2 * c("Bp000") == (

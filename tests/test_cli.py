@@ -588,8 +588,8 @@ def test_fixtures_dir_names_the_document_that_is_verified(tmp_path, capsys, monk
     code, out, _ = run_cli(capsys, "verify")
     report = json.loads(out)
     assert (code, report["summary"]["pass"]) == (0, 16)
-    assert report["fixture_hash"] == load_fixtures(str(path), validate=False).fixture_hash()
-    assert report["fixture_hash"] != load_fixtures(validate=False).fixture_hash()
+    assert report["fixture_hash"] == load_fixtures(str(path), validate=False).digest
+    assert report["fixture_hash"] != load_fixtures(validate=False).digest
 
 
 def test_the_fixtures_option_wins_over_fixtures_dir(tmp_path, capsys, monkeypatch):
@@ -599,12 +599,12 @@ def test_the_fixtures_option_wins_over_fixtures_dir(tmp_path, capsys, monkeypatc
     monkeypatch.setenv("FIXTURES_DIR", str(path.parent))
     code, out, _ = run_cli(capsys, "verify", "--fixtures", str(shipped))
     assert code == 0
-    assert json.loads(out)["fixture_hash"] == load_fixtures(validate=False).fixture_hash()
+    assert json.loads(out)["fixture_hash"] == load_fixtures(validate=False).digest
     # a FIXTURES_DIR with no document is not read when --fixtures is given
     monkeypatch.setenv("FIXTURES_DIR", str(tmp_path / "missing"))
     code, out, _ = run_cli(capsys, "verify", "--fixtures", str(path))
     twisted = load_fixtures(str(path), validate=False)
-    assert (code, json.loads(out)["fixture_hash"]) == (0, twisted.fixture_hash())
+    assert (code, json.loads(out)["fixture_hash"]) == (0, twisted.digest)
 
 
 def test_a_fixtures_dir_without_barlow_json_exits_2(tmp_path, capsys, monkeypatch):

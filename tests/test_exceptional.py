@@ -69,8 +69,8 @@ def test_reversed_pair_fails(fix, lat):
 
 
 @pytest.mark.parametrize("lengths, message", [
-    ((9, 8), "9 != 8"),                                     # cell (1,2): l_1 - l_2
-    ((8, 9), "class has length 8, lattice has rank 9"),     # cell (1,1): chi of l_1 - l_1
+    ((9, 8), "class has length 8, lattice has rank 9"),     # l_2, refused before any cell
+    ((8, 9), "class has length 8, lattice has rank 9"),     # l_1, refused before any cell
 ])
 def test_mixed_lengths_raise_at_the_first_cell(lat, lengths, message):
     seq = [DivisorClass.zero(n) for n in lengths]

@@ -9,13 +9,13 @@ from barlowlat.cli import main
 from barlowlat.errors import SchemaError, ToolkitError, UnknownName
 from barlowlat.exceptional import CONFIG_GRAM, is_num_exceptional
 from barlowlat.fixtures import (
-    BASIS_NAMES, CURVE_NAMES, D8_FORK_GRAM, STAR_POSITIONS, FixtureSet, b_keys, b_name,
+    B_KEYS, BASIS_NAMES, CURVE_NAMES, D8_FORK_GRAM, STAR_POSITIONS, FixtureSet, b_name,
     load_fixtures,
 )
 from barlowlat.heights import ABSENT, ExtBoundMatrix, height, single_segment_bound
 from barlowlat.homledger import STAR, LedgerMatrix, StarChoice, formality_report, validate_ledger
 from barlowlat.lattice import DivisorClass, PicardLattice
-from barlowlat.roots import CANONICAL_GRAM, extended_cartan_expected
+from barlowlat.roots import CANONICAL_GRAM, EXTENDED_CARTAN
 
 from root_oracle import is_root
 
@@ -61,7 +61,7 @@ def test_diagram_grams_are_the_written_out_tables():
     # the three (-2)-Grams are built from edge lists; these are the tables
     assert D8_FORK_GRAM == EXPECTED_D8_GRAM
     assert CONFIG_GRAM == EXPECTED_CONFIG_GRAM
-    assert extended_cartan_expected() == tuple(row[1:] for row in EXPECTED_CANONICAL_GRAM[1:])
+    assert EXTENDED_CARTAN == tuple(row[1:] for row in EXPECTED_CANONICAL_GRAM[1:])
     assert CANONICAL_GRAM == EXPECTED_CANONICAL_GRAM
 
 
@@ -243,8 +243,8 @@ def test_b_classes_all_reconstruct(fix, lat):
 
 def test_b_block_values(fix, lat):
     bs = fix.b_classes()
-    for k1 in b_keys():
-        for k2 in b_keys():
+    for k1 in B_KEYS:
+        for k2 in B_KEYS:
             if k1 == k2:
                 continue
             got = lat.pair(bs[b_name(*k1)], bs[b_name(*k2)])
@@ -255,7 +255,7 @@ def test_b_pentagon_rule(fix, lat):
     bs = fix.b_classes()
     l_curve = fix.curve_class("L")
     k = fix.curve_class("K")
-    for key in b_keys():
+    for key in B_KEYS:
         q = key[0]
         assert lat.pair(bs[b_name(*key)] - 2 * k, l_curve) == -q
 
@@ -412,8 +412,8 @@ def test_every_named_class_roundtrips(fix, lat):
 
 def test_fixture_hash_stable(fix, raw_fixture):
     again = FixtureSet.from_dict(raw_fixture)
-    assert fix.fixture_hash() == again.fixture_hash()
-    assert len(fix.fixture_hash()) == 64
+    assert fix.digest == again.digest
+    assert len(fix.digest) == 64
 
 
 def test_fixture_hash_is_the_sha256_of_the_canonical_dump(fix, raw_fixture, tmp_path):
@@ -425,9 +425,9 @@ def test_fixture_hash_is_the_sha256_of_the_canonical_dump(fix, raw_fixture, tmp_
     path = tmp_path / "reserialized.json"
     path.write_text(json.dumps(raw_fixture, indent=3))
     again = load_fixtures(path, validate=False)
-    assert fix.fixture_hash() == hashlib_digest(raw_fixture)
+    assert fix.digest == hashlib_digest(raw_fixture)
     written = json.loads(path.read_text())
-    assert again.fixture_hash() == hashlib_digest(written) == fix.fixture_hash()
+    assert again.digest == hashlib_digest(written) == fix.digest
 
 
 def test_fixture_hash_ignores_edits_after_loading(fix, raw_copy):
@@ -435,4 +435,4 @@ def test_fixture_hash_ignores_edits_after_loading(fix, raw_copy):
     # caller's dict afterwards changes neither the parsed tables nor the hash
     again = FixtureSet.from_dict(raw_copy)
     raw_copy["sequence"]["L1"]["K"] = 12345
-    assert again.fixture_hash() == fix.fixture_hash()
+    assert again.digest == fix.digest

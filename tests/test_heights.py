@@ -102,6 +102,17 @@ def test_absent_cell_is_hard_error(fix):
         height(holed)
 
 
+@pytest.mark.parametrize("target, source", [(0, 21), (-1, 12), (23, 1), (1, 23), (22, 0)])
+def test_cells_outside_the_table_are_refused(fix, target, source):
+    # one range check for both readers: a 0 or negative index must not wrap
+    # to the last row, and a large one must not leak a bare tuple error
+    message = rf"^indices \({target}, {source}\) outside 1\.\.22$"
+    with pytest.raises(IndexError, match=message):
+        fix.ext_bounds.defined(target, source)
+    with pytest.raises(IndexError, match=message):
+        fix.ext_bounds.entry(target, source)
+
+
 def test_fixture_height_is_two(fix):
     m = fix.ext_bounds
     assert height(m) == 2

@@ -74,6 +74,14 @@ def test_ledger_shape_validation(fix):
     assert led.datum(11, 1, StarChoice.NONZERO) == CohomDatum(0, 1, 1)
 
 
+@pytest.mark.parametrize("i, j", [(1, 99), (12, 1), (0, 1), (1, 0), (12, 12), (-1, -2)])
+def test_datum_outside_the_ledger_is_refused(fix, i, j):
+    # a backward pair past the table is not the zero datum, nor a KeyError
+    for stars in BOTH:
+        with pytest.raises(IndexError, match=rf"^indices \({i}, {j}\) outside 1\.\.11$"):
+            fix.ledger.datum(i, j, stars)
+
+
 def test_ledger_rejects_bad_diagonal():
     with pytest.raises(SchemaError, match="diagonal entry 2,2 must be"):
         LedgerMatrix.from_dict(2, {"1,1": [1, 0, 0], "2,2": [0, 0, 0], "2,1": [0, 0, 0]})

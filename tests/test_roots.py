@@ -14,10 +14,10 @@ from barlowlat.lattice import DivisorClass, make_lattice
 from barlowlat.roots import (
     CANONICAL_GRAM,
     CANONICAL_K,
+    EXTENDED_CARTAN,
     RootSet,
     VanishingTag,
     enumerate_roots,
-    extended_cartan_expected,
     partition_roots,
     vanishing_classification,
 )
@@ -286,7 +286,7 @@ def negate_first(m):
 
 
 def test_extended_cartan_shapes():
-    flipped = extended_cartan_expected()
+    flipped = EXTENDED_CARTAN
     plain = negate_first(flipped)
     assert plain[0][2] == 1 and flipped[0][2] == -1   # e-d7 adjacency
     assert all(plain[i][i] == -2 for i in range(8))
@@ -302,7 +302,7 @@ def test_canonical_gram_is_negated_cartan_up_to_glue_sign(fix, lat):
     basis = [fix.curve_class(n) for n in BASIS_NAMES]
     basis[1] = -basis[1]
     gram = [[lat.pair(a, b) for b in basis] for a in basis]
-    expected = negate_first(extended_cartan_expected())
+    expected = negate_first(EXTENDED_CARTAN)
     assert gram[0][0] == 1
     assert all(gram[0][j] == 0 for j in range(1, 9))
     for i in range(8):
@@ -323,13 +323,20 @@ def test_partition_rejects_a_b_class_meeting_no_minus_two_curve(fix, lat):
         )
 
 
-def test_partition_reports_b_classes_in_order_before_a_later_wrong_length(fix, lat):
-    # E1 + C1p meets C1m but not C1p, whose square is -2; the short class after
-    # it must not be reported first, as cell-by-cell pairings would not reach it
+def test_partition_refuses_a_wrong_length_before_any_b_class(fix, lat):
+    # E1 + C1p meets C1m but not C1p, whose square is -2; a short class after
+    # it is refused first, since pairings checks every class before any row
     one = fix.curve_class("E1") + fix.curve_class("C1p")
     with pytest.raises(ToolkitError, match=re.escape(
         f"B class {one.coords} meets 1 (-2)-curves, expected 2"
     )):
+        partition_roots(
+            enumerate_roots(lat),
+            fix.degree1_elliptic_classes(),
+            [one],
+            fix.minus_two_classes(),
+        )
+    with pytest.raises(ToolkitError, match="class has length 8, lattice has rank 9"):
         partition_roots(
             enumerate_roots(lat),
             fix.degree1_elliptic_classes(),
