@@ -36,7 +36,7 @@ from typing import Any, Mapping, Sequence
 from . import linalg, roots as rootsmod
 from .roots import CANONICAL_GRAM, CANONICAL_K, diagram_gram
 from .errors import SchemaError, ToolkitError, UnknownName
-from .heights import ExtBoundMatrix
+from .heights import ABSENT, ExtBoundMatrix
 from .homledger import LedgerMatrix, validate_ledger
 from .lattice import DivisorClass, PicardLattice, make_lattice
 from .record import Record
@@ -64,7 +64,8 @@ CURVE_DIAGONAL = {"E": -1, "L": -3, "K": 1, "C": -2}
 
 FIXTURE_FORMAT = "barlowlat-fixture-v1"
 
-#: the eight undetermined ledger cells sit in the last row, circle columns
+#: the eight undetermined ledger cells ("stars") sit in the last row, in the
+#: circle columns: the Barlow ledger's shape, checked when the document is read
 STAR_POSITIONS = tuple((11, j) for j in (1, 2, 4, 5, 6, 8, 9, 10))
 
 SEQUENCE_NAMES = tuple(f"L{i}" for i in range(1, 12))
@@ -267,11 +268,11 @@ class FixtureSet(Record):
                 for name, combo in raw["sequence"].items()
             }
             chi = _int_rows(raw["chi_matrix"], "chi_matrix")
-            ledger = LedgerMatrix.from_dict(
-                n=_int(raw["ledger"]["n"], "ledger.n"),
-                raw=raw["ledger"]["entries"],
-                expected_stars=STAR_POSITIONS,
-            )
+            ledger = LedgerMatrix.from_dict(_int(raw["ledger"]["n"], "ledger.n"),
+                                            raw["ledger"]["entries"])
+            if ledger.star_positions != set(STAR_POSITIONS):
+                raise SchemaError(f"star entries at {sorted(ledger.star_positions)}, "
+                                  f"expected {sorted(STAR_POSITIONS)}")
             bounds = ExtBoundMatrix.from_rows(
                 n=_int(raw["ext_bounds"]["n"], "ext_bounds.n"),
                 raw_rows=raw["ext_bounds"]["rows"],
@@ -395,15 +396,13 @@ class FixtureSet(Record):
             meets = sum(1 for x in row[33:] if x > 0)
             if meets != 2:
                 raise ToolkitError(f"{b_name(*key)} meets {meets} (-2)-curves, expected 2")
-        for k1, row in zip(classes, table):
-            for k2, got in zip(classes, row):
-                if k1 == k2:
-                    continue
-                want = self.b_table.expected_pairing(k1, k2)
-                if got != want:
-                    raise ToolkitError(
-                        f"{b_name(*k1)}.{b_name(*k2)} = {got}, block formula says {want}"
-                    )
+        # the block formula gives 2 on the diagonal, checked above
+        want = [[self.b_table.expected_pairing(k1, k2) for k2 in B_KEYS] for k1 in B_KEYS]
+        bad = linalg.first_difference([row[:32] for row in table], want)
+        if bad:
+            i, j = bad
+            raise ToolkitError(f"{b_name(*B_KEYS[i])}.{b_name(*B_KEYS[j])} = {table[i][j]}, "
+                               f"block formula says {want[i][j]}")
         return {b_name(*key): cls for key, cls in classes.items()}
 
     @cached_property
@@ -504,31 +503,32 @@ class FixtureSet(Record):
         return {"matrix_verified": True}
 
     def validate_ext_bounds(self) -> dict[str, object]:
-        """The window pattern, then each window cell in row order: a
-        first-block cell holds a minimal Ext degree the ledger admits, and a
-        last-block cell repeats its untwisted cell (twisting both objects
-        leaves the relative height unchanged)."""
-        m = self.ext_bounds
-        n = m.n
-        window = []
-        for i in range(1, 2 * n + 1):
-            for j in range(1, 2 * n + 1):
-                should = max(1, i - n) <= j <= i - 1
-                if m.defined(i, j) != should:
-                    raise ToolkitError(f"bound cell ({i},{j}) should be "
-                                       f"{'defined' if should else 'absent'}")
-                if should:
-                    window.append((i, j))
-        for i, j in window:   # a cross-block cell (j <= n < i) is read by the height alone
-            got = m.entry(i, j)
-            if i <= n and got not in (allowed := self.ledger.min_degrees(i, j)):
-                raise ToolkitError(
-                    f"bound cell ({i},{j}) = {got} not among {sorted(map(str, allowed))}"
-                    if len(allowed) > 1 else
-                    f"bound cell ({i},{j}) = {got}, ledger gives {min(allowed)}")
-            if j > n and got != m.entry(i - n, j - n):
-                raise ToolkitError(f"bound cell ({i},{j}) differs from ({i - n},{j - n})")
-        return {"cells": len(window)}
+        """Three checks in order: the defined cells are the window; a
+        first-block cell holds a minimal Ext degree the ledger admits; and the
+        last block repeats the first (twisting both objects leaves the
+        relative height unchanged).  A cross-block cell (j <= n < i) is read
+        by the height alone."""
+        rows, n = self.ext_bounds.rows, self.ext_bounds.n
+        window = [[max(1, i - n) <= j <= i - 1 for j in range(1, 2 * n + 1)]
+                  for i in range(1, 2 * n + 1)]
+        bad = linalg.first_difference([[x is not ABSENT for x in row] for row in rows], window)
+        if bad:
+            i, j = bad
+            raise ToolkitError(f"bound cell ({i + 1},{j + 1}) should be "
+                               f"{'defined' if window[i][j] else 'absent'}")
+        for i in range(2, n + 1):
+            for j in range(1, i):
+                got, allowed = rows[i - 1][j - 1], self.ledger.min_degrees(i, j)
+                if got not in allowed:
+                    raise ToolkitError(
+                        f"bound cell ({i},{j}) = {got} not among {sorted(map(str, allowed))}"
+                        if len(allowed) > 1 else
+                        f"bound cell ({i},{j}) = {got}, ledger gives {min(allowed)}")
+        bad = linalg.first_difference([r[n:] for r in rows[n:]], [r[:n] for r in rows[:n]])
+        if bad:
+            i, j = bad[0] + n + 1, bad[1] + n + 1
+            raise ToolkitError(f"bound cell ({i},{j}) differs from ({i - n},{j - n})")
+        return {"cells": sum(map(sum, window))}
 
     def validate(self) -> "FixtureSet":
         self.build_canonical()

@@ -1,16 +1,17 @@
 """Forward Ext-dimension bookkeeping for the length-11 sequence.
 
 The ledger stores, for every forward pair (j -> i with j <= i), the triple
-[h0, h1, h2] of Ext dimensions, with eight entries in the last row left
-undetermined ("stars": either [0,0,0] or [0,1,1]).  The degree argument only
-needs minimal degrees of chains of composable forward maps, computed here by
-dynamic programming over the strictly-increasing-index DAG: one layered DP up
-to length n gives the minimum at every length, as the formality report reads them.
+[h0, h1, h2] of Ext dimensions, or a star where it is undetermined (either
+[0,0,0] or [0,1,1]); only `LedgerMatrix` reads the star encoding.  The degree
+argument only needs minimal degrees of chains of composable forward maps,
+computed here by dynamic programming over the strictly-increasing-index DAG:
+one layered DP up to length n gives the minimum at every length, as the
+formality report reads them.
 """
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import SchemaError, ToolkitError
 from .linalg import int_text
@@ -79,11 +80,7 @@ class LedgerMatrix(Record):
     star_positions: frozenset[tuple[int, int]]
 
     @staticmethod
-    def from_dict(
-        n: int,
-        raw: Mapping[str, Sequence[int] | str],
-        expected_stars: Iterable[tuple[int, int]] | None = None,
-    ) -> "LedgerMatrix":
+    def from_dict(n: int, raw: Mapping[str, Sequence[int] | str]) -> "LedgerMatrix":
         if not isinstance(raw, Mapping):
             raise SchemaError("ledger entries must be a mapping of 'i,j' keys")
         entries: dict[tuple[int, int], CohomDatum | str] = {}
@@ -111,10 +108,6 @@ class LedgerMatrix(Record):
         for i in range(1, n + 1):
             if entries[(i, i)] != CohomDatum(1, 0, 0):
                 raise SchemaError(f"diagonal entry {i},{i} must be [1,0,0]")
-        if expected_stars is not None and stars != set(expected_stars):
-            raise SchemaError(
-                f"star entries at {sorted(stars)}, expected {sorted(expected_stars)}"
-            )
         return LedgerMatrix(n=n, entries=dict(entries), star_positions=frozenset(stars))
 
     def datum(self, i: int, j: int, stars: StarChoice) -> CohomDatum:
@@ -136,38 +129,28 @@ def validate_ledger(
     ledger: LedgerMatrix,
     chi_matrix: Sequence[Sequence[int]],
 ) -> dict[str, object]:
-    """Check h0 - h1 + h2 = chi for every cell, under both star options.
-
-    chi_matrix[i-1][j-1] must equal the Euler pairing from object j to
-    object i.  Star cells must be chi-neutral (chi = 0) so that both options
-    are consistent.  Returns a small witness dict.
+    """Check that every cell alternates to chi_matrix[i-1][j-1], the Euler
+    pairing from object j to object i: the lower triangle in row order, then
+    the upper.  Each cell is read through `datum` with the zero star option; a
+    star's sum is 0 under both options and a backward cell is the zero datum,
+    so a star or upper cell passes exactly when its chi is 0.  Returns a small
+    witness dict.
     """
     n = ledger.n
-    checked = 0
-    for i in range(1, n + 1):
-        for j in range(1, i + 1):
-            chi = chi_matrix[i - 1][j - 1]
-            val = ledger.entries[(i, j)]
-            if val == STAR:
-                if chi != 0:
-                    raise ToolkitError(f"star cell ({i},{j}) has chi {chi}, expected 0")
-            else:
-                assert isinstance(val, CohomDatum)
-                if val.euler() != chi:
-                    raise ToolkitError(
-                        f"cell ({i},{j}) = {val.triple} has alternating sum "
-                        f"{int_text(val.euler())}, chi table says {chi}"
-                    )
-            checked += 1
-    # everything above the diagonal must be chi-zero as well
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if chi_matrix[i - 1][j - 1] != 0:
-                raise ToolkitError(
-                    f"upper cell ({i},{j}) has chi {chi_matrix[i - 1][j - 1]}, "
-                    "expected 0 for a numerically exceptional sequence"
-                )
-    return {"cells_checked": checked, "stars": sorted(ledger.star_positions)}
+    lower = [(i, j) for i in range(1, n + 1) for j in range(1, i + 1)]
+    upper = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    for i, j in lower + upper:
+        val, chi = ledger.datum(i, j, StarChoice.ZERO), chi_matrix[i - 1][j - 1]
+        if val.euler() == chi:
+            continue
+        if i < j:
+            raise ToolkitError(f"upper cell ({i},{j}) has chi {chi}, "
+                               "expected 0 for a numerically exceptional sequence")
+        if (i, j) in ledger.star_positions:
+            raise ToolkitError(f"star cell ({i},{j}) has chi {chi}, expected 0")
+        raise ToolkitError(f"cell ({i},{j}) = {val.triple} has alternating sum "
+                           f"{int_text(val.euler())}, chi table says {chi}")
+    return {"cells_checked": len(lower), "stars": sorted(ledger.star_positions)}
 
 
 def _chain_minima(ledger: LedgerMatrix, stars: StarChoice, upto: int) -> list[int | float]:

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barlowlat.errors import SchemaError, ToolkitError
+from barlowlat.fixtures import FixtureSet
 from barlowlat.homledger import (
     INF,
     CohomDatum,
@@ -42,8 +43,7 @@ def small_ledger(n, data):
         for j in range(1, i):
             val = data.get((i, j), [0, 0, 0])
             entries[f"{i},{j}"] = val
-    stars = [pos for pos, val in data.items() if val == STAR]
-    return LedgerMatrix.from_dict(n, entries, expected_stars=stars)
+    return LedgerMatrix.from_dict(n, entries)
 
 
 def test_datum_basics():
@@ -87,13 +87,15 @@ def test_ledger_rejects_bad_diagonal():
         LedgerMatrix.from_dict(2, {"1,1": [1, 0, 0], "2,2": [0, 0, 0], "2,1": [0, 0, 0]})
 
 
-def test_ledger_rejects_unexpected_star():
-    entries = {"1,1": [1, 0, 0], "2,2": [1, 0, 0], "2,1": "star"}
-    with pytest.raises(SchemaError, match=r"star entries at \[\(2, 1\)\], expected \[\]"):
-        LedgerMatrix.from_dict(2, entries, expected_stars=[])
-
-
-SHIPPED_STARS = [(11, j) for j in (1, 2, 4, 5, 6, 8, 9, 10)]
+def test_ledger_rejects_unexpected_star(raw_copy):
+    # the star positions are a rule of the Barlow document, not of the ledger
+    raw_copy["ledger"]["entries"]["11,3"] = "star"
+    with pytest.raises(SchemaError) as exc:
+        FixtureSet.from_dict(raw_copy)
+    assert str(exc.value) == (
+        "star entries at [(11, 1), (11, 2), (11, 3), (11, 4), (11, 5), (11, 6), (11, 8), "
+        "(11, 9), (11, 10)], expected [(11, 1), (11, 2), (11, 4), (11, 5), (11, 6), "
+        "(11, 8), (11, 9), (11, 10)]")
 
 
 @pytest.mark.parametrize("alias, value", [
@@ -110,7 +112,7 @@ def test_ledger_rejects_a_key_that_aliases_a_cell(raw_copy, alias, value):
     entries = raw_copy["ledger"]["entries"]
     entries[alias] = value
     with pytest.raises(SchemaError) as exc:
-        LedgerMatrix.from_dict(11, entries, expected_stars=SHIPPED_STARS)
+        LedgerMatrix.from_dict(11, entries)
     assert str(exc.value) == f"bad ledger key {alias!r}"
 
 
@@ -125,7 +127,7 @@ def test_ledger_key_messages(raw_copy, key, message):
     entries = raw_copy["ledger"]["entries"]
     entries[key] = [0, 0, 0]
     with pytest.raises(SchemaError) as exc:
-        LedgerMatrix.from_dict(11, entries, expected_stars=SHIPPED_STARS)
+        LedgerMatrix.from_dict(11, entries)
     assert str(exc.value) == message
 
 

@@ -5,6 +5,9 @@ appears as a name token anywhere in `src/` outside the lines of its own
 definition, so recursion or a reference from its own body does not count.
 Names are matched as tokens, not resolved: two methods of one name share
 their uses, and a name that only appears in a string is unused.
+
+The same token scan keeps the ledger's star encoding in one class: `STAR` may
+appear only on its definition line and inside `LedgerMatrix`.
 """
 import ast
 import io
@@ -68,3 +71,39 @@ def test_an_orphan_method_is_found(tmp_path):
         anchor, "    def is_root(self, v):\n        return self.is_root(v)\n\n" + anchor))
     assert "is_root" in orphans(tmp_path)
     assert "_check_len" not in orphans(tmp_path)   # read by pairings in the same module
+
+
+# Every other reader of a star goes through `datum`, `min_degrees` or
+# `star_positions`.
+
+def star_reads(src=SRC):
+    """(module, row) of each `STAR` name token outside its definition line and
+    the `LedgerMatrix` class of homledger.py."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        allowed = set()
+        if path.name == "homledger.py":
+            for node in ast.parse(text).body:
+                if isinstance(node, ast.ClassDef) and node.name == "LedgerMatrix":
+                    allowed.update(range(node.lineno, node.end_lineno + 1))
+                elif isinstance(node, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "STAR" for t in node.targets):
+                    allowed.add(node.lineno)
+        found += [(path.name, row) for name, row in _name_rows(text)
+                  if name == "STAR" and row not in allowed]
+    return found
+
+
+def test_only_ledger_matrix_reads_a_star():
+    assert star_reads() == []
+
+
+def test_a_star_read_outside_ledger_matrix_is_found(tmp_path):
+    text = (SRC / "homledger.py").read_text(encoding="utf-8")
+    anchor = "def validate_ledger("
+    assert anchor in text
+    (tmp_path / "homledger.py").write_text(
+        text.replace(anchor, "IS_STAR = STAR.__eq__\n\n\n" + anchor))
+    row = text[:text.index(anchor)].count("\n") + 1
+    assert star_reads(tmp_path) == [("homledger.py", row)]
