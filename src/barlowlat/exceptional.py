@@ -6,20 +6,20 @@ chi(l_i, l_i) = 1 and chi(l_i, l_j) = 0 for i > j.  The ten-root pattern
 sequence of length 11.  Its pairing table CONFIG_GRAM drives both the
 validation of a configuration and the search, which places the ten members
 one by one among the roots by depth-first backtracking.  Every chi of the
-pattern is one integer polynomial in the members' pairings and k.k, and the
-formal configuration (pairings CONFIG_GRAM) passes sequence_from_config, so
-the search certifies a configuration by its pairings, with that full check
-as the fallback.  Both read the member pairs s <= t in one order, _UPPER
-(combinations_with_replacement of the ten members, so A1.A1, A1.A2, ..., A3.B1,
-..., B1.B2, B2.B2).  The effective-decomposition solver enumerates all bounded
-nonnegative integer representations of a class over a generator list: one
-linalg.gauss_jordan gives a flag per rank-raising generator, which forces
-that coefficient, and the search runs on integer tuples.  Two exact integer
-prunes cut it: an interval per flag that the generators up to its pivot can
-still fill, and a jump past the generators of positive degree once the
-degree is spent.  None of that set-up depends on the target: it runs once
-per (lattice, generators, caps), kept in a small memo, and carries an
-identity block U through the elimination, so a target's column is U.target.
+pattern is one integer polynomial in the members' pairings and k.k, so the
+search certifies a configuration by them; the first certified one per k.k
+and every uncertified one take the full check, sequence_from_config.  Both
+read the member pairs s <= t in one order, _UPPER (combinations with
+replacement of the ten members: A1.A1, A1.A2, ..., A3.B1, ..., B2.B2).  The
+effective-decomposition solver enumerates all bounded nonnegative integer
+representations of a class over a generator list: one linalg.gauss_jordan
+gives a flag per rank-raising generator, which forces that coefficient, and
+the search runs on integer tuples.  Two exact integer prunes cut it: an
+interval per flag that the generators up to its pivot can still fill, and a
+jump past the generators of positive degree once the degree is spent.  None
+of that set-up depends on the target: it runs once per (lattice,
+generators, caps), kept in a small memo, and carries an identity block U
+through the elimination, so a target's column is U.target.
 """
 from __future__ import annotations
 
@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 from . import linalg
 from .errors import ToolkitError
-from .lattice import DivisorClass, PicardLattice, make_lattice
+from .lattice import DivisorClass, PicardLattice
 from .record import Record
 from .roots import RootSet, diagram_gram
 
@@ -113,20 +113,8 @@ def sequence_from_config(
     return tuple(seq)
 
 
-@cache
-def _pattern_proved(k_square: int) -> bool:
-    """Whether the formal configuration passes sequence_from_config: the ten
-    members (A1..A8, B1, B2) and k are the unit vectors of a rank-11 lattice
-    whose Gram is CONFIG_GRAM bordered by zeros, with k.k = k_square.  The
-    check says no by raising ToolkitError."""
-    gram = [[*row, 0] for row in CONFIG_GRAM] + [[0] * 10 + [k_square]]
-    unit = [DivisorClass(tuple(int(i == j) for j in range(11))) for i in range(11)]
-    try:
-        sequence_from_config(make_lattice(11, gram, unit[10]),
-                             ABConfiguration(tuple(unit[:8]), tuple(unit[8:10]), unit[10]))
-    except ToolkitError:
-        return False
-    return True
+#: the k.k values at which a certified leaf has passed sequence_from_config
+_PATTERN_HOLDS: set[int] = set()
 
 
 def _pack(col: Sequence[int], w: int) -> int:
@@ -187,11 +175,11 @@ def search_configs(rs: RootSet, k: DivisorClass, limit: int) -> list[ABConfigura
     when k is lat.k, its Gram's 55 pairings s <= t (9-dots with images G.y,
     each at most once per call), on a Gram checked symmetric, are those of
     CONFIG_GRAM and its members are orthogonal to k.  Every chi of the pattern
-    is the same integer polynomial in those pairings and k.k, and the formal
-    configuration passes sequence_from_config (_pattern_proved, once per
-    process for each k.k), so the leaf does too.  Otherwise the full check,
-    sequence_from_config, decides.  Stops after `limit` results, an integer
-    (operator.index) of at least 1.
+    is the same integer polynomial in those pairings and k.k, so all certified
+    leaves at one k.k share one verdict: the first one per process takes the
+    full check, sequence_from_config, and once it passes (_PATTERN_HOLDS) the
+    others are accepted.  An uncertified leaf always takes the full check.
+    Stops after `limit` results, an integer (operator.index) of at least 1.
     """
     if (limit := index(limit)) < 1:
         raise ValueError("limit must be positive")
@@ -202,15 +190,15 @@ def search_configs(rs: RootSet, k: DivisorClass, limit: int) -> list[ABConfigura
     w, high, rows = _neighbour_rows(lat, roots)
 
     g = lat.gram
-    proved = (k == lat.k and linalg.first_difference(g, tuple(zip(*g))) is None
-              and _pattern_proved(lat.pair(k, k)))
+    sound = k == lat.k and linalg.first_difference(g, tuple(zip(*g))) is None
+    kk = lat.pair(k, k)
     image = cache(lambda y: tuple(sum(map(mul, row, roots[y].coords)) for row in lat.gram))
     pairing = cache(lambda x, y: sum(map(mul, roots[x].coords, image(y))))
     k_pairing = cache(lambda x: sum(map(mul, image(x), k.coords)))
 
     def certified(idx: list[int]) -> bool:
         upper = tuple(starmap(pairing, combinations_with_replacement(idx, 2)))
-        return proved and upper == _UPPER_ENTRIES and not any(map(k_pairing, idx))
+        return sound and upper == _UPPER_ENTRIES and not any(map(k_pairing, idx))
 
     results: list[ABConfiguration] = []
     placed: list[int] = []
@@ -227,8 +215,10 @@ def search_configs(rs: RootSet, k: DivisorClass, limit: int) -> list[ABConfigura
             if not later:
                 members = tuple(roots[i] for i in placed)
                 cfg = ABConfiguration(members[:8], members[8:], k)
-                if not certified(placed):
+                if not ((ok := certified(placed)) and kk in _PATTERN_HOLDS):
                     sequence_from_config(lat, cfg)
+                    if ok:
+                        _PATTERN_HOLDS.add(kk)
                 results.append(cfg)
                 if len(results) >= limit:
                     return True

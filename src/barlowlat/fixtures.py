@@ -5,9 +5,9 @@ eight simple-root combinations, the parametrized pairing rules for the 32
 genus-3 classes, the 11 line-bundle combinations with their Euler-pairing
 matrix, the forward Ext ledger and the 22x22 height bound table.
 
-`FixtureSet` is frozen and holds only the parsed tables.  The model is a
-chain of stages, each a cached property that is a pure function of the
-tables and the earlier stages:
+`FixtureSet` is frozen and holds only the parsed tables, as tuples and
+read-only mappings.  The model is a chain of stages, each a cached property
+that is a pure function of the tables and the earlier stages:
 
 * `d8_fork`: D1..D8 as classes of `curves`, the formal lattice on the 14
   curves whose Gram is the curve table;
@@ -31,6 +31,7 @@ from functools import cached_property
 from itertools import product
 from operator import mul
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Mapping, Sequence
 
 from . import linalg, roots as rootsmod
@@ -174,8 +175,8 @@ def _int_rows(rows: Sequence[Sequence[object]], where: str) -> tuple[tuple[int, 
     )
 
 
-def _combo_dict(raw: Mapping[str, object], where: str) -> dict[str, int]:
-    return {name: _int(coeff, f"{where}.{name}") for name, coeff in raw.items()}
+def _combo_dict(raw: Mapping[str, object], where: str) -> Mapping[str, int]:
+    return MappingProxyType({name: _int(coeff, f"{where}.{name}") for name, coeff in raw.items()})
 
 
 def _square(rows: Sequence[Sequence[int]], n: int) -> bool:
@@ -213,14 +214,14 @@ class FixtureSet(Record):
     digest: str   # SHA-256 of the canonical dump, taken when the document was read
     curves: PicardLattice   # formal: Gram the curve table, k the curve K
     b_table: BTable
-    d8_defs: dict[str, dict[str, int]]
+    d8_defs: Mapping[str, Mapping[str, int]]
     d8_gram_expected: tuple[tuple[int, ...], ...]
-    sequence_defs: dict[str, dict[str, int]]
+    sequence_defs: Mapping[str, Mapping[str, int]]
     chi_matrix: tuple[tuple[int, ...], ...]
     ledger: LedgerMatrix
     ext_bounds: ExtBoundMatrix
-    relation_lhs: dict[str, int]
-    relation_rhs: dict[str, int]
+    relation_lhs: Mapping[str, int]
+    relation_rhs: Mapping[str, int]
 
     # ---------------------------------------------------------------- parsing
 
@@ -241,32 +242,32 @@ class FixtureSet(Record):
                 k_value=_int(bt_raw["k_value"], "b_table.k_value"),
                 l_values=_combo_dict(bt_raw["l_values"], "b_table.l_values"),
                 e12_values=_combo_dict(bt_raw["e12_values"], "b_table.e12_values"),
-                c_table={
+                c_table=MappingProxyType({
                     k: _int_rows(v, f"b_table.c_table.{k}")
                     for k, v in bt_raw["c_table"].items()
-                },
-                e_hit_ks={
-                    k: {
-                        i: [_int(x, f"b_table.e_hit_ks.{k}.{i}") for x in ks]
+                }),
+                e_hit_ks=MappingProxyType({
+                    k: MappingProxyType({
+                        i: tuple(_int(x, f"b_table.e_hit_ks.{k}.{i}") for x in ks)
                         for i, ks in v.items()
-                    }
+                    })
                     for k, v in bt_raw["e_hit_ks"].items()
-                },
+                }),
                 cross_block_b_cells=frozenset(
                     (_int(a, "b_table.cross_block_b_cells"),
                      _int(b, "b_table.cross_block_b_cells"))
                     for a, b in bt_raw["cross_block_b_cells"]
                 ),
             )
-            d8_defs = {
+            d8_defs = MappingProxyType({
                 name: _combo_dict(combo, f"d8.defs.{name}")
                 for name, combo in raw["d8"]["defs"].items()
-            }
+            })
             d8_gram = _int_rows(raw["d8"]["gram"], "d8.gram")
-            seq = {
+            seq = MappingProxyType({
                 name: _combo_dict(combo, f"sequence.{name}")
                 for name, combo in raw["sequence"].items()
-            }
+            })
             chi = _int_rows(raw["chi_matrix"], "chi_matrix")
             ledger = LedgerMatrix.from_dict(_int(raw["ledger"]["n"], "ledger.n"),
                                             raw["ledger"]["entries"])
@@ -372,10 +373,10 @@ class FixtureSet(Record):
                 raise ToolkitError(f"{name} is not integral in the canonical basis")
             classes[name] = DivisorClass([_dot(row, pv2) // 2 for row in ginv])
         classes["e"] = DivisorClass((0, 1) + (0,) * 7)   # basis (K, e, D8..D2)
-        return Canonical(lattice=lat, glue_tips=tips, classes=classes)
+        return Canonical(lattice=lat, glue_tips=tips, classes=MappingProxyType(classes))
 
     @cached_property
-    def genus3(self) -> dict[str, DivisorClass]:
+    def genus3(self) -> Mapping[str, DivisorClass]:
         """The 32 genus-3 classes by name, every pairing rule re-verified."""
         lat = self.lattice
         probes = [self.canonical.classes[n] for n in CURVE_NAMES]
@@ -403,7 +404,7 @@ class FixtureSet(Record):
             i, j = bad
             raise ToolkitError(f"{b_name(*B_KEYS[i])}.{b_name(*B_KEYS[j])} = {table[i][j]}, "
                                f"block formula says {want[i][j]}")
-        return {b_name(*key): cls for key, cls in classes.items()}
+        return MappingProxyType({b_name(*key): cls for key, cls in classes.items()})
 
     @cached_property
     def sequence(self) -> tuple[DivisorClass, ...]:

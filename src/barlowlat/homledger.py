@@ -11,6 +11,7 @@ formality report reads them.
 from __future__ import annotations
 
 from enum import Enum
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from .errors import SchemaError, ToolkitError
@@ -88,7 +89,7 @@ class LedgerMatrix(Record):
         for key, val in raw.items():
             try:
                 i, j = map(int, key.split(","))
-            except ValueError as exc:
+            except (AttributeError, ValueError) as exc:   # not a str, or not "i,j"
                 raise SchemaError(f"bad ledger key {key!r}") from exc
             if key != f"{i},{j}":  # int() also reads "05", "+5", " 5", "0_5", "\u0665"
                 raise SchemaError(f"bad ledger key {key!r}")
@@ -108,7 +109,7 @@ class LedgerMatrix(Record):
         for i in range(1, n + 1):
             if entries[(i, i)] != CohomDatum(1, 0, 0):
                 raise SchemaError(f"diagonal entry {i},{i} must be [1,0,0]")
-        return LedgerMatrix(n=n, entries=dict(entries), star_positions=frozenset(stars))
+        return LedgerMatrix(n, MappingProxyType(entries), frozenset(stars))
 
     def datum(self, i: int, j: int, stars: StarChoice) -> CohomDatum:
         """Forward datum for maps j -> i; zero for backward pairs."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from itertools import repeat
 from math import gcd
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Sequence
 
 from .errors import ToolkitError
@@ -162,8 +162,9 @@ def make_lattice(
     gram: Iterable[Iterable[int]],
     k: DivisorClass,
 ) -> PicardLattice:
-    """Validate and freeze a lattice: square symmetric gram, k of matching length."""
-    g = tuple(tuple(int(x) for x in row) for row in gram)
+    """Validate and freeze a lattice: square symmetric gram of integers (read
+    through operator.index, so True is stored as 1), k of matching length."""
+    g = tuple(tuple(map(index, row)) for row in gram)
     if len(g) != rank or any(len(row) != rank for row in g):
         raise ToolkitError(f"gram is not {rank}x{rank}")
     bad = linalg.first_difference(g, tuple(zip(*g)))

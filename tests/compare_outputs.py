@@ -6,12 +6,13 @@ Each tree's `barlowlat.cli.main` runs in a worker process of its own, in
 process, on the same cases:
 
 * on the shipped document: verify (json and text, every --stars), roots,
-  roots --count, classes, height, formality, search --limit 100, the
-  paper's decompose and chi with --cls and --from together, and four
-  malformed arguments: --generators naming none or one twice, an unsigned
-  second term and an empty --target; and an empty path given to
-  verify --fixtures, height --matrix and verify --report (each names the
-  directory ".", so each exits 2);
+  roots --count, classes, height, formality, search (limit 1, so the
+  worker's first search proves its pattern on its only configuration), then
+  search --limit 5 and --limit 100, the paper's decompose and chi with
+  --cls and --from together, and four malformed arguments: --generators
+  naming none or one twice, an unsigned second term and an empty --target;
+  and an empty path given to verify --fixtures, height --matrix and
+  verify --report (each names the directory ".", so each exits 2);
 * decompose for a target outside its generators' span (E1 over the four
   (-2)-curves), then C1p + C2m inside that span on the same list and
   2C1p + C2m on it at --caps 3 (one worker runs every case of a tree, so
@@ -96,7 +97,8 @@ SHIPPED_CASES = [
     *(["verify", "--format", fmt, "--stars", stars]
       for fmt in ("json", "text") for stars in ("zero", "nonzero", "both")),
     ["roots"], ["roots", "--count"], ["classes"], ["height"], ["formality"],
-    ["search", "--limit", "100"], ["decompose", "--target", "5K - E3p - Bp000"],
+    ["search"], ["search", "--limit", "5"], ["search", "--limit", "100"],
+    ["decompose", "--target", "5K - E3p - Bp000"],
     ["chi", "--cls", "K", "--from", "L1"],
     ["decompose", "--target", "E1", "--generators", " , "],
     ["decompose", "--target", "E1", "--generators", "E1,E1"],

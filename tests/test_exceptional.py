@@ -4,6 +4,7 @@ import operator
 import random
 import re
 import time
+from collections import Counter
 from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
@@ -215,26 +216,47 @@ def test_config_gram_is_the_pattern_gram():
     assert CONFIG_MEMBERS == tuple(f"A{i}" for i in range(1, 9)) + ("B1", "B2")
 
 
+def formal_search_outcomes(gram):
+    """For k.k in -5..5, each from an empty _PATTERN_HOLDS: how many
+    configurations search_configs finds on formal_rootset(k_square=k.k,
+    gram=gram) at limit 3, or the error it raises."""
+    out = {}
+    for k_square in range(-5, 6):
+        exceptional._PATTERN_HOLDS.clear()
+        rs = formal_rootset(k_square=k_square, gram=gram)
+        try:
+            out[k_square] = len(search_configs(rs, rs.lattice.k, limit=3))
+        except ToolkitError as exc:
+            out[k_square] = str(exc)
+    exceptional._PATTERN_HOLDS.clear()
+    return out
+
+
 def test_formal_pattern_holds():
-    exceptional._pattern_proved.cache_clear()
-    assert exceptional._pattern_proved(1) is True
+    assert formal_pattern_holds(CONFIG_GRAM, 1) is True
+    # the search finds the chain and its reverse, and its first certified leaf
+    # proves the pattern at k.k = 1
+    assert formal_search_outcomes(CONFIG_GRAM)[1] == 2
 
 
-def test_formal_pattern_broken_chain(monkeypatch):
+def test_formal_pattern_broken_chain():
     g = pattern_gram()
     g[3][4] = g[4][3] = 0   # A4 . A5
-    monkeypatch.setattr(exceptional, "CONFIG_GRAM", g)
-    exceptional._pattern_proved.cache_clear()
-    try:
-        assert exceptional._pattern_proved(1) is False
-    finally:
-        exceptional._pattern_proved.cache_clear()
+    assert formal_pattern_holds(g, 1) is False
+    # A4 and A5 are orthogonal, so at no k.k does the search find a configuration
+    assert not any(formal_pattern_holds(g, k) for k in range(-5, 6))
+    assert formal_search_outcomes(g) == dict.fromkeys(range(-5, 6), 0)
 
 
 def test_formal_pattern_wrong_k_square():
     # the formal lattice's d.d - d.k is even at every k.k; the pattern fails
-    # exceptionality at each k.k but 1
-    assert [k for k in range(-5, 6) if exceptional._pattern_proved(k)] == [1]
+    # exceptionality at each k.k but 1, and there the search's first certified
+    # leaf raises the full check's error
+    holds = [k for k in range(-5, 6) if formal_pattern_holds(CONFIG_GRAM, k)]
+    assert holds == [1]
+    assert formal_search_outcomes(CONFIG_GRAM) == {
+        k: 2 if k in holds else NOT_EXCEPTIONAL for k in range(-5, 6)
+    }
 
 
 # --- search -----------------------------------------------------------------------
@@ -508,39 +530,57 @@ def test_search_commutes_with_lattice_automorphisms(fix, lat, seed):
 
 
 @pytest.fixture
-def counted_proofs():
-    """The proof runs so far (misses of the proof cache), from an empty cache
-    that is emptied again afterwards."""
-    exceptional._pattern_proved.cache_clear()
-    yield lambda: exceptional._pattern_proved.cache_info().misses
-    exceptional._pattern_proved.cache_clear()
-
-
-def test_search_runs_one_proof_and_no_full_check(fix, lat, monkeypatch, counted_proofs):
-    # the proof runs the full check on its formal lattice; count only the
-    # full checks on the searched one
-    full = 0
+def counted_proofs(monkeypatch):
+    """The search's full checks, as (lattice, configuration) pairs in call
+    order, from an empty _PATTERN_HOLDS that is emptied again afterwards."""
+    checks = []
     check = exceptional.sequence_from_config
 
-    def counted_full(on, cfg):
-        nonlocal full
-        full += on is lat
+    def counted(on, cfg):
+        checks.append((on, cfg))
         return check(on, cfg)
 
-    monkeypatch.setattr(exceptional, "sequence_from_config", counted_full)
-    for _ in range(2):
-        assert len(search_configs(fix.roots, lat.k, limit=10)) == 10
-    assert {"proof": counted_proofs(), "full": full} == {"proof": 1, "full": 0}
+    monkeypatch.setattr(exceptional, "sequence_from_config", counted)
+    exceptional._PATTERN_HOLDS.clear()
+    yield checks
+    exceptional._PATTERN_HOLDS.clear()
 
 
-def formal_rootset(a1_square=-2, a1_k=0, k_square=1):
+def per_lattice(checks):
+    return Counter(on for on, _ in checks)
+
+
+def test_search_runs_one_proof_and_no_full_check(fix, lat, counted_proofs):
+    # the first certified leaf takes the full check and proves the pattern at
+    # k.k = 1; no later leaf of either search takes it
+    first = search_configs(fix.roots, lat.k, limit=10)
+    assert search_configs(fix.roots, lat.k, limit=10) == first
+    assert len(first) == 10
+    assert counted_proofs == [(lat, first[0])]
+    assert exceptional._PATTERN_HOLDS == {1}
+
+
+def formal_rootset(a1_square=-2, a1_k=0, k_square=1, gram=CONFIG_GRAM):
     """The ten members as unit vectors of the formal lattice on
-    (A1..A8, B1, B2, k), with A1.A1, A1.k and k.k as given."""
-    gram = [list(row) + [0] for row in CONFIG_GRAM] + [[0] * 10 + [k_square]]
+    (A1..A8, B1, B2, k): the Gram is `gram` bordered by zeros, with A1.A1,
+    A1.k and k.k as given."""
+    gram = [list(row) + [0] for row in gram] + [[0] * 10 + [k_square]]
     gram[0][0] = a1_square
     gram[0][10] = gram[10][0] = a1_k
     unit = [DivisorClass(tuple(int(i == j) for j in range(11))) for i in range(11)]
     return RootSet(lattice=make_lattice(11, gram, unit[10]), roots=tuple(unit[:10]))
+
+
+def formal_pattern_holds(gram, k_square):
+    """Reference for the search's proof of its pattern: whether the formal
+    configuration, the ten members of formal_rootset in order, passes
+    sequence_from_config, which says no by raising ToolkitError."""
+    rs = formal_rootset(k_square=k_square, gram=gram)
+    try:
+        sequence_from_config(rs.lattice, ABConfiguration(rs.roots[:8], rs.roots[8:], rs.lattice.k))
+    except ToolkitError:
+        return False
+    return True
 
 
 def test_search_certifies_the_formal_configuration():
@@ -570,13 +610,12 @@ NOT_EXCEPTIONAL = "built sequence is not numerically exceptional"
 NOT_ROOTS = "member 0 is not a root; member 1 is not a root"
 
 
-@pytest.mark.parametrize(
-    "case",
-    ["zero_k", "twice_k", "negated_k", "root_as_k", "a1_square", "a1_k", "k_square"],
-)
-def test_search_falls_back_to_the_full_check(fix, lat, case):
-    # each case breaks one part of the certificate; the full check then
-    # raises the same error as a search that re-verifies every configuration
+FALLBACK_CASES = ["zero_k", "twice_k", "negated_k", "root_as_k", "a1_square", "a1_k", "k_square"]
+
+
+def fallback_case(fix, lat, case):
+    """(root set, k, the full check's error) for a case that breaks one part
+    of the certificate."""
     rs = fix.roots
     r0 = rs.roots[0]
     rs, k, message = {
@@ -592,8 +631,16 @@ def test_search_falls_back_to_the_full_check(fix, lat, case):
         "a1_k": (formal_rootset(a1_k=2), None, "member 0 is not a root"),
         "k_square": (formal_rootset(k_square=3), None, NOT_EXCEPTIONAL),
     }[case]
+    return rs, rs.lattice.k if k is None else k, message
+
+
+@pytest.mark.parametrize("case", FALLBACK_CASES)
+def test_search_falls_back_to_the_full_check(fix, lat, case):
+    # each case breaks one part of the certificate; the full check then
+    # raises the same error as a search that re-verifies every configuration
+    rs, k, message = fallback_case(fix, lat, case)
     with pytest.raises(ToolkitError) as err:
-        search_configs(rs, rs.lattice.k if k is None else k, limit=3)
+        search_configs(rs, k, limit=3)
     assert str(err.value) == message
 
 
@@ -608,11 +655,9 @@ LYING_ROW_ERRORS = {
 }
 
 
-@pytest.mark.parametrize("member", list(LYING_ROW_ERRORS))
-def test_search_certificate_rejects_a_leaf_a_lying_row_admits(fix, lat, monkeypatch, member):
-    # the DFS trusts the neighbour rows; a row that admits every root at every
-    # pairing value places members whose true pairings are wrong, and the
-    # certificate must send that leaf to the full check, which names them
+def install_lying_row(fix, lat, monkeypatch, member):
+    """Make the row of the root placed as `member` in the first shipped
+    configuration admit every root at every pairing value."""
     first = search_configs(fix.roots, lat.k, 1)[0]
     liar = fix.roots.roots.index((*first.a, *first.b)[member])
     helper = exceptional._neighbour_rows
@@ -623,6 +668,14 @@ def test_search_certificate_rejects_a_leaf_a_lying_row_admits(fix, lat, monkeypa
         return w, high, lambda x: everyone if x == liar else rows(x)
 
     monkeypatch.setattr(exceptional, "_neighbour_rows", lying)
+
+
+@pytest.mark.parametrize("member", list(LYING_ROW_ERRORS))
+def test_search_certificate_rejects_a_leaf_a_lying_row_admits(fix, lat, monkeypatch, member):
+    # the DFS trusts the neighbour rows; a row that admits every root at every
+    # pairing value places members whose true pairings are wrong, and the
+    # certificate must send that leaf to the full check, which names them
+    install_lying_row(fix, lat, monkeypatch, member)
     with pytest.raises(ToolkitError) as err:
         search_configs(fix.roots, lat.k, 5)
     assert str(err.value) == LYING_ROW_ERRORS[member]
@@ -653,17 +706,79 @@ def test_search_on_an_asymmetric_gram_takes_the_full_check(cell, value, found):
 
 
 def test_search_proves_the_pattern_once_per_k_square(fix, lat, counted_proofs):
-    # the shipped lattice and the formal one both have k.k = 1 and share a
-    # proof; a formal lattice with k.k = 3 runs its own, which fails
+    # the shipped lattice and the formal one both have k.k = 1 and share the
+    # one full check; a formal lattice with k.k = 3 makes one failing check
+    # per call and proves nothing
     search_configs(fix.roots, lat.k, limit=1)
     rs = formal_rootset()
     assert len(search_configs(rs, rs.lattice.k, limit=1)) == 1
-    assert counted_proofs() == 1
-    rs = formal_rootset(k_square=3)
+    assert per_lattice(counted_proofs) == {lat: 1}
+    rs3 = formal_rootset(k_square=3)
     for _ in range(2):
         with pytest.raises(ToolkitError, match=NOT_EXCEPTIONAL):
-            search_configs(rs, rs.lattice.k, limit=1)
-    assert counted_proofs() == 2
+            search_configs(rs3, rs3.lattice.k, limit=1)
+    assert per_lattice(counted_proofs) == {lat: 1, rs3.lattice: 2}
+    assert exceptional._PATTERN_HOLDS == {1}
+
+
+def formal_rule_search(monkeypatch, rs, k, limit):
+    """Reference: the search under the rule of a formal proof.  The DFS gives
+    its first `limit` leaves when the full check accepts everything; then a
+    leaf takes no check when the lattice is sound, the formal configuration
+    passes at its k.k (formal_pattern_holds) and the leaf's violations are
+    none, and every other leaf takes sequence_from_config in order."""
+    with monkeypatch.context() as patched:
+        patched.setattr(exceptional, "_PATTERN_HOLDS", set())
+        patched.setattr(exceptional, "sequence_from_config", lambda on, cfg: None)
+        leaves = search_configs(rs, k, limit)
+    lat = rs.lattice
+    proved = (k == lat.k and linalg.first_difference(lat.gram, tuple(zip(*lat.gram))) is None
+              and formal_pattern_holds(CONFIG_GRAM, lat.pair(k, k)))
+    for cfg in leaves:
+        if not (proved and cfg.violations(lat) == []):
+            sequence_from_config(lat, cfg)
+    return leaves
+
+
+def shuffled(fix, seed):
+    roots = list(fix.roots.roots)
+    random.Random(seed).shuffle(roots)
+    return roots
+
+
+EQUIVALENCE_CASES = {
+    "shipped": lambda fix: fix.roots.roots,
+    "shuffled-1": lambda fix: shuffled(fix, 1),
+    "shuffled-2": lambda fix: shuffled(fix, 2),
+    "subset-0": lambda fix: random.Random(0).sample(fix.roots.roots, 120),
+    "subset-5": lambda fix: random.Random(5).sample(fix.roots.roots, 90),
+    **{f"fallback-{case}": case for case in FALLBACK_CASES},
+    **{f"lying-row-{member}": member for member in LYING_ROW_ERRORS},
+}
+
+
+@pytest.mark.parametrize("case", list(EQUIVALENCE_CASES))
+def test_search_matches_the_formal_proof_rule(fix, lat, monkeypatch, case):
+    # proving the pattern on the first certified leaf changes no result and
+    # no error: the same search under the formal proof's rule agrees
+    spec = EQUIVALENCE_CASES[case]
+    if case.startswith("fallback-"):
+        rs, k, _ = fallback_case(fix, lat, spec)
+    else:
+        if case.startswith("lying-row-"):
+            install_lying_row(fix, lat, monkeypatch, spec)
+            spec = EQUIVALENCE_CASES["shipped"]
+        rs, k = RootSet(lattice=lat, roots=tuple(spec(fix))), lat.k
+
+    def outcome(search):
+        try:
+            return search(rs, k, 10)
+        except ToolkitError as exc:
+            return str(exc)
+
+    exceptional._PATTERN_HOLDS.clear()
+    got = outcome(search_configs)
+    assert got == outcome(lambda *args: formal_rule_search(monkeypatch, *args))
 
 
 # --- decomposition ---------------------------------------------------------------

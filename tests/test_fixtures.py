@@ -5,7 +5,7 @@ import re
 import pytest
 
 from barlowlat import linalg
-from barlowlat.cli import main
+from barlowlat.cli import main, run_verification
 from barlowlat.errors import SchemaError, ToolkitError, UnknownName
 from barlowlat.exceptional import CONFIG_GRAM, is_num_exceptional
 from barlowlat.fixtures import (
@@ -436,3 +436,64 @@ def test_fixture_hash_ignores_edits_after_loading(fix, raw_copy):
     again = FixtureSet.from_dict(raw_copy)
     raw_copy["sequence"]["L1"]["K"] = 12345
     assert again.digest == fix.digest
+
+
+#: every table and stage of the loaded model that is a mapping
+READ_ONLY_TABLES = {
+    "d8_defs": lambda fix: fix.d8_defs,
+    "d8_defs.D1": lambda fix: fix.d8_defs["D1"],
+    "sequence_defs": lambda fix: fix.sequence_defs,
+    "sequence_defs.L1": lambda fix: fix.sequence_defs["L1"],
+    "relation_lhs": lambda fix: fix.relation_lhs,
+    "relation_rhs": lambda fix: fix.relation_rhs,
+    "b_table.l_values": lambda fix: fix.b_table.l_values,
+    "b_table.e12_values": lambda fix: fix.b_table.e12_values,
+    "b_table.c_table": lambda fix: fix.b_table.c_table,
+    "b_table.e_hit_ks": lambda fix: fix.b_table.e_hit_ks,
+    "b_table.e_hit_ks.E3p": lambda fix: fix.b_table.e_hit_ks["E3p"],
+    "ledger.entries": lambda fix: fix.ledger.entries,
+    "canonical.classes": lambda fix: fix.canonical.classes,
+    "genus3": lambda fix: fix.genus3,
+}
+
+
+@pytest.mark.parametrize("table", list(READ_ONLY_TABLES))
+def test_loaded_tables_refuse_item_assignment(table):
+    fix = load_fixtures(validate=False)
+    mapping = READ_ONLY_TABLES[table](fix)
+    key = next(iter(mapping))
+    with pytest.raises(TypeError):
+        mapping[key] = mapping[key]
+    with pytest.raises(TypeError):
+        del mapping[key]
+    with pytest.raises(TypeError):
+        mapping["new"] = mapping[key]
+    assert READ_ONLY_TABLES[table](fix) is mapping and key in mapping
+
+
+def test_loaded_tables_hold_no_list(fix):
+    # the rows and hit lists are tuples, so no cell can be edited in place either
+    assert all(type(ks) is tuple for per_i in fix.b_table.e_hit_ks.values()
+               for ks in per_i.values())
+    assert all(type(row) is tuple for grid in fix.b_table.c_table.values() for row in grid)
+
+
+def test_an_edit_after_load_raises_at_the_edit():
+    # the model a verify report names by fixture_hash is the one it checks:
+    # an edit of a loaded table raises, and the report then passes every check
+    fix = load_fixtures(validate=False)
+    with pytest.raises(TypeError):
+        fix.sequence_defs["L1"]["E1"] += 1
+    with pytest.raises(TypeError):
+        fix.sequence_defs["L1"]["K"] = 1
+    with pytest.raises(TypeError):
+        fix.genus3["Bp000"] = fix.genus3["Bp001"]
+    assert fix.sequence_defs["L1"] == load_fixtures(validate=False).sequence_defs["L1"]
+    assert run_verification(fix, "both")["summary"] == {"pass": 16, "fail": 0, "skipped": 0}
+
+
+def test_b_classes_is_a_fresh_dict(fix):
+    classes = fix.b_classes()
+    classes["Bp000"] = classes["Bp001"]
+    assert type(classes) is dict and fix.b_classes()["Bp000"] == fix.genus3["Bp000"]
+    assert fix.b_classes()["Bp000"] != fix.b_classes()["Bp001"]

@@ -131,6 +131,21 @@ def test_ledger_key_messages(raw_copy, key, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("key", [5, None, (5, 3)])
+def test_ledger_rejects_a_key_that_is_not_a_string(raw_copy, key):
+    # a Python mapping can carry keys JSON cannot; each gets the bad-key message
+    entries = raw_copy["ledger"]["entries"]
+    entries[key] = [0, 0, 0]
+    with pytest.raises(SchemaError) as exc:
+        LedgerMatrix.from_dict(11, entries)
+    assert str(exc.value) == f"bad ledger key {key!r}"
+    with pytest.raises(SchemaError) as exc:
+        FixtureSet.from_dict(raw_copy)
+    assert str(exc.value) == f"bad ledger key {key!r}"
+    with pytest.raises(SchemaError, match="^bad ledger key 5$"):
+        LedgerMatrix.from_dict(2, {5: [0, 0, 0]})
+
+
 def test_validate_ledger_against_chi(fix):
     out = validate_ledger(fix.ledger, fix.chi_matrix)
     assert out["cells_checked"] == 66

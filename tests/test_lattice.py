@@ -51,6 +51,19 @@ def test_make_lattice_rejects_asymmetry():
         make_lattice(2, [[1, 2], [3, 1]], DivisorClass((1, 0)))
 
 
+@pytest.mark.parametrize("cell", [1.5, 1.0, "1", None])
+def test_make_lattice_refuses_a_cell_that_is_not_an_integer(cell):
+    # each cell is read through operator.index: no float is truncated and no
+    # string is parsed
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        make_lattice(2, [[cell, 0], [0, -2]], DivisorClass((1, 0)))
+
+
+def test_make_lattice_stores_true_as_one():
+    lat = make_lattice(2, [[True, 0], [0, -2]], DivisorClass((1, 0)))
+    assert lat.gram == ((1, 0), (0, -2)) and type(lat.gram[0][0]) is int
+
+
 def test_make_lattice_rejects_bad_shapes():
     with pytest.raises(ToolkitError, match="gram is not 2x2"):
         make_lattice(2, [[1, 0]], DivisorClass((1, 0)))
