@@ -342,7 +342,7 @@ def cmd_chi(args: argparse.Namespace) -> int:
     fix = _load(args)
     exprs = [args.cls] if args.cls is not None else [args.src, args.dst]
     classes = [parse_class_expr(fix, expr) for expr in exprs]
-    value = fix.lattice.chi(*classes) if len(classes) == 1 else fix.lattice.chi_hom(*classes)
+    value = fix.lattice.chi(classes[0] if len(classes) == 1 else classes[1] - classes[0])
     try:
         text = str(value)
     except ValueError as exc:  # past sys.get_int_max_str_digits()

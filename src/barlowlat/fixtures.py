@@ -233,7 +233,6 @@ class FixtureSet(Record):
             curve = raw["curve_table"]
             curve_names = tuple(curve["names"])
             curves = PicardLattice(
-                rank=len(CURVE_NAMES),
                 gram=_int_rows(curve["matrix"], "curve_table.matrix"),
                 k=_curve_vector({"K": 1}),
             )

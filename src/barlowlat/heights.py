@@ -9,6 +9,7 @@ bound on the shipped data.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Sequence
 
 from .errors import SchemaError, ToolkitError
@@ -25,11 +26,14 @@ class ExtBoundMatrix(Record):
 
     rows[i-1][j-1] is an integer bound, INF (all forward Ext vanish), or
     ABSENT where the normalized circle set never looks.  Touching an ABSENT
-    cell is a hard error, never a default.
+    cell is a hard error, never a default.  n is read off the rows.
     """
 
-    n: int
     rows: tuple[tuple[int | float | None, ...], ...]
+
+    @cached_property
+    def n(self) -> int:
+        return len(self.rows) // 2
 
     @staticmethod
     def from_rows(n: int, raw_rows: Sequence[Sequence[int | str | None]]) -> "ExtBoundMatrix":
@@ -53,20 +57,17 @@ class ExtBoundMatrix(Record):
                 else:
                     raise SchemaError(f"bad bound entry {x!r} in row {i + 1}")
             rows.append(tuple(row))
-        return ExtBoundMatrix(n=n, rows=tuple(rows))
+        return ExtBoundMatrix(tuple(rows))
 
     def entry(self, target: int, source: int) -> int | float:
-        """Bound for e(source -> target), 1-based indices."""
-        if not self.defined(target, source):
-            raise ToolkitError(f"cell (target {target}, source {source}) carries no data")
-        return self.rows[target - 1][source - 1]
-
-    def defined(self, target: int, source: int) -> bool:
-        """Whether the cell carries data; IndexError outside the table."""
-        size = 2 * self.n
+        """Bound for e(source -> target), 1-based indices: IndexError outside
+        the table, ToolkitError on an ABSENT cell."""
+        size = len(self.rows)
         if not (1 <= target <= size and 1 <= source <= size):
             raise IndexError(f"indices ({target}, {source}) outside 1..{size}")
-        return self.rows[target - 1][source - 1] is not ABSENT
+        if (value := self.rows[target - 1][source - 1]) is ABSENT:
+            raise ToolkitError(f"cell (target {target}, source {source}) carries no data")
+        return value
 
 
 class Arc(Record):

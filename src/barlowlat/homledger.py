@@ -11,6 +11,7 @@ formality report reads them.
 from __future__ import annotations
 
 from enum import Enum
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -73,19 +74,24 @@ class LedgerMatrix(Record):
 
     entries[(i, j)] with 1 <= j <= i <= n is the datum of maps from object j
     to object i, or STAR where undetermined; pairs with i < j are implicitly
-    zero (the sequence kills backward maps).
+    zero (the sequence kills backward maps); n and the stars are read off it.
     """
 
-    n: int
     entries: Mapping[tuple[int, int], CohomDatum | str]
-    star_positions: frozenset[tuple[int, int]]
+
+    @cached_property
+    def n(self) -> int:
+        return max((i for i, _ in self.entries), default=0)
+
+    @cached_property
+    def star_positions(self) -> frozenset[tuple[int, int]]:
+        return frozenset(cell for cell, val in self.entries.items() if val == STAR)
 
     @staticmethod
     def from_dict(n: int, raw: Mapping[str, Sequence[int] | str]) -> "LedgerMatrix":
         if not isinstance(raw, Mapping):
             raise SchemaError("ledger entries must be a mapping of 'i,j' keys")
         entries: dict[tuple[int, int], CohomDatum | str] = {}
-        stars: set[tuple[int, int]] = set()
         for key, val in raw.items():
             try:
                 i, j = map(int, key.split(","))
@@ -95,13 +101,9 @@ class LedgerMatrix(Record):
                 raise SchemaError(f"bad ledger key {key!r}")
             if not (1 <= j <= i <= n):
                 raise SchemaError(f"ledger key {key!r} outside the lower triangle")
-            if val == STAR:
-                entries[(i, j)] = STAR
-                stars.add((i, j))
-            else:
-                if not (isinstance(val, (list, tuple)) and len(val) == 3):
-                    raise SchemaError(f"ledger entry {key!r} is not a triple")
-                entries[(i, j)] = CohomDatum(*val)
+            if val != STAR and not (isinstance(val, (list, tuple)) and len(val) == 3):
+                raise SchemaError(f"ledger entry {key!r} is not a triple")
+            entries[(i, j)] = STAR if val == STAR else CohomDatum(*val)
         for i in range(1, n + 1):
             for j in range(1, i + 1):
                 if (i, j) not in entries:
@@ -109,7 +111,7 @@ class LedgerMatrix(Record):
         for i in range(1, n + 1):
             if entries[(i, i)] != CohomDatum(1, 0, 0):
                 raise SchemaError(f"diagonal entry {i},{i} must be [1,0,0]")
-        return LedgerMatrix(n, MappingProxyType(entries), frozenset(stars))
+        return LedgerMatrix(MappingProxyType(entries))
 
     def datum(self, i: int, j: int, stars: StarChoice) -> CohomDatum:
         """Forward datum for maps j -> i; zero for backward pairs."""

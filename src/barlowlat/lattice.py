@@ -10,6 +10,7 @@ reads every chi(l_i - l_j) off one.
 """
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import repeat
 from math import gcd
 from operator import index, mul
@@ -66,11 +67,14 @@ class DivisorClass(Record):
 
 
 class PicardLattice(Record):
-    """Rank, symmetric integer Gram matrix and a distinguished canonical class."""
+    """Symmetric integer Gram matrix and a distinguished canonical class."""
 
-    rank: int
     gram: tuple[tuple[int, ...], ...]
     k: DivisorClass
+
+    @cached_property
+    def rank(self) -> int:
+        return len(self.gram)
 
     def _check_len(self, v: DivisorClass) -> None:
         if len(v) != self.rank:
@@ -104,10 +108,6 @@ class PicardLattice(Record):
         right = [row[i] + row[-1] for i, row in enumerate(rows)]   # b.b + b.k
         return [[_chi_from(left[i] + right[j] - 2 * row[j]) for j in range(len(seq))]
                 for i, row in enumerate(rows)]
-
-    def chi_hom(self, frm: DivisorClass, to: DivisorClass) -> int:
-        """Euler pairing of two line-bundle classes: chi(to - frm)."""
-        return self.chi(to - frm)
 
     def classes_from_pairings(
         self,
@@ -172,5 +172,5 @@ def make_lattice(
         raise ToolkitError(f"gram[{bad[0]}][{bad[1]}] != gram[{bad[1]}][{bad[0]}]")
     if len(k) != rank:
         raise ToolkitError(f"k has length {len(k)}, expected {rank}")
-    return PicardLattice(rank=rank, gram=g, k=k)
+    return PicardLattice(gram=g, k=k)
 

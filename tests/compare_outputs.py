@@ -25,7 +25,8 @@ process, on the same cases:
   ones) at --caps 2, and 2K at --caps 0;
 * decompose K over the 46 defaults at --caps 100000, and chi of an unknown
   class name;
-* chi of K and of 5K - E3p - Bp000, chi from L1 to L11 and back, and chi of
+* chi of K and of 5K - E3p - Bp000, chi from L1 to L11 and back, from
+  2K - E1 to Bp000, and from L3 to L3 (chi of the zero class), and chi of
   a K whose coefficient has 4301 digits (past Python's default limit on int
   string conversion) or 2200 digits (chi then has about 4400); both exit 2;
 * decompose on a document that verifies but whose L1 has negative degree,
@@ -117,6 +118,7 @@ SHIPPED_CASES = [
     ["decompose", "--target", "K", "--caps", "100000"], ["chi", "--cls", "FOO"],
     ["chi", "--cls", "K"], ["chi", "--cls", "5K - E3p - Bp000"],
     ["chi", "--from", "L1", "--to", "L11"], ["chi", "--from", "L11", "--to", "L1"],
+    ["chi", "--from", "2K - E1", "--to", "Bp000"], ["chi", "--from", "L3", "--to", "L3"],
     ["verify", "--fixtures", ""], ["height", "--matrix", ""], ["verify", "--report", ""],
 ]
 

@@ -192,7 +192,7 @@ def test_violations_read_each_pair_as_the_certificate_does(cell, found):
     rs = formal_rootset()
     gram = [list(row) for row in rs.lattice.gram]
     gram[cell[0]][cell[1]] = 0
-    formal = PicardLattice(rank=11, gram=tuple(map(tuple, gram)), k=rs.lattice.k)
+    formal = PicardLattice(gram=tuple(map(tuple, gram)), k=rs.lattice.k)
     cfg = ABConfiguration(rs.roots[:8], rs.roots[8:], formal.k)
     assert cfg.violations(formal) == found
 
@@ -411,8 +411,7 @@ def test_search_ignores_roots_scaled_by_a_hundred(fix, lat):
 
 def unchecked_lattice(gram):
     """A PicardLattice built without make_lattice, so gram may be asymmetric."""
-    rank = len(gram)
-    return PicardLattice(rank=rank, gram=gram, k=DivisorClass.zero(rank))
+    return PicardLattice(gram=gram, k=DivisorClass.zero(len(gram)))
 
 
 @st.composite
@@ -694,7 +693,7 @@ def test_search_on_an_asymmetric_gram_takes_the_full_check(cell, value, found):
     gram = [list(row) + [0] for row in CONFIG_GRAM] + [[0] * 10 + [1]]
     gram[cell[0]][cell[1]] = value
     unit = [DivisorClass(tuple(int(i == j) for j in range(11))) for i in range(11)]
-    formal = PicardLattice(rank=11, gram=tuple(map(tuple, gram)), k=unit[10])
+    formal = PicardLattice(gram=tuple(map(tuple, gram)), k=unit[10])
     rs = RootSet(lattice=formal, roots=tuple(unit[:10]))
     if found is None:
         with pytest.raises(ToolkitError) as err:

@@ -55,7 +55,7 @@ def reference_ext_bounds(fs):
     for i in range(1, 2 * n + 1):
         for j in range(1, 2 * n + 1):
             should = max(1, i - n) <= j <= i - 1
-            if m.defined(i, j) != should:
+            if (m.rows[i - 1][j - 1] is not None) != should:
                 raise ToolkitError(f"bound cell ({i},{j}) should be "
                                    f"{'defined' if should else 'absent'}")
             if should:
@@ -193,7 +193,7 @@ def check_bound_edits(fix, edits):
     rows = [list(row) for row in fix.ext_bounds.rows]
     for (i, j), value in edits:
         rows[i][j] = value
-    fs = replaced(fix, ext_bounds=ExtBoundMatrix(n=11, rows=tuple(map(tuple, rows))))
+    fs = replaced(fix, ext_bounds=ExtBoundMatrix(rows=tuple(map(tuple, rows))))
     want = message(reference_ext_bounds, fs)
     assert message(fs.validate_ext_bounds) == want
     return want

@@ -328,8 +328,8 @@ def test_the_dual_collection_reverses_every_table(fix, lat):
     assert dual_chi == [[chi[10 - j][10 - i] for j in range(11)] for i in range(11)]
     assert is_num_exceptional(lat, dual)[0]
 
-    bounds = ExtBoundMatrix(n=11, rows=tuple(tuple(rows[21 - b][21 - a] for b in range(22))
-                                             for a in range(22)))
+    bounds = ExtBoundMatrix(rows=tuple(tuple(rows[21 - b][21 - a] for b in range(22))
+                                       for a in range(22)))
     assert ([[x is ABSENT for x in row] for row in bounds.rows]
             == [[x is ABSENT for x in row] for row in rows])
     assert (height(bounds), single_segment_bound(bounds)) == (2, 2)

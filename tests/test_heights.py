@@ -88,13 +88,13 @@ def test_absent_cell_is_hard_error(fix):
     # can ever touch a hole
     for i in range(2, 23):
         for j in range(max(1, i - 11), i):
-            assert m.defined(i, j)
+            assert m.rows[i - 1][j - 1] is not None
     # a synthetic hole inside the window is a hard error, not a default
     rng = random.Random(0)
     synth = full_random_matrix(3, rng)
     rows = [list(r) for r in synth.rows]
     rows[2][1] = None   # target 3, source 2
-    holed = ExtBoundMatrix(n=3, rows=tuple(tuple(r) for r in rows))
+    holed = ExtBoundMatrix(rows=tuple(tuple(r) for r in rows))
     hole = r"cell \(target 3, source 2\) carries no data"
     with pytest.raises(ToolkitError, match=hole):
         arc_height(Arc((2, 3, 5), n=3), holed)
@@ -102,13 +102,20 @@ def test_absent_cell_is_hard_error(fix):
         height(holed)
 
 
+def test_n_is_read_off_the_rows():
+    # the table stores no n beside its rows: a 4x4 table is n = 2, whose
+    # circles (1, 3) and (2, 4) reach height 1; read as n = 1 it would be 5
+    raw = [[None] * 4, [5, None, None, None], [1, 1, None, None], [None, 1, 5, None]]
+    m = ExtBoundMatrix(tuple(map(tuple, raw)))
+    assert m.n == 2 and m == ExtBoundMatrix.from_rows(2, raw)
+    assert height(m) == brute_height(m) == 1
+
+
 @pytest.mark.parametrize("target, source", [(0, 21), (-1, 12), (23, 1), (1, 23), (22, 0)])
 def test_cells_outside_the_table_are_refused(fix, target, source):
-    # one range check for both readers: a 0 or negative index must not wrap
+    # entry's range check comes first: a 0 or negative index must not wrap
     # to the last row, and a large one must not leak a bare tuple error
     message = rf"^indices \({target}, {source}\) outside 1\.\.22$"
-    with pytest.raises(IndexError, match=message):
-        fix.ext_bounds.defined(target, source)
     with pytest.raises(IndexError, match=message):
         fix.ext_bounds.entry(target, source)
 
@@ -155,7 +162,7 @@ def test_height_monotone_in_entries(seed):
     i, j = rng.choice(cells)
     rows = [list(r) for r in m.rows]
     rows[i - 1][j - 1] += 1
-    bumped = ExtBoundMatrix(n=n, rows=tuple(tuple(r) for r in rows))
+    bumped = ExtBoundMatrix(rows=tuple(tuple(r) for r in rows))
     assert height(bumped) >= base
 
 
@@ -172,7 +179,7 @@ def test_height_takes_bounds_too_long_for_a_float(fix):
         rows = [list(r) for r in m.rows]
         for i, j in edited:
             rows[i][j] = 10**400
-        return ExtBoundMatrix(n=m.n, rows=tuple(map(tuple, rows)))
+        return ExtBoundMatrix(rows=tuple(map(tuple, rows)))
 
     assert [height(raised([cell])) for cell in cells] == [2] * len(cells)
     big = raised(cells)

@@ -215,12 +215,36 @@ def test_min_chain_monotone_when_finite(fix):
 
 
 @st.composite
-def drawn_ledgers(draw):
-    """A ledger of size 2-7 with zero, nonzero and star cells below the diagonal."""
+def drawn_cells(draw):
+    """A size 2-7 and zero, nonzero and star cells below the diagonal."""
     n = draw(st.integers(2, 7))
     h = st.integers(0, 2)
     cell = st.one_of(st.just([0, 0, 0]), st.just(STAR), st.lists(h, min_size=3, max_size=3))
-    return small_ledger(n, {(i, j): draw(cell) for i in range(1, n + 1) for j in range(1, i)})
+    return n, {(i, j): draw(cell) for i in range(1, n + 1) for j in range(1, i)}
+
+
+def drawn_ledgers():
+    return drawn_cells().map(lambda drawn: small_ledger(*drawn))
+
+
+@given(drawn=drawn_cells())
+@settings(max_examples=150, deadline=None)
+def test_size_and_stars_are_read_off_the_entries(drawn):
+    n, data = drawn
+    led = small_ledger(n, data)
+    assert led.n == n
+    assert led.star_positions == {cell for cell, val in data.items() if val == STAR}
+    assert LedgerMatrix(led.entries) == led
+
+
+def test_a_star_is_known_from_the_entries_alone():
+    # no star list is kept beside the entries, so validate_ledger names the
+    # star cell rather than read the star as the zero datum
+    one = CohomDatum(1, 0, 0)
+    led = LedgerMatrix({(1, 1): one, (2, 1): STAR, (2, 2): one})
+    assert (led.n, led.star_positions) == (2, {(2, 1)})
+    with pytest.raises(ToolkitError, match=r"^star cell \(2,1\) has chi 1, expected 0$"):
+        validate_ledger(led, [[1, 0], [1, 1]])
 
 
 def _report_agrees_with_min_chain_degree(led):

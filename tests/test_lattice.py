@@ -9,7 +9,7 @@ from barlowlat.errors import ToolkitError
 from barlowlat.exceptional import DecompositionProblem, decompose_effective
 from barlowlat.fixtures import CURVE_NAMES
 from barlowlat.homledger import StarChoice, min_chain_degree
-from barlowlat.lattice import DivisorClass, make_lattice
+from barlowlat.lattice import DivisorClass, PicardLattice, make_lattice
 
 from root_oracle import is_root
 
@@ -148,17 +148,18 @@ def test_chi_parity_violation_on_bad_lattice():
         lat.chi(DivisorClass((1, 0)))
 
 
-def test_chi_hom_examples(fix, lat):
+def test_chi_of_a_difference_examples(fix, lat):
+    # the Euler pairing from a to b is chi(b - a), as `chi --from a --to b` reads it
     seq = fix.sequence
-    assert lat.chi_hom(seq[0], seq[0]) == 1
-    assert lat.chi_hom(seq[0], seq[2]) == -1   # table cell (3, 1)
-    assert lat.chi_hom(seq[2], seq[3]) == 1    # table cell (4, 3)
+    assert lat.chi(seq[0] - seq[0]) == 1
+    assert lat.chi(seq[2] - seq[0]) == -1   # table cell (3, 1)
+    assert lat.chi(seq[3] - seq[2]) == 1    # table cell (4, 3)
 
 
 @given(a=coords9, b=coords9, t=coords9)
 @settings(max_examples=200, deadline=None)
-def test_chi_hom_translation_invariant(lat, a, b, t):
-    assert lat.chi_hom(a, b) == lat.chi_hom(a + t, b + t)
+def test_chi_of_a_difference_translation_invariant(lat, a, b, t):
+    assert lat.chi(b - a) == lat.chi((b + t) - (a + t))
 
 
 def test_is_root_examples(fix, lat):
@@ -197,6 +198,19 @@ def _chi_cells(lat, seq):
         return [[lat.chi(a - b) for b in seq] for a in seq], None
     except ToolkitError as exc:
         return None, str(exc)
+
+
+@given(drawn=small_lattices(), data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_rank_is_read_off_the_gram(drawn, data):
+    # the lattice stores no rank beside its Gram, so the two cannot disagree:
+    # a class of any other length is refused, not cut short by zip
+    lat = PicardLattice(drawn[0].gram, drawn[0].k)
+    n = len(lat.gram)
+    assert lat.rank == n and lat == drawn[0]
+    other = data.draw(st.integers(0, 8).filter(lambda m: m != n))
+    with pytest.raises(ToolkitError, match=f"^class has length {other}, lattice has rank {n}$"):
+        lat.pairings([DivisorClass.zero(n)], [DivisorClass.zero(other)])
 
 
 @given(drawn=small_lattices())
@@ -308,6 +322,7 @@ def test_class_from_pairings_non_integral():
         fix.curve_class("K"), [("short", DivisorClass.zero(8))])),
      ToolkitError, "class has length 8, lattice has rank 9"),
     (lambda fix: DivisorClass.zero(9) + DivisorClass.zero(8), ToolkitError, "9 != 8"),
+    (lambda fix: DivisorClass.zero(9) - DivisorClass.zero(8), ToolkitError, "9 != 8"),
     (lambda fix: 2.0 * fix.curve_class("K"), TypeError, "scalar must be an integer"),
     (lambda fix: fix.lattice.classes_from_pairings(
         [fix.curve_class(n) for n in CURVE_NAMES], [[0] * 13]),
@@ -315,8 +330,8 @@ def test_class_from_pairings_non_integral():
     (lambda fix: fix.ext_bounds.entry(23, 1), IndexError, r"indices \(23, 1\) outside 1\.\.22"),
     (lambda fix: min_chain_degree(fix.ledger, StarChoice.ZERO, 0),
      ValueError, "chain length must be at least 1"),
-], ids=["decompose-short-generator", "add-9-and-8", "float-scalar", "short-value-row",
-        "entry-outside-table", "chain-length-0"])
+], ids=["decompose-short-generator", "add-9-and-8", "subtract-8-from-9", "float-scalar",
+        "short-value-row", "entry-outside-table", "chain-length-0"])
 def test_library_argument_errors(fix, call, error, message):
     with pytest.raises(error, match=f"^{message}$"):
         call(fix)
