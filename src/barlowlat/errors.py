@@ -4,7 +4,7 @@
   "check failed: <message>"; inside `verify` the check's row fails.
 * UsageError: a malformed argument or expression, or an unreadable --matrix
   or unwritable --report file.  Exit 2, the message alone on one line.
-* SchemaError: a fixture document is malformed.  Exit 2, printed as
+* SchemaError: a fixture document or a table record is malformed.  Exit 2, as
   "fixture error: <message>".
 * UnknownName: a class name is not in the registry.  Exit 2, printed as
   "unknown name: <message>".
@@ -27,7 +27,7 @@ class UsageError(ToolkitError):
 
 
 class SchemaError(ToolkitError):
-    """A fixture document does not match the expected shape or placement."""
+    """A fixture document or a table record has the wrong shape or placement."""
     exit_code = 2
     prefix = "fixture error: "
 

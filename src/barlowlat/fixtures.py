@@ -9,8 +9,9 @@ matrix, the forward Ext ledger and the 22x22 height bound table.
 read-only mappings.  The model is a chain of stages, each a cached property
 that is a pure function of the tables and the earlier stages:
 
+* `curve_rank`: the rank of the curve table, with its symmetry and diagonal;
 * `d8_fork`: D1..D8 as classes of `curves`, the formal lattice on the 14
-  curves whose Gram is the curve table;
+  curves whose Gram is the curve table, with their fork Gram and degree 0;
 * `canonical`: the canonical coordinate basis (k, e, d8..d2), with the
   lattice and the coordinates of the 14 curves, D1..D8 and e.  It is the
   only code that builds the glue root e: the fork D1..D8 must have the Gram
@@ -232,10 +233,7 @@ class FixtureSet(Record):
         try:
             curve = raw["curve_table"]
             curve_names = tuple(curve["names"])
-            curves = PicardLattice(
-                gram=_int_rows(curve["matrix"], "curve_table.matrix"),
-                k=_curve_vector({"K": 1}),
-            )
+            curve_gram = _int_rows(curve["matrix"], "curve_table.matrix")
             bt_raw = raw["b_table"]
             btable = BTable(
                 k_value=_int(bt_raw["k_value"], "b_table.k_value"),
@@ -284,8 +282,10 @@ class FixtureSet(Record):
             raise SchemaError(f"fixture document malformed: {exc}") from exc
         if curve_names != CURVE_NAMES:
             raise SchemaError(f"curve names must be {CURVE_NAMES}")
-        if not _square(curves.gram, len(CURVE_NAMES)):
-            raise SchemaError("curve matrix must be 14x14")
+        try:   # k has a coordinate per curve, so the record's rule is 14x14
+            curves = PicardLattice(gram=curve_gram, k=_curve_vector({"K": 1}))
+        except SchemaError as exc:
+            raise SchemaError("curve matrix must be 14x14") from exc
         if not _square(d8_gram, 8):
             raise SchemaError("d8.gram must be 8x8")
         if sorted(d8_defs) != [f"D{i}" for i in range(1, 9)]:
@@ -314,9 +314,42 @@ class FixtureSet(Record):
     # ------------------------------------------------------------------ stages
 
     @cached_property
+    def curve_rank(self) -> int:
+        """The curve table's rank, 9, checked after its symmetry and before its diagonal."""
+        gram = self.curves.gram
+        bad = linalg.first_difference(gram, tuple(zip(*gram)))
+        if bad:
+            raise ToolkitError(
+                f"curve matrix asymmetric at ({CURVE_NAMES[bad[0]]}, {CURVE_NAMES[bad[1]]})"
+            )
+        rk = linalg.rank_exact(gram)
+        if rk != 9:
+            raise ToolkitError(f"curve matrix has rank {rk}, expected 9")
+        for i, name in enumerate(CURVE_NAMES):
+            got, want = gram[i][i], CURVE_DIAGONAL[name[0]]
+            if got != want:
+                raise ToolkitError(f"diagonal entry for {name} is {got}, expected {want}")
+        return rk
+
+    @cached_property
     def d8_fork(self) -> tuple[DivisorClass, ...]:
-        """D1..D8 as classes of the formal curve lattice."""
-        return tuple(_curve_vector(self.d8_defs[f"D{i}"]) for i in range(1, 9))
+        """D1..D8 as classes of the formal curve lattice, with the fork Gram and degree 0."""
+        ds = tuple(_curve_vector(self.d8_defs[f"D{i}"]) for i in range(1, 9))
+        rows = self.curves.pairings(ds, [*ds, self.curves.k])
+        gram = tuple(tuple(row[:8]) for row in rows)
+        bad = linalg.first_difference(gram, self.d8_gram_expected)
+        if bad:
+            i, j = bad
+            raise ToolkitError(
+                f"simple-root gram differs at (D{i + 1}, D{j + 1}): "
+                f"{linalg.int_text(gram[i][j])} != {self.d8_gram_expected[i][j]}"
+            )
+        if gram != D8_FORK_GRAM:
+            raise ToolkitError("input Gram is not the expected fork-at-d6 form")
+        for i, row in enumerate(rows):
+            if row[8]:
+                raise ToolkitError(f"D{i + 1} is not orthogonal to K")
+        return ds
 
     @cached_property
     def canonical(self) -> Canonical:
@@ -328,8 +361,7 @@ class FixtureSet(Record):
         integrally with it.  The Gram of the basis must be `CANONICAL_GRAM`,
         which fixes det 1 and signature (1, 8, 0) as well.
         """
-        self.validate_curves()
-        self.validate_d8()
+        self.curve_rank  # reading the stage checks the curve table first
         curves, ds = self.curves, self.d8_fork
         b_row = self.b_table.pairing_row(curves, 1, 0, 0, 0)
 
@@ -441,40 +473,12 @@ class FixtureSet(Record):
     # ------------------------------------------------------------------ checks
 
     def validate_curves(self) -> dict[str, object]:
-        """The curve table: symmetry, rank 9 and the diagonal; names and shape
-        are parsed."""
-        gram = self.curves.gram
-        bad = linalg.first_difference(gram, tuple(zip(*gram)))
-        if bad:
-            raise ToolkitError(
-                f"curve matrix asymmetric at ({CURVE_NAMES[bad[0]]}, {CURVE_NAMES[bad[1]]})"
-            )
-        rk = linalg.rank_exact(gram)
-        if rk != 9:
-            raise ToolkitError(f"curve matrix has rank {rk}, expected 9")
-        for i, name in enumerate(CURVE_NAMES):
-            got, want = gram[i][i], CURVE_DIAGONAL[name[0]]
-            if got != want:
-                raise ToolkitError(f"diagonal entry for {name} is {got}, expected {want}")
-        return {"rank": rk, "symmetric": True}
+        """The curve_rank stage: symmetry, rank 9 and the diagonal."""
+        return {"rank": self.curve_rank, "symmetric": True}
 
     def validate_d8(self) -> dict[str, object]:
-        """The eight combinations have the expected fork Gram and degree 0."""
-        ds = self.d8_fork
-        rows = self.curves.pairings(ds, [*ds, self.curves.k])
-        gram = tuple(tuple(row[:8]) for row in rows)
-        bad = linalg.first_difference(gram, self.d8_gram_expected)
-        if bad:
-            i, j = bad
-            raise ToolkitError(
-                f"simple-root gram differs at (D{i + 1}, D{j + 1}): "
-                f"{linalg.int_text(gram[i][j])} != {self.d8_gram_expected[i][j]}"
-            )
-        if gram != D8_FORK_GRAM:
-            raise ToolkitError("input Gram is not the expected fork-at-d6 form")
-        for i, row in enumerate(rows):
-            if row[8]:
-                raise ToolkitError(f"D{i + 1} is not orthogonal to K")
+        """The d8_fork stage: the fork Gram and degree 0 of D1..D8."""
+        self.d8_fork  # reading the stage runs its checks
         return {"gram_verified": True, "degrees_zero": True}
 
     def build_canonical(self) -> dict[str, object]:

@@ -5,7 +5,9 @@ by the canonical class.  A lower-bound table for the relative heights
 e(source, target) feeds a min-plus dynamic program over "circles": increasing
 index chains of span exactly n.  The resulting minimum certifies a lower
 bound for the height; the single-segment circles give the matching upper
-bound on the shipped data.
+bound on the shipped data.  An `ExtBoundMatrix` has at least one object and
+2n rows of 2n cells, each ABSENT, INF or an integer >= 0, however it is built;
+`from_rows` reads the JSON encoding ("inf", null) against a declared n.
 """
 from __future__ import annotations
 
@@ -22,14 +24,25 @@ ABSENT = None
 
 
 class ExtBoundMatrix(Record):
-    """Partial 2n x 2n table of lower bounds for e(source j -> target i).
-
-    rows[i-1][j-1] is an integer bound, INF (all forward Ext vanish), or
-    ABSENT where the normalized circle set never looks.  Touching an ABSENT
-    cell is a hard error, never a default.  n is read off the rows.
-    """
+    """Partial 2n x 2n table of lower bounds: rows[i-1][j-1] bounds e(source j
+    -> target i) by an integer, INF (all forward Ext vanish), or ABSENT where
+    the normalized circle set never looks, and reading ABSENT is an error."""
 
     rows: tuple[tuple[int | float | None, ...], ...]
+
+    def __post_init__(self) -> None:
+        size = 2 * self.n
+        if size < 2:
+            raise SchemaError(f"n must be a positive integer, got {self.n}")
+        if len(self.rows) != size:
+            raise SchemaError(f"expected {size} rows, got {len(self.rows)}")
+        for i, row in enumerate(self.rows, 1):
+            if len(row) != size:
+                raise SchemaError(f"row {i} has {len(row)} entries, expected {size}")
+            for x in row:
+                if not (x is ABSENT or x == INF
+                        or isinstance(x, int) and not isinstance(x, bool) and x >= 0):
+                    raise SchemaError(f"bad bound entry {x!r} in row {i}")
 
     @cached_property
     def n(self) -> int:
@@ -39,25 +52,13 @@ class ExtBoundMatrix(Record):
     def from_rows(n: int, raw_rows: Sequence[Sequence[int | str | None]]) -> "ExtBoundMatrix":
         if isinstance(n, bool) or not isinstance(n, int) or n < 1:
             raise SchemaError(f"n must be a positive integer, got {n!r}")
-        size = 2 * n
-        if len(raw_rows) != size:
-            raise SchemaError(f"expected {size} rows, got {len(raw_rows)}")
-        rows = []
-        for i, raw in enumerate(raw_rows):
-            if len(raw) != size:
-                raise SchemaError(f"row {i + 1} has {len(raw)} entries, expected {size}")
-            row: list[int | float | None] = []
-            for x in raw:
-                if x is None:
-                    row.append(ABSENT)
-                elif x == "inf":
-                    row.append(INF)
-                elif isinstance(x, int) and not isinstance(x, bool) and x >= 0:
-                    row.append(x)
-                else:
-                    raise SchemaError(f"bad bound entry {x!r} in row {i + 1}")
-            rows.append(tuple(row))
-        return ExtBoundMatrix(tuple(rows))
+        if len(raw_rows) != 2 * n:
+            raise SchemaError(f"expected {2 * n} rows, got {len(raw_rows)}")
+        for i, raw in enumerate(raw_rows, 1):
+            if any(x == INF for x in raw):   # INF is encoded "inf", never a float
+                raise SchemaError(f"bad bound entry inf in row {i}")
+        return ExtBoundMatrix(tuple(tuple(INF if x == "inf" else x for x in raw)
+                                    for raw in raw_rows))
 
     def entry(self, target: int, source: int) -> int | float:
         """Bound for e(source -> target), 1-based indices: IndexError outside
@@ -153,6 +154,4 @@ def fullness_verdict(h: int | float, dim: int) -> str:
     """NOT_FULL iff h >= 1 - dim (INF counts as not full)."""
     if dim < 1:
         raise ValueError("dimension must be positive")
-    if h >= 1 - dim:
-        return Fullness.NOT_FULL
-    return Fullness.INCONCLUSIVE
+    return Fullness.NOT_FULL if h >= 1 - dim else Fullness.INCONCLUSIVE

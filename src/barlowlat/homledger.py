@@ -2,11 +2,13 @@
 
 The ledger stores, for every forward pair (j -> i with j <= i), the triple
 [h0, h1, h2] of Ext dimensions, or a star where it is undetermined (either
-[0,0,0] or [0,1,1]); only `LedgerMatrix` reads the star encoding.  The degree
-argument only needs minimal degrees of chains of composable forward maps,
-computed here by dynamic programming over the strictly-increasing-index DAG:
-one layered DP up to length n gives the minimum at every length, as the
-formality report reads them.
+[0,0,0] or [0,1,1]); only `LedgerMatrix` reads the star encoding.  The record
+itself holds exactly the lower triangle of 1..n, each cell a `CohomDatum` or
+the star and the diagonal [1,0,0]; its parser `from_dict` reads the "i,j" keys
+up to the declared n, the JSON triples and the star.  The degree argument only
+needs minimal degrees of chains of composable forward maps, computed by one
+layered DP over the strictly-increasing-index DAG up to length n, which gives
+the minimum at every length, as the formality report reads them.
 """
 from __future__ import annotations
 
@@ -70,14 +72,23 @@ class StarChoice(Enum):
 
 
 class LedgerMatrix(Record):
-    """n x n lower-triangular table of forward Ext data.
-
-    entries[(i, j)] with 1 <= j <= i <= n is the datum of maps from object j
-    to object i, or STAR where undetermined; pairs with i < j are implicitly
-    zero (the sequence kills backward maps); n and the stars are read off it.
-    """
+    """n x n lower-triangular table of forward Ext data: entries[(i, j)] is the
+    datum of maps from object j to object i, or STAR; a backward pair (i < j)
+    is zero, as the sequence kills it.  n and the stars are read off it."""
 
     entries: Mapping[tuple[int, int], CohomDatum | str]
+
+    def __post_init__(self) -> None:
+        for (i, j), val in self.entries.items():
+            if not 1 <= j <= i:
+                raise SchemaError(f"ledger key '{i},{j}' outside the lower triangle")
+            if val != STAR and not isinstance(val, CohomDatum):
+                raise SchemaError(f"ledger entry {i},{j} is not a CohomDatum or the star")
+        rows = range(1, self.n + 1)
+        for i, j in ((i, j) for i in rows for j in range(1, i + 1) if (i, j) not in self.entries):
+            raise SchemaError(f"ledger entry {i},{j} is missing")
+        for i in (i for i in rows if self.entries[(i, i)] != CohomDatum(1, 0, 0)):
+            raise SchemaError(f"diagonal entry {i},{i} must be [1,0,0]")
 
     @cached_property
     def n(self) -> int:
@@ -99,19 +110,15 @@ class LedgerMatrix(Record):
                 raise SchemaError(f"bad ledger key {key!r}") from exc
             if key != f"{i},{j}":  # int() also reads "05", "+5", " 5", "0_5", "\u0665"
                 raise SchemaError(f"bad ledger key {key!r}")
-            if not (1 <= j <= i <= n):
+            if i > n:
                 raise SchemaError(f"ledger key {key!r} outside the lower triangle")
             if val != STAR and not (isinstance(val, (list, tuple)) and len(val) == 3):
                 raise SchemaError(f"ledger entry {key!r} is not a triple")
             entries[(i, j)] = STAR if val == STAR else CohomDatum(*val)
-        for i in range(1, n + 1):
-            for j in range(1, i + 1):
-                if (i, j) not in entries:
-                    raise SchemaError(f"ledger entry {i},{j} is missing")
-        for i in range(1, n + 1):
-            if entries[(i, i)] != CohomDatum(1, 0, 0):
-                raise SchemaError(f"diagonal entry {i},{i} must be [1,0,0]")
-        return LedgerMatrix(MappingProxyType(entries))
+        ledger = LedgerMatrix(MappingProxyType(entries))
+        if ledger.n < n:   # complete up to a row before the declared last
+            raise SchemaError(f"ledger entry {ledger.n + 1},1 is missing")
+        return ledger
 
     def datum(self, i: int, j: int, stars: StarChoice) -> CohomDatum:
         """Forward datum for maps j -> i; zero for backward pairs."""

@@ -6,7 +6,9 @@ reconstruction of classes from their pairings against a spanning probe set.
 Pairings are bilinear: `pairings` checks the length of every class, then
 returns the whole table from one Gram image per right-hand class, and is the
 one product with the Gram; `pair` is its one-cell table, and `euler_matrix`
-reads every chi(l_i - l_j) off one.
+reads every chi(l_i - l_j) off one.  A `PicardLattice` however built has a
+square Gram and a k of its size; `make_lattice` adds what a caller declares:
+the rank, integer cells and a symmetric Gram.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from math import gcd
 from operator import index, mul
 from typing import Iterable, Sequence
 
-from .errors import ToolkitError
+from .errors import SchemaError, ToolkitError
 from . import linalg
 from .record import Record
 
@@ -71,6 +73,12 @@ class PicardLattice(Record):
 
     gram: tuple[tuple[int, ...], ...]
     k: DivisorClass
+
+    def __post_init__(self) -> None:
+        if any(len(row) != self.rank for row in self.gram):
+            raise SchemaError(f"gram is not {self.rank}x{self.rank}")
+        if len(self.k) != self.rank:
+            raise SchemaError(f"k has length {len(self.k)}, expected {self.rank}")
 
     @cached_property
     def rank(self) -> int:
@@ -162,15 +170,14 @@ def make_lattice(
     gram: Iterable[Iterable[int]],
     k: DivisorClass,
 ) -> PicardLattice:
-    """Validate and freeze a lattice: square symmetric gram of integers (read
-    through operator.index, so True is stored as 1), k of matching length."""
+    """Validate and freeze a lattice of the declared rank: a symmetric gram of
+    integers (read through operator.index, so True is stored as 1)."""
     g = tuple(tuple(map(index, row)) for row in gram)
-    if len(g) != rank or any(len(row) != rank for row in g):
-        raise ToolkitError(f"gram is not {rank}x{rank}")
+    if len(g) != rank:
+        raise SchemaError(f"gram is not {rank}x{rank}")
+    lat = PicardLattice(gram=g, k=k)
     bad = linalg.first_difference(g, tuple(zip(*g)))
     if bad:
         raise ToolkitError(f"gram[{bad[0]}][{bad[1]}] != gram[{bad[1]}][{bad[0]}]")
-    if len(k) != rank:
-        raise ToolkitError(f"k has length {len(k)}, expected {rank}")
-    return PicardLattice(gram=g, k=k)
+    return lat
 

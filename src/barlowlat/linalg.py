@@ -48,7 +48,7 @@ def int_text(value: int | float | Sequence[int]) -> str:
 
 def gauss_jordan(
     rows: IntMatrix, width: int
-) -> tuple[list[list[int]], list[int], int, int]:
+) -> tuple[list[list[int]], list[int], list[int], list[int]]:
     """Fraction-free Gauss-Jordan elimination on integer rows.
 
     Pivots are taken in the first `width` columns, topmost nonzero entry
@@ -58,14 +58,14 @@ def gauss_jordan(
     column and prev the previous pivot.  By Sylvester's identity the division
     is exact, so every entry stays an integer.
 
-    Returns (m, pivots, d, swaps).  Row i < len(pivots) of m holds d in
-    column pivots[i] and zero in every column before it and in the other
-    pivot columns; the other rows vanish in the first `width` columns.  d
-    is the last pivot (1 if there is none) and swaps counts the row exchanges.
+    Returns (m, pivots, ds, swaps): ds is 1 and then each step's pivot, and
+    swaps lists the steps that exchanged rows.  Row i < len(pivots) of m holds
+    d = ds[-1] in column pivots[i] and zero in every column before it and in
+    the other pivot columns; the other rows vanish in the first `width` columns.
     """
     m = [[index(x) for x in row] for row in rows]
     pivots: list[int] = []
-    prev, swaps = 1, 0
+    ds, swaps = [1], []
     for c in range(width):
         r = len(pivots)
         piv = next((i for i in range(r, len(m)) if m[i][c]), None)
@@ -73,16 +73,16 @@ def gauss_jordan(
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
-            swaps += 1
-        top = m[r]
+            swaps.append(r)
+        top, prev = m[r], ds[-1]
         p = top[c]
         for i, row in enumerate(m):
             f = row[c]
             if i != r and (f or p != prev):
                 m[i] = [(p * a - f * b) // prev for a, b in zip(row, top)]
         pivots.append(c)
-        prev = p
-    return m, pivots, prev, swaps
+        ds.append(p)
+    return m, pivots, ds, swaps
 
 
 def rank_exact(mat: IntMatrix) -> int:
@@ -93,17 +93,18 @@ def rank_exact(mat: IntMatrix) -> int:
 def det_exact(mat: IntMatrix) -> int:
     """Determinant of a square integer matrix."""
     n = len(mat)
-    _, pivots, d, swaps = gauss_jordan(mat, n)
-    return 0 if len(pivots) < n else -d if swaps % 2 else d
+    _, pivots, ds, swaps = gauss_jordan(mat, n)
+    return 0 if len(pivots) < n else -ds[-1] if len(swaps) % 2 else ds[-1]
 
 
 def invert_exact(mat: IntMatrix) -> list[list[int]]:
     """Integer inverse of a unimodular matrix (ZeroDivisionError if singular,
     ValueError if |det| > 1, when the inverse is not integral)."""
     n = len(mat)
-    m, pivots, d, _ = gauss_jordan(
+    m, pivots, ds, _ = gauss_jordan(
         [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(mat)], n
     )
+    d = ds[-1]
     if len(pivots) < n:
         raise ZeroDivisionError("matrix is singular")
     if d not in (1, -1):
@@ -126,10 +127,10 @@ def solve_overdetermined(
     if not rows:
         return [("underdetermined", None)] * len(rhs)
     n = len(rows[0])
-    m, pivots, d, _ = gauss_jordan(
+    m, pivots, ds, _ = gauss_jordan(
         [[*row, *(b[i] for b in rhs)] for i, row in enumerate(rows)], n
     )
-    r = len(pivots)
+    r, d = len(pivots), ds[-1]
     sign = -1 if d < 0 else 1
     out: list[tuple[str, tuple[list[int], int] | None]] = []
     for col in range(n, n + len(rhs)):
@@ -147,16 +148,14 @@ def signature_symmetric(gram: IntMatrix) -> tuple[int, int, int]:
     leading principal minors D_1, ..., D_n are all nonzero.
 
     Jacobi's rule: the negative count is the number of sign changes in
-    1, D_1, ..., D_n.  D_k is the last pivot of `gauss_jordan` on the leading
-    k x k block: while the earlier minors are nonzero no step exchanges rows,
-    so the pivot of step c is D_(c+1).  ValueError names the first D_k = 0.
+    1, D_1, ..., D_n, the pivots of one `gauss_jordan`: once D_1..D_c are
+    nonzero, step c pivots at (c, c) with no exchange exactly when D_(c+1) is
+    nonzero, and then its pivot is D_(c+1).  ValueError names the first D_k = 0.
     """
-    minors = [1]
-    for k in range(1, len(gram) + 1):
-        _, pivots, d, _ = gauss_jordan([row[:k] for row in gram[:k]], k)
-        if len(pivots) < k:
-            raise ValueError(f"leading principal minor D_{k} vanishes")
-        minors.append(d)
+    _, pivots, minors, swaps = gauss_jordan(gram, len(gram))
+    for c in range(len(gram)):
+        if pivots[c:c + 1] != [c] or c in swaps:
+            raise ValueError(f"leading principal minor D_{c + 1} vanishes")
     neg = sum((a > 0) != (b > 0) for a, b in zip(minors, minors[1:]))
     return len(gram) - neg, neg, 0
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from enum import Enum
 from functools import cached_property
+from itertools import combinations
 from operator import add, mul, sub
 from typing import Mapping, Sequence
 
@@ -98,12 +99,8 @@ class RootPartition(Record):
     b_derived: tuple[DivisorClass, ...]
 
     @property
-    def sizes(self) -> tuple[int, int, int]:
-        return (
-            len(self.elliptic_differences),
-            len(self.canonical_minus_elliptic),
-            len(self.b_derived),
-        )
+    def sizes(self) -> tuple[int, ...]:
+        return tuple(map(len, self._values()))
 
 
 def partition_roots(
@@ -143,15 +140,9 @@ def partition_roots(
         for extra in ((0,) * lat.rank, f, g, tuple(map(add, f, g))):
             fam3.add(tuple(map(sub, base, extra)))
 
-    fams = [fam1, fam2, fam3]
-    for i in range(3):
-        for j in range(i + 1, 3):
-            overlap = fams[i] & fams[j]
-            if overlap:
-                raise ToolkitError(
-                    f"families {i + 1} and {j + 1} overlap, witness "
-                    f"{sorted(overlap)[0]}"
-                )
+    for (i, fam_i), (j, fam_j) in combinations(enumerate((fam1, fam2, fam3), 1), 2):
+        if fam_i & fam_j:
+            raise ToolkitError(f"families {i} and {j} overlap, witness {min(fam_i & fam_j)}")
     union = fam1 | fam2 | fam3
     rootset = rs._index
     if union != rootset:
@@ -184,10 +175,6 @@ def vanishing_classification(
         in_h2 = tuple(map(sub, kc, r.coords)) in e_set
         if in_h0 and in_h2:
             raise ToolkitError(f"root {r.coords} is tagged both H0 and H2")
-        if in_h0:
-            tags[r] = VanishingTag.H0
-        elif in_h2:
-            tags[r] = VanishingTag.H2
-        else:
-            tags[r] = VanishingTag.NEITHER
+        tags[r] = (VanishingTag.H0 if in_h0 else VanishingTag.H2 if in_h2
+                   else VanishingTag.NEITHER)
     return tags

@@ -427,12 +427,29 @@ def test_verify_runs_each_elimination_and_height_once(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
 
+    def counted_stage(name):
+        # the body of a cached stage, run once per FixtureSet
+        inner = FixtureSet.__dict__[name].func
+
+        def body(self):
+            calls[name] += 1
+            return inner(self)
+
+        stage = functools.cached_property(body)
+        stage.__set_name__(FixtureSet, name)
+        monkeypatch.setattr(FixtureSet, name, stage)
+
     counted(linalg, "det_exact")
     counted(linalg, "signature_symmetric")
     counted(cli, "height")
+    # rank, inverse, determinant, signature and the genus-3 solve
+    counted(linalg, "gauss_jordan")
+    counted_stage("curve_rank")   # the fixture-tables check, read again by canonical
+    counted_stage("d8_fork")      # the simple-roots-gram check, read again by canonical
     report = run_verification(load_fixtures(validate=False), "both")
     assert report["summary"]["fail"] == 0
-    assert calls == {"det_exact": 1, "signature_symmetric": 1, "height": 1}
+    assert calls == {"det_exact": 1, "signature_symmetric": 1, "height": 1,
+                     "gauss_jordan": 5, "curve_rank": 1, "d8_fork": 1}
 
 
 def test_verify_missing_fixture_exits_2(capsys):

@@ -7,14 +7,16 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import barlowlat
 from barlowlat.errors import SchemaError, ToolkitError
 from barlowlat.exceptional import ABConfiguration, DecompositionProblem, search_configs
 from barlowlat.fixtures import load_fixtures
-from barlowlat.heights import Arc
-from barlowlat.homledger import CohomDatum, StarChoice, formality_report
-from barlowlat.lattice import DivisorClass
+from barlowlat.heights import Arc, ExtBoundMatrix
+from barlowlat.homledger import INF, STAR, CohomDatum, LedgerMatrix, StarChoice, formality_report
+from barlowlat.lattice import DivisorClass, PicardLattice, make_lattice
 from barlowlat.record import Record
 from barlowlat.roots import partition_roots
 
@@ -185,3 +187,152 @@ def test_ab_configuration_checks_its_chain_on_both_paths(lat):
         ABConfiguration((k,) * 7, (k, k), k)
     with pytest.raises(ToolkitError, match="need eight chain roots"):
         ABConfiguration(a=(k,) * 7, b=(k, k), k=k)
+
+
+# ------------------------------------------------------------ shape rules
+
+#: tables built directly, not through a parser, each breaking its record's
+#: shape rule; the record refuses each one when it is built
+DIRECT_DEFECTS = {
+    "empty-bound-table": (lambda: ExtBoundMatrix(()), "n must be a positive integer, got 0"),
+    "five-row-bound-table": (lambda: ExtBoundMatrix(((None,) * 4,) * 5),
+                             "expected 4 rows, got 5"),
+    "ragged-bound-table": (lambda: ExtBoundMatrix(((None,) * 4,) * 3 + ((None,) * 3,)),
+                           "row 4 has 3 entries, expected 4"),
+    "ledger-without-cell-1-1": (lambda: LedgerMatrix({(2, 1): STAR}),
+                                "ledger entry 1,1 is missing"),
+    "ragged-gram": (lambda: PicardLattice(gram=((1, 0), (0,)), k=DivisorClass((1, 0))),
+                    "gram is not 2x2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIRECT_DEFECTS))
+def test_a_record_built_directly_checks_its_shape(name):
+    build, message = DIRECT_DEFECTS[name]
+    with pytest.raises(SchemaError) as exc:
+        build()
+    assert type(exc.value) is SchemaError and str(exc.value) == message
+
+
+def test_a_ledger_cell_is_a_datum_or_the_star():
+    one = CohomDatum(1, 0, 0)
+    with pytest.raises(SchemaError, match=r"^ledger entry 1,1 is not a CohomDatum or the star$"):
+        LedgerMatrix({(1, 1): (1, 0, 0)})
+    with pytest.raises(SchemaError, match=r"^ledger key '1,2' outside the lower triangle$"):
+        LedgerMatrix({(1, 1): one, (1, 2): one})
+    with pytest.raises(SchemaError, match=r"^diagonal entry 1,1 must be \[1,0,0\]$"):
+        LedgerMatrix({(1, 1): STAR})
+
+
+def test_only_the_parser_refuses_a_float_inf():
+    # INF is the record's marker; the JSON encoding writes it "inf", so a raw
+    # float inf in a document is refused
+    rows = [[None, INF], [1, None]]
+    assert ExtBoundMatrix(tuple(map(tuple, rows))) == ExtBoundMatrix.from_rows(
+        1, [[None, "inf"], [1, None]])
+    with pytest.raises(SchemaError, match=r"^bad bound entry inf in row 1$"):
+        ExtBoundMatrix.from_rows(1, rows)
+
+
+def _outcome(build):
+    """The record built, or the message of the SchemaError that refused it."""
+    try:
+        return build()
+    except SchemaError as exc:
+        return f"SchemaError: {exc}"
+
+
+@st.composite
+def ledger_tables(draw):
+    """The lower triangle of 1..n with diagonal (1,0,0), then one edit: none,
+    a dropped cell, a dropped diagonal cell, a wrong diagonal or no cells."""
+    n = draw(st.integers(1, 4))
+    cell = st.one_of(st.just(STAR), st.tuples(*[st.integers(0, 2)] * 3))
+    table = {(i, j): (1, 0, 0) if i == j else draw(cell)
+             for i in range(1, n + 1) for j in range(1, i + 1)}
+    edit = draw(st.sampled_from(["none", "drop", "drop-diagonal", "bad-diagonal", "empty"]))
+    d = draw(st.integers(1, n))
+    if edit == "drop":
+        del table[draw(st.sampled_from(sorted(table)))]
+    elif edit == "drop-diagonal":
+        del table[(d, d)]
+    elif edit == "bad-diagonal":
+        table[(d, d)] = draw(st.sampled_from([STAR, (0, 0, 0), (1, 1, 0)]))
+    elif edit == "empty":
+        table.clear()
+    return table
+
+
+@given(ledger_tables())
+@settings(max_examples=200, deadline=None)
+def test_ledger_direct_and_parsed_agree(table):
+    # declared n is the record's own n, so every refusal is a shape rule
+    n = max((i for i, _ in table), default=0)
+    direct = _outcome(lambda: LedgerMatrix(
+        {cell: STAR if v == STAR else CohomDatum(*v) for cell, v in table.items()}))
+    parsed = _outcome(lambda: LedgerMatrix.from_dict(
+        n, {f"{i},{j}": "star" if v == STAR else list(v) for (i, j), v in table.items()}))
+    assert direct == parsed
+
+
+@st.composite
+def bound_tables(draw):
+    """A 2n x 2n table of null, INF and integer cells, then one edit: none, a
+    dropped cell (a ragged row), an extra row, a dropped row, a bad cell or
+    no rows."""
+    n = draw(st.integers(1, 3))
+    cell = st.one_of(st.none(), st.just(INF), st.integers(0, 5))
+    rows = [[draw(cell) for _ in range(2 * n)] for _ in range(2 * n)]
+    edit = draw(st.sampled_from(["none", "drop", "extra-row", "drop-row", "bad-cell", "empty"]))
+    i, j = draw(st.integers(0, 2 * n - 1)), draw(st.integers(0, 2 * n - 1))
+    if edit == "drop":
+        del rows[i][j]
+    elif edit == "extra-row":
+        rows.append(list(rows[i]))
+    elif edit == "drop-row":
+        del rows[i]
+    elif edit == "bad-cell":
+        rows[i][j] = draw(st.sampled_from([-1, 1.5, True, "x", -INF]))
+    elif edit == "empty":
+        rows.clear()
+    return rows
+
+
+@given(bound_tables())
+@settings(max_examples=200, deadline=None)
+def test_bound_table_direct_and_parsed_agree(rows):
+    direct = _outcome(lambda: ExtBoundMatrix(tuple(map(tuple, rows))))
+    parsed = _outcome(lambda: ExtBoundMatrix.from_rows(
+        len(rows) // 2, [["inf" if x == INF else x for x in row] for row in rows]))
+    assert direct == parsed
+
+
+@st.composite
+def lattice_tables(draw):
+    """A symmetric n x n Gram and a k of length n, then one edit: none, a
+    dropped cell (a ragged row), an extra row, a short k or an empty Gram."""
+    n = draw(st.integers(1, 3))
+    upper = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(n)]
+    gram = [[upper[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    k = [draw(st.integers(-2, 2)) for _ in range(n)]
+    edit = draw(st.sampled_from(["none", "drop", "extra-row", "short-k", "empty"]))
+    i = draw(st.integers(0, n - 1))
+    if edit == "drop":
+        del gram[i][draw(st.integers(0, n - 1))]
+    elif edit == "extra-row":
+        gram.append(list(gram[i]))
+    elif edit == "short-k":
+        del k[i]
+    elif edit == "empty":
+        gram.clear()
+    return gram, k
+
+
+@given(lattice_tables())
+@settings(max_examples=200, deadline=None)
+def test_lattice_direct_and_parsed_agree(table):
+    # the drawn Gram is symmetric, so make_lattice's own rule never refuses it
+    gram, k = table
+    direct = _outcome(lambda: PicardLattice(tuple(map(tuple, gram)), DivisorClass(k)))
+    parsed = _outcome(lambda: make_lattice(len(gram), gram, DivisorClass(k)))
+    assert direct == parsed
