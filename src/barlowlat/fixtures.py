@@ -6,8 +6,12 @@ genus-3 classes, the 11 line-bundle combinations with their Euler-pairing
 matrix, the forward Ext ledger and the 22x22 height bound table.
 
 `FixtureSet` is frozen and holds only the parsed tables, as tuples and
-read-only mappings.  The model is a chain of stages, each a cached property
-that is a pure function of the tables and the earlier stages:
+read-only mappings.  Built directly or by `from_dict`, `BTable` and then
+`FixtureSet` check their own shape (the Barlow stars, the names D1..D8 and
+L1..L11, the size of every table) and raise `SchemaError`; `from_dict` keeps
+the JSON encoding: the format tag, integer cells, curve names and the digest.
+The model is a chain of stages, each a cached property that is a pure
+function of the tables and the earlier stages:
 
 * `curve_rank`: the rank of the curve table, with its symmetry and diagonal;
 * `d8_fork`: D1..D8 as classes of `curves`, the formal lattice on the 14
@@ -67,7 +71,7 @@ CURVE_DIAGONAL = {"E": -1, "L": -3, "K": 1, "C": -2}
 FIXTURE_FORMAT = "barlowlat-fixture-v1"
 
 #: the eight undetermined ledger cells ("stars") sit in the last row, in the
-#: circle columns: the Barlow ledger's shape, checked when the document is read
+#: circle columns: the Barlow ledger's shape, checked when the model is built
 STAR_POSITIONS = tuple((11, j) for j in (1, 2, 4, 5, 6, 8, 9, 10))
 
 SEQUENCE_NAMES = tuple(f"L{i}" for i in range(1, 12))
@@ -106,15 +110,14 @@ class BTable(Record):
     e_hit_ks: Mapping[str, Mapping[str, Sequence[int]]]  # name -> str(i) -> ks
     cross_block_b_cells: frozenset[tuple[int, int]]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for field in ("l_values", "e12_values"):
-            missing = {"plus", "minus"} - set(getattr(self, field))
-            if missing:
+            if missing := {"plus", "minus"} - set(getattr(self, field)):
                 raise SchemaError(f"{field} lacks {', '.join(sorted(missing))}")
         if set(self.c_table) != set(MINUS_TWO_CURVES):
             raise SchemaError("c_table must cover the four (-2)-curves")
         for name, grid in self.c_table.items():
-            if len(grid) != 2 or any(len(row) != 2 for row in grid):
+            if not _square(grid, 2):
                 raise SchemaError(f"c_table[{name}] must be 2x2")
         if set(self.e_hit_ks) != set(PAIRED_ELLIPTIC):
             raise SchemaError("e_hit_ks must cover the six paired elliptic curves")
@@ -224,6 +227,24 @@ class FixtureSet(Record):
     relation_lhs: Mapping[str, int]
     relation_rhs: Mapping[str, int]
 
+    def __post_init__(self) -> None:
+        stars = self.ledger.star_positions
+        if stars != set(STAR_POSITIONS):
+            raise SchemaError(f"star entries at {sorted(stars)}, expected {sorted(STAR_POSITIONS)}")
+        if self.curves.rank != len(CURVE_NAMES):
+            raise SchemaError("curve matrix must be 14x14")
+        if not _square(self.d8_gram_expected, 8):
+            raise SchemaError("d8.gram must be 8x8")
+        if sorted(self.d8_defs) != [f"D{i}" for i in range(1, 9)]:
+            raise SchemaError("d8.defs must define D1..D8")
+        if sorted(self.sequence_defs) != sorted(SEQUENCE_NAMES):
+            raise SchemaError("sequence must define L1..L11")
+        if not _square(self.chi_matrix, 11):
+            raise SchemaError("chi_matrix must be 11x11")
+        if (self.ledger.n, self.ext_bounds.n) != (11, 11):
+            raise SchemaError("ledger.n and ext_bounds.n must be 11, not "
+                              f"{self.ledger.n}, {self.ext_bounds.n}")
+
     # ---------------------------------------------------------------- parsing
 
     @staticmethod
@@ -231,11 +252,10 @@ class FixtureSet(Record):
         if not isinstance(raw, Mapping) or raw.get("format") != FIXTURE_FORMAT:
             raise SchemaError(f'fixture document must carry "format": "{FIXTURE_FORMAT}"')
         try:
-            curve = raw["curve_table"]
-            curve_names = tuple(curve["names"])
-            curve_gram = _int_rows(curve["matrix"], "curve_table.matrix")
+            curve_names = tuple(raw["curve_table"]["names"])
+            curve_gram = _int_rows(raw["curve_table"]["matrix"], "curve_table.matrix")
             bt_raw = raw["b_table"]
-            btable = BTable(
+            b_fields = dict(
                 k_value=_int(bt_raw["k_value"], "b_table.k_value"),
                 l_values=_combo_dict(bt_raw["l_values"], "b_table.l_values"),
                 e12_values=_combo_dict(bt_raw["e12_values"], "b_table.e12_values"),
@@ -256,28 +276,26 @@ class FixtureSet(Record):
                     for a, b in bt_raw["cross_block_b_cells"]
                 ),
             )
-            d8_defs = MappingProxyType({
-                name: _combo_dict(combo, f"d8.defs.{name}")
-                for name, combo in raw["d8"]["defs"].items()
-            })
-            d8_gram = _int_rows(raw["d8"]["gram"], "d8.gram")
-            seq = MappingProxyType({
-                name: _combo_dict(combo, f"sequence.{name}")
-                for name, combo in raw["sequence"].items()
-            })
-            chi = _int_rows(raw["chi_matrix"], "chi_matrix")
-            ledger = LedgerMatrix.from_dict(_int(raw["ledger"]["n"], "ledger.n"),
-                                            raw["ledger"]["entries"])
-            if ledger.star_positions != set(STAR_POSITIONS):
-                raise SchemaError(f"star entries at {sorted(ledger.star_positions)}, "
-                                  f"expected {sorted(STAR_POSITIONS)}")
-            bounds = ExtBoundMatrix.from_rows(
-                n=_int(raw["ext_bounds"]["n"], "ext_bounds.n"),
-                raw_rows=raw["ext_bounds"]["rows"],
+            fields = dict(
+                d8_defs=MappingProxyType({
+                    name: _combo_dict(combo, f"d8.defs.{name}")
+                    for name, combo in raw["d8"]["defs"].items()
+                }),
+                d8_gram_expected=_int_rows(raw["d8"]["gram"], "d8.gram"),
+                sequence_defs=MappingProxyType({
+                    name: _combo_dict(combo, f"sequence.{name}")
+                    for name, combo in raw["sequence"].items()
+                }),
+                chi_matrix=_int_rows(raw["chi_matrix"], "chi_matrix"),
+                ledger=LedgerMatrix.from_dict(_int(raw["ledger"]["n"], "ledger.n"),
+                                              raw["ledger"]["entries"]),
+                ext_bounds=ExtBoundMatrix.from_rows(_int(raw["ext_bounds"]["n"], "ext_bounds.n"),
+                                                    raw["ext_bounds"]["rows"]),
+                relation_lhs=_combo_dict(raw["b_relation"]["lhs"], "b_relation.lhs"),
+                relation_rhs=_combo_dict(raw["b_relation"]["rhs"], "b_relation.rhs"),
+                digest=sha256(json.dumps(raw, sort_keys=True, separators=(",", ":"))
+                              .encode()).hexdigest(),
             )
-            rel_lhs = _combo_dict(raw["b_relation"]["lhs"], "b_relation.lhs")
-            rel_rhs = _combo_dict(raw["b_relation"]["rhs"], "b_relation.rhs")
-            blob = json.dumps(raw, sort_keys=True, separators=(",", ":"))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"fixture document malformed: {exc}") from exc
         if curve_names != CURVE_NAMES:
@@ -286,30 +304,7 @@ class FixtureSet(Record):
             curves = PicardLattice(gram=curve_gram, k=_curve_vector({"K": 1}))
         except SchemaError as exc:
             raise SchemaError("curve matrix must be 14x14") from exc
-        if not _square(d8_gram, 8):
-            raise SchemaError("d8.gram must be 8x8")
-        if sorted(d8_defs) != [f"D{i}" for i in range(1, 9)]:
-            raise SchemaError("d8.defs must define D1..D8")
-        if sorted(seq) != sorted(SEQUENCE_NAMES):
-            raise SchemaError("sequence must define L1..L11")
-        if not _square(chi, 11):
-            raise SchemaError("chi_matrix must be 11x11")
-        if (ledger.n, bounds.n) != (11, 11):
-            raise SchemaError(f"ledger.n and ext_bounds.n must be 11, not {ledger.n}, {bounds.n}")
-        btable.validate()
-        return FixtureSet(
-            digest=sha256(blob.encode()).hexdigest(),
-            curves=curves,
-            b_table=btable,
-            d8_defs=d8_defs,
-            d8_gram_expected=d8_gram,
-            sequence_defs=seq,
-            chi_matrix=chi,
-            ledger=ledger,
-            ext_bounds=bounds,
-            relation_lhs=rel_lhs,
-            relation_rhs=rel_rhs,
-        )
+        return FixtureSet(curves=curves, b_table=BTable(**b_fields), **fields)
 
     # ------------------------------------------------------------------ stages
 

@@ -3,8 +3,8 @@
 The ledger stores, for every forward pair (j -> i with j <= i), the triple
 [h0, h1, h2] of Ext dimensions, or a star where it is undetermined (either
 [0,0,0] or [0,1,1]); only `LedgerMatrix` reads the star encoding.  The record
-itself holds exactly the lower triangle of 1..n, each cell a `CohomDatum` or
-the star and the diagonal [1,0,0]; its parser `from_dict` reads the "i,j" keys
+holds exactly the lower triangle of 1..n under (int, int) keys, each cell a
+`CohomDatum` or the star, diagonal [1,0,0]; `from_dict` reads the "i,j" keys
 up to the declared n, the JSON triples and the star.  The degree argument only
 needs minimal degrees of chains of composable forward maps, computed by one
 layered DP over the strictly-increasing-index DAG up to length n, which gives
@@ -79,7 +79,10 @@ class LedgerMatrix(Record):
     entries: Mapping[tuple[int, int], CohomDatum | str]
 
     def __post_init__(self) -> None:
-        for (i, j), val in self.entries.items():
+        for key, val in self.entries.items():
+            if type(key) is not tuple or tuple(map(type, key)) != (int, int):
+                raise SchemaError(f"bad ledger key {key!r}")
+            i, j = key
             if not 1 <= j <= i:
                 raise SchemaError(f"ledger key '{i},{j}' outside the lower triangle")
             if val != STAR and not isinstance(val, CohomDatum):

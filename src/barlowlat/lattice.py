@@ -7,8 +7,8 @@ Pairings are bilinear: `pairings` checks the length of every class, then
 returns the whole table from one Gram image per right-hand class, and is the
 one product with the Gram; `pair` is its one-cell table, and `euler_matrix`
 reads every chi(l_i - l_j) off one.  A `PicardLattice` however built has a
-square Gram and a k of its size; `make_lattice` adds what a caller declares:
-the rank, integer cells and a symmetric Gram.
+square Gram and a `DivisorClass` k of its size; `make_lattice` adds what a
+caller declares: the rank, integer cells and a symmetric Gram.
 """
 from __future__ import annotations
 
@@ -77,6 +77,8 @@ class PicardLattice(Record):
     def __post_init__(self) -> None:
         if any(len(row) != self.rank for row in self.gram):
             raise SchemaError(f"gram is not {self.rank}x{self.rank}")
+        if not isinstance(self.k, DivisorClass):
+            raise SchemaError(f"k {self.k!r} is not a DivisorClass")
         if len(self.k) != self.rank:
             raise SchemaError(f"k has length {len(self.k)}, expected {self.rank}")
 

@@ -1,21 +1,29 @@
-"""One-cell coverage sweep of the Ext ledger and the bound table.
+"""Coverage sweep of the Ext ledger, the bound table and the curve table.
 
     python tests/cell_coverage.py
 
-Every one-cell mutant of the shipped document in two families is loaded and
+Every mutant of the shipped document in five families is loaded and
 verified in process, with `run_verification` under --stars both:
 
 * ledger: each of h0, h1 and h2 raised by 1 on every determined cell below
   the diagonal (the 47 that are not stars), 141 mutants;
 * bounds: every cell of the bound table's window (176 cells) flipped, an
-  integer to "inf" and "inf" to 1, 176 mutants.
+  integer to "inf" and "inf" to 1, 176 mutants;
+* shift-consistent bound pairs: each first-block window cell (i, j) flipped
+  together with its copy (i + 11, j + 11), which the last block must repeat,
+  55 mutants;
+* chi-held ledger moves: (h0, h1) and (h1, h2) each raised by 1 on every
+  determined cell below the diagonal, so the alternating sum stays, 94 mutants;
+* symmetric curve-table moves: each off-diagonal cell and its mirror moved
+  together by +1 and by -1, 182 mutants.
 
-A mutant that passes every check survives: no check reads its cell. The
-script prints the counts, and exits 1 when the survivors differ from the
-pinned list in tests/data/cell_coverage_survivors.json, printing each
-difference. A new survivor is a cell that lost its check; a pinned survivor
-that now fails shows a check that closed a gap, and the pinned list shrinks
-with it. It needs only the standard library and the package under src/.
+A mutant that passes every check survives: no check reads its change. The
+script prints a table of the counts per family (Markdown, so CI can add it to
+the run summary), and exits 1 when the survivors differ from the pinned list
+in tests/data/cell_coverage_survivors.json, printing each difference. A new
+survivor is a change that lost its check; a pinned survivor that now fails
+shows a check that closed a gap, and the pinned list shrinks with it. It
+needs only the standard library and the package under src/.
 """
 import json
 import sys
@@ -30,8 +38,13 @@ from barlowlat.fixtures import load_fixtures, parse_json, shipped_fixture_text  
 PINNED = Path(__file__).resolve().parent / "data" / "cell_coverage_survivors.json"
 
 
-def ledger_mutants(raw):
-    """(name, document) for each component + 1 on each determined off-diagonal cell."""
+#: the one-entry steps and the chi-held steps of the two ledger families
+ONE_ENTRY = (("h0", (1, 0, 0)), ("h1", (0, 1, 0)), ("h2", (0, 0, 1)))
+CHI_HELD = (("h0h1", (1, 1, 0)), ("h1h2", (0, 1, 1)))
+
+
+def ledger_mutants(raw, steps):
+    """(name, document) for each step added to each determined off-diagonal cell."""
     entries = raw["ledger"]["entries"]
     n = raw["ledger"]["n"]
     for i in range(2, n + 1):
@@ -39,55 +52,101 @@ def ledger_mutants(raw):
             value = entries[f"{i},{j}"]
             if value == "star":
                 continue
-            for p in range(3):
-                bumped = [h + (q == p) for q, h in enumerate(value)]
-                yield (f"ledger {i},{j} h{p} {value} -> {bumped}",
-                       dict(raw, ledger=dict(raw["ledger"], entries=dict(entries, **{f"{i},{j}": bumped}))))
+            for label, step in steps:
+                moved = [h + d for h, d in zip(value, step)]
+                edited = dict(entries, **{f"{i},{j}": moved})
+                yield (f"ledger {i},{j} {label} {value} -> {moved}",
+                       dict(raw, ledger=dict(raw["ledger"], entries=edited)))
+
+
+def _flipped(value):
+    """A bound cell flipped: an integer to inf, inf to 1."""
+    return 1 if value == "inf" else "inf"
 
 
 def bound_mutants(raw):
-    """(name, document) for each window cell flipped: an integer to inf, inf to 1."""
+    """(name, document) for each window cell flipped."""
     rows = raw["ext_bounds"]["rows"]
     n = raw["ext_bounds"]["n"]
     for i in range(2, 2 * n + 1):
         for j in range(max(1, i - n), i):
             value = rows[i - 1][j - 1]
-            flipped = 1 if value == "inf" else "inf"
             edited = [list(row) for row in rows]
-            edited[i - 1][j - 1] = flipped
-            yield (f"ext_bounds {i},{j} {value} -> {flipped}",
+            edited[i - 1][j - 1] = _flipped(value)
+            yield (f"ext_bounds {i},{j} {value} -> {_flipped(value)}",
                    dict(raw, ext_bounds=dict(raw["ext_bounds"], rows=edited)))
 
 
+def bound_pair_mutants(raw):
+    """(name, document) for each first-block window cell flipped with its copy."""
+    rows = raw["ext_bounds"]["rows"]
+    n = raw["ext_bounds"]["n"]
+    for i in range(2, n + 1):
+        for j in range(1, i):
+            value = rows[i - 1][j - 1]
+            edited = [list(row) for row in rows]
+            edited[i - 1][j - 1] = edited[i + n - 1][j + n - 1] = _flipped(value)
+            yield (f"ext_bounds {i},{j} and {i + n},{j + n} {value} -> {_flipped(value)}",
+                   dict(raw, ext_bounds=dict(raw["ext_bounds"], rows=edited)))
+
+
+def curve_mutants(raw):
+    """(name, document) for each off-diagonal curve cell and its mirror moved by +1 and -1."""
+    names = raw["curve_table"]["names"]
+    matrix = raw["curve_table"]["matrix"]
+    for a in range(len(names)):
+        for b in range(a + 1, len(names)):
+            for step in (1, -1):
+                edited = [list(row) for row in matrix]
+                edited[a][b] = edited[b][a] = matrix[a][b] + step
+                yield (f"curve_table {names[a]},{names[b]} {matrix[a][b]} -> {edited[a][b]}",
+                       dict(raw, curve_table=dict(raw["curve_table"], matrix=edited)))
+
+
+FAMILIES = {
+    "ledger, one entry + 1": lambda raw: ledger_mutants(raw, ONE_ENTRY),
+    "bounds, one cell flipped": bound_mutants,
+    "bounds, a cell and its shifted copy flipped": bound_pair_mutants,
+    "ledger, chi-held move": lambda raw: ledger_mutants(raw, CHI_HELD),
+    "curve table, symmetric move": curve_mutants,
+}
+OUTCOMES = ("mutants", "rejected at load", "failed a check", "survived")
+
+
 def sweep():
-    """(counts, survivors) over both families, in enumeration order."""
+    """({family: counts}, survivors) over the families, in enumeration order."""
     raw = parse_json(shipped_fixture_text())
-    counts = {"mutants": 0, "rejected at load": 0, "failed a check": 0, "survived": 0}
+    counts = {}
     survivors = []
-    for name, doc in [*ledger_mutants(raw), *bound_mutants(raw)]:
-        counts["mutants"] += 1
-        try:
-            fix = load_fixtures(doc, validate=False)
-        except ToolkitError:
-            counts["rejected at load"] += 1
-            continue
-        summary = run_verification(fix, "both")["summary"]
-        if summary["fail"] or summary["skipped"]:
-            counts["failed a check"] += 1
-        else:
-            counts["survived"] += 1
-            survivors.append(name)
+    for family, mutants in FAMILIES.items():
+        tally = counts[family] = dict.fromkeys(OUTCOMES, 0)
+        for name, doc in mutants(raw):
+            tally["mutants"] += 1
+            try:
+                fix = load_fixtures(doc, validate=False)
+            except ToolkitError:
+                tally["rejected at load"] += 1
+                continue
+            summary = run_verification(fix, "both")["summary"]
+            if summary["fail"] or summary["skipped"]:
+                tally["failed a check"] += 1
+            else:
+                tally["survived"] += 1
+                survivors.append(name)
     return counts, survivors
 
 
 def main() -> int:
     counts, survivors = sweep()
-    print(", ".join(f"{value} {key}" for key, value in counts.items()))
+    print("| family | " + " | ".join(OUTCOMES) + " |\n|---|" + "---:|" * len(OUTCOMES))
+    for family, tally in counts.items():
+        print(f"| {family} | " + " | ".join(str(tally[key]) for key in OUTCOMES) + " |")
+    print()
     pinned = json.loads(PINNED.read_text(encoding="utf-8"))
     new = [name for name in survivors if name not in pinned]
     closed = [name for name in pinned if name not in survivors]
     for name in new:
-        print(f"new survivor (no check reads this cell): {name}")
+        print(f"new survivor (no check catches this mutant): {name}")
     for name in closed:
         print(f"pinned survivor now fails (shrink {PINNED.name}): {name}")
     if new or closed:

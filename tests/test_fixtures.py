@@ -1,8 +1,12 @@
+import copy
 import hashlib
 import json
 import re
+from types import MappingProxyType
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barlowlat import linalg
 from barlowlat.cli import main, run_verification
@@ -13,7 +17,9 @@ from barlowlat.fixtures import (
     load_fixtures,
 )
 from barlowlat.heights import ABSENT, ExtBoundMatrix, height, single_segment_bound
-from barlowlat.homledger import STAR, LedgerMatrix, StarChoice, formality_report, validate_ledger
+from barlowlat.homledger import (
+    STAR, CohomDatum, LedgerMatrix, StarChoice, formality_report, validate_ledger,
+)
 from barlowlat.lattice import DivisorClass, PicardLattice
 from barlowlat.roots import CANONICAL_GRAM, EXTENDED_CARTAN
 
@@ -177,6 +183,199 @@ def test_malformed_document_is_schema_error(raw_copy, kind, tmp_path, capsys):
     path.write_text(json.dumps(raw_copy))
     assert main(["verify", "--fixtures", str(path)]) == 2
     assert "fixture error" in capsys.readouterr().err
+
+
+# ------------------------------------------------- the model's own shape rules
+
+def _rebuilt(record, **changes):
+    """A record of the same type with some fields replaced, built directly."""
+    return type(record)(**{**dict(zip(record._fields, record._values())), **changes})
+
+
+def _cut_ledger_document(raw):
+    """The document's ledger cut to rows 1..10, so it has no star."""
+    raw["ledger"]["n"] = 10
+    raw["ledger"]["entries"] = {key: v for key, v in raw["ledger"]["entries"].items()
+                                if int(key.split(",")[0]) <= 10}
+
+
+def _cut_ledger(fix):
+    """The shipped ledger cut to rows 1..10, built directly."""
+    return LedgerMatrix(MappingProxyType(
+        {cell: v for cell, v in fix.ledger.entries.items() if cell[0] <= 10}))
+
+
+def _without(table, name):
+    return MappingProxyType({k: v for k, v in table.items() if k != name})
+
+
+#: one table of the shipped model replaced, as a document edit and as the
+#: fields a direct construction changes; the message is the one both give
+MODEL_DEFECTS = {
+    "d8-gram-7x7": (
+        _set([row[:7] for row in EXPECTED_D8_GRAM[:7]], "d8", "gram"),
+        lambda fix: {"d8_gram_expected": tuple(r[:7] for r in fix.d8_gram_expected[:7])},
+        "d8.gram must be 8x8"),
+    "chi-matrix-10x10": (
+        lambda raw: raw.update(chi_matrix=[row[:10] for row in raw["chi_matrix"][:10]]),
+        lambda fix: {"chi_matrix": tuple(r[:10] for r in fix.chi_matrix[:10])},
+        "chi_matrix must be 11x11"),
+    "ledger-n-10": (
+        _cut_ledger_document,
+        lambda fix: {"ledger": _cut_ledger(fix)},
+        f"star entries at [], expected {sorted(STAR_POSITIONS)}"),
+    "sequence-without-L11": (
+        _drop("sequence", "L11"),
+        lambda fix: {"sequence_defs": _without(fix.sequence_defs, "L11")},
+        "sequence must define L1..L11"),
+    "d8-defs-without-D8": (
+        _drop("d8", "defs", "D8"),
+        lambda fix: {"d8_defs": _without(fix.d8_defs, "D8")},
+        "d8.defs must define D1..D8"),
+    "l-values-without-plus": (
+        _drop("b_table", "l_values", "plus"),
+        lambda fix: {"b_table": _rebuilt(fix.b_table,
+                                         l_values=_without(fix.b_table.l_values, "plus"))},
+        "l_values lacks plus"),
+    "c-table-C1p-1x2": (
+        _set([[0, 1]], "b_table", "c_table", "C1p"),
+        lambda fix: {"b_table": _rebuilt(fix.b_table, c_table=MappingProxyType(
+            {**fix.b_table.c_table, "C1p": ((0, 1),)}))},
+        "c_table[C1p] must be 2x2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_DEFECTS))
+def test_a_model_built_directly_checks_its_shape(fix, raw_copy, name):
+    # before, a direct construction skipped these rules: the 7x7 d8 Gram
+    # verified 16/16, and the others ended in a bare IndexError or KeyError
+    edit, changes, message = MODEL_DEFECTS[name]
+    edit(raw_copy)
+    with pytest.raises(SchemaError) as parsed:
+        FixtureSet.from_dict(raw_copy)
+    with pytest.raises(SchemaError) as direct:
+        _rebuilt(fix, **changes(fix))
+    assert str(parsed.value) == str(direct.value) == message
+
+
+def _square_edit(draw, rows):
+    """A square table's rows as lists, with a row or a cell dropped, or a row
+    or a column added."""
+    rows = [list(row) for row in rows]
+    i = draw(st.integers(0, len(rows) - 1))
+    edit = draw(st.sampled_from(["drop-row", "drop-cell", "extra-row", "extra-column"]))
+    if edit == "drop-row":
+        del rows[i]
+    elif edit == "drop-cell":
+        del rows[i][draw(st.integers(0, len(rows[i]) - 1))]
+    elif edit == "extra-row":
+        rows.append(list(rows[i]))
+    else:
+        for row in rows:
+            row.append(0)
+    return rows
+
+
+def _names_edit(draw, names, extra):
+    """An edit of a name-keyed table: a drawn name dropped, renamed to extra,
+    or copied to extra."""
+    name = draw(st.sampled_from(sorted(names)))
+    edit = draw(st.sampled_from(["drop", "rename", "copy"]))
+
+    def apply(table):
+        out = dict(table)
+        value = out[name] if edit == "copy" else out.pop(name)
+        if edit != "drop":
+            out[extra] = value
+        return out
+
+    return apply
+
+
+def _shape_fault(draw, fix, raw):
+    """One shape fault, drawn among the rules `FixtureSet` and `BTable` check:
+    (the document with it, a thunk building the shipped model's fields with
+    the same table replaced)."""
+    doc = copy.deepcopy(raw)
+    table = draw(st.sampled_from(["curves", "d8.gram", "chi_matrix", "d8.defs", "sequence",
+                                  "ledger", "ext_bounds", "b_table"]))
+    if table == "curves":   # square, so the lattice record accepts it directly
+        m = draw(st.integers(1, 13))
+        rows = [row[:m] for row in raw["curve_table"]["matrix"][:m]]
+        doc["curve_table"]["matrix"] = rows
+        changes = {"curves": PicardLattice(tuple(map(tuple, rows)), DivisorClass.zero(m))}
+    elif table in ("d8.gram", "chi_matrix"):
+        field, path = {"d8.gram": ("d8_gram_expected", ("d8", "gram")),
+                       "chi_matrix": ("chi_matrix", ("chi_matrix",))}[table]
+        rows = _square_edit(draw, getattr(fix, field))
+        _set(rows, *path)(doc)
+        changes = {field: tuple(map(tuple, rows))}
+    elif table in ("d8.defs", "sequence"):
+        field, node, key, extra = {"d8.defs": ("d8_defs", doc["d8"], "defs", "D9"),
+                                   "sequence": ("sequence_defs", doc, "sequence", "L12")}[table]
+        apply = _names_edit(draw, getattr(fix, field), extra)
+        node[key] = apply(node[key])
+        changes = {field: MappingProxyType(apply(getattr(fix, field)))}
+    elif table == "ledger":
+        edit = draw(st.sampled_from(["last-row-dropped", "extra-row", "star-moved"]))
+        entries = dict(fix.ledger.entries)
+        if edit == "last-row-dropped":
+            _cut_ledger_document(doc)
+            entries = dict(_cut_ledger(fix).entries)
+        elif edit == "extra-row":
+            doc["ledger"]["n"] = 12
+            for j in range(1, 13):
+                doc["ledger"]["entries"][f"12,{j}"] = [int(j == 12), 0, 0]
+                entries[(12, j)] = CohomDatum(int(j == 12), 0, 0)
+        else:
+            i = draw(st.integers(2, 11))
+            j = draw(st.integers(1, i - 1))
+            star = entries[(i, j)] == STAR
+            doc["ledger"]["entries"][f"{i},{j}"] = [0, 0, 0] if star else "star"
+            entries[(i, j)] = CohomDatum(0, 0, 0) if star else STAR
+        changes = {"ledger": LedgerMatrix(MappingProxyType(entries))}
+    elif table == "ext_bounds":
+        size = 2 * draw(st.integers(1, 10))   # n = 1..10
+        rows = raw["ext_bounds"]["rows"]
+        doc["ext_bounds"] = {"n": size // 2, "rows": [row[:size] for row in rows[:size]]}
+        rows = fix.ext_bounds.rows
+        changes = {"ext_bounds": ExtBoundMatrix(tuple(row[:size] for row in rows[:size]))}
+    else:
+        bt, raw_bt = fix.b_table, doc["b_table"]
+        field = draw(st.sampled_from(["l_values", "e12_values", "c_table", "c_table grid",
+                                      "e_hit_ks", "e_hit_ks keys"]))
+        if field in ("l_values", "e12_values"):
+            sign = draw(st.sampled_from(["plus", "minus"]))
+            del raw_bt[field][sign]
+            new = {field: _without(getattr(bt, field), sign)}
+        elif field == "c_table grid":
+            name = draw(st.sampled_from(sorted(bt.c_table)))
+            rows = _square_edit(draw, bt.c_table[name])
+            raw_bt["c_table"][name] = rows
+            new = {"c_table": MappingProxyType({**bt.c_table, name: tuple(map(tuple, rows))})}
+        elif field == "e_hit_ks keys":
+            name = draw(st.sampled_from(sorted(bt.e_hit_ks)))
+            apply = _names_edit(draw, bt.e_hit_ks[name], "2")
+            raw_bt["e_hit_ks"][name] = apply(raw_bt["e_hit_ks"][name])
+            new = {"e_hit_ks": MappingProxyType(
+                {**bt.e_hit_ks, name: MappingProxyType(apply(bt.e_hit_ks[name]))})}
+        else:
+            apply = _names_edit(draw, getattr(bt, field), "X")
+            raw_bt[field] = apply(raw_bt[field])
+            new = {field: MappingProxyType(apply(getattr(bt, field)))}
+        return doc, lambda: _rebuilt(fix, b_table=_rebuilt(bt, **new))
+    return doc, lambda: _rebuilt(fix, **changes)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_a_shape_fault_gives_the_same_error_parsed_or_built(fix, raw_fixture, data):
+    doc, build = _shape_fault(data.draw, fix, raw_fixture)
+    with pytest.raises(SchemaError) as parsed:
+        FixtureSet.from_dict(doc)
+    with pytest.raises(SchemaError) as direct:
+        build()
+    assert str(direct.value) == str(parsed.value)
 
 
 def test_d8_basis(fix, lat):

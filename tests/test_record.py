@@ -203,6 +203,15 @@ DIRECT_DEFECTS = {
                                 "ledger entry 1,1 is missing"),
     "ragged-gram": (lambda: PicardLattice(gram=((1, 0), (0,)), k=DivisorClass((1, 0))),
                     "gram is not 2x2"),
+    # keys are (int, int) pairs: a string key failed to unpack with a bare
+    # ValueError, a float key compared with a bare TypeError
+    "ledger-string-key": (lambda: LedgerMatrix({"1,1": CohomDatum(1, 0, 0)}),
+                          "bad ledger key '1,1'"),
+    "ledger-float-key": (lambda: LedgerMatrix({(1.0, 1): CohomDatum(1, 0, 0)}),
+                         "bad ledger key (1.0, 1)"),
+    # a plain tuple k was accepted and failed at its first pairing
+    "lattice-tuple-k": (lambda: PicardLattice(((1,),), (1,)),
+                        "k (1,) is not a DivisorClass"),
 }
 
 
