@@ -7,15 +7,17 @@ matrix, the forward Ext ledger and the 22x22 height bound table.
 
 `FixtureSet` is frozen and holds only the parsed tables, as tuples and
 read-only mappings.  Built directly or by `from_dict`, `BTable` and then
-`FixtureSet` check their own shape (the Barlow stars, the names D1..D8 and
-L1..L11, the size of every table) and raise `SchemaError`; `from_dict` keeps
-the JSON encoding: the format tag, integer cells, curve names and the digest.
+`FixtureSet` check their own cell types (`record.check_integers`) and shape
+(the Barlow stars, the names D1..D8 and L1..L11, the size of every table) and
+raise `SchemaError`; `from_dict` keeps the JSON encoding: the format tag, the
+keys, arrays as tuples and objects as read-only mappings, the curve names and
+the digest.
 The model is a chain of stages, each a cached property that is a pure
 function of the tables and the earlier stages:
 
+* `curves`: the formal lattice on the 14 curves, Gram the curve table;
 * `curve_rank`: the rank of the curve table, with its symmetry and diagonal;
-* `d8_fork`: D1..D8 as classes of `curves`, the formal lattice on the 14
-  curves whose Gram is the curve table, with their fork Gram and degree 0;
+* `d8_fork`: D1..D8 as classes of `curves`, with their fork Gram and degree 0;
 * `canonical`: the canonical coordinate basis (k, e, d8..d2), with the
   lattice and the coordinates of the 14 curves, D1..D8 and e.  It is the
   only code that builds the glue root e: the fork D1..D8 must have the Gram
@@ -45,7 +47,7 @@ from .errors import SchemaError, ToolkitError, UnknownName
 from .heights import ABSENT, ExtBoundMatrix
 from .homledger import LedgerMatrix, validate_ledger
 from .lattice import DivisorClass, PicardLattice, make_lattice
-from .record import Record
+from .record import Record, check_integers
 
 try:  # the builtin sha256: hashlib would load OpenSSL for one digest
     from _sha2 import sha256  # CPython 3.12 and later
@@ -100,6 +102,12 @@ B_NAMES = frozenset(b_name(*key) for key in B_KEYS)
 
 # --------------------------------------------------------------------------- tables
 
+#: the containers above a table's integers, outermost first (`check_integers`)
+_MATRIX = (tuple, tuple)
+_MAP = (MappingProxyType,)   # name -> integer
+_MAPS = (MappingProxyType, MappingProxyType)   # name -> name -> integer
+
+
 class BTable(Record):
     """Parametrized pairing rules for the 32 genus-3 classes."""
 
@@ -108,9 +116,12 @@ class BTable(Record):
     e12_values: Mapping[str, int]     # (B - 2K).E1 = (B - 2K).E2 per sign
     c_table: Mapping[str, Sequence[Sequence[int]]]   # name -> [i][j]
     e_hit_ks: Mapping[str, Mapping[str, Sequence[int]]]  # name -> str(i) -> ks
-    cross_block_b_cells: frozenset[tuple[int, int]]
+    cross_block_b_cells: tuple[tuple[int, int], ...]   # (k1, k2), in document order
 
     def __post_init__(self) -> None:
+        for field, levels in zip(self._fields, ((), _MAP, _MAP, (MappingProxyType, *_MATRIX),
+                                                (*_MAPS, tuple), _MATRIX)):
+            check_integers(getattr(self, field), f"b_table.{field}", levels)
         for field in ("l_values", "e12_values"):
             if missing := {"plus", "minus"} - set(getattr(self, field)):
                 raise SchemaError(f"{field} lacks {', '.join(sorted(missing))}")
@@ -165,22 +176,12 @@ class BTable(Record):
 
 # --------------------------------------------------------------------------- fixture
 
-def _int(value: object, where: str) -> int:
-    """A JSON integer cell; bool, float, str and the rest are SchemaErrors."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{where}: {value!r} is not an integer")
-    return value
+def _rows(raw: Sequence[Sequence[object]]) -> tuple[tuple[object, ...], ...]:
+    return tuple(map(tuple, raw))
 
 
-def _int_rows(rows: Sequence[Sequence[object]], where: str) -> tuple[tuple[int, ...], ...]:
-    return tuple(
-        tuple(_int(x, f"{where}[{i}][{j}]") for j, x in enumerate(row))
-        for i, row in enumerate(rows)
-    )
-
-
-def _combo_dict(raw: Mapping[str, object], where: str) -> Mapping[str, int]:
-    return MappingProxyType({name: _int(coeff, f"{where}.{name}") for name, coeff in raw.items()})
+def _object(raw: Mapping[str, object]) -> Mapping[str, object]:
+    return MappingProxyType(dict(raw.items()))   # not dict(raw): an array of pairs is no object
 
 
 def _square(rows: Sequence[Sequence[int]], n: int) -> bool:
@@ -189,7 +190,7 @@ def _square(rows: Sequence[Sequence[int]], n: int) -> bool:
 
 # Combinations of the 14 curves are classes of the formal lattice
 # `FixtureSet.curves`: coefficient vectors in CURVE_NAMES order, paired by the
-# curve matrix.
+# curve table.
 
 def _dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(map(mul, a, b))
@@ -212,11 +213,20 @@ class Canonical(Record):
     classes: Mapping[str, DivisorClass]   # the 14 curves, D1..D8 and e
 
 
+#: the model's integer tables: (field, JSON path, containers)
+_INTEGER_TABLES = (
+    ("curve_matrix", "curve_table.matrix", _MATRIX), ("d8_defs", "d8.defs", _MAPS),
+    ("d8_gram_expected", "d8.gram", _MATRIX), ("sequence_defs", "sequence", _MAPS),
+    ("chi_matrix", "chi_matrix", _MATRIX), ("relation_lhs", "b_relation.lhs", _MAP),
+    ("relation_rhs", "b_relation.rhs", _MAP),
+)
+
+
 class FixtureSet(Record):
     """The parsed tables; the model stages are cached properties over them."""
 
     digest: str   # SHA-256 of the canonical dump, taken when the document was read
-    curves: PicardLattice   # formal: Gram the curve table, k the curve K
+    curve_matrix: tuple[tuple[int, ...], ...]   # the curve table, in CURVE_NAMES order
     b_table: BTable
     d8_defs: Mapping[str, Mapping[str, int]]
     d8_gram_expected: tuple[tuple[int, ...], ...]
@@ -228,10 +238,16 @@ class FixtureSet(Record):
     relation_rhs: Mapping[str, int]
 
     def __post_init__(self) -> None:
+        for field, cls in (("b_table", BTable), ("ledger", LedgerMatrix),
+                           ("ext_bounds", ExtBoundMatrix)):
+            if not isinstance(value := getattr(self, field), cls):
+                raise SchemaError(f"{field} is of type {type(value).__name__}, not {cls.__name__}")
+        for field, where, levels in _INTEGER_TABLES:
+            check_integers(getattr(self, field), where, levels)
         stars = self.ledger.star_positions
         if stars != set(STAR_POSITIONS):
             raise SchemaError(f"star entries at {sorted(stars)}, expected {sorted(STAR_POSITIONS)}")
-        if self.curves.rank != len(CURVE_NAMES):
+        if not _square(self.curve_matrix, len(CURVE_NAMES)):
             raise SchemaError("curve matrix must be 14x14")
         if not _square(self.d8_gram_expected, 8):
             raise SchemaError("d8.gram must be 8x8")
@@ -252,66 +268,50 @@ class FixtureSet(Record):
         if not isinstance(raw, Mapping) or raw.get("format") != FIXTURE_FORMAT:
             raise SchemaError(f'fixture document must carry "format": "{FIXTURE_FORMAT}"')
         try:
-            curve_names = tuple(raw["curve_table"]["names"])
-            curve_gram = _int_rows(raw["curve_table"]["matrix"], "curve_table.matrix")
+            if tuple(raw["curve_table"]["names"]) != CURVE_NAMES:
+                raise SchemaError(f"curve names must be {CURVE_NAMES}")
             bt_raw = raw["b_table"]
             b_fields = dict(
-                k_value=_int(bt_raw["k_value"], "b_table.k_value"),
-                l_values=_combo_dict(bt_raw["l_values"], "b_table.l_values"),
-                e12_values=_combo_dict(bt_raw["e12_values"], "b_table.e12_values"),
-                c_table=MappingProxyType({
-                    k: _int_rows(v, f"b_table.c_table.{k}")
-                    for k, v in bt_raw["c_table"].items()
-                }),
+                k_value=bt_raw["k_value"],
+                l_values=_object(bt_raw["l_values"]),
+                e12_values=_object(bt_raw["e12_values"]),
+                c_table=MappingProxyType({k: _rows(v) for k, v in bt_raw["c_table"].items()}),
                 e_hit_ks=MappingProxyType({
-                    k: MappingProxyType({
-                        i: tuple(_int(x, f"b_table.e_hit_ks.{k}.{i}") for x in ks)
-                        for i, ks in v.items()
-                    })
-                    for k, v in bt_raw["e_hit_ks"].items()
-                }),
-                cross_block_b_cells=frozenset(
-                    (_int(a, "b_table.cross_block_b_cells"),
-                     _int(b, "b_table.cross_block_b_cells"))
-                    for a, b in bt_raw["cross_block_b_cells"]
-                ),
+                    k: MappingProxyType({i: tuple(ks) for i, ks in v.items()})
+                    for k, v in bt_raw["e_hit_ks"].items()}),
+                cross_block_b_cells=tuple((a, b) for a, b in bt_raw["cross_block_b_cells"]),
             )
             fields = dict(
-                d8_defs=MappingProxyType({
-                    name: _combo_dict(combo, f"d8.defs.{name}")
-                    for name, combo in raw["d8"]["defs"].items()
-                }),
-                d8_gram_expected=_int_rows(raw["d8"]["gram"], "d8.gram"),
-                sequence_defs=MappingProxyType({
-                    name: _combo_dict(combo, f"sequence.{name}")
-                    for name, combo in raw["sequence"].items()
-                }),
-                chi_matrix=_int_rows(raw["chi_matrix"], "chi_matrix"),
-                ledger=LedgerMatrix.from_dict(_int(raw["ledger"]["n"], "ledger.n"),
-                                              raw["ledger"]["entries"]),
-                ext_bounds=ExtBoundMatrix.from_rows(_int(raw["ext_bounds"]["n"], "ext_bounds.n"),
+                curve_matrix=_rows(raw["curve_table"]["matrix"]),
+                d8_defs=MappingProxyType({name: _object(combo)
+                                          for name, combo in raw["d8"]["defs"].items()}),
+                d8_gram_expected=_rows(raw["d8"]["gram"]),
+                sequence_defs=MappingProxyType({name: _object(combo)
+                                                for name, combo in raw["sequence"].items()}),
+                chi_matrix=_rows(raw["chi_matrix"]),
+                ledger=LedgerMatrix.from_dict(raw["ledger"]["n"], raw["ledger"]["entries"]),
+                ext_bounds=ExtBoundMatrix.from_rows(raw["ext_bounds"]["n"],
                                                     raw["ext_bounds"]["rows"]),
-                relation_lhs=_combo_dict(raw["b_relation"]["lhs"], "b_relation.lhs"),
-                relation_rhs=_combo_dict(raw["b_relation"]["rhs"], "b_relation.rhs"),
+                relation_lhs=_object(raw["b_relation"]["lhs"]),
+                relation_rhs=_object(raw["b_relation"]["rhs"]),
                 digest=sha256(json.dumps(raw, sort_keys=True, separators=(",", ":"))
                               .encode()).hexdigest(),
             )
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise SchemaError(f"fixture document malformed: {exc}") from exc
-        if curve_names != CURVE_NAMES:
-            raise SchemaError(f"curve names must be {CURVE_NAMES}")
-        try:   # k has a coordinate per curve, so the record's rule is 14x14
-            curves = PicardLattice(gram=curve_gram, k=_curve_vector({"K": 1}))
-        except SchemaError as exc:
-            raise SchemaError("curve matrix must be 14x14") from exc
-        return FixtureSet(curves=curves, b_table=BTable(**b_fields), **fields)
+        return FixtureSet(b_table=BTable(**b_fields), **fields)
 
     # ------------------------------------------------------------------ stages
 
     @cached_property
+    def curves(self) -> PicardLattice:
+        """The formal lattice on the 14 curves: Gram the curve table, k the curve K."""
+        return PicardLattice(gram=self.curve_matrix, k=_curve_vector({"K": 1}))
+
+    @cached_property
     def curve_rank(self) -> int:
         """The curve table's rank, 9, checked after its symmetry and before its diagonal."""
-        gram = self.curves.gram
+        gram = self.curve_matrix
         bad = linalg.first_difference(gram, tuple(zip(*gram)))
         if bad:
             raise ToolkitError(

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from .errors import SchemaError, ToolkitError
 from .linalg import int_text
-from .record import Record
+from .record import Record, check_integers
 
 #: the degree of a zero datum, +infinity: a sum or difference with it is INF and
 #: it exceeds every integer, so the DPs add and compare it with no case of its own
@@ -103,6 +103,7 @@ class LedgerMatrix(Record):
 
     @staticmethod
     def from_dict(n: int, raw: Mapping[str, Sequence[int] | str]) -> "LedgerMatrix":
+        check_integers(n, "ledger.n")
         if not isinstance(raw, Mapping):
             raise SchemaError("ledger entries must be a mapping of 'i,j' keys")
         entries: dict[tuple[int, int], CohomDatum | str] = {}

@@ -1,5 +1,25 @@
 """The immutable record base of the package's value types: the fields are the
-class annotations, in order; equality, hash and repr follow the field tuple."""
+class annotations, in order; equality, hash and repr follow the field tuple.
+`check_integers` is the records' one integer rule, on a cell or a table."""
+from types import MappingProxyType
+
+from .errors import SchemaError
+
+
+def check_integers(value: object, where: str, levels: tuple[type, ...] = ()) -> None:
+    """A SchemaError unless value is `levels` of containers (tuple or
+    MappingProxyType, outermost first) over ints that are not bools.  A bad
+    cell is named by its path and printed (`chi_matrix[0][0]: 1.0 is not an
+    integer`, `sequence.L1.K: ...`); a bad container is named, not printed."""
+    if not levels:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SchemaError(f"{where}: {value!r} is not an integer")
+    elif not isinstance(value, levels[0]):
+        raise SchemaError(f"{where} is of type {type(value).__name__}, not {levels[0].__name__}")
+    else:
+        keyed = levels[0] is MappingProxyType
+        for key, x in value.items() if keyed else enumerate(value):
+            check_integers(x, f"{where}.{key}" if keyed else f"{where}[{key}]", levels[1:])
 
 
 class Record:

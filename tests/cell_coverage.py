@@ -2,7 +2,7 @@
 
     python tests/cell_coverage.py
 
-Every mutant of the shipped document in five families is loaded and
+Every mutant of the shipped document in six families is loaded and
 verified in process, with `run_verification` under --stars both:
 
 * ledger: each of h0, h1 and h2 raised by 1 on every determined cell below
@@ -15,16 +15,20 @@ verified in process, with `run_verification` under --stars both:
 * chi-held ledger moves: (h0, h1) and (h1, h2) each raised by 1 on every
   determined cell below the diagonal, so the alternating sum stays, 94 mutants;
 * symmetric curve-table moves: each off-diagonal cell and its mirror moved
-  together by +1 and by -1, 182 mutants.
+  together by +1 and by -1, 182 mutants;
+* integer leaves: every integer of chi_matrix, d8, sequence, b_relation and
+  b_table moved by +1 and by -1, 584 mutants (242, 172, 48, 16 and 106).
 
 A mutant that passes every check survives: no check reads its change. The
-script prints a table of the counts per family (Markdown, so CI can add it to
-the run summary), and exits 1 when the survivors differ from the pinned list
+script prints a table of the counts per family, then one per table of the
+integer-leaf family (Markdown, so CI can add them to the run summary), and
+exits 1 when the survivors differ from the pinned list
 in tests/data/cell_coverage_survivors.json, printing each difference. A new
 survivor is a change that lost its check; a pinned survivor that now fails
 shows a check that closed a gap, and the pinned list shrinks with it. It
 needs only the standard library and the package under src/.
 """
+import copy
 import json
 import sys
 from pathlib import Path
@@ -103,45 +107,81 @@ def curve_mutants(raw):
                        dict(raw, curve_table=dict(raw["curve_table"], matrix=edited)))
 
 
+#: the tables of the integer-leaf family
+LEAF_TABLES = ("chi_matrix", "d8", "sequence", "b_relation", "b_table")
+
+
+def _integer_leaves(node, keys=()):
+    """The key paths of the JSON integers (not bools) under node."""
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _integer_leaves(value, (*keys, key))
+    elif type(node) is int:
+        yield keys
+
+
+def leaf_mutants(raw):
+    """(name, document) for each integer leaf of LEAF_TABLES moved by +1 and -1;
+    the name starts with the leaf's path as the fixture errors write it."""
+    for table in LEAF_TABLES:
+        for keys in _integer_leaves(raw[table]):
+            path = table + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+            for step in (1, -1):
+                edited = copy.deepcopy(raw[table])
+                node = edited
+                for key in keys[:-1]:
+                    node = node[key]
+                value = node[keys[-1]]
+                node[keys[-1]] = value + step
+                yield f"{path} {value} -> {value + step}", dict(raw, **{table: edited})
+
+
 FAMILIES = {
     "ledger, one entry + 1": lambda raw: ledger_mutants(raw, ONE_ENTRY),
     "bounds, one cell flipped": bound_mutants,
     "bounds, a cell and its shifted copy flipped": bound_pair_mutants,
     "ledger, chi-held move": lambda raw: ledger_mutants(raw, CHI_HELD),
     "curve table, symmetric move": curve_mutants,
+    "integer leaf, +1 or -1": leaf_mutants,
 }
 OUTCOMES = ("mutants", "rejected at load", "failed a check", "survived")
 
 
 def sweep():
-    """({family: counts}, survivors) over the families, in enumeration order."""
+    """{family: [(name, outcome), ...]} over the families, in enumeration order."""
     raw = parse_json(shipped_fixture_text())
-    counts = {}
-    survivors = []
+    results = {}
     for family, mutants in FAMILIES.items():
-        tally = counts[family] = dict.fromkeys(OUTCOMES, 0)
+        outcomes = results[family] = []
         for name, doc in mutants(raw):
-            tally["mutants"] += 1
             try:
                 fix = load_fixtures(doc, validate=False)
             except ToolkitError:
-                tally["rejected at load"] += 1
+                outcomes.append((name, "rejected at load"))
                 continue
             summary = run_verification(fix, "both")["summary"]
-            if summary["fail"] or summary["skipped"]:
-                tally["failed a check"] += 1
-            else:
-                tally["survived"] += 1
-                survivors.append(name)
-    return counts, survivors
+            failed = summary["fail"] or summary["skipped"]
+            outcomes.append((name, "failed a check" if failed else "survived"))
+    return results
+
+
+def print_table(label, groups):
+    """A Markdown table of the outcome counts of each group of (name, outcome)."""
+    print(f"| {label} | " + " | ".join(OUTCOMES) + " |\n|---|" + "---:|" * len(OUTCOMES))
+    for group, outcomes in groups.items():
+        counts = [len(outcomes)] + [sum(o == key for _, o in outcomes) for key in OUTCOMES[1:]]
+        print(f"| {group} | " + " | ".join(map(str, counts)) + " |")
+    print()
 
 
 def main() -> int:
-    counts, survivors = sweep()
-    print("| family | " + " | ".join(OUTCOMES) + " |\n|---|" + "---:|" * len(OUTCOMES))
-    for family, tally in counts.items():
-        print(f"| {family} | " + " | ".join(str(tally[key]) for key in OUTCOMES) + " |")
-    print()
+    results = sweep()
+    print_table("family", results)
+    leaves = results["integer leaf, +1 or -1"]
+    print_table("integer leaf table", {table: [(n, o) for n, o in leaves
+                                              if n.split(".")[0].split("[")[0] == table]
+                                       for table in LEAF_TABLES})
+    survivors = [name for outcomes in results.values() for name, o in outcomes if o == "survived"]
     pinned = json.loads(PINNED.read_text(encoding="utf-8"))
     new = [name for name in survivors if name not in pinned]
     closed = [name for name in pinned if name not in survivors]

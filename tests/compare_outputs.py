@@ -52,6 +52,11 @@ process, on the same cases:
   without C2m, e_hit_ks without E5m, e_hit_ks.E3p with a key "2", d8.defs
   without D8, sequence without L11, ledger entry 5,3 removed, and
   ext_bounds.n = 0; each exits 2;
+* verify on nine documents with a float or true in one integer cell
+  (TYPE_EDITS): b_table.k_value, b_table.l_values.plus,
+  b_table.c_table.C1p[0][0], d8.gram[0][0], d8.defs.D1.K, sequence.L1.E1,
+  b_relation.rhs.K, chi_matrix[0][0] and ledger.n; each exits 2, naming the
+  cell;
 * height --matrix on a bound table whose dynamic program reads a null cell;
 * verify on three documents that each reach an error branch of a model
   stage: "X": 1 in sequence.L1 (an unknown class name), every
@@ -321,6 +326,16 @@ SHAPE_EDITS = {
 }
 
 
+#: (path, value) edits that each put a float or true in one integer cell, so
+#: that the document exits 2
+TYPE_EDITS = (
+    (("b_table", "k_value"), 2.0), (("b_table", "l_values", "plus"), True),
+    (("b_table", "c_table", "C1p", 0, 0), 0.0), (("d8", "gram", 0, 0), True),
+    (("d8", "defs", "D1", "K"), 1.0), (("sequence", "L1", "E1"), True),
+    (("b_relation", "rhs", "K"), 8.0), (("chi_matrix", 0, 0), True), (("ledger", "n"), 11.0),
+)
+
+
 def write_cases(directory: Path) -> list[tuple[str, list[str]]]:
     """The (name, argv) cases; fixture documents are written to directory."""
     sys.path.insert(0, str(ROOT / "bench"))
@@ -356,6 +371,13 @@ def write_cases(directory: Path) -> list[tuple[str, list[str]]]:
         doc = json.loads(json.dumps(raw))
         set_bound_cells(doc, cells)
         docs.append((f"bounds {name}", json.dumps(doc)))
+    for path, value in TYPE_EDITS:
+        doc = json.loads(json.dumps(raw))
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        docs.append((f"type {'.'.join(map(str, path))} = {json.dumps(value)}", json.dumps(doc)))
     for name, edit in SHAPE_EDITS.items():
         doc = json.loads(json.dumps(raw))
         edit(doc)

@@ -225,7 +225,7 @@ CROSS_CELLS = [(a, b) for a in range(4) for b in range(4)]
 
 
 def check_genus3_edits(fix, cells):
-    cross = frozenset(fix.b_table.cross_block_b_cells).symmetric_difference(cells)
+    cross = tuple(frozenset(fix.b_table.cross_block_b_cells).symmetric_difference(cells))
     fs = replaced(fix, b_table=replaced(fix.b_table, cross_block_b_cells=cross))
     want = message(reference_genus3, fs)
     assert message(lambda: fs.genus3) == want

@@ -13,7 +13,7 @@ from barlowlat.cli import main, run_verification
 from barlowlat.errors import SchemaError, ToolkitError, UnknownName
 from barlowlat.exceptional import CONFIG_GRAM, is_num_exceptional
 from barlowlat.fixtures import (
-    B_KEYS, BASIS_NAMES, CURVE_NAMES, D8_FORK_GRAM, STAR_POSITIONS, FixtureSet, b_name,
+    B_KEYS, BASIS_NAMES, CURVE_NAMES, D8_FORK_GRAM, STAR_POSITIONS, BTable, FixtureSet, b_name,
     load_fixtures,
 )
 from barlowlat.heights import ABSENT, ExtBoundMatrix, height, single_segment_bound
@@ -258,6 +258,77 @@ def test_a_model_built_directly_checks_its_shape(fix, raw_copy, name):
     assert str(parsed.value) == str(direct.value) == message
 
 
+def _with_cell(rows, i, j, value):
+    return tuple(row[:j] + (value,) + row[j + 1:] if k == i else row
+                 for k, row in enumerate(rows))
+
+
+#: one table, container or cell of the shipped model of the wrong type, built
+#: directly; before the records checked their types, the chi and d8.gram
+#: defects verified 16/16, the b_table and b_relation ones ended
+#: run_verification in a bare TypeError, and the rest in an AttributeError
+TYPE_DEFECTS = {
+    "chi-cell-float": (lambda fix: {"chi_matrix": _with_cell(fix.chi_matrix, 0, 0, 1.0)},
+                       "chi_matrix[0][0]: 1.0 is not an integer"),
+    "chi-matrix-lists": (lambda fix: {"chi_matrix": [list(row) for row in fix.chi_matrix]},
+                         "chi_matrix is of type list, not tuple"),
+    "d8-gram-true": (lambda fix: {"d8_gram_expected": _with_cell(fix.d8_gram_expected, 0, 1, True)},
+                     "d8.gram[0][1]: True is not an integer"),
+    "l-values-plus-float": (
+        lambda fix: {"b_table": _rebuilt(fix.b_table, l_values=MappingProxyType(
+            {**fix.b_table.l_values, "plus": 1.0}))},
+        "b_table.l_values.plus: 1.0 is not an integer"),
+    "relation-rhs-K-float": (
+        lambda fix: {"relation_rhs": MappingProxyType({**fix.relation_rhs, "K": 8.0})},
+        "b_relation.rhs.K: 8.0 is not an integer"),
+    "k-value-string": (lambda fix: {"b_table": _rebuilt(fix.b_table, k_value="2")},
+                       "b_table.k_value: '2' is not an integer"),
+    "chi-rows-lists": (lambda fix: {"chi_matrix": tuple(map(list, fix.chi_matrix))},
+                       "chi_matrix[0] is of type list, not tuple"),
+    "d8-defs-D1-int": (lambda fix: {"d8_defs": MappingProxyType({**fix.d8_defs, "D1": 5})},
+                       "d8.defs.D1 is of type int, not mappingproxy"),
+    "ledger-dict": (lambda fix: {"ledger": {}}, "ledger is of type dict, not LedgerMatrix"),
+    "ext-bounds-rows": (lambda fix: {"ext_bounds": fix.ext_bounds.rows},
+                        "ext_bounds is of type tuple, not ExtBoundMatrix"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TYPE_DEFECTS))
+def test_a_model_built_directly_checks_its_types(fix, name):
+    changes, message = TYPE_DEFECTS[name]
+    with pytest.raises(SchemaError) as exc:
+        _rebuilt(fix, **changes(fix))
+    assert str(exc.value) == message
+
+
+def test_a_b_table_built_directly_checks_its_types(fix):
+    bt = fix.b_table
+    with pytest.raises(SchemaError, match=r"^b_table\.k_value: True is not an integer$"):
+        _rebuilt(bt, k_value=True)
+    # the index is the bad k's place in its list: the second k of E3p's i = 0
+    hits = MappingProxyType({**bt.e_hit_ks, "E3p": MappingProxyType(
+        {**bt.e_hit_ks["E3p"], "0": (bt.e_hit_ks["E3p"]["0"][0], 1.5)})})
+    with pytest.raises(SchemaError) as exc:
+        _rebuilt(bt, e_hit_ks=hits)
+    assert str(exc.value) == "b_table.e_hit_ks.E3p.0[1]: 1.5 is not an integer"
+    # the cross-block cells keep the document's order, so the index names the
+    # pair, then the place in it: k2 of the first pair
+    cells = ((0, "3"), *bt.cross_block_b_cells[1:])
+    with pytest.raises(SchemaError) as exc:
+        _rebuilt(bt, cross_block_b_cells=cells)
+    assert str(exc.value) == "b_table.cross_block_b_cells[0][1]: '3' is not an integer"
+
+
+def test_the_declared_sizes_are_checked_by_their_readers(raw_copy):
+    # ledger.n keeps its text; ext_bounds.n gets from_rows's own
+    raw_copy["ledger"]["n"] = 11.0
+    with pytest.raises(SchemaError, match=r"^ledger\.n: 11\.0 is not an integer$"):
+        FixtureSet.from_dict(raw_copy)
+    raw_copy["ledger"]["n"], raw_copy["ext_bounds"]["n"] = 11, 1.5
+    with pytest.raises(SchemaError, match=r"^n must be a positive integer, got 1\.5$"):
+        FixtureSet.from_dict(raw_copy)
+
+
 def _square_edit(draw, rows):
     """A square table's rows as lists, with a row or a cell dropped, or a row
     or a column added."""
@@ -299,11 +370,11 @@ def _shape_fault(draw, fix, raw):
     doc = copy.deepcopy(raw)
     table = draw(st.sampled_from(["curves", "d8.gram", "chi_matrix", "d8.defs", "sequence",
                                   "ledger", "ext_bounds", "b_table"]))
-    if table == "curves":   # square, so the lattice record accepts it directly
+    if table == "curves":
         m = draw(st.integers(1, 13))
         rows = [row[:m] for row in raw["curve_table"]["matrix"][:m]]
         doc["curve_table"]["matrix"] = rows
-        changes = {"curves": PicardLattice(tuple(map(tuple, rows)), DivisorClass.zero(m))}
+        changes = {"curve_matrix": tuple(map(tuple, rows))}
     elif table in ("d8.gram", "chi_matrix"):
         field, path = {"d8.gram": ("d8_gram_expected", ("d8", "gram")),
                        "chi_matrix": ("chi_matrix", ("chi_matrix",))}[table]
@@ -367,10 +438,79 @@ def _shape_fault(draw, fix, raw):
     return doc, lambda: _rebuilt(fix, **changes)
 
 
+#: the model field that holds each integer table of the document, by its JSON path
+MODEL_FIELDS = {
+    ("curve_table", "matrix"): "curve_matrix", ("d8", "defs"): "d8_defs",
+    ("d8", "gram"): "d8_gram_expected", ("sequence",): "sequence_defs",
+    ("chi_matrix",): "chi_matrix", ("b_relation", "lhs"): "relation_lhs",
+    ("b_relation", "rhs"): "relation_rhs",
+}
+#: the document's integer tables: the model's, each field of the b_table, the
+#: ledger's triples and the bound rows (the declared sizes n have no field)
+INTEGER_TABLES = (*MODEL_FIELDS, *(("b_table", f) for f in BTable._fields),
+                  ("ledger", "entries"), ("ext_bounds", "rows"))
+
+
+def _integer_leaves(node, path):
+    """The paths of the JSON integers (not bools) under node."""
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from _integer_leaves(value, (*path, key))
+    elif type(node) is int:
+        yield path
+
+
+def _replaced(node, keys, new):
+    """A tuple or read-only mapping with the leaf at keys replaced by new."""
+    if not keys:
+        return new
+    key, rest = keys[0], keys[1:]
+    if isinstance(node, tuple):
+        return (*node[:key], _replaced(node[key], rest, new), *node[key + 1:])
+    return MappingProxyType({**node, key: _replaced(node[key], rest, new)})
+
+
+def _type_fault(draw, fix, raw):
+    """A float, True or a string in one integer leaf of the document's tables:
+    (the document with it, a thunk building the shipped model's fields with
+    the same cell replaced)."""
+    doc = copy.deepcopy(raw)
+    table = draw(st.sampled_from(INTEGER_TABLES))
+    node = raw
+    for key in table:
+        node = node[key]
+    keys = draw(st.sampled_from(list(_integer_leaves(node, ()))))
+    old = node
+    for key in keys:
+        old = old[key]
+    new = draw(st.sampled_from([float(old), old + 0.5, True, str(old)]))
+    _set(new, *table, *keys)(doc)
+    bt = fix.b_table
+    if table in MODEL_FIELDS:
+        field = MODEL_FIELDS[table]
+        changes = {field: _replaced(getattr(fix, field), keys, new)}
+    elif table[0] == "b_table":
+        field = table[1]
+        value = _replaced(getattr(bt, field), keys, new)
+        return doc, lambda: _rebuilt(fix, b_table=_rebuilt(bt, **{field: value}))
+    elif table[0] == "ledger":
+        (i, j), h = map(int, keys[0].split(",")), keys[1]
+        triple = list(fix.ledger.entries[(i, j)].triple)
+        triple[h] = new
+        return doc, lambda: _rebuilt(fix, ledger=LedgerMatrix(MappingProxyType(
+            {**fix.ledger.entries, (i, j): CohomDatum(*triple)})))
+    else:
+        rows = _replaced(fix.ext_bounds.rows, keys, new)
+        return doc, lambda: _rebuilt(fix, ext_bounds=ExtBoundMatrix(rows))
+    return doc, lambda: _rebuilt(fix, **changes)
+
+
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_a_shape_fault_gives_the_same_error_parsed_or_built(fix, raw_fixture, data):
-    doc, build = _shape_fault(data.draw, fix, raw_fixture)
+    # a type fault too: the integer rule is the records' own, on both paths
+    fault = data.draw(st.sampled_from([_shape_fault, _type_fault]))
+    doc, build = fault(data.draw, fix, raw_fixture)
     with pytest.raises(SchemaError) as parsed:
         FixtureSet.from_dict(doc)
     with pytest.raises(SchemaError) as direct:
@@ -422,6 +562,8 @@ def test_the_formal_curve_lattice_pairs_by_the_curve_table(fix, raw_fixture):
     got = [list(row) for row in fix.curves.pairings(units, units)]
     assert got == raw_fixture["curve_table"]["matrix"]
     assert fix.curves.k == units[CURVE_NAMES.index("K")]
+    # a cached stage over the stored curve table
+    assert fix.curves is fix.curves and fix.curves.gram is fix.curve_matrix
 
 
 def test_unknown_name(fix):

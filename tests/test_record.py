@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -17,7 +18,7 @@ from barlowlat.fixtures import load_fixtures
 from barlowlat.heights import Arc, ExtBoundMatrix
 from barlowlat.homledger import INF, STAR, CohomDatum, LedgerMatrix, StarChoice, formality_report
 from barlowlat.lattice import DivisorClass, PicardLattice, make_lattice
-from barlowlat.record import Record
+from barlowlat.record import Record, check_integers
 from barlowlat.roots import partition_roots
 
 #: one instance of every Record subclass of the package, built from the shipped fixture
@@ -231,6 +232,47 @@ def test_a_ledger_cell_is_a_datum_or_the_star():
         LedgerMatrix({(1, 1): one, (1, 2): one})
     with pytest.raises(SchemaError, match=r"^diagonal entry 1,1 must be \[1,0,0\]$"):
         LedgerMatrix({(1, 1): STAR})
+
+
+# ------------------------------------------------------------ the integer rule
+
+M, T = MappingProxyType, tuple
+
+#: (value, its containers, the message naming its first bad cell or container
+#: under the path "t")
+INTEGER_FAULTS = (
+    (M({"a": ((1, 2), (3, 4.0))}), (M, T, T), "t.a[1][1]: 4.0 is not an integer"),
+    ((1, True), (T,), "t[1]: True is not an integer"),
+    (M({"x": "1", "y": 1.5}), (M,), "t.x: '1' is not an integer"),
+    (None, (), "t: None is not an integer"),
+    # below the last container everything is a cell, printed as the parser prints it
+    ((M({"a": {"b": 1}}),), (T, M), "t[0].a: {'b': 1} is not an integer"),
+    (((1, (2,)),), (T, T), "t[0][1]: (2,) is not an integer"),
+    # a container of the wrong type is named, not printed, at every level
+    ([[1, 2]], (T, T), "t is of type list, not tuple"),
+    (((1, 2), [3, 4]), (T, T), "t[1] is of type list, not tuple"),
+    (M({"D1": 5}), (M, M), "t.D1 is of type int, not mappingproxy"),
+    ({"a": 1}, (M,), "t is of type dict, not mappingproxy"),
+    ((M({"a": 1}),), (T, T), "t[0] is of type mappingproxy, not tuple"),
+    # a set has no order for a path to name, so no table is one
+    (frozenset({(1, 2)}), (T, T), "t is of type frozenset, not tuple"),
+)
+
+
+@pytest.mark.parametrize("value, levels, message", INTEGER_FAULTS)
+def test_the_integer_rule_names_the_first_bad_cell(value, levels, message):
+    with pytest.raises(SchemaError) as exc:
+        check_integers(value, "t", levels)
+    assert str(exc.value) == message
+
+
+def test_the_integer_rule_passes_integers_in_read_only_tables():
+    check_integers(M({"a": ((1, -2), ()), "b": ((10 ** 40,),)}), "t", (M, T, T))
+    check_integers((), "t", (T, T))
+    check_integers(5, "n")
+    for value in (True, 5.0, "5", (5,), [5]):
+        with pytest.raises(SchemaError, match=r"^n: .* is not an integer$"):
+            check_integers(value, "n")
 
 
 def test_only_the_parser_refuses_a_float_inf():
