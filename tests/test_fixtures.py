@@ -485,24 +485,21 @@ def _type_fault(draw, fix, raw):
         old = old[key]
     new = draw(st.sampled_from([float(old), old + 0.5, True, str(old)]))
     _set(new, *table, *keys)(doc)
-    bt = fix.b_table
     if table in MODEL_FIELDS:
         field = MODEL_FIELDS[table]
-        changes = {field: _replaced(getattr(fix, field), keys, new)}
-    elif table[0] == "b_table":
-        field = table[1]
-        value = _replaced(getattr(bt, field), keys, new)
-        return doc, lambda: _rebuilt(fix, b_table=_rebuilt(bt, **{field: value}))
-    elif table[0] == "ledger":
+        value = _replaced(getattr(fix, field), keys, new)
+        return doc, lambda: _rebuilt(fix, **{field: value})
+    if table[0] == "b_table":
+        value = _replaced(getattr(fix.b_table, table[1]), keys, new)
+        return doc, lambda: _rebuilt(fix, b_table=_rebuilt(fix.b_table, **{table[1]: value}))
+    if table[0] == "ledger":
         (i, j), h = map(int, keys[0].split(",")), keys[1]
         triple = list(fix.ledger.entries[(i, j)].triple)
         triple[h] = new
         return doc, lambda: _rebuilt(fix, ledger=LedgerMatrix(MappingProxyType(
             {**fix.ledger.entries, (i, j): CohomDatum(*triple)})))
-    else:
-        rows = _replaced(fix.ext_bounds.rows, keys, new)
-        return doc, lambda: _rebuilt(fix, ext_bounds=ExtBoundMatrix(rows))
-    return doc, lambda: _rebuilt(fix, **changes)
+    rows = _replaced(fix.ext_bounds.rows, keys, new)
+    return doc, lambda: _rebuilt(fix, ext_bounds=ExtBoundMatrix(rows))
 
 
 @given(st.data())
