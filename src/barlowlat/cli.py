@@ -20,17 +20,38 @@ from typing import Any, Callable, Sequence
 from . import __version__
 from .errors import ToolkitError, UsageError
 from .exceptional import (
-    DecompositionProblem, decompose_effective, is_num_exceptional, search_configs)
+    DecompositionProblem,
+    decompose_effective,
+    is_num_exceptional,
+    search_configs,
+)
 from .fixtures import (
-    BASIS_NAMES, CURVE_NAMES, SEQUENCE_NAMES, FixtureSet, load_fixtures, parse_json)
-from .heights import ExtBoundMatrix, Fullness, INF, fullness_verdict, height, single_segment_bound
+    BASIS_NAMES,
+    CURVE_NAMES,
+    SEQUENCE_NAMES,
+    FixtureSet,
+    load_fixtures,
+    parse_json,
+)
+from .heights import (
+    ExtBoundMatrix,
+    Fullness,
+    INF,
+    fullness_verdict,
+    height,
+    single_segment_bound,
+)
 from .homledger import SURFACE_DIMENSION, StarChoice, formality_report, validate_ledger
 from .lattice import DivisorClass
 from .linalg import int_text
 # enumerate_roots is not called here (fix.roots enumerates once), but it stays
 # bound in this namespace: bench/ wraps and checks the binding by name
 from .roots import (  # noqa: F401
-    enumerate_roots, partition_roots, vanishing_classification, VanishingTag)
+    enumerate_roots,
+    partition_roots,
+    vanishing_classification,
+    VanishingTag,
+)
 
 _TERM = re.compile(r"([+-]?)\s*([0-9]*)\s*\*?\s*([A-Za-z][A-Za-z0-9]*)")
 

@@ -106,6 +106,10 @@ B_NAMES = frozenset(b_name(*key) for key in B_KEYS)
 _MATRIX = (tuple, tuple)
 _MAP = (MappingProxyType,)   # name -> integer
 _MAPS = (MappingProxyType, MappingProxyType)   # name -> name -> integer
+#: the containers of each BTable field, by name, so that no field escapes the rule
+_B_LEVELS = MappingProxyType({
+    "k_value": (), "l_values": _MAP, "e12_values": _MAP, "c_table": (MappingProxyType, *_MATRIX),
+    "e_hit_ks": (*_MAPS, tuple), "cross_block_b_cells": _MATRIX})
 
 
 class BTable(Record):
@@ -119,9 +123,8 @@ class BTable(Record):
     cross_block_b_cells: tuple[tuple[int, int], ...]   # (k1, k2), in document order
 
     def __post_init__(self) -> None:
-        for field, levels in zip(self._fields, ((), _MAP, _MAP, (MappingProxyType, *_MATRIX),
-                                                (*_MAPS, tuple), _MATRIX)):
-            check_integers(getattr(self, field), f"b_table.{field}", levels)
+        for field in self._fields:
+            check_integers(getattr(self, field), f"b_table.{field}", _B_LEVELS[field])
         for field in ("l_values", "e12_values"):
             if missing := {"plus", "minus"} - set(getattr(self, field)):
                 raise SchemaError(f"{field} lacks {', '.join(sorted(missing))}")

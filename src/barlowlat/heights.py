@@ -17,7 +17,7 @@ from typing import Sequence
 from .errors import SchemaError, ToolkitError
 from .homledger import INF
 from .lattice import DivisorClass
-from .record import Record
+from .record import Record, is_integer
 
 #: marker for cells of the bound table that carry no data
 ABSENT = None
@@ -40,8 +40,7 @@ class ExtBoundMatrix(Record):
             if len(row) != size:
                 raise SchemaError(f"row {i} has {len(row)} entries, expected {size}")
             for x in row:
-                if not (x is ABSENT or x == INF
-                        or isinstance(x, int) and not isinstance(x, bool) and x >= 0):
+                if not (x is ABSENT or x == INF or is_integer(x) and x >= 0):
                     raise SchemaError(f"bad bound entry {x!r} in row {i}")
 
     @cached_property
@@ -50,7 +49,7 @@ class ExtBoundMatrix(Record):
 
     @staticmethod
     def from_rows(n: int, raw_rows: Sequence[Sequence[int | str | None]]) -> "ExtBoundMatrix":
-        if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        if not is_integer(n) or n < 1:
             raise SchemaError(f"n must be a positive integer, got {n!r}")
         if len(raw_rows) != 2 * n:
             raise SchemaError(f"expected {2 * n} rows, got {len(raw_rows)}")

@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 
 from .errors import SchemaError, ToolkitError
 from .linalg import int_text
-from .record import Record, check_integers
+from .record import Record, check_integers, is_integer
 
 #: the degree of a zero datum, +infinity: a sum or difference with it is INF and
 #: it exceeds every integer, so the DPs add and compare it with no case of its own
@@ -36,7 +36,7 @@ class CohomDatum(Record):
     h2: int
 
     def __post_init__(self) -> None:
-        if any(isinstance(h, bool) or not isinstance(h, int) for h in self.triple):
+        if not all(map(is_integer, self.triple)):
             raise SchemaError(f"Ext dimensions {self.triple!r} must be integers")
         if min(self.triple) < 0:
             raise SchemaError("Ext dimensions must be nonnegative")

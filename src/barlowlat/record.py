@@ -1,9 +1,15 @@
 """The immutable record base of the package's value types: the fields are the
 class annotations, in order; equality, hash and repr follow the field tuple.
-`check_integers` is the records' one integer rule, on a cell or a table."""
+`is_integer` is the records' one integer rule, and `check_integers` applies it
+to a cell or a table."""
 from types import MappingProxyType
 
 from .errors import SchemaError
+
+
+def is_integer(x: object) -> bool:
+    """An int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def check_integers(value: object, where: str, levels: tuple[type, ...] = ()) -> None:
@@ -12,7 +18,7 @@ def check_integers(value: object, where: str, levels: tuple[type, ...] = ()) -> 
     cell is named by its path and printed (`chi_matrix[0][0]: 1.0 is not an
     integer`, `sequence.L1.K: ...`); a bad container is named, not printed."""
     if not levels:
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not is_integer(value):
             raise SchemaError(f"{where}: {value!r} is not an integer")
     elif not isinstance(value, levels[0]):
         raise SchemaError(f"{where} is of type {type(value).__name__}, not {levels[0].__name__}")

@@ -26,11 +26,14 @@ exits 1 when the survivors differ from the pinned list
 in tests/data/cell_coverage_survivors.json, printing each difference. A new
 survivor is a change that lost its check; a pinned survivor that now fails
 shows a check that closed a gap, and the pinned list shrinks with it. It
-needs only the standard library and the package under src/.
+needs only the standard library, the package under src/ and the document
+edits of tests/compare_outputs.py.
 """
 import copy
 import json
 import sys
+from functools import reduce
+from operator import getitem
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -38,6 +41,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from barlowlat.cli import run_verification  # noqa: E402
 from barlowlat.errors import ToolkitError  # noqa: E402
 from barlowlat.fixtures import load_fixtures, parse_json, shipped_fixture_text  # noqa: E402
+from compare_outputs import integer_leaves, set_cell  # noqa: E402
 
 PINNED = Path(__file__).resolve().parent / "data" / "cell_coverage_survivors.json"
 
@@ -111,28 +115,16 @@ def curve_mutants(raw):
 LEAF_TABLES = ("chi_matrix", "d8", "sequence", "b_relation", "b_table")
 
 
-def _integer_leaves(node, keys=()):
-    """The key paths of the JSON integers (not bools) under node."""
-    if isinstance(node, (dict, list)):
-        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
-            yield from _integer_leaves(value, (*keys, key))
-    elif type(node) is int:
-        yield keys
-
-
 def leaf_mutants(raw):
     """(name, document) for each integer leaf of LEAF_TABLES moved by +1 and -1;
     the name starts with the leaf's path as the fixture errors write it."""
     for table in LEAF_TABLES:
-        for keys in _integer_leaves(raw[table]):
+        for keys in integer_leaves(raw[table]):
             path = table + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)
+            value = reduce(getitem, keys, raw[table])
             for step in (1, -1):
                 edited = copy.deepcopy(raw[table])
-                node = edited
-                for key in keys[:-1]:
-                    node = node[key]
-                value = node[keys[-1]]
-                node[keys[-1]] = value + step
+                set_cell(value + step, *keys)(edited)
                 yield f"{path} {value} -> {value + step}", dict(raw, **{table: edited})
 
 

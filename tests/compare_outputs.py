@@ -326,14 +326,36 @@ SHAPE_EDITS = {
 }
 
 
-#: (path, value) edits that each put a float or true in one integer cell, so
-#: that the document exits 2
-TYPE_EDITS = (
-    (("b_table", "k_value"), 2.0), (("b_table", "l_values", "plus"), True),
-    (("b_table", "c_table", "C1p", 0, 0), 0.0), (("d8", "gram", 0, 0), True),
-    (("d8", "defs", "D1", "K"), 1.0), (("sequence", "L1", "E1"), True),
-    (("b_relation", "rhs", "K"), 8.0), (("chi_matrix", 0, 0), True), (("ledger", "n"), 11.0),
-)
+def set_cell(value, *path):
+    """An edit that puts value at the key path of a document."""
+    def edit(raw):
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+
+    return edit
+
+
+def integer_leaves(node, keys=()):
+    """The key paths of the JSON integers (not bools) under node."""
+    if isinstance(node, (dict, list)):
+        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from integer_leaves(value, (*keys, key))
+    elif type(node) is int:
+        yield keys
+
+
+#: edits that each put a float or true in one integer cell, so that the
+#: document exits 2
+TYPE_EDITS = {
+    f"type {'.'.join(map(str, path))} = {json.dumps(value)}": set_cell(value, *path)
+    for value, *path in ((2.0, "b_table", "k_value"), (True, "b_table", "l_values", "plus"),
+                         (0.0, "b_table", "c_table", "C1p", 0, 0), (True, "d8", "gram", 0, 0),
+                         (1.0, "d8", "defs", "D1", "K"), (True, "sequence", "L1", "E1"),
+                         (8.0, "b_relation", "rhs", "K"), (True, "chi_matrix", 0, 0),
+                         (11.0, "ledger", "n"))
+}
 
 
 def write_cases(directory: Path) -> list[tuple[str, list[str]]]:
@@ -371,14 +393,7 @@ def write_cases(directory: Path) -> list[tuple[str, list[str]]]:
         doc = json.loads(json.dumps(raw))
         set_bound_cells(doc, cells)
         docs.append((f"bounds {name}", json.dumps(doc)))
-    for path, value in TYPE_EDITS:
-        doc = json.loads(json.dumps(raw))
-        node = doc
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-        docs.append((f"type {'.'.join(map(str, path))} = {json.dumps(value)}", json.dumps(doc)))
-    for name, edit in SHAPE_EDITS.items():
+    for name, edit in {**TYPE_EDITS, **SHAPE_EDITS}.items():
         doc = json.loads(json.dumps(raw))
         edit(doc)
         docs.append((name, json.dumps(doc)))

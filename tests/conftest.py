@@ -1,17 +1,9 @@
 import copy
 import json
-import os
 
 import pytest
-from hypothesis import settings
 
 from barlowlat.fixtures import load_fixtures, shipped_fixture_text
-
-# HYPOTHESIS_PROFILE=ci: a failing property prints the blob that reproduces it
-# (@reproduce_failure), and no example database is read or written; each
-# test's own max_examples and deadline still hold
-settings.register_profile("ci", print_blob=True, database=None)
-settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

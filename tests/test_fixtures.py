@@ -23,6 +23,7 @@ from barlowlat.homledger import (
 from barlowlat.lattice import DivisorClass, PicardLattice
 from barlowlat.roots import CANONICAL_GRAM, EXTENDED_CARTAN
 
+from compare_outputs import integer_leaves, set_cell
 from root_oracle import is_root
 
 EXPECTED_D8_GRAM = (
@@ -131,16 +132,6 @@ def _drop(*path):
     return mutate
 
 
-def _set(value, *path):
-    def mutate(raw):
-        node = raw
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = value
-
-    return mutate
-
-
 MALFORMED = {
     "ledger-entries-list": _ledger_entries_as_list,
     "e12-without-plus": _drop("b_table", "e12_values", "plus"),
@@ -148,29 +139,29 @@ MALFORMED = {
     "l-values-without-plus": _drop("b_table", "l_values", "plus"),
     "l-values-without-minus": _drop("b_table", "l_values", "minus"),
     # integers are JSON integers: no truncated floats, bools or numeric strings
-    "curve-cell-float": _set(-1.5, "curve_table", "matrix", 0, 0),
-    "curve-cell-true": _set(True, "curve_table", "matrix", 0, 9),
-    "curve-cell-string": _set("-1", "curve_table", "matrix", 0, 0),
-    "d8-gram-true": _set(True, "d8", "gram", 0, 1),
-    "chi-cell-float": _set(1.0, "chi_matrix", 0, 0),
-    "b-k-value-float": _set(2.0, "b_table", "k_value"),
-    "b-l-value-float": _set(1.0, "b_table", "l_values", "plus"),
-    "b-c-table-true": _set(True, "b_table", "c_table", "C1p", 0, 1),
-    "b-cross-cell-string": _set(["0", 3], "b_table", "cross_block_b_cells", 0),
-    "combo-true": _set(True, "sequence", "L1", "E1"),
-    "ledger-n-string": _set("11", "ledger", "n"),
-    "ledger-triple-true": _set([True, 0, 0], "ledger", "entries", "1,1"),
-    "ext-bounds-n-float": _set(11.0, "ext_bounds", "n"),
-    "ext-bounds-cell-true": _set(True, "ext_bounds", "rows", 2, 0),
-    "sequence-combo-list": _set([["E1", 1]], "sequence", "L1"),
-    "c-table-list": _set([], "b_table", "c_table"),
+    "curve-cell-float": set_cell(-1.5, "curve_table", "matrix", 0, 0),
+    "curve-cell-true": set_cell(True, "curve_table", "matrix", 0, 9),
+    "curve-cell-string": set_cell("-1", "curve_table", "matrix", 0, 0),
+    "d8-gram-true": set_cell(True, "d8", "gram", 0, 1),
+    "chi-cell-float": set_cell(1.0, "chi_matrix", 0, 0),
+    "b-k-value-float": set_cell(2.0, "b_table", "k_value"),
+    "b-l-value-float": set_cell(1.0, "b_table", "l_values", "plus"),
+    "b-c-table-true": set_cell(True, "b_table", "c_table", "C1p", 0, 1),
+    "b-cross-cell-string": set_cell(["0", 3], "b_table", "cross_block_b_cells", 0),
+    "combo-true": set_cell(True, "sequence", "L1", "E1"),
+    "ledger-n-string": set_cell("11", "ledger", "n"),
+    "ledger-triple-true": set_cell([True, 0, 0], "ledger", "entries", "1,1"),
+    "ext-bounds-n-float": set_cell(11.0, "ext_bounds", "n"),
+    "ext-bounds-cell-true": set_cell(True, "ext_bounds", "rows", 2, 0),
+    "sequence-combo-list": set_cell([["E1", 1]], "sequence", "L1"),
+    "c-table-list": set_cell([], "b_table", "c_table"),
     # names and shapes the formal pairing indexes by
-    "curve-names-unknown": _set(["x"] * 14, "curve_table", "names"),
+    "curve-names-unknown": set_cell(["x"] * 14, "curve_table", "names"),
     "curve-matrix-13-rows": _drop("curve_table", "matrix", 13),
     "curve-row-13-cells": _drop("curve_table", "matrix", 0, 13),
     "d8-gram-7-rows": _drop("d8", "gram", 7),
     "format-missing": _drop("format"),
-    "format-other": _set("barlowlat-fixture-v2", "format"),
+    "format-other": set_cell("barlowlat-fixture-v2", "format"),
 }
 
 
@@ -213,7 +204,7 @@ def _without(table, name):
 #: fields a direct construction changes; the message is the one both give
 MODEL_DEFECTS = {
     "d8-gram-7x7": (
-        _set([row[:7] for row in EXPECTED_D8_GRAM[:7]], "d8", "gram"),
+        set_cell([row[:7] for row in EXPECTED_D8_GRAM[:7]], "d8", "gram"),
         lambda fix: {"d8_gram_expected": tuple(r[:7] for r in fix.d8_gram_expected[:7])},
         "d8.gram must be 8x8"),
     "chi-matrix-10x10": (
@@ -238,7 +229,7 @@ MODEL_DEFECTS = {
                                          l_values=_without(fix.b_table.l_values, "plus"))},
         "l_values lacks plus"),
     "c-table-C1p-1x2": (
-        _set([[0, 1]], "b_table", "c_table", "C1p"),
+        set_cell([[0, 1]], "b_table", "c_table", "C1p"),
         lambda fix: {"b_table": _rebuilt(fix.b_table, c_table=MappingProxyType(
             {**fix.b_table.c_table, "C1p": ((0, 1),)}))},
         "c_table[C1p] must be 2x2"),
@@ -379,7 +370,7 @@ def _shape_fault(draw, fix, raw):
         field, path = {"d8.gram": ("d8_gram_expected", ("d8", "gram")),
                        "chi_matrix": ("chi_matrix", ("chi_matrix",))}[table]
         rows = _square_edit(draw, getattr(fix, field))
-        _set(rows, *path)(doc)
+        set_cell(rows, *path)(doc)
         changes = {field: tuple(map(tuple, rows))}
     elif table in ("d8.defs", "sequence"):
         field, node, key, extra = {"d8.defs": ("d8_defs", doc["d8"], "defs", "D9"),
@@ -451,15 +442,6 @@ INTEGER_TABLES = (*MODEL_FIELDS, *(("b_table", f) for f in BTable._fields),
                   ("ledger", "entries"), ("ext_bounds", "rows"))
 
 
-def _integer_leaves(node, path):
-    """The paths of the JSON integers (not bools) under node."""
-    if isinstance(node, (dict, list)):
-        for key, value in node.items() if isinstance(node, dict) else enumerate(node):
-            yield from _integer_leaves(value, (*path, key))
-    elif type(node) is int:
-        yield path
-
-
 def _replaced(node, keys, new):
     """A tuple or read-only mapping with the leaf at keys replaced by new."""
     if not keys:
@@ -479,12 +461,12 @@ def _type_fault(draw, fix, raw):
     node = raw
     for key in table:
         node = node[key]
-    keys = draw(st.sampled_from(list(_integer_leaves(node, ()))))
+    keys = draw(st.sampled_from(list(integer_leaves(node))))
     old = node
     for key in keys:
         old = old[key]
     new = draw(st.sampled_from([float(old), old + 0.5, True, str(old)]))
-    _set(new, *table, *keys)(doc)
+    set_cell(new, *table, *keys)(doc)
     if table in MODEL_FIELDS:
         field = MODEL_FIELDS[table]
         value = _replaced(getattr(fix, field), keys, new)
