@@ -9,9 +9,9 @@ matrix, the forward Ext ledger and the 22x22 height bound table.
 read-only mappings.  Built directly or by `from_dict`, `BTable` and then
 `FixtureSet` check their own cell types (`record.check_integers`) and shape
 (the Barlow stars, the names D1..D8 and L1..L11, the size of every table) and
-raise `SchemaError`; `from_dict` keeps the JSON encoding: the format tag, the
-keys, arrays as tuples and objects as read-only mappings, the curve names and
-the digest.
+raise `SchemaError`.  `from_dict` keeps the JSON encoding: the format tag, the
+curve names, the digest, and each plain table decoded at its declared path
+into the containers that the type rule reads (`_B_LEVELS`, `_INTEGER_TABLES`).
 The model is a chain of stages, each a cached property that is a pure
 function of the tables and the earlier stages:
 
@@ -34,9 +34,9 @@ methods trigger a stage or run a cross-check and return a witness dict.
 from __future__ import annotations
 
 import json
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
-from operator import mul
+from operator import getitem, mul
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping, Sequence
@@ -125,6 +125,9 @@ class BTable(Record):
     def __post_init__(self) -> None:
         for field in self._fields:
             check_integers(getattr(self, field), f"b_table.{field}", _B_LEVELS[field])
+        for i, cell in enumerate(self.cross_block_b_cells):
+            if len(cell) != 2:
+                raise SchemaError(f"b_table.cross_block_b_cells[{i}] is not a pair")
         for field in ("l_values", "e12_values"):
             if missing := {"plus", "minus"} - set(getattr(self, field)):
                 raise SchemaError(f"{field} lacks {', '.join(sorted(missing))}")
@@ -179,12 +182,20 @@ class BTable(Record):
 
 # --------------------------------------------------------------------------- fixture
 
-def _rows(raw: Sequence[Sequence[object]]) -> tuple[tuple[object, ...], ...]:
-    return tuple(map(tuple, raw))
-
-
-def _object(raw: Mapping[str, object]) -> Mapping[str, object]:
-    return MappingProxyType(dict(raw.items()))   # not dict(raw): an array of pairs is no object
+def _decode(raw: object, where: str, levels: tuple[type, ...]) -> object:
+    """raw as `levels` of containers, outermost first: a JSON array a tuple, an
+    object a read-only mapping, and a value of the other kind a SchemaError
+    naming its path.  The cells are left to `check_integers`, which names one."""
+    if not levels:
+        return raw
+    keyed, rest = levels[0] is MappingProxyType, levels[1:]
+    if not isinstance(raw, dict if keyed else (list, tuple)):
+        raise SchemaError(f"{where} must be {'an object' if keyed else 'an array'}")
+    if not rest:
+        return MappingProxyType(dict(raw)) if keyed else tuple(raw)
+    if keyed:
+        return MappingProxyType({k: _decode(x, f"{where}.{k}", rest) for k, x in raw.items()})
+    return tuple(_decode(x, f"{where}[{i}]", rest) for i, x in enumerate(raw))
 
 
 def _square(rows: Sequence[Sequence[int]], n: int) -> bool:
@@ -271,32 +282,16 @@ class FixtureSet(Record):
         if not isinstance(raw, Mapping) or raw.get("format") != FIXTURE_FORMAT:
             raise SchemaError(f'fixture document must carry "format": "{FIXTURE_FORMAT}"')
         try:
-            if tuple(raw["curve_table"]["names"]) != CURVE_NAMES:
+            if _decode(raw["curve_table"]["names"], "curve_table.names", (tuple,)) != CURVE_NAMES:
                 raise SchemaError(f"curve names must be {CURVE_NAMES}")
-            bt_raw = raw["b_table"]
-            b_fields = dict(
-                k_value=bt_raw["k_value"],
-                l_values=_object(bt_raw["l_values"]),
-                e12_values=_object(bt_raw["e12_values"]),
-                c_table=MappingProxyType({k: _rows(v) for k, v in bt_raw["c_table"].items()}),
-                e_hit_ks=MappingProxyType({
-                    k: MappingProxyType({i: tuple(ks) for i, ks in v.items()})
-                    for k, v in bt_raw["e_hit_ks"].items()}),
-                cross_block_b_cells=tuple((a, b) for a, b in bt_raw["cross_block_b_cells"]),
-            )
-            fields = dict(
-                curve_matrix=_rows(raw["curve_table"]["matrix"]),
-                d8_defs=MappingProxyType({name: _object(combo)
-                                          for name, combo in raw["d8"]["defs"].items()}),
-                d8_gram_expected=_rows(raw["d8"]["gram"]),
-                sequence_defs=MappingProxyType({name: _object(combo)
-                                                for name, combo in raw["sequence"].items()}),
-                chi_matrix=_rows(raw["chi_matrix"]),
+            b_fields = {field: _decode(raw["b_table"][field], f"b_table.{field}", levels)
+                        for field, levels in _B_LEVELS.items()}
+            fields = {field: _decode(reduce(getitem, where.split("."), raw), where, levels)
+                      for field, where, levels in _INTEGER_TABLES}
+            fields.update(
                 ledger=LedgerMatrix.from_dict(raw["ledger"]["n"], raw["ledger"]["entries"]),
                 ext_bounds=ExtBoundMatrix.from_rows(raw["ext_bounds"]["n"],
                                                     raw["ext_bounds"]["rows"]),
-                relation_lhs=_object(raw["b_relation"]["lhs"]),
-                relation_rhs=_object(raw["b_relation"]["rhs"]),
                 digest=sha256(json.dumps(raw, sort_keys=True, separators=(",", ":"))
                               .encode()).hexdigest(),
             )

@@ -51,9 +51,13 @@ class ExtBoundMatrix(Record):
     def from_rows(n: int, raw_rows: Sequence[Sequence[int | str | None]]) -> "ExtBoundMatrix":
         if not is_integer(n) or n < 1:
             raise SchemaError(f"n must be a positive integer, got {n!r}")
+        if not isinstance(raw_rows, (list, tuple)):
+            raise SchemaError("rows must be an array")
         if len(raw_rows) != 2 * n:
             raise SchemaError(f"expected {2 * n} rows, got {len(raw_rows)}")
         for i, raw in enumerate(raw_rows, 1):
+            if not isinstance(raw, (list, tuple)):
+                raise SchemaError(f"row {i} is not an array")
             if any(x == INF for x in raw):   # INF is encoded "inf", never a float
                 raise SchemaError(f"bad bound entry inf in row {i}")
         return ExtBoundMatrix(tuple(tuple(INF if x == "inf" else x for x in raw)

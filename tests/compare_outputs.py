@@ -57,6 +57,16 @@ process, on the same cases:
   b_table.c_table.C1p[0][0], d8.gram[0][0], d8.defs.D1.K, sequence.L1.E1,
   b_relation.rhs.K, chi_matrix[0][0] and ledger.n; each exits 2, naming the
   cell;
+* verify on thirteen documents with a value of the wrong JSON kind where an
+  array or an object belongs (CONTAINER_EDITS): b_table.c_table.C1p as an
+  object, b_table.e_hit_ks.E3p."0" as a number, a cross-block cell as a
+  triple, as a single and as a number, sequence.L1 and d8.defs as arrays,
+  chi_matrix[0] as a string, curve_table.matrix as an object,
+  b_relation.lhs as null, the second bound row as a string,
+  curve_table.names as an object keyed by the 14 names in order and
+  ext_bounds.rows as an object keyed r00..r21; each exits 2, naming the
+  place; and height --matrix on a table whose rows are an object, and on one
+  whose second row is a string;
 * height --matrix on a bound table whose dynamic program reads a null cell;
 * verify on three documents that each reach an error branch of a model
   stage: "X": 1 in sequence.L1 (an unknown class name), every
@@ -84,8 +94,9 @@ The output of a case is its exit code, stdout and stderr.  The first tree's
 worker runs under PYTHONHASHSEED=0 and the second's under 1, so a report
 that depends on the string hash seed differs even when both trees are the
 same (python tests/compare_outputs.py src src).  The script prints the
-number of outputs compared and the name of each one that differs, and
-exits 1 if any differs.  It needs no test dependency.
+number of outputs compared and, for each one that differs, its name, which
+of exit code, stdout and stderr differ, and the first stderr line of each
+tree; it exits 1 if any differs.  It needs no test dependency.
 """
 from __future__ import annotations
 
@@ -358,6 +369,41 @@ TYPE_EDITS = {
 }
 
 
+def keyed_curve_names(raw: dict) -> None:
+    """curve_table.names as an object keyed by the 14 names in order, not an
+    array: read as its keys, it matched the names."""
+    raw["curve_table"]["names"] = dict.fromkeys(raw["curve_table"]["names"], 1)
+
+
+def keyed_bound_rows(raw: dict) -> None:
+    """ext_bounds.rows as an object keyed r00..r21, not an array."""
+    rows = raw["ext_bounds"]["rows"]
+    raw["ext_bounds"]["rows"] = {f"r{i:02}": row for i, row in enumerate(rows)}
+
+
+#: edits that each put a value of the wrong JSON kind where the document has
+#: an array or an object, so that the document exits 2 naming that place
+CONTAINER_EDITS = {
+    **{f"container {'.'.join(map(str, path))} = {json.dumps(value)}": set_cell(value, *path)
+       for value, *path in (({"a": 1}, "b_table", "c_table", "C1p"),
+                            (0, "b_table", "e_hit_ks", "E3p", "0"),
+                            ([0, 1, 2], "b_table", "cross_block_b_cells", 1),
+                            ([0], "b_table", "cross_block_b_cells", 1),
+                            (0, "b_table", "cross_block_b_cells", 1),
+                            ([["E1", 1]], "sequence", "L1"), ([], "d8", "defs"),
+                            ("abc", "chi_matrix", 0), ({"a": 1}, "curve_table", "matrix"),
+                            (None, "b_relation", "lhs"), ("ab", "ext_bounds", "rows", 1))},
+    "container curve_table.names keyed": keyed_curve_names,
+    "container ext_bounds.rows keyed": keyed_bound_rows,
+}
+
+#: bound tables for height --matrix whose rows, or one row, are no array
+CONTAINER_MATRICES = {
+    "rows-object": {"n": 1, "rows": {"ab": 1, "cd": 2}},
+    "row-2-string": {"n": 1, "rows": [[None, None], "ab"]},
+}
+
+
 def write_cases(directory: Path) -> list[tuple[str, list[str]]]:
     """The (name, argv) cases; fixture documents are written to directory."""
     sys.path.insert(0, str(ROOT / "bench"))
@@ -393,7 +439,7 @@ def write_cases(directory: Path) -> list[tuple[str, list[str]]]:
         doc = json.loads(json.dumps(raw))
         set_bound_cells(doc, cells)
         docs.append((f"bounds {name}", json.dumps(doc)))
-    for name, edit in {**TYPE_EDITS, **SHAPE_EDITS}.items():
+    for name, edit in {**TYPE_EDITS, **SHAPE_EDITS, **CONTAINER_EDITS}.items():
         doc = json.loads(json.dumps(raw))
         edit(doc)
         docs.append((name, json.dumps(doc)))
@@ -432,6 +478,10 @@ def write_cases(directory: Path) -> list[tuple[str, list[str]]]:
     path = directory / "infinite-cell.json"
     path.write_text('{"n": 1, "rows": [[null, null], [1e999, null]]}')
     cases.append(("height infinite-cell", ["height", "--matrix", str(path)]))
+    for name, matrix in CONTAINER_MATRICES.items():
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(matrix))
+        cases.append((f"height {name}", ["height", "--matrix", str(path)]))
     path = directory / f"doc{names.index('long-height')}.json"
     cases.append(("height long-height", ["height", "--fixtures", str(path)]))
     path = directory / "long-height-matrix.json"
@@ -466,11 +516,15 @@ def main(argv: list[str]) -> int:
         print("a worker failed", file=sys.stderr)
         return 2
     parent, change = (json.loads(o) for o in outputs)
-    differ = [name for (name, _), a, b in zip(cases, parent, change) if a != b]
+    differ = [(name, a, b) for (name, _), a, b in zip(cases, parent, change) if a != b]
     print(f"compared {len(cases)} outputs: {len(cases) - len(differ)} identical, "
           f"{len(differ)} differ")
-    for name in differ:
-        print(f"differs: {name}")
+    for name, a, b in differ:
+        parts = [part for part, x, y in zip(("exit code", "stdout", "stderr"), a, b) if x != y]
+        print(f"differs: {name} ({', '.join(parts)})")
+        for tree, (_, _, err) in zip(("first", "second"), (a, b)):
+            line = err.partition("\n")[0]
+            print(f"  {tree} stderr: {line}")
     return 1 if differ else 0
 
 

@@ -28,7 +28,8 @@ from barlowlat.homledger import SURFACE_DIMENSION, StarChoice
 from barlowlat.lattice import DivisorClass, PicardLattice
 
 from compare_outputs import (
-    BOUND_ORDER_EDITS, LONG_INTEGER_EDITS, SHAPE_EDITS, e3p_as_k_minus_c1p, e_hit_k1_as_k0,
+    BOUND_ORDER_EDITS, CONTAINER_EDITS, CONTAINER_MATRICES, LONG_INTEGER_EDITS, SHAPE_EDITS,
+    e3p_as_k_minus_c1p, e_hit_k1_as_k0,
     half_integral_e4p, infinite_bound, long_height_bounds, long_height_matrix,
     negative_degree_document, non_fork_document, set_bound_cells, shuffled_keys, swap_e1_c1p,
     swap_l1_l3, twist_sequence, unknown_curve_in_d1, unknown_name_in_l1, zero_bounds,
@@ -1007,6 +1008,27 @@ SHAPE_MESSAGES = {
 }
 
 
+#: the message of each document in compare_outputs.CONTAINER_EDITS
+CONTAINER_MESSAGES = dict(zip(CONTAINER_EDITS, [
+    "b_table.c_table.C1p must be an array", "b_table.e_hit_ks.E3p.0 must be an array",
+    "b_table.cross_block_b_cells[1] is not a pair", "b_table.cross_block_b_cells[1] is not a pair",
+    "b_table.cross_block_b_cells[1] must be an array", "sequence.L1 must be an object",
+    "d8.defs must be an object", "chi_matrix[0] must be an array",
+    "curve_table.matrix must be an array", "b_relation.lhs must be an object",
+    "row 2 is not an array", "curve_table.names must be an array", "rows must be an array",
+], strict=True))
+
+
+@pytest.mark.parametrize("name, message", [("rows-object", "rows must be an array"),
+                                           ("row-2-string", "row 2 is not an array")])
+def test_height_matrix_rows_must_be_arrays(tmp_path, capsys, name, message):
+    # a key or a character of a row that is no array is not read as a bound
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(CONTAINER_MATRICES[name]))
+    code, out, err = run_cli(capsys, "height", "--matrix", str(path))
+    assert (code, out, err) == (2, "", f"cannot read bound matrix: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [("verify",), ("roots", "--count")])
 @pytest.mark.parametrize("mutate, message", [
     (_ledger_n12, "ledger.n and ext_bounds.n must be 11, not 12, 11"),
@@ -1015,10 +1037,12 @@ SHAPE_MESSAGES = {
     (_ledger_misplaced_star, "star entries at"),
     (_ledger_alias_key, "bad ledger key '05,3'"),
     *((SHAPE_EDITS[name], message) for name, message in SHAPE_MESSAGES.items()),
+    *((CONTAINER_EDITS[name], message) for name, message in CONTAINER_MESSAGES.items()),
 ], ids=["ledger-n-12", "ext-bounds-n-12", "ledger-diagonal", "ledger-misplaced-star",
-        "ledger-alias-key", *SHAPE_MESSAGES])
+        "ledger-alias-key", *SHAPE_MESSAGES, *CONTAINER_MESSAGES])
 def test_fixture_shape_rule_broken_exits_2(tmp_path, capsys, argv, mutate, message):
-    # n = 11, the star cells and the [1,0,0] diagonal are shape rules
+    # n = 11, the star cells and the [1,0,0] diagonal are shape rules; a value
+    # of the wrong JSON kind is named by its path
     raw = json.loads(shipped_fixture_text())
     mutate(raw)
     path = tmp_path / "bad.json"

@@ -2,6 +2,8 @@ import copy
 import hashlib
 import json
 import re
+from functools import reduce
+from operator import getitem
 from types import MappingProxyType
 
 import pytest
@@ -13,8 +15,8 @@ from barlowlat.cli import main, run_verification
 from barlowlat.errors import SchemaError, ToolkitError, UnknownName
 from barlowlat.exceptional import CONFIG_GRAM, is_num_exceptional
 from barlowlat.fixtures import (
-    B_KEYS, BASIS_NAMES, CURVE_NAMES, D8_FORK_GRAM, STAR_POSITIONS, BTable, FixtureSet, b_name,
-    load_fixtures,
+    _B_LEVELS, _INTEGER_TABLES, B_KEYS, BASIS_NAMES, CURVE_NAMES, D8_FORK_GRAM, STAR_POSITIONS,
+    BTable, FixtureSet, b_name, load_fixtures, shipped_fixture_text,
 )
 from barlowlat.heights import ABSENT, ExtBoundMatrix, height, single_segment_bound
 from barlowlat.homledger import (
@@ -233,13 +235,20 @@ MODEL_DEFECTS = {
         lambda fix: {"b_table": _rebuilt(fix.b_table, c_table=MappingProxyType(
             {**fix.b_table.c_table, "C1p": ((0, 1),)}))},
         "c_table[C1p] must be 2x2"),
+    **{f"cross-block-cell-{name}": (
+        set_cell(list(cell), "b_table", "cross_block_b_cells", 1),
+        lambda fix, cell=cell: {"b_table": _rebuilt(fix.b_table, cross_block_b_cells=(
+            fix.b_table.cross_block_b_cells[0], cell, *fix.b_table.cross_block_b_cells[2:]))},
+        "b_table.cross_block_b_cells[1] is not a pair")
+       for name, cell in (("triple", (0, 1, 2)), ("single", (0,)))},
 }
 
 
 @pytest.mark.parametrize("name", sorted(MODEL_DEFECTS))
 def test_a_model_built_directly_checks_its_shape(fix, raw_copy, name):
     # before, a direct construction skipped these rules: the 7x7 d8 Gram
-    # verified 16/16, and the others ended in a bare IndexError or KeyError
+    # verified 16/16, and the others ended in a bare IndexError or KeyError;
+    # a cross-block cell that is no pair was never matched by the genus-3 stage
     edit, changes, message = MODEL_DEFECTS[name]
     edit(raw_copy)
     with pytest.raises(SchemaError) as parsed:
@@ -318,6 +327,62 @@ def test_the_declared_sizes_are_checked_by_their_readers(raw_copy):
     raw_copy["ledger"]["n"], raw_copy["ext_bounds"]["n"] = 11, 1.5
     with pytest.raises(SchemaError, match=r"^n must be a positive integer, got 1\.5$"):
         FixtureSet.from_dict(raw_copy)
+
+
+#: every declared plain table of the document: (JSON path, containers)
+DECLARED_TABLES = (*((f"b_table.{field}", levels) for field, levels in _B_LEVELS.items()),
+                   *((where, levels) for _, where, levels in _INTEGER_TABLES))
+
+
+def test_the_declarations_cover_the_model(raw_fixture):
+    # so a new table cannot escape the decoding or the type rule
+    assert tuple(_B_LEVELS) == BTable._fields
+    fields = [field for field, _, _ in _INTEGER_TABLES]
+    others = {"digest", "b_table", "ledger", "ext_bounds"}
+    assert sorted(fields) == sorted(set(FixtureSet._fields) - others)
+    for where, _ in DECLARED_TABLES:
+        assert reduce(getitem, where.split("."), raw_fixture) is not None, where
+
+
+def _container_faults(raw):
+    """For each declared table and each container level on its path, the other
+    JSON container kind there (an array's cells keyed "0", "1", ..., or an
+    object's values), a number, a string and null: (keys, message, value)."""
+    for where, levels in DECLARED_TABLES:
+        keys = where.split(".")
+        path, node = where, reduce(getitem, keys, raw)
+        for level in levels:
+            keyed = level is MappingProxyType
+            other = list(node.values()) if keyed else {str(i): x for i, x in enumerate(node)}
+            message = f"{path} must be {'an object' if keyed else 'an array'}"
+            for kind, value in (("other", other), ("number", 0), ("string", "x"), ("null", None)):
+                yield pytest.param(keys, message, value, id=f"{path}-{kind}")
+            key = next(iter(node)) if keyed else 0
+            keys, node = [*keys, key], node[key]
+            path += f".{key}" if keyed else f"[{key}]"
+
+
+@pytest.mark.parametrize("keys, message, value", [
+    *_container_faults(json.loads(shipped_fixture_text())),
+    # an object where an array belongs is not read as its keys
+    pytest.param(["b_table", "c_table", "C1p"], "b_table.c_table.C1p must be an array",
+                 {"a": 1}, id="C1p-object-of-one-key"),
+    # nor are the curve names, which would then match
+    pytest.param(["curve_table", "names"], "curve_table.names must be an array",
+                 dict.fromkeys(CURVE_NAMES, 1), id="curve-names-object"),
+])
+def test_a_wrong_container_is_named_by_its_path(raw_copy, tmp_path, capsys, keys, message, value):
+    # a string or an object where an array belongs is not read character by
+    # character or key by key, nor is an array where an object belongs an
+    # AttributeError of the decoding
+    set_cell(value, *keys)(raw_copy)
+    with pytest.raises(SchemaError) as exc:
+        FixtureSet.from_dict(raw_copy)
+    assert str(exc.value) == message
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw_copy))
+    assert main(["verify", "--fixtures", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"fixture error: {message}\n")
 
 
 def _square_edit(draw, rows):
