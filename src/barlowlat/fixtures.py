@@ -5,13 +5,15 @@ eight simple-root combinations, the parametrized pairing rules for the 32
 genus-3 classes, the 11 line-bundle combinations with their Euler-pairing
 matrix, the forward Ext ledger and the 22x22 height bound table.
 
-`FixtureSet` is frozen and holds only the parsed tables, as tuples and
-read-only mappings.  Built directly or by `from_dict`, `BTable` and then
-`FixtureSet` check their own cell types (`record.check_integers`) and shape
-(the Barlow stars, the names D1..D8 and L1..L11, the size of every table) and
-raise `SchemaError`.  `from_dict` keeps the JSON encoding: the format tag, the
-curve names, the digest, and each plain table decoded at its declared path
-into the containers that the type rule reads (`_B_LEVELS`, `_INTEGER_TABLES`).
+`FixtureSet` is frozen and holds only the parsed tables.  Built directly or
+by `from_dict`, `BTable` and then `FixtureSet` store each plain table through
+`record.freeze` at the containers declared for it (`_B_LEVELS`,
+`_INTEGER_TABLES`): lists and dicts are copied into tuples and read-only
+mappings, and a container of the wrong kind or a cell that is no integer is a
+`SchemaError` naming its JSON path.  Then they check their shape (the Barlow
+stars, the names D1..D8 and L1..L11, the size of every table).  `from_dict`
+keeps the JSON encoding: the format tag, the curve names, the digest and the
+raw value at each declared path.
 The model is a chain of stages, each a cached property that is a pure
 function of the tables and the earlier stages:
 
@@ -47,7 +49,7 @@ from .errors import SchemaError, ToolkitError, UnknownName
 from .heights import ABSENT, ExtBoundMatrix
 from .homledger import LedgerMatrix, validate_ledger
 from .lattice import DivisorClass, PicardLattice, make_lattice
-from .record import Record, check_integers
+from .record import Record, container, freeze
 
 try:  # the builtin sha256: hashlib would load OpenSSL for one digest
     from _sha2 import sha256  # CPython 3.12 and later
@@ -102,7 +104,7 @@ B_NAMES = frozenset(b_name(*key) for key in B_KEYS)
 
 # --------------------------------------------------------------------------- tables
 
-#: the containers above a table's integers, outermost first (`check_integers`)
+#: the containers above a table's integers, outermost first (`record.freeze`)
 _MATRIX = (tuple, tuple)
 _MAP = (MappingProxyType,)   # name -> integer
 _MAPS = (MappingProxyType, MappingProxyType)   # name -> name -> integer
@@ -124,7 +126,8 @@ class BTable(Record):
 
     def __post_init__(self) -> None:
         for field in self._fields:
-            check_integers(getattr(self, field), f"b_table.{field}", _B_LEVELS[field])
+            object.__setattr__(self, field, freeze(getattr(self, field), f"b_table.{field}",
+                                                   _B_LEVELS[field]))
         for i, cell in enumerate(self.cross_block_b_cells):
             if len(cell) != 2:
                 raise SchemaError(f"b_table.cross_block_b_cells[{i}] is not a pair")
@@ -181,22 +184,6 @@ class BTable(Record):
 
 
 # --------------------------------------------------------------------------- fixture
-
-def _decode(raw: object, where: str, levels: tuple[type, ...]) -> object:
-    """raw as `levels` of containers, outermost first: a JSON array a tuple, an
-    object a read-only mapping, and a value of the other kind a SchemaError
-    naming its path.  The cells are left to `check_integers`, which names one."""
-    if not levels:
-        return raw
-    keyed, rest = levels[0] is MappingProxyType, levels[1:]
-    if not isinstance(raw, dict if keyed else (list, tuple)):
-        raise SchemaError(f"{where} must be {'an object' if keyed else 'an array'}")
-    if not rest:
-        return MappingProxyType(dict(raw)) if keyed else tuple(raw)
-    if keyed:
-        return MappingProxyType({k: _decode(x, f"{where}.{k}", rest) for k, x in raw.items()})
-    return tuple(_decode(x, f"{where}[{i}]", rest) for i, x in enumerate(raw))
-
 
 def _square(rows: Sequence[Sequence[int]], n: int) -> bool:
     return len(rows) == n and all(len(r) == n for r in rows)
@@ -257,7 +244,7 @@ class FixtureSet(Record):
             if not isinstance(value := getattr(self, field), cls):
                 raise SchemaError(f"{field} is of type {type(value).__name__}, not {cls.__name__}")
         for field, where, levels in _INTEGER_TABLES:
-            check_integers(getattr(self, field), where, levels)
+            object.__setattr__(self, field, freeze(getattr(self, field), where, levels))
         stars = self.ledger.star_positions
         if stars != set(STAR_POSITIONS):
             raise SchemaError(f"star entries at {sorted(stars)}, expected {sorted(STAR_POSITIONS)}")
@@ -282,12 +269,12 @@ class FixtureSet(Record):
         if not isinstance(raw, Mapping) or raw.get("format") != FIXTURE_FORMAT:
             raise SchemaError(f'fixture document must carry "format": "{FIXTURE_FORMAT}"')
         try:
-            if _decode(raw["curve_table"]["names"], "curve_table.names", (tuple,)) != CURVE_NAMES:
+            names = container(raw["curve_table"]["names"], "curve_table.names", tuple)
+            if tuple(names) != CURVE_NAMES:
                 raise SchemaError(f"curve names must be {CURVE_NAMES}")
-            b_fields = {field: _decode(raw["b_table"][field], f"b_table.{field}", levels)
-                        for field, levels in _B_LEVELS.items()}
-            fields = {field: _decode(reduce(getitem, where.split("."), raw), where, levels)
-                      for field, where, levels in _INTEGER_TABLES}
+            b_fields = {field: raw["b_table"][field] for field in _B_LEVELS}
+            fields = {field: reduce(getitem, where.split("."), raw)
+                      for field, where, _ in _INTEGER_TABLES}
             fields.update(
                 ledger=LedgerMatrix.from_dict(raw["ledger"]["n"], raw["ledger"]["entries"]),
                 ext_bounds=ExtBoundMatrix.from_rows(raw["ext_bounds"]["n"],

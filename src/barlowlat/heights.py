@@ -5,9 +5,9 @@ by the canonical class.  A lower-bound table for the relative heights
 e(source, target) feeds a min-plus dynamic program over "circles": increasing
 index chains of span exactly n.  The resulting minimum certifies a lower
 bound for the height; the single-segment circles give the matching upper
-bound on the shipped data.  An `ExtBoundMatrix` has at least one object and
-2n rows of 2n cells, each ABSENT, INF or an integer >= 0, however it is built;
-`from_rows` reads the JSON encoding ("inf", null) against a declared n.
+bound on the shipped data.  An `ExtBoundMatrix` stores a tuple copy of its
+rows: at least one object and 2n rows of 2n cells, each ABSENT, INF or an
+integer >= 0; `from_rows` reads the JSON encoding ("inf", null) against n.
 """
 from __future__ import annotations
 
@@ -17,10 +17,16 @@ from typing import Sequence
 from .errors import SchemaError, ToolkitError
 from .homledger import INF
 from .lattice import DivisorClass
-from .record import Record, is_integer
+from .record import Record, container, is_integer
 
 #: marker for cells of the bound table that carry no data
 ABSENT = None
+
+
+def _row(i: int, row: object) -> tuple:
+    if not isinstance(row, (list, tuple)):
+        raise SchemaError(f"row {i} is not an array")
+    return tuple(row)
 
 
 class ExtBoundMatrix(Record):
@@ -31,6 +37,8 @@ class ExtBoundMatrix(Record):
     rows: tuple[tuple[int | float | None, ...], ...]
 
     def __post_init__(self) -> None:
+        rows = container(self.rows, "rows", tuple)
+        object.__setattr__(self, "rows", tuple(_row(i, row) for i, row in enumerate(rows, 1)))
         size = 2 * self.n
         if size < 2:
             raise SchemaError(f"n must be a positive integer, got {self.n}")
@@ -51,17 +59,12 @@ class ExtBoundMatrix(Record):
     def from_rows(n: int, raw_rows: Sequence[Sequence[int | str | None]]) -> "ExtBoundMatrix":
         if not is_integer(n) or n < 1:
             raise SchemaError(f"n must be a positive integer, got {n!r}")
-        if not isinstance(raw_rows, (list, tuple)):
-            raise SchemaError("rows must be an array")
-        if len(raw_rows) != 2 * n:
+        if len(container(raw_rows, "rows", tuple)) != 2 * n:
             raise SchemaError(f"expected {2 * n} rows, got {len(raw_rows)}")
         for i, raw in enumerate(raw_rows, 1):
-            if not isinstance(raw, (list, tuple)):
-                raise SchemaError(f"row {i} is not an array")
-            if any(x == INF for x in raw):   # INF is encoded "inf", never a float
+            if any(x == INF for x in _row(i, raw)):   # INF is encoded "inf", never a float
                 raise SchemaError(f"bad bound entry inf in row {i}")
-        return ExtBoundMatrix(tuple(tuple(INF if x == "inf" else x for x in raw)
-                                    for raw in raw_rows))
+        return ExtBoundMatrix([[INF if x == "inf" else x for x in raw] for raw in raw_rows])
 
     def entry(self, target: int, source: int) -> int | float:
         """Bound for e(source -> target), 1-based indices: IndexError outside

@@ -3,9 +3,10 @@
 The ledger stores, for every forward pair (j -> i with j <= i), the triple
 [h0, h1, h2] of Ext dimensions, or a star where it is undetermined (either
 [0,0,0] or [0,1,1]); only `LedgerMatrix` reads the star encoding.  The record
-holds exactly the lower triangle of 1..n under (int, int) keys, each cell a
-`CohomDatum` or the star, diagonal [1,0,0]; `from_dict` reads the "i,j" keys
-up to the declared n, the JSON triples and the star.  The degree argument only
+stores a read-only copy of the mapping it is given, exactly the lower triangle
+of 1..n under (int, int) keys, each cell a `CohomDatum` or the star, diagonal
+[1,0,0]; `from_dict` reads the "i,j" keys up to the declared n, the JSON
+triples and the star.  The degree argument only
 needs minimal degrees of chains of composable forward maps, computed by one
 layered DP over the strictly-increasing-index DAG up to length n, which gives
 the minimum at every length, as the formality report reads them.
@@ -19,7 +20,7 @@ from typing import Mapping, Sequence
 
 from .errors import SchemaError, ToolkitError
 from .linalg import int_text
-from .record import Record, check_integers, is_integer
+from .record import Record, container, freeze, is_integer
 
 #: the degree of a zero datum, +infinity: a sum or difference with it is INF and
 #: it exceeds every integer, so the DPs add and compare it with no case of its own
@@ -79,6 +80,8 @@ class LedgerMatrix(Record):
     entries: Mapping[tuple[int, int], CohomDatum | str]
 
     def __post_init__(self) -> None:
+        entries = container(self.entries, "ledger entries", MappingProxyType)
+        object.__setattr__(self, "entries", MappingProxyType(dict(entries)))
         for key, val in self.entries.items():
             if type(key) is not tuple or tuple(map(type, key)) != (int, int):
                 raise SchemaError(f"bad ledger key {key!r}")
@@ -103,7 +106,7 @@ class LedgerMatrix(Record):
 
     @staticmethod
     def from_dict(n: int, raw: Mapping[str, Sequence[int] | str]) -> "LedgerMatrix":
-        check_integers(n, "ledger.n")
+        freeze(n, "ledger.n")
         if not isinstance(raw, Mapping):
             raise SchemaError("ledger entries must be a mapping of 'i,j' keys")
         entries: dict[tuple[int, int], CohomDatum | str] = {}
@@ -119,7 +122,7 @@ class LedgerMatrix(Record):
             if val != STAR and not (isinstance(val, (list, tuple)) and len(val) == 3):
                 raise SchemaError(f"ledger entry {key!r} is not a triple")
             entries[(i, j)] = STAR if val == STAR else CohomDatum(*val)
-        ledger = LedgerMatrix(MappingProxyType(entries))
+        ledger = LedgerMatrix(entries)
         if ledger.n < n:   # complete up to a row before the declared last
             raise SchemaError(f"ledger entry {ledger.n + 1},1 is missing")
         return ledger

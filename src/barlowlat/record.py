@@ -1,7 +1,7 @@
 """The immutable record base of the package's value types: the fields are the
 class annotations, in order; equality, hash and repr follow the field tuple.
-`is_integer` is the records' one integer rule, and `check_integers` applies it
-to a cell or a table."""
+`is_integer` is the records' one integer rule, and `freeze` their one table
+rule: it checks a cell or a table and returns a frozen copy of it."""
 from types import MappingProxyType
 
 from .errors import SchemaError
@@ -12,20 +12,28 @@ def is_integer(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def check_integers(value: object, where: str, levels: tuple[type, ...] = ()) -> None:
-    """A SchemaError unless value is `levels` of containers (tuple or
-    MappingProxyType, outermost first) over ints that are not bools.  A bad
-    cell is named by its path and printed (`chi_matrix[0][0]: 1.0 is not an
-    integer`, `sequence.L1.K: ...`); a bad container is named, not printed."""
+def container(value, where: str, level: type):
+    """value, if a table level `level` takes it: a list or a tuple (a JSON array)
+    for `tuple`, a dict or a read-only mapping (an object) for `MappingProxyType`."""
+    if not isinstance(value, (list, tuple) if level is tuple else (dict, MappingProxyType)):
+        raise SchemaError(f"{where} must be {'an array' if level is tuple else 'an object'}")
+    return value
+
+
+def freeze(value, where: str, levels: tuple[type, ...] = ()):
+    """value as `levels` of containers (tuple or MappingProxyType, outermost
+    first) over ints that are not bools, each level copied into a tuple or a
+    read-only mapping.  A container of the wrong kind is named (`sequence.L1
+    must be an object`); a bad cell is named by its path and printed
+    (`chi_matrix[0][0]: 1.0 is not an integer`, `sequence.L1.K: ...`)."""
     if not levels:
         if not is_integer(value):
             raise SchemaError(f"{where}: {value!r} is not an integer")
-    elif not isinstance(value, levels[0]):
-        raise SchemaError(f"{where} is of type {type(value).__name__}, not {levels[0].__name__}")
-    else:
-        keyed = levels[0] is MappingProxyType
-        for key, x in value.items() if keyed else enumerate(value):
-            check_integers(x, f"{where}.{key}" if keyed else f"{where}[{key}]", levels[1:])
+        return value
+    container(value, where, levels[0])
+    if levels[0] is tuple:
+        return tuple(freeze(x, f"{where}[{i}]", levels[1:]) for i, x in enumerate(value))
+    return MappingProxyType({k: freeze(x, f"{where}.{k}", levels[1:]) for k, x in value.items()})
 
 
 class Record:

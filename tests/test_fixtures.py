@@ -266,12 +266,13 @@ def _with_cell(rows, i, j, value):
 #: one table, container or cell of the shipped model of the wrong type, built
 #: directly; before the records checked their types, the chi and d8.gram
 #: defects verified 16/16, the b_table and b_relation ones ended
-#: run_verification in a bare TypeError, and the rest in an AttributeError
+#: run_verification in a bare TypeError, and the rest in an AttributeError.
+#: A table given as lists is no defect (message None): it is stored frozen.
 TYPE_DEFECTS = {
     "chi-cell-float": (lambda fix: {"chi_matrix": _with_cell(fix.chi_matrix, 0, 0, 1.0)},
                        "chi_matrix[0][0]: 1.0 is not an integer"),
     "chi-matrix-lists": (lambda fix: {"chi_matrix": [list(row) for row in fix.chi_matrix]},
-                         "chi_matrix is of type list, not tuple"),
+                         None),
     "d8-gram-true": (lambda fix: {"d8_gram_expected": _with_cell(fix.d8_gram_expected, 0, 1, True)},
                      "d8.gram[0][1]: True is not an integer"),
     "l-values-plus-float": (
@@ -283,10 +284,9 @@ TYPE_DEFECTS = {
         "b_relation.rhs.K: 8.0 is not an integer"),
     "k-value-string": (lambda fix: {"b_table": _rebuilt(fix.b_table, k_value="2")},
                        "b_table.k_value: '2' is not an integer"),
-    "chi-rows-lists": (lambda fix: {"chi_matrix": tuple(map(list, fix.chi_matrix))},
-                       "chi_matrix[0] is of type list, not tuple"),
+    "chi-rows-lists": (lambda fix: {"chi_matrix": tuple(map(list, fix.chi_matrix))}, None),
     "d8-defs-D1-int": (lambda fix: {"d8_defs": MappingProxyType({**fix.d8_defs, "D1": 5})},
-                       "d8.defs.D1 is of type int, not mappingproxy"),
+                       "d8.defs.D1 must be an object"),
     "ledger-dict": (lambda fix: {"ledger": {}}, "ledger is of type dict, not LedgerMatrix"),
     "ext-bounds-rows": (lambda fix: {"ext_bounds": fix.ext_bounds.rows},
                         "ext_bounds is of type tuple, not ExtBoundMatrix"),
@@ -295,7 +295,15 @@ TYPE_DEFECTS = {
 
 @pytest.mark.parametrize("name", sorted(TYPE_DEFECTS))
 def test_a_model_built_directly_checks_its_types(fix, name):
+    # before, a list was refused ("chi_matrix is of type list, not tuple") and
+    # a wrong kind named by its type ("... is of type int, not mappingproxy")
     changes, message = TYPE_DEFECTS[name]
+    if message is None:
+        built = _rebuilt(fix, **changes(fix))
+        assert built == fix and type(built.chi_matrix[0]) is tuple
+        with pytest.raises(TypeError):
+            built.chi_matrix[0][0] = 0
+        return
     with pytest.raises(SchemaError) as exc:
         _rebuilt(fix, **changes(fix))
     assert str(exc.value) == message
@@ -317,6 +325,51 @@ def test_a_b_table_built_directly_checks_its_types(fix):
     with pytest.raises(SchemaError) as exc:
         _rebuilt(bt, cross_block_b_cells=cells)
     assert str(exc.value) == "b_table.cross_block_b_cells[0][1]: '3' is not an integer"
+
+
+def _built_from_json(raw, digest):
+    """The model built directly from a document's tables as `json.loads` gives
+    them: lists and dicts, with only the ledger and the bounds parsed."""
+    return FixtureSet(
+        digest=digest, curve_matrix=raw["curve_table"]["matrix"],
+        b_table=BTable(**raw["b_table"]), d8_defs=raw["d8"]["defs"],
+        d8_gram_expected=raw["d8"]["gram"], sequence_defs=raw["sequence"],
+        chi_matrix=raw["chi_matrix"],
+        ledger=LedgerMatrix.from_dict(raw["ledger"]["n"], raw["ledger"]["entries"]),
+        ext_bounds=ExtBoundMatrix.from_rows(raw["ext_bounds"]["n"], raw["ext_bounds"]["rows"]),
+        relation_lhs=raw["b_relation"]["lhs"], relation_rhs=raw["b_relation"]["rhs"])
+
+
+def test_a_model_built_from_json_tables_is_the_parsed_model(fix):
+    raw = json.loads(shipped_fixture_text())
+    built, parsed = _built_from_json(raw, fix.digest), FixtureSet.from_dict(raw)
+    assert built == parsed == fix
+    assert run_verification(built, "both") == run_verification(parsed, "both")
+
+
+def test_a_record_keeps_no_alias_of_what_it_is_given(fix):
+    # before, LedgerMatrix and ExtBoundMatrix kept the caller's containers: two
+    # cells added to d after LedgerMatrix(d) left n cached at 1 while entries
+    # held 3, and rows[1][0] = -5 made entry(2, 1) return a value the record refuses
+    one = CohomDatum(1, 0, 0)
+    d = {(1, 1): one}
+    ledger = LedgerMatrix(d)
+    assert ledger.n == 1
+    d[(2, 1)], d[(2, 2)] = STAR, one
+    assert ledger.n == 1 and dict(ledger.entries) == {(1, 1): one}
+    rows = [[None, None], [1, None]]
+    bounds = ExtBoundMatrix(rows)
+    rows[1][0] = -5
+    assert bounds.entry(2, 1) == 1 and bounds.rows == ((None, None), (1, None))
+    raw = json.loads(shipped_fixture_text())
+    b_table, model = BTable(**raw["b_table"]), _built_from_json(raw, fix.digest)
+    raw["b_table"]["c_table"]["C1p"][0][0] += 1
+    raw["b_table"]["e_hit_ks"]["E3p"]["0"].append(3)
+    raw["curve_table"]["matrix"][0][1] = 5
+    raw["d8"]["defs"]["D1"]["K"] = 1
+    raw["sequence"].pop("L11")
+    assert b_table == model.b_table == fix.b_table and model == fix
+    model.validate()
 
 
 def test_the_declared_sizes_are_checked_by_their_readers(raw_copy):

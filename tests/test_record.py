@@ -18,7 +18,7 @@ from barlowlat.fixtures import load_fixtures
 from barlowlat.heights import Arc, ExtBoundMatrix
 from barlowlat.homledger import INF, STAR, CohomDatum, LedgerMatrix, StarChoice, formality_report
 from barlowlat.lattice import DivisorClass, PicardLattice, make_lattice
-from barlowlat.record import Record, check_integers
+from barlowlat.record import Record, freeze
 from barlowlat.roots import partition_roots
 
 #: one instance of every Record subclass of the package, built from the shipped fixture
@@ -248,31 +248,60 @@ INTEGER_FAULTS = (
     # below the last container everything is a cell, printed as the parser prints it
     ((M({"a": {"b": 1}}),), (T, M), "t[0].a: {'b': 1} is not an integer"),
     (((1, (2,)),), (T, T), "t[0][1]: (2,) is not an integer"),
-    # a container of the wrong type is named, not printed, at every level
-    ([[1, 2]], (T, T), "t is of type list, not tuple"),
-    (((1, 2), [3, 4]), (T, T), "t[1] is of type list, not tuple"),
-    (M({"D1": 5}), (M, M), "t.D1 is of type int, not mappingproxy"),
-    ({"a": 1}, (M,), "t is of type dict, not mappingproxy"),
-    ((M({"a": 1}),), (T, T), "t[0] is of type mappingproxy, not tuple"),
-    # a set has no order for a path to name, so no table is one
-    (frozenset({(1, 2)}), (T, T), "t is of type frozenset, not tuple"),
 )
 
 
 @pytest.mark.parametrize("value, levels, message", INTEGER_FAULTS)
 def test_the_integer_rule_names_the_first_bad_cell(value, levels, message):
     with pytest.raises(SchemaError) as exc:
-        check_integers(value, "t", levels)
+        freeze(value, "t", levels)
     assert str(exc.value) == message
 
 
+#: (value, its containers, the message naming its first container of the wrong
+#: kind under the path "t"): named, not printed, at every level
+KIND_FAULTS = (
+    (M({"D1": 5}), (M, M), "t.D1 must be an object"),
+    ((M({"a": 1}),), (T, T), "t[0] must be an array"),
+    # a set has no order for a path to name, so no table is one
+    (frozenset({(1, 2)}), (T, T), "t must be an array"),
+)
+
+
+@pytest.mark.parametrize("value, levels, message", KIND_FAULTS)
+def test_the_table_rule_names_a_container_of_the_wrong_kind(value, levels, message):
+    # before, the rule took only tuples and read-only mappings and named the
+    # type: "t.D1 is of type int, not mappingproxy"
+    with pytest.raises(SchemaError) as exc:
+        freeze(value, "t", levels)
+    assert str(exc.value) == message
+
+
+#: (value, its containers, the frozen copy): a list is a JSON array and a dict
+#: an object, which the rule took for wrong types before
+FREEZES = (
+    ([[1, 2]], (T, T), ((1, 2),)),
+    (((1, 2), [3, 4]), (T, T), ((1, 2), (3, 4))),
+    ({"a": 1}, (M,), M({"a": 1})),
+)
+
+
+@pytest.mark.parametrize("value, levels, frozen", FREEZES)
+def test_the_table_rule_freezes_lists_and_dicts(value, levels, frozen):
+    got = freeze(value, "t", levels)
+    assert repr(got) == repr(frozen)   # a tuple or a read-only mapping at every level
+    with pytest.raises(TypeError):
+        got[0 if levels[0] is T else "a"] = 0
+
+
 def test_the_integer_rule_passes_integers_in_read_only_tables():
-    check_integers(M({"a": ((1, -2), ()), "b": ((10 ** 40,),)}), "t", (M, T, T))
-    check_integers((), "t", (T, T))
-    check_integers(5, "n")
+    table = M({"a": ((1, -2), ()), "b": ((10 ** 40,),)})
+    assert freeze(table, "t", (M, T, T)) == table
+    assert freeze((), "t", (T, T)) == ()
+    assert freeze(5, "n") == 5
     for value in (True, 5.0, "5", (5,), [5]):
         with pytest.raises(SchemaError, match=r"^n: .* is not an integer$"):
-            check_integers(value, "n")
+            freeze(value, "n")
 
 
 def test_only_the_parser_refuses_a_float_inf():
