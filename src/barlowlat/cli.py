@@ -15,6 +15,7 @@ import re
 import reprlib
 import sys
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Callable, Sequence
 
 from . import __version__
@@ -44,6 +45,7 @@ from .heights import (
 from .homledger import SURFACE_DIMENSION, StarChoice, formality_report, validate_ledger
 from .lattice import DivisorClass
 from .linalg import int_text
+from .record import container
 # enumerate_roots is not called here (fix.roots enumerates once), but it stays
 # bound in this namespace: bench/ wraps and checks the binding by name
 from .roots import (  # noqa: F401
@@ -139,15 +141,11 @@ def verification_checks(
         return {"sizes": list(part.sizes)}
 
     def vanishing() -> dict:
-        tags = vanishing_classification(
-            fix.roots, fix.minus_two_classes(), fix.irreducible_elliptic_classes()
-        )
-        counts = {
-            tag.value: sum(1 for t in tags.values() if t is tag)
-            for tag in VanishingTag
-        }
-        if counts["h0"] != 4 or counts["h2"] != 8:
-            raise ToolkitError(f"vanishing counts {counts}, expected 4 and 8")
+        tags = vanishing_classification(fix.roots, fix.minus_two_classes(),
+                                        fix.degree1_elliptic_classes())
+        counts = {tag.value: sum(t is tag for t in tags.values()) for tag in VanishingTag}
+        if counts["h0"] != 4 or counts["h2"] != 14:
+            raise ToolkitError(f"vanishing counts {counts}, expected 4 and 14")
         return counts
 
     def num_exceptional() -> dict:
@@ -209,7 +207,7 @@ def verification_checks(
         ("root-partition", "roots split into disjoint families of 84 + 28 + 128",
          root_partition, True),
         ("vanishing-classification",
-         "4 roots carry sections, 8 carry top cohomology, the rest neither",
+         "4 roots carry sections, 14 carry top cohomology, the rest neither",
          vanishing, True),
         ("sequence-chi", "the 11 bundles reproduce the frozen Euler matrix",
          fix.validate_sequence, True),
@@ -355,7 +353,8 @@ def cmd_chi(args: argparse.Namespace) -> int:
 def cmd_height(args: argparse.Namespace) -> int:
     if args.matrix is not None:
         try:
-            raw = parse_json(Path(args.matrix).read_text())
+            raw = container(parse_json(Path(args.matrix).read_text()), "the document",
+                            MappingProxyType)
             bounds = ExtBoundMatrix.from_rows(raw["n"], raw["rows"])
             h = height(bounds)
         except (OSError, KeyError, TypeError, ValueError, RecursionError, ToolkitError) as exc:

@@ -5,15 +5,13 @@ eight simple-root combinations, the parametrized pairing rules for the 32
 genus-3 classes, the 11 line-bundle combinations with their Euler-pairing
 matrix, the forward Ext ledger and the 22x22 height bound table.
 
-`FixtureSet` is frozen and holds only the parsed tables.  Built directly or
-by `from_dict`, `BTable` and then `FixtureSet` store each plain table through
-`record.freeze` at the containers declared for it (`_B_LEVELS`,
-`_INTEGER_TABLES`): lists and dicts are copied into tuples and read-only
-mappings, and a container of the wrong kind or a cell that is no integer is a
-`SchemaError` naming its JSON path.  Then they check their shape (the Barlow
-stars, the names D1..D8 and L1..L11, the size of every table).  `from_dict`
-keeps the JSON encoding: the format tag, the curve names, the digest and the
-raw value at each declared path.
+`FixtureSet` is frozen.  Built directly or by `from_dict`, `BTable` and then
+`FixtureSet` store each plain table through `record.freeze` at its declared
+containers (`_B_LEVELS`, `_INTEGER_TABLES`), as tuples and read-only mappings,
+then check their shape (the Barlow stars, the names D1..D8 and L1..L11, the
+size of every table); a fault is a `SchemaError` naming its JSON path.
+`from_dict` keeps the JSON encoding: the format tag, the curve names, the
+digest and the raw value at each declared path, read by `_at`.
 The model is a chain of stages, each a cached property that is a pure
 function of the tables and the earlier stages:
 
@@ -36,9 +34,9 @@ methods trigger a stage or run a cross-check and return a witness dict.
 from __future__ import annotations
 
 import json
-from functools import cached_property, reduce
+from functools import cached_property
 from itertools import product
-from operator import getitem, mul
+from operator import mul
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping, Sequence
@@ -67,7 +65,6 @@ _CURVE_INDEX = {name: i for i, name in enumerate(CURVE_NAMES)}
 MINUS_TWO_CURVES = ("C1p", "C1m", "C2p", "C2m")
 #: the elliptic curves outside the two node families, in +/- pairs
 PAIRED_ELLIPTIC = ("E3p", "E3m", "E4p", "E4m", "E5p", "E5m")
-IRREDUCIBLE_ELLIPTIC = ("E1", "E2", *PAIRED_ELLIPTIC)
 #: each curve's square, by the first letter of its name: the elliptic curves,
 #: the pentagon L, the canonical curve K and the (-2)-curves
 CURVE_DIAGONAL = {"E": -1, "L": -3, "K": 1, "C": -2}
@@ -185,6 +182,14 @@ class BTable(Record):
 
 # --------------------------------------------------------------------------- fixture
 
+def _at(raw: Mapping, where: str) -> Any:
+    """The value at a dotted JSON path; each object on the way must be one."""
+    *above, last = where.split(".")
+    for i, key in enumerate(above):
+        raw = container(raw[key], ".".join(above[:i + 1]), MappingProxyType)
+    return raw[last]
+
+
 def _square(rows: Sequence[Sequence[int]], n: int) -> bool:
     return len(rows) == n and all(len(r) == n for r in rows)
 
@@ -269,16 +274,15 @@ class FixtureSet(Record):
         if not isinstance(raw, Mapping) or raw.get("format") != FIXTURE_FORMAT:
             raise SchemaError(f'fixture document must carry "format": "{FIXTURE_FORMAT}"')
         try:
-            names = container(raw["curve_table"]["names"], "curve_table.names", tuple)
+            names = container(_at(raw, "curve_table.names"), "curve_table.names", tuple)
             if tuple(names) != CURVE_NAMES:
                 raise SchemaError(f"curve names must be {CURVE_NAMES}")
-            b_fields = {field: raw["b_table"][field] for field in _B_LEVELS}
-            fields = {field: reduce(getitem, where.split("."), raw)
-                      for field, where, _ in _INTEGER_TABLES}
+            b_fields = {field: _at(raw, f"b_table.{field}") for field in _B_LEVELS}
+            fields = {field: _at(raw, where) for field, where, _ in _INTEGER_TABLES}
             fields.update(
-                ledger=LedgerMatrix.from_dict(raw["ledger"]["n"], raw["ledger"]["entries"]),
-                ext_bounds=ExtBoundMatrix.from_rows(raw["ext_bounds"]["n"],
-                                                    raw["ext_bounds"]["rows"]),
+                ledger=LedgerMatrix.from_dict(_at(raw, "ledger.n"), _at(raw, "ledger.entries")),
+                ext_bounds=ExtBoundMatrix.from_rows(_at(raw, "ext_bounds.n"),
+                                                    _at(raw, "ext_bounds.rows")),
                 digest=sha256(json.dumps(raw, sort_keys=True, separators=(",", ":"))
                               .encode()).hexdigest(),
             )
@@ -470,7 +474,7 @@ class FixtureSet(Record):
     def validate_b_classes(self) -> dict[str, object]:
         """The genus-3 stage: the 32 classes reconstruct and match every rule."""
         self.genus3  # reading the stage runs its checks
-        return {"count": 32, "distinct": True, "blocks_verified": 32 * 31}
+        return {"count": 32, "distinct": True, "blocks_verified": len(B_KEYS) ** 2}
 
     def validate_relation(self) -> dict[str, object]:
         """The frozen doubling relation for the base genus-3 class."""
@@ -566,9 +570,6 @@ class FixtureSet(Record):
 
     def minus_two_classes(self) -> tuple[DivisorClass, ...]:
         return tuple(self.curve_class(n) for n in MINUS_TWO_CURVES)
-
-    def irreducible_elliptic_classes(self) -> tuple[DivisorClass, ...]:
-        return tuple(self.curve_class(n) for n in IRREDUCIBLE_ELLIPTIC)
 
 
 def shipped_fixture_text() -> str:

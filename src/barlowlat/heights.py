@@ -7,7 +7,7 @@ index chains of span exactly n.  The resulting minimum certifies a lower
 bound for the height; the single-segment circles give the matching upper
 bound on the shipped data.  An `ExtBoundMatrix` stores a tuple copy of its
 rows: at least one object and 2n rows of 2n cells, each ABSENT, INF or an
-integer >= 0; `from_rows` reads the JSON encoding ("inf", null) against n.
+integer >= 0; `from_rows` reads the JSON encoding ("inf", null), declared n.
 """
 from __future__ import annotations
 

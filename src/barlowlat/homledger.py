@@ -3,13 +3,12 @@
 The ledger stores, for every forward pair (j -> i with j <= i), the triple
 [h0, h1, h2] of Ext dimensions, or a star where it is undetermined (either
 [0,0,0] or [0,1,1]); only `LedgerMatrix` reads the star encoding.  The record
-stores a read-only copy of the mapping it is given, exactly the lower triangle
-of 1..n under (int, int) keys, each cell a `CohomDatum` or the star, diagonal
-[1,0,0]; `from_dict` reads the "i,j" keys up to the declared n, the JSON
-triples and the star.  The degree argument only
-needs minimal degrees of chains of composable forward maps, computed by one
-layered DP over the strictly-increasing-index DAG up to length n, which gives
-the minimum at every length, as the formality report reads them.
+stores a read-only copy of exactly the lower triangle of 1..n under (int, int)
+keys, each cell a `CohomDatum` or the star, diagonal [1,0,0]; `from_dict` reads
+the "i,j" keys up to the declared n, the JSON triples and the star.  The degree
+argument only needs minimal degrees of chains of composable forward maps,
+computed by one layered DP over the strictly-increasing-index DAG up to length
+n, which gives the minimum at every length, as the formality report reads them.
 """
 from __future__ import annotations
 

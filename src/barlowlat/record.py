@@ -22,10 +22,9 @@ def container(value, where: str, level: type):
 
 def freeze(value, where: str, levels: tuple[type, ...] = ()):
     """value as `levels` of containers (tuple or MappingProxyType, outermost
-    first) over ints that are not bools, each level copied into a tuple or a
-    read-only mapping.  A container of the wrong kind is named (`sequence.L1
-    must be an object`); a bad cell is named by its path and printed
-    (`chi_matrix[0][0]: 1.0 is not an integer`, `sequence.L1.K: ...`)."""
+    first) over ints that are not bools, each level copied.  A container of the
+    wrong kind is named (`d8.defs.D1 must be an object`), a bad cell is named by
+    its path and printed (`chi_matrix[0][0]: 1.0 is not an integer`)."""
     if not levels:
         if not is_integer(value):
             raise SchemaError(f"{where}: {value!r} is not an integer")

@@ -159,16 +159,16 @@ def partition_roots(
 def vanishing_classification(
     rs: RootSet,
     minus_two_curves: Sequence[DivisorClass],
-    irreducible_elliptic: Sequence[DivisorClass],
+    degree1_elliptic: Sequence[DivisorClass],
 ) -> Mapping[DivisorClass, VanishingTag]:
     """Tag each root: H0 iff it is a (-2)-curve class, H2 iff k - root is one
-    of the eight irreducible elliptic classes, NEITHER otherwise.
+    of the 14 effective degree-1 elliptic classes, NEITHER otherwise.
 
     The two tags are verified to be mutually exclusive on this lattice.
     """
     kc = rs.lattice.k.coords
     h0_set = {c.coords for c in minus_two_curves}
-    e_set = {c.coords for c in irreducible_elliptic}
+    e_set = {c.coords for c in degree1_elliptic}
     tags: dict[DivisorClass, VanishingTag] = {}
     for r in rs.roots:
         in_h0 = r.coords in h0_set

@@ -57,16 +57,18 @@ process, on the same cases:
   b_table.c_table.C1p[0][0], d8.gram[0][0], d8.defs.D1.K, sequence.L1.E1,
   b_relation.rhs.K, chi_matrix[0][0] and ledger.n; each exits 2, naming the
   cell;
-* verify on thirteen documents with a value of the wrong JSON kind where an
+* verify on nineteen documents with a value of the wrong JSON kind where an
   array or an object belongs (CONTAINER_EDITS): b_table.c_table.C1p as an
   object, b_table.e_hit_ks.E3p."0" as a number, a cross-block cell as a
   triple, as a single and as a number, sequence.L1 and d8.defs as arrays,
   chi_matrix[0] as a string, curve_table.matrix as an object,
   b_relation.lhs as null, the second bound row as a string,
-  curve_table.names as an object keyed by the 14 names in order and
-  ext_bounds.rows as an object keyed r00..r21; each exits 2, naming the
-  place; and height --matrix on a table whose rows are an object, and on one
-  whose second row is a string;
+  curve_table.names as an object keyed by the 14 names in order,
+  ext_bounds.rows as an object keyed r00..r21, and the objects above the
+  tables: d8 and curve_table as arrays, b_table and ledger as strings,
+  b_relation and ext_bounds as numbers; each exits 2, naming the place; and
+  height --matrix on a table whose rows are an object, on one whose second
+  row is a string, and on a document that is an array, not an object;
 * height --matrix on a bound table whose dynamic program reads a null cell;
 * verify on three documents that each reach an error branch of a model
   stage: "X": 1 in sequence.L1 (an unknown class name), every
@@ -395,12 +397,18 @@ CONTAINER_EDITS = {
                             (None, "b_relation", "lhs"), ("ab", "ext_bounds", "rows", 1))},
     "container curve_table.names keyed": keyed_curve_names,
     "container ext_bounds.rows keyed": keyed_bound_rows,
+    # an object above a declared table, of another JSON kind
+    **{f"container {key} = {json.dumps(value)}": set_cell(value, key)
+       for value, key in (([], "d8"), ("b", "b_table"), (0, "b_relation"),
+                          ([], "curve_table"), ("l", "ledger"), (0, "ext_bounds"))},
 }
 
-#: bound tables for height --matrix whose rows, or one row, are no array
+#: bound tables for height --matrix whose rows, or one row, are no array, and
+#: one that is no object
 CONTAINER_MATRICES = {
     "rows-object": {"n": 1, "rows": {"ab": 1, "cd": 2}},
     "row-2-string": {"n": 1, "rows": [[None, None], "ab"]},
+    "document-array": [[None, None], [1, None]],
 }
 
 

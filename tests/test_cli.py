@@ -1016,6 +1016,8 @@ CONTAINER_MESSAGES = dict(zip(CONTAINER_EDITS, [
     "d8.defs must be an object", "chi_matrix[0] must be an array",
     "curve_table.matrix must be an array", "b_relation.lhs must be an object",
     "row 2 is not an array", "curve_table.names must be an array", "rows must be an array",
+    *(f"{key} must be an object"
+      for key in ("d8", "b_table", "b_relation", "curve_table", "ledger", "ext_bounds")),
 ], strict=True))
 
 
@@ -1027,6 +1029,15 @@ def test_height_matrix_rows_must_be_arrays(tmp_path, capsys, name, message):
     path.write_text(json.dumps(CONTAINER_MATRICES[name]))
     code, out, err = run_cli(capsys, "height", "--matrix", str(path))
     assert (code, out, err) == (2, "", f"cannot read bound matrix: {message}\n")
+
+
+@pytest.mark.parametrize("document", [CONTAINER_MATRICES["document-array"], "n", 1, None])
+def test_height_matrix_document_must_be_an_object(tmp_path, capsys, document):
+    # before, an array read by key was "list indices must be integers or slices, not str"
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, "height", "--matrix", str(path))
+    assert (code, out, err) == (2, "", "cannot read bound matrix: the document must be an object\n")
 
 
 @pytest.mark.parametrize("argv", [("verify",), ("roots", "--count")])

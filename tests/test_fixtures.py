@@ -397,10 +397,23 @@ def test_the_declarations_cover_the_model(raw_fixture):
         assert reduce(getitem, where.split("."), raw_fixture) is not None, where
 
 
+#: every path `from_dict` reads: the declared tables, the curve names and the
+#: fields of the ledger and of the bound table
+READ_PATHS = (*(where for where, _ in DECLARED_TABLES), "curve_table.names",
+              "ledger.n", "ledger.entries", "ext_bounds.n", "ext_bounds.rows")
+
+
 def _container_faults(raw):
-    """For each declared table and each container level on its path, the other
-    JSON container kind there (an array's cells keyed "0", "1", ..., or an
-    object's values), a number, a string and null: (keys, message, value)."""
+    """For each object above a read path, and for each declared table and each
+    container level on its path, the other JSON container kind there (an
+    array's cells keyed "0", "1", ..., or an object's values), a number, a
+    string and null: (keys, message, value)."""
+    keys_above = {tuple(keys[:i]) for keys in (where.split(".") for where in READ_PATHS)
+                  for i in range(1, len(keys))}
+    for keys in sorted(keys_above):
+        path, other = ".".join(keys), list(reduce(getitem, keys, raw).values())
+        for kind, value in (("other", other), ("number", 0), ("string", "x"), ("null", None)):
+            yield pytest.param(list(keys), f"{path} must be an object", value, id=f"{path}-{kind}")
     for where, levels in DECLARED_TABLES:
         keys = where.split(".")
         path, node = where, reduce(getitem, keys, raw)
@@ -427,7 +440,8 @@ def _container_faults(raw):
 def test_a_wrong_container_is_named_by_its_path(raw_copy, tmp_path, capsys, keys, message, value):
     # a string or an object where an array belongs is not read character by
     # character or key by key, nor is an array where an object belongs an
-    # AttributeError of the decoding
+    # AttributeError of the decoding; an object above a table of another kind
+    # was "fixture document malformed: list indices must be integers ..."
     set_cell(value, *keys)(raw_copy)
     with pytest.raises(SchemaError) as exc:
         FixtureSet.from_dict(raw_copy)

@@ -213,6 +213,11 @@ DIRECT_DEFECTS = {
     # a plain tuple k was accepted and failed at its first pairing
     "lattice-tuple-k": (lambda: PicardLattice(((1,),), (1,)),
                         "k (1,) is not a DivisorClass"),
+    # a record stores a frozen copy of its table, so it must be of the right kind
+    "ledger-list": (lambda: LedgerMatrix([((1, 1), CohomDatum(1, 0, 0))]),
+                    "ledger entries must be an object"),
+    "bound-table-string": (lambda: ExtBoundMatrix("ab"), "rows must be an array"),
+    "bound-row-string": (lambda: ExtBoundMatrix([[None, None], "ab"]), "row 2 is not an array"),
 }
 
 

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from barlowlat import linalg
 from barlowlat.errors import ToolkitError
-from barlowlat.fixtures import BASIS_NAMES
+from barlowlat.exceptional import DecompositionProblem, decompose_effective
+from barlowlat.fixtures import BASIS_NAMES, CURVE_NAMES
 from barlowlat.lattice import DivisorClass, make_lattice
 from barlowlat.roots import (
     CANONICAL_GRAM,
@@ -153,15 +154,32 @@ def test_partition_failure_on_wrong_families(fix, lat):
 def test_vanishing_classification(fix, lat):
     rs = enumerate_roots(lat)
     tags = vanishing_classification(
-        rs, fix.minus_two_classes(), fix.irreducible_elliptic_classes()
+        rs, fix.minus_two_classes(), fix.degree1_elliptic_classes()
     )
     counts = {t: sum(1 for v in tags.values() if v is t) for t in VanishingTag}
     assert counts[VanishingTag.H0] == 4
-    assert counts[VanishingTag.H2] == 8
-    assert counts[VanishingTag.NEITHER] == 228
+    assert counts[VanishingTag.H2] == 14
+    assert counts[VanishingTag.NEITHER] == 222
     assert tags[fix.curve_class("C1p")] is VanishingTag.H0
     assert tags[lat.k - fix.curve_class("E1")] is VanishingTag.H2
+    # before, only the 8 irreducible elliptic curves tagged H2, so K - E1 - C1p
+    # was NEITHER though it is a sum of curves
+    assert tags[lat.k - fix.curve_class("E1") - fix.curve_class("C1p")] is VanishingTag.H2
     assert tags[fix.curve_class("D5")] is VanishingTag.NEITHER
+
+
+def test_top_cohomology_roots_are_those_whose_k_minus_r_is_a_sum_of_curves(fix, lat):
+    # h2(r) = h0(K - r) by Serre duality, and h0(K - r) >= 1 when K - r is a
+    # sum of curves; caps 1 take each curve at most once.  K is no generator:
+    # p_g = 0, so K is not effective, and neither is K + C for a (-2)-curve C
+    # (a member D has D.C = -2, so contains C, and D - C would lie in |K|)
+    curves = [(name, fix.curve_class(name)) for name in CURVE_NAMES if name != "K"]
+    tags = vanishing_classification(fix.roots, fix.minus_two_classes(),
+                                    fix.degree1_elliptic_classes())
+    for r in fix.roots.roots:
+        sums = decompose_effective(lat, DecompositionProblem.create(lat.k - r, curves, caps=1))
+        assert bool(sums) == (tags[r] is VanishingTag.H2), r
+    assert len(tags) == 240
 
 
 def weyl_closure(lat, seeds):
