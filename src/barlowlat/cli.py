@@ -413,6 +413,9 @@ def cmd_search(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
+    """The default generators include K, which is not effective on S (p_g = 0),
+    so a solution with a nonzero K coefficient certifies no effective sum;
+    dropping K would change the pinned tests/data/decompose_digests.json."""
     if args.generators is not None:
         names = [n.strip() for n in args.generators.split(",") if n.strip()]
         if not names:

@@ -7,9 +7,10 @@ matrix, the forward Ext ledger and the 22x22 height bound table.
 
 `FixtureSet` is frozen.  Built directly or by `from_dict`, `BTable` and then
 `FixtureSet` store each plain table through `record.freeze` at its declared
-containers (`_B_LEVELS`, `_INTEGER_TABLES`), as tuples and read-only mappings,
-then check their shape (the Barlow stars, the names D1..D8 and L1..L11, the
-size of every table); a fault is a `SchemaError` naming its JSON path.
+containers (`_B_LEVELS`, `_INTEGER_TABLES`), which state every size and key
+set (a 14x14 curve table, the names D1..D8 and L1..L11), as tuples and
+read-only mappings; `FixtureSet` then checks the Barlow stars and n = 11.  A
+fault is a `SchemaError` naming its JSON path.
 `from_dict` keeps the JSON encoding: the format tag, the curve names, the
 digest and the raw value at each declared path, read by `_at`.
 The model is a chain of stages, each a cached property that is a pure
@@ -76,6 +77,7 @@ FIXTURE_FORMAT = "barlowlat-fixture-v1"
 STAR_POSITIONS = tuple((11, j) for j in (1, 2, 4, 5, 6, 8, 9, 10))
 
 SEQUENCE_NAMES = tuple(f"L{i}" for i in range(1, 12))
+D8_NAMES = tuple(f"D{i}" for i in range(1, 9))
 
 #: the Gram of D1..D8: the chain D1..D6 with both fork tips D7, D8 on D6
 D8_FORK_GRAM = diagram_gram(8, {(s, s + 1): 1 for s in range(6)} | {(5, 7): 1})
@@ -101,14 +103,15 @@ B_NAMES = frozenset(b_name(*key) for key in B_KEYS)
 
 # --------------------------------------------------------------------------- tables
 
-#: the containers above a table's integers, outermost first (`record.freeze`)
-_MATRIX = (tuple, tuple)
+#: the containers above a table's integers, outermost first (`record.freeze`):
+#: an array (tuple) or one of n entries (n), an object (MappingProxyType) or
+#: one with exactly the given keys (a tuple of names)
 _MAP = (MappingProxyType,)   # name -> integer
-_MAPS = (MappingProxyType, MappingProxyType)   # name -> name -> integer
+_SIGNS = (("plus", "minus"),)
 #: the containers of each BTable field, by name, so that no field escapes the rule
 _B_LEVELS = MappingProxyType({
-    "k_value": (), "l_values": _MAP, "e12_values": _MAP, "c_table": (MappingProxyType, *_MATRIX),
-    "e_hit_ks": (*_MAPS, tuple), "cross_block_b_cells": _MATRIX})
+    "k_value": (), "l_values": _SIGNS, "e12_values": _SIGNS, "c_table": (MINUS_TWO_CURVES, 2, 2),
+    "e_hit_ks": (PAIRED_ELLIPTIC, ("0", "1"), tuple), "cross_block_b_cells": (tuple, 2)})
 
 
 class BTable(Record):
@@ -125,22 +128,6 @@ class BTable(Record):
         for field in self._fields:
             object.__setattr__(self, field, freeze(getattr(self, field), f"b_table.{field}",
                                                    _B_LEVELS[field]))
-        for i, cell in enumerate(self.cross_block_b_cells):
-            if len(cell) != 2:
-                raise SchemaError(f"b_table.cross_block_b_cells[{i}] is not a pair")
-        for field in ("l_values", "e12_values"):
-            if missing := {"plus", "minus"} - set(getattr(self, field)):
-                raise SchemaError(f"{field} lacks {', '.join(sorted(missing))}")
-        if set(self.c_table) != set(MINUS_TWO_CURVES):
-            raise SchemaError("c_table must cover the four (-2)-curves")
-        for name, grid in self.c_table.items():
-            if not _square(grid, 2):
-                raise SchemaError(f"c_table[{name}] must be 2x2")
-        if set(self.e_hit_ks) != set(PAIRED_ELLIPTIC):
-            raise SchemaError("e_hit_ks must cover the six paired elliptic curves")
-        for name, per_i in self.e_hit_ks.items():
-            if set(per_i) != {"0", "1"}:
-                raise SchemaError(f"e_hit_ks[{name}] must have keys '0' and '1'")
 
     def pairing_row(
         self, curves: PicardLattice, q: int, i: int, j: int, k: int
@@ -190,10 +177,6 @@ def _at(raw: Mapping, where: str) -> Any:
     return raw[last]
 
 
-def _square(rows: Sequence[Sequence[int]], n: int) -> bool:
-    return len(rows) == n and all(len(r) == n for r in rows)
-
-
 # Combinations of the 14 curves are classes of the formal lattice
 # `FixtureSet.curves`: coefficient vectors in CURVE_NAMES order, paired by the
 # curve table.
@@ -221,9 +204,10 @@ class Canonical(Record):
 
 #: the model's integer tables: (field, JSON path, containers)
 _INTEGER_TABLES = (
-    ("curve_matrix", "curve_table.matrix", _MATRIX), ("d8_defs", "d8.defs", _MAPS),
-    ("d8_gram_expected", "d8.gram", _MATRIX), ("sequence_defs", "sequence", _MAPS),
-    ("chi_matrix", "chi_matrix", _MATRIX), ("relation_lhs", "b_relation.lhs", _MAP),
+    ("curve_matrix", "curve_table.matrix", (len(CURVE_NAMES),) * 2),
+    ("d8_defs", "d8.defs", (D8_NAMES, MappingProxyType)), ("d8_gram_expected", "d8.gram", (8, 8)),
+    ("sequence_defs", "sequence", (SEQUENCE_NAMES, MappingProxyType)),
+    ("chi_matrix", "chi_matrix", (11, 11)), ("relation_lhs", "b_relation.lhs", _MAP),
     ("relation_rhs", "b_relation.rhs", _MAP),
 )
 
@@ -253,16 +237,6 @@ class FixtureSet(Record):
         stars = self.ledger.star_positions
         if stars != set(STAR_POSITIONS):
             raise SchemaError(f"star entries at {sorted(stars)}, expected {sorted(STAR_POSITIONS)}")
-        if not _square(self.curve_matrix, len(CURVE_NAMES)):
-            raise SchemaError("curve matrix must be 14x14")
-        if not _square(self.d8_gram_expected, 8):
-            raise SchemaError("d8.gram must be 8x8")
-        if sorted(self.d8_defs) != [f"D{i}" for i in range(1, 9)]:
-            raise SchemaError("d8.defs must define D1..D8")
-        if sorted(self.sequence_defs) != sorted(SEQUENCE_NAMES):
-            raise SchemaError("sequence must define L1..L11")
-        if not _square(self.chi_matrix, 11):
-            raise SchemaError("chi_matrix must be 11x11")
         if (self.ledger.n, self.ext_bounds.n) != (11, 11):
             raise SchemaError("ledger.n and ext_bounds.n must be 11, not "
                               f"{self.ledger.n}, {self.ext_bounds.n}")
@@ -318,7 +292,7 @@ class FixtureSet(Record):
     @cached_property
     def d8_fork(self) -> tuple[DivisorClass, ...]:
         """D1..D8 as classes of the formal curve lattice, with the fork Gram and degree 0."""
-        ds = tuple(_curve_vector(self.d8_defs[f"D{i}"]) for i in range(1, 9))
+        ds = tuple(_curve_vector(self.d8_defs[name]) for name in D8_NAMES)
         rows = self.curves.pairings(ds, [*ds, self.curves.k])
         gram = tuple(tuple(row[:8]) for row in rows)
         bad = linalg.first_difference(gram, self.d8_gram_expected)
@@ -366,7 +340,7 @@ class FixtureSet(Record):
             )
         # one table: the doubled basis, then the 14 curves and D1..D8, each
         # against the doubled basis
-        names = (*CURVE_NAMES, *(f"D{i}" for i in range(1, 9)))
+        names = (*CURVE_NAMES, *D8_NAMES)
         units = [_curve_vector({n: 1}) for n in CURVE_NAMES]
         rows = curves.pairings([*basis2, *units, *ds], basis2)
         gram4 = tuple(map(tuple, rows[:9]))

@@ -23,12 +23,6 @@ from .record import Record, container, is_integer
 ABSENT = None
 
 
-def _row(i: int, row: object) -> tuple:
-    if not isinstance(row, (list, tuple)):
-        raise SchemaError(f"row {i} is not an array")
-    return tuple(row)
-
-
 class ExtBoundMatrix(Record):
     """Partial 2n x 2n table of lower bounds: rows[i-1][j-1] bounds e(source j
     -> target i) by an integer, INF (all forward Ext vanish), or ABSENT where
@@ -38,7 +32,8 @@ class ExtBoundMatrix(Record):
 
     def __post_init__(self) -> None:
         rows = container(self.rows, "rows", tuple)
-        object.__setattr__(self, "rows", tuple(_row(i, row) for i, row in enumerate(rows, 1)))
+        object.__setattr__(self, "rows", tuple(tuple(container(row, f"rows[{i}]", tuple))
+                                               for i, row in enumerate(rows)))
         size = 2 * self.n
         if size < 2:
             raise SchemaError(f"n must be a positive integer, got {self.n}")
@@ -61,9 +56,9 @@ class ExtBoundMatrix(Record):
             raise SchemaError(f"n must be a positive integer, got {n!r}")
         if len(container(raw_rows, "rows", tuple)) != 2 * n:
             raise SchemaError(f"expected {2 * n} rows, got {len(raw_rows)}")
-        for i, raw in enumerate(raw_rows, 1):
-            if any(x == INF for x in _row(i, raw)):   # INF is encoded "inf", never a float
-                raise SchemaError(f"bad bound entry inf in row {i}")
+        for i, raw in enumerate(raw_rows):   # INF is encoded "inf", never a float
+            if any(x == INF for x in container(raw, f"rows[{i}]", tuple)):
+                raise SchemaError(f"bad bound entry inf in row {i + 1}")
         return ExtBoundMatrix([[INF if x == "inf" else x for x in raw] for raw in raw_rows])
 
     def entry(self, target: int, source: int) -> int | float:

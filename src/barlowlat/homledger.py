@@ -79,7 +79,7 @@ class LedgerMatrix(Record):
     entries: Mapping[tuple[int, int], CohomDatum | str]
 
     def __post_init__(self) -> None:
-        entries = container(self.entries, "ledger entries", MappingProxyType)
+        entries = container(self.entries, "ledger.entries", MappingProxyType)
         object.__setattr__(self, "entries", MappingProxyType(dict(entries)))
         for key, val in self.entries.items():
             if type(key) is not tuple or tuple(map(type, key)) != (int, int):
@@ -106,10 +106,8 @@ class LedgerMatrix(Record):
     @staticmethod
     def from_dict(n: int, raw: Mapping[str, Sequence[int] | str]) -> "LedgerMatrix":
         freeze(n, "ledger.n")
-        if not isinstance(raw, Mapping):
-            raise SchemaError("ledger entries must be a mapping of 'i,j' keys")
         entries: dict[tuple[int, int], CohomDatum | str] = {}
-        for key, val in raw.items():
+        for key, val in container(raw, "ledger.entries", MappingProxyType).items():
             try:
                 i, j = map(int, key.split(","))
             except (AttributeError, ValueError) as exc:   # not a str, or not "i,j"

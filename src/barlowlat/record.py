@@ -1,7 +1,8 @@
 """The immutable record base of the package's value types: the fields are the
 class annotations, in order; equality, hash and repr follow the field tuple.
 `is_integer` is the records' one integer rule, and `freeze` their one table
-rule: it checks a cell or a table and returns a frozen copy of it."""
+rule: it checks a cell or a table, with its sizes and keys, and returns a
+frozen copy of it."""
 from types import MappingProxyType
 
 from .errors import SchemaError
@@ -12,25 +13,32 @@ def is_integer(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def container(value, where: str, level: type):
+def container(value, where: str, level):
     """value, if a table level `level` takes it: a list or a tuple (a JSON array)
-    for `tuple`, a dict or a read-only mapping (an object) for `MappingProxyType`."""
-    if not isinstance(value, (list, tuple) if level is tuple else (dict, MappingProxyType)):
-        raise SchemaError(f"{where} must be {'an array' if level is tuple else 'an object'}")
+    for `tuple` or for an int n, then of exactly n entries; a dict or a read-only
+    mapping (an object) for `MappingProxyType` or for a tuple of names, then
+    with exactly those keys."""
+    array = level is tuple or is_integer(level)
+    if not isinstance(value, (list, tuple) if array else (dict, MappingProxyType)):
+        raise SchemaError(f"{where} must be {'an array' if array else 'an object'}")
+    if is_integer(level) and len(value) != level:
+        raise SchemaError(f"{where} must have {level} entries")
+    if isinstance(level, tuple) and value.keys() != set(level):
+        raise SchemaError(f"{where} must have the keys {', '.join(level)}")
     return value
 
 
-def freeze(value, where: str, levels: tuple[type, ...] = ()):
-    """value as `levels` of containers (tuple or MappingProxyType, outermost
-    first) over ints that are not bools, each level copied.  A container of the
-    wrong kind is named (`d8.defs.D1 must be an object`), a bad cell is named by
-    its path and printed (`chi_matrix[0][0]: 1.0 is not an integer`)."""
+def freeze(value, where: str, levels: tuple = ()):
+    """value as `levels` of containers (outermost first, each a `container`
+    level) over ints that are not bools, each level copied.  A container of the
+    wrong kind, size or keys is named (`d8.defs.D1 must be an object`,
+    `d8.gram[2] must have 8 entries`), a bad cell is named by its path and
+    printed (`chi_matrix[0][0]: 1.0 is not an integer`)."""
     if not levels:
         if not is_integer(value):
             raise SchemaError(f"{where}: {value!r} is not an integer")
         return value
-    container(value, where, levels[0])
-    if levels[0] is tuple:
+    if isinstance(container(value, where, levels[0]), (list, tuple)):
         return tuple(freeze(x, f"{where}[{i}]", levels[1:]) for i, x in enumerate(value))
     return MappingProxyType({k: freeze(x, f"{where}.{k}", levels[1:]) for k, x in value.items()})
 

@@ -48,10 +48,12 @@ process, on the same cases:
 * verify on a document whose bound cell (2,1) is the JSON number Infinity,
   and height --matrix on a bound table with 1e999 in its one cell; both
   exit 2, since a bound cell is an integer, "inf" or null;
-* verify on seven documents that break a shape rule (SHAPE_EDITS): c_table
+* verify on nine documents that break a shape rule (SHAPE_EDITS): c_table
   without C2m, e_hit_ks without E5m, e_hit_ks.E3p with a key "2", d8.defs
-  without D8, sequence without L11, ledger entry 5,3 removed, and
-  ext_bounds.n = 0; each exits 2;
+  without D8, sequence without L11, b_table.l_values with an extra key
+  "zero" (it verified before the key sets were exact), row 3 of
+  curve_table.matrix one cell short (named as curve_table.matrix[3]),
+  ledger entry 5,3 removed, and ext_bounds.n = 0; each exits 2;
 * verify on nine documents with a float or true in one integer cell
   (TYPE_EDITS): b_table.k_value, b_table.l_values.plus,
   b_table.c_table.C1p[0][0], d8.gram[0][0], d8.defs.D1.K, sequence.L1.E1,
@@ -334,6 +336,9 @@ SHAPE_EDITS = {
     "e_hit_ks-E3p-key-2": lambda raw: raw["b_table"]["e_hit_ks"]["E3p"].update({"2": [0]}),
     "d8.defs-without-D8": lambda raw: raw["d8"]["defs"].pop("D8"),
     "sequence-without-L11": lambda raw: raw["sequence"].pop("L11"),
+    # before, an extra key verified: the rule only asked for plus and minus
+    "l_values-extra-key": lambda raw: raw["b_table"]["l_values"].update(zero=0),
+    "curve_table.matrix-row-3-short": lambda raw: raw["curve_table"]["matrix"][3].pop(),
     "ledger-without-5,3": lambda raw: raw["ledger"]["entries"].pop("5,3"),
     "ext_bounds-n-0": lambda raw: raw["ext_bounds"].update(n=0),
 }

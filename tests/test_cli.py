@@ -998,11 +998,14 @@ def _ledger_alias_key(raw):
 
 #: the message of each document in compare_outputs.SHAPE_EDITS
 SHAPE_MESSAGES = {
-    "c_table-without-C2m": "c_table must cover the four (-2)-curves",
-    "e_hit_ks-without-E5m": "e_hit_ks must cover the six paired elliptic curves",
-    "e_hit_ks-E3p-key-2": "e_hit_ks[E3p] must have keys '0' and '1'",
-    "d8.defs-without-D8": "d8.defs must define D1..D8",
-    "sequence-without-L11": "sequence must define L1..L11",
+    "c_table-without-C2m": "b_table.c_table must have the keys C1p, C1m, C2p, C2m",
+    "e_hit_ks-without-E5m": "b_table.e_hit_ks must have the keys E3p, E3m, E4p, E4m, E5p, E5m",
+    "e_hit_ks-E3p-key-2": "b_table.e_hit_ks.E3p must have the keys 0, 1",
+    "l_values-extra-key": "b_table.l_values must have the keys plus, minus",
+    "d8.defs-without-D8": "d8.defs must have the keys D1, D2, D3, D4, D5, D6, D7, D8",
+    "sequence-without-L11":
+        "sequence must have the keys L1, L2, L3, L4, L5, L6, L7, L8, L9, L10, L11",
+    "curve_table.matrix-row-3-short": "curve_table.matrix[3] must have 14 entries",
     "ledger-without-5,3": "ledger entry 5,3 is missing",
     "ext_bounds-n-0": "n must be a positive integer, got 0",
 }
@@ -1011,18 +1014,19 @@ SHAPE_MESSAGES = {
 #: the message of each document in compare_outputs.CONTAINER_EDITS
 CONTAINER_MESSAGES = dict(zip(CONTAINER_EDITS, [
     "b_table.c_table.C1p must be an array", "b_table.e_hit_ks.E3p.0 must be an array",
-    "b_table.cross_block_b_cells[1] is not a pair", "b_table.cross_block_b_cells[1] is not a pair",
+    "b_table.cross_block_b_cells[1] must have 2 entries",
+    "b_table.cross_block_b_cells[1] must have 2 entries",
     "b_table.cross_block_b_cells[1] must be an array", "sequence.L1 must be an object",
     "d8.defs must be an object", "chi_matrix[0] must be an array",
     "curve_table.matrix must be an array", "b_relation.lhs must be an object",
-    "row 2 is not an array", "curve_table.names must be an array", "rows must be an array",
+    "rows[1] must be an array", "curve_table.names must be an array", "rows must be an array",
     *(f"{key} must be an object"
       for key in ("d8", "b_table", "b_relation", "curve_table", "ledger", "ext_bounds")),
 ], strict=True))
 
 
 @pytest.mark.parametrize("name, message", [("rows-object", "rows must be an array"),
-                                           ("row-2-string", "row 2 is not an array")])
+                                           ("row-2-string", "rows[1] must be an array")])
 def test_height_matrix_rows_must_be_arrays(tmp_path, capsys, name, message):
     # a key or a character of a row that is no array is not read as a bound
     path = tmp_path / "m.json"

@@ -208,11 +208,11 @@ MODEL_DEFECTS = {
     "d8-gram-7x7": (
         set_cell([row[:7] for row in EXPECTED_D8_GRAM[:7]], "d8", "gram"),
         lambda fix: {"d8_gram_expected": tuple(r[:7] for r in fix.d8_gram_expected[:7])},
-        "d8.gram must be 8x8"),
+        "d8.gram must have 8 entries"),
     "chi-matrix-10x10": (
         lambda raw: raw.update(chi_matrix=[row[:10] for row in raw["chi_matrix"][:10]]),
         lambda fix: {"chi_matrix": tuple(r[:10] for r in fix.chi_matrix[:10])},
-        "chi_matrix must be 11x11"),
+        "chi_matrix must have 11 entries"),
     "ledger-n-10": (
         _cut_ledger_document,
         lambda fix: {"ledger": _cut_ledger(fix)},
@@ -220,26 +220,26 @@ MODEL_DEFECTS = {
     "sequence-without-L11": (
         _drop("sequence", "L11"),
         lambda fix: {"sequence_defs": _without(fix.sequence_defs, "L11")},
-        "sequence must define L1..L11"),
+        "sequence must have the keys L1, L2, L3, L4, L5, L6, L7, L8, L9, L10, L11"),
     "d8-defs-without-D8": (
         _drop("d8", "defs", "D8"),
         lambda fix: {"d8_defs": _without(fix.d8_defs, "D8")},
-        "d8.defs must define D1..D8"),
+        "d8.defs must have the keys D1, D2, D3, D4, D5, D6, D7, D8"),
     "l-values-without-plus": (
         _drop("b_table", "l_values", "plus"),
         lambda fix: {"b_table": _rebuilt(fix.b_table,
                                          l_values=_without(fix.b_table.l_values, "plus"))},
-        "l_values lacks plus"),
+        "b_table.l_values must have the keys plus, minus"),
     "c-table-C1p-1x2": (
         set_cell([[0, 1]], "b_table", "c_table", "C1p"),
         lambda fix: {"b_table": _rebuilt(fix.b_table, c_table=MappingProxyType(
             {**fix.b_table.c_table, "C1p": ((0, 1),)}))},
-        "c_table[C1p] must be 2x2"),
+        "b_table.c_table.C1p must have 2 entries"),
     **{f"cross-block-cell-{name}": (
         set_cell(list(cell), "b_table", "cross_block_b_cells", 1),
         lambda fix, cell=cell: {"b_table": _rebuilt(fix.b_table, cross_block_b_cells=(
             fix.b_table.cross_block_b_cells[0], cell, *fix.b_table.cross_block_b_cells[2:]))},
-        "b_table.cross_block_b_cells[1] is not a pair")
+        "b_table.cross_block_b_cells[1] must have 2 entries")
        for name, cell in (("triple", (0, 1, 2)), ("single", (0,)))},
 }
 
@@ -407,7 +407,9 @@ def _container_faults(raw):
     """For each object above a read path, and for each declared table and each
     container level on its path, the other JSON container kind there (an
     array's cells keyed "0", "1", ..., or an object's values), a number, a
-    string and null: (keys, message, value)."""
+    string and null; at a sized level (an int n) also an array one entry short
+    and one entry long, and at a keyed level (a tuple of names) an object
+    missing its first key and one with an extra key: (keys, message, value)."""
     keys_above = {tuple(keys[:i]) for keys in (where.split(".") for where in READ_PATHS)
                   for i in range(1, len(keys))}
     for keys in sorted(keys_above):
@@ -418,11 +420,20 @@ def _container_faults(raw):
         keys = where.split(".")
         path, node = where, reduce(getitem, keys, raw)
         for level in levels:
-            keyed = level is MappingProxyType
+            keyed = level is MappingProxyType or isinstance(level, tuple)
             other = list(node.values()) if keyed else {str(i): x for i, x in enumerate(node)}
             message = f"{path} must be {'an object' if keyed else 'an array'}"
             for kind, value in (("other", other), ("number", 0), ("string", "x"), ("null", None)):
                 yield pytest.param(keys, message, value, id=f"{path}-{kind}")
+            if isinstance(level, int):
+                message = f"{path} must have {level} entries"
+                for kind, value in (("short", node[:-1]), ("long", [*node, node[0]])):
+                    yield pytest.param(keys, message, value, id=f"{path}-{kind}")
+            if isinstance(level, tuple):
+                message = f"{path} must have the keys {', '.join(level)}"
+                missing = {k: v for k, v in node.items() if k != level[0]}
+                for kind, value in (("missing", missing), ("extra", {**node, "X": node[level[0]]})):
+                    yield pytest.param(keys, message, value, id=f"{path}-{kind}")
             key = next(iter(node)) if keyed else 0
             keys, node = [*keys, key], node[key]
             path += f".{key}" if keyed else f"[{key}]"
@@ -538,11 +549,7 @@ def _shape_fault(draw, fix, raw):
         bt, raw_bt = fix.b_table, doc["b_table"]
         field = draw(st.sampled_from(["l_values", "e12_values", "c_table", "c_table grid",
                                       "e_hit_ks", "e_hit_ks keys"]))
-        if field in ("l_values", "e12_values"):
-            sign = draw(st.sampled_from(["plus", "minus"]))
-            del raw_bt[field][sign]
-            new = {field: _without(getattr(bt, field), sign)}
-        elif field == "c_table grid":
+        if field == "c_table grid":
             name = draw(st.sampled_from(sorted(bt.c_table)))
             rows = _square_edit(draw, bt.c_table[name])
             raw_bt["c_table"][name] = rows
@@ -553,7 +560,7 @@ def _shape_fault(draw, fix, raw):
             raw_bt["e_hit_ks"][name] = apply(raw_bt["e_hit_ks"][name])
             new = {"e_hit_ks": MappingProxyType(
                 {**bt.e_hit_ks, name: MappingProxyType(apply(bt.e_hit_ks[name]))})}
-        else:
+        else:   # a key set: l_values and e12_values refuse an extra key too
             apply = _names_edit(draw, getattr(bt, field), "X")
             raw_bt[field] = apply(raw_bt[field])
             new = {field: MappingProxyType(apply(getattr(bt, field)))}

@@ -215,9 +215,9 @@ DIRECT_DEFECTS = {
                         "k (1,) is not a DivisorClass"),
     # a record stores a frozen copy of its table, so it must be of the right kind
     "ledger-list": (lambda: LedgerMatrix([((1, 1), CohomDatum(1, 0, 0))]),
-                    "ledger entries must be an object"),
+                    "ledger.entries must be an object"),
     "bound-table-string": (lambda: ExtBoundMatrix("ab"), "rows must be an array"),
-    "bound-row-string": (lambda: ExtBoundMatrix([[None, None], "ab"]), "row 2 is not an array"),
+    "bound-row-string": (lambda: ExtBoundMatrix([[None, None], "ab"]), "rows[1] must be an array"),
 }
 
 
@@ -270,6 +270,9 @@ KIND_FAULTS = (
     ((M({"a": 1}),), (T, T), "t[0] must be an array"),
     # a set has no order for a path to name, so no table is one
     (frozenset({(1, 2)}), (T, T), "t must be an array"),
+    # a size is an array level and a key set an object level
+    ({"0": 1, "1": 2}, (2,), "t must be an array"),
+    ([1, 2], (("a", "b"),), "t must be an object"),
 )
 
 
@@ -280,6 +283,31 @@ def test_the_table_rule_names_a_container_of_the_wrong_kind(value, levels, messa
     with pytest.raises(SchemaError) as exc:
         freeze(value, "t", levels)
     assert str(exc.value) == message
+
+
+#: (value, its containers, the message naming its first container of the wrong
+#: size or keys under the path "t"): an outer level is checked before its cells
+SIZE_FAULTS = (
+    ([[1, 2], [3]], (2, 2), "t[1] must have 2 entries"),
+    ([[1, 2, 3], [4]], (T, 2), "t[0] must have 2 entries"),
+    ([[1, 2.0]], (2, 2), "t must have 2 entries"),
+    ({"plus": 1}, (("plus", "minus"),), "t must have the keys plus, minus"),
+    ({"plus": 1, "minus": 2, "zero": 0}, (("plus", "minus"),), "t must have the keys plus, minus"),
+    (M({"a": M({"0": (), "2": ()})}), (M, ("0", "1"), T), "t.a must have the keys 0, 1"),
+)
+
+
+@pytest.mark.parametrize("value, levels, message", SIZE_FAULTS)
+def test_the_table_rule_names_a_container_of_the_wrong_size_or_keys(value, levels, message):
+    with pytest.raises(SchemaError) as exc:
+        freeze(value, "t", levels)
+    assert str(exc.value) == message
+
+
+def test_a_key_set_takes_any_order_and_keeps_it():
+    got = freeze({"minus": -1, "plus": 2}, "t", (("plus", "minus"),))
+    assert list(got.items()) == [("minus", -1), ("plus", 2)]
+    assert freeze([[1, 2], (3, 4)], "t", (2, 2)) == ((1, 2), (3, 4))
 
 
 #: (value, its containers, the frozen copy): a list is a JSON array and a dict
